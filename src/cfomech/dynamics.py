@@ -8,6 +8,7 @@ a diagonal diffusion matrix D for the noise vector n.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,51 +31,82 @@ LYAPUNOV_RTOL = 1e-10
 #: Norm cap per elementary propagation substep, ||A||*h <= this.
 STEP_NORM_CAP = 0.1
 
+#: Grid intervals closer than this many ulps of t share one interval map;
+#: linspace rounding moves its steps by about one ulp.
+GRID_STEP_ULPS = 4
+
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Drift and diffusion matrices of one model instance."""
+    """Drift and diffusion matrices of one model instance, or (N, 6, 6) stacks
+    of them for N models."""
 
     A: np.ndarray
     D: np.ndarray
 
 
+def state_space_batch(models: Sequence[EffectiveModel]) -> StateSpace:
+    """(N, 6, 6) drift and diffusion stacks of N models, in the
+    (dq1, dp1, dq2, dp2, dX, dY) ordering.
+
+    The diffusion matrix is diagonal: gamma_j*(nbar_j + 1/2) twice per
+    mechanical mode, kappa_tilde twice for the cavity.
+    """
+    G1, G2, kt, dt, g1, g2, n1, n2 = np.array(
+        [(m.G1, m.G2, m.kappa_tilde, m.delta_tilde, m.gamma1, m.gamma2, m.nbar1, m.nbar2)
+         for m in models], dtype=float).reshape(-1, 8).T
+    A = np.zeros((len(G1), 6, 6))
+    A[:, 0, 0] = A[:, 1, 1] = -(g1 / 2.0)
+    A[:, 2, 2] = A[:, 3, 3] = -(g2 / 2.0)
+    A[:, 4, 4] = A[:, 5, 5] = -kt
+    A[:, 0, 5] = A[:, 1, 4] = A[:, 4, 1] = A[:, 5, 0] = -G1
+    A[:, 2, 5] = A[:, 4, 3] = G2
+    A[:, 3, 4] = A[:, 5, 2] = -G2
+    A[:, 4, 5] = dt
+    A[:, 5, 4] = -dt
+    D = np.zeros_like(A)
+    D[:, 0, 0] = D[:, 1, 1] = g1 * (n1 + 0.5)
+    D[:, 2, 2] = D[:, 3, 3] = g2 * (n2 + 0.5)
+    D[:, 4, 4] = D[:, 5, 5] = kt
+    return StateSpace(A=A, D=D)
+
+
+def state_space(m: EffectiveModel) -> StateSpace:
+    ss = state_space_batch([m])
+    return StateSpace(A=ss.A[0], D=ss.D[0])
+
+
 def drift_matrix(m: EffectiveModel) -> np.ndarray:
     """6x6 drift matrix in the (dq1, dp1, dq2, dp2, dX, dY) ordering."""
-    g1h, g2h = m.gamma1 / 2.0, m.gamma2 / 2.0
-    G1, G2 = m.G1, m.G2
-    kt, dt = m.kappa_tilde, m.delta_tilde
-    return np.array([
-        [-g1h, 0.0, 0.0, 0.0, 0.0, -G1],
-        [0.0, -g1h, 0.0, 0.0, -G1, 0.0],
-        [0.0, 0.0, -g2h, 0.0, 0.0, G2],
-        [0.0, 0.0, 0.0, -g2h, -G2, 0.0],
-        [0.0, -G1, 0.0, G2, -kt, dt],
-        [-G1, 0.0, -G2, 0.0, -dt, -kt],
-    ])
+    return state_space(m).A
 
 
 def diffusion_matrix(m: EffectiveModel) -> np.ndarray:
     """Diagonal 6x6 diffusion matrix: gamma_j*(nbar_j + 1/2) twice per
     mechanical mode, kappa_tilde twice for the cavity."""
-    d1 = m.gamma1 * (m.nbar1 + 0.5)
-    d2 = m.gamma2 * (m.nbar2 + 0.5)
-    return np.diag([d1, d1, d2, d2, m.kappa_tilde, m.kappa_tilde])
+    return state_space(m).D
 
 
-def state_space(m: EffectiveModel) -> StateSpace:
-    return StateSpace(A=drift_matrix(m), D=diffusion_matrix(m))
+def stability_batch(A: np.ndarray, tol: float = STABILITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral abscissa and eigenvalue stability verdict of each matrix of an
+    (N, n, n) stack, from one eigenvalue call.
+
+    A matrix is stable iff its spectral abscissa is below -tol*||A||_F;
+    systems inside the band count as marginal, not stable.
+    """
+    abscissa = np.linalg.eigvals(A).real.max(axis=-1)
+    return abscissa, abscissa < -tol * np.linalg.norm(A, axis=(-2, -1))
 
 
 def spectral_abscissa(A: np.ndarray) -> float:
     """Largest real part of the spectrum of A."""
-    return float(np.linalg.eigvals(A).real.max())
+    return float(stability_batch(A[None])[0][0])
 
 
 def stability_eigen(A: np.ndarray, tol: float = STABILITY_TOL) -> bool:
     """Eigenvalue stability test: true iff the spectral abscissa is below
     -tol*||A||.  Systems inside the band count as marginal, not stable."""
-    return spectral_abscissa(A) < -tol * float(np.linalg.norm(A))
+    return bool(stability_batch(A[None], tol)[1][0])
 
 
 def stability_analytic(m: EffectiveModel) -> bool:
@@ -107,52 +139,90 @@ def stability_margin(m: EffectiveModel) -> float:
     return m.G2 ** 2 - m.G1 ** 2 + correction
 
 
+def _transpose(X: np.ndarray) -> np.ndarray:
+    return np.swapaxes(X, -1, -2)
+
+
 def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    eye = np.eye(n)
-    return np.kron(eye, A) + np.kron(A, eye)
+    """Stack of kron(I, A) + kron(A, I): the matrix of X -> A X + X A^T acting
+    on the column-major vec(X), one per matrix of the (N, n, n) stack A."""
+    N, n, _ = A.shape
+    op = np.zeros((N, n, n, n, n))  # op[k, i, a, j, b] sits at row i*n + a, column j*n + b
+    for i in range(n):
+        op[:, i, :, i, :] = A
+    for a in range(n):
+        op[:, :, a, :, a] += A
+    return op.reshape(N, n * n, n * n)
 
 
 def _solve_lyapunov_once(op: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = rhs.shape[0]
-    x = np.linalg.solve(op, -rhs.flatten(order="F"))
-    V = x.reshape((n, n), order="F")
-    return 0.5 * (V + V.T)
+    # column-major vectorization: vec(X)[j*n + i] = X[i, j]
+    N, n, _ = rhs.shape
+    x = np.linalg.solve(op, -_transpose(rhs).reshape(N, n * n, 1))
+    V = _transpose(x.reshape(N, n, n))
+    return 0.5 * (V + _transpose(V))
+
+
+def _refined_solution(op: np.ndarray, A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    V = _solve_lyapunov_once(op, D)
+    return V + _solve_lyapunov_once(op, A @ V + V @ _transpose(A) + D)
+
+
+def steady_state_batch(ss: StateSpace) -> tuple[np.ndarray, list[str | None]]:
+    """Stationary covariances V[k] solving A[k] V + V A[k]^T = -D[k] for an
+    (N, n, n) stack of strictly stable systems, with a per-system error.
+
+    Each system is solved through the dense linearization of the Lyapunov
+    equation (kron form, 36 unknowns for the full system) with one
+    iterative-refinement pass, all N in one batched linear solve.  The relative
+    residual ||A V + V A^T + D||_F / ||D||_F must come out below the contract
+    value, or below the double-precision floor eps*||A||*||V||/||D|| for
+    strongly amplifying systems.  A system that misses it, or whose linear
+    system is singular, gets the text of a NumericalError carrying a condition
+    estimate in place of None; its V is not meaningful.
+    """
+    A, D = ss.A, ss.D
+    N = len(A)
+    op = _lyapunov_operator(A)
+    singular = np.zeros(N, dtype=bool)
+    try:
+        V = _refined_solution(op, A, D)
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole batched solve: solve one by one
+        V = np.full_like(D, np.nan)
+        for k in range(N):
+            try:
+                V[k] = _refined_solution(op[k:k + 1], A[k:k + 1], D[k:k + 1])[0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+    norm_D = np.linalg.norm(D, axis=(-2, -1))
+    rel = np.linalg.norm(A @ V + V @ _transpose(A) + D, axis=(-2, -1)) / norm_D
+    eps = np.finfo(float).eps
+    floor = 100.0 * eps * np.linalg.norm(A, axis=(-2, -1)) \
+        * np.linalg.norm(V, axis=(-2, -1)) / norm_D
+    errors: list[str | None] = [None] * N
+    for k in np.flatnonzero(singular | (rel >= np.maximum(LYAPUNOV_RTOL, floor))):
+        cond = np.linalg.cond(op[k])
+        errors[k] = (f"Lyapunov linear system is singular (cond ~ {cond:.3g})" if singular[k]
+                     else f"Lyapunov residual {rel[k]:.3g} above tolerance (cond ~ {cond:.3g})")
+    return V, errors
 
 
 def steady_state_covariance(ss: StateSpace) -> np.ndarray:
-    """Stationary covariance V solving A V + V A^T = -D.
+    """Stationary covariance V solving A V + V A^T = -D for one system.
 
-    Solved through the dense linearization of the Lyapunov equation (kron form,
-    36 unknowns for the full system) with one iterative-refinement pass.  The
-    relative residual ||A V + V A^T + D||_F / ||D||_F must come out below the
-    contract value, or below the double-precision floor eps*||A||*||V||/||D||
-    for strongly amplifying systems; otherwise a NumericalError carrying a
-    condition estimate is raised.
+    Raises StabilityError unless A is strictly stable, and NumericalError when
+    the solve misses the residual contract of steady_state_batch.
     """
-    A, D = ss.A, ss.D
-    if not stability_eigen(A):
+    abscissa, stable = stability_batch(ss.A[None])
+    if not stable[0]:
         raise StabilityError(
             "drift matrix is not strictly stable "
-            f"(spectral abscissa {spectral_abscissa(A):.6g})")
-    op = _lyapunov_operator(A)
-    try:
-        V = _solve_lyapunov_once(op, D)
-        residual = A @ V + V @ A.T + D
-        V = V + _solve_lyapunov_once(op, residual)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"Lyapunov linear system is singular (cond ~ {np.linalg.cond(op):.3g})"
-        ) from exc
-    norm_D = float(np.linalg.norm(D))
-    rel = float(np.linalg.norm(A @ V + V @ A.T + D)) / norm_D
-    eps = np.finfo(float).eps
-    floor = 100.0 * eps * float(np.linalg.norm(A)) * float(np.linalg.norm(V)) / norm_D
-    if rel >= max(LYAPUNOV_RTOL, floor):
-        raise NumericalError(
-            f"Lyapunov residual {rel:.3g} above tolerance "
-            f"(cond ~ {np.linalg.cond(op):.3g})")
-    return V
+            f"(spectral abscissa {abscissa[0]:.6g})")
+    V, errors = steady_state_batch(StateSpace(A=ss.A[None], D=ss.D[None]))
+    if errors[0] is not None:
+        raise NumericalError(errors[0])
+    return V[0]
 
 
 def transition_and_noise(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +268,15 @@ def _interval_map(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, 
     return M, Q
 
 
-def propagate(ss: StateSpace, V0: np.ndarray, t_grid) -> list[np.ndarray]:
-    """Covariance matrices at the requested times, starting from V0 at t = 0.
+def propagate(ss: StateSpace, V0: np.ndarray, t_grid) -> np.ndarray:
+    """(T, n, n) stack of the covariance matrices at the T requested times,
+    starting from V0 at t = 0.
 
     The grid must be strictly increasing and start at or after 0.  Each grid
     point is reached exactly through the interval map; symmetry is re-enforced
-    after every application.
+    after every application.  An interval that equals the previous map's
+    interval within GRID_STEP_ULPS ulps of t, as the steps of a linspace grid
+    do, reuses that map, so a uniform grid costs one matrix exponential.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -214,16 +287,16 @@ def propagate(ss: StateSpace, V0: np.ndarray, t_grid) -> list[np.ndarray]:
     if V0.shape != ss.A.shape:
         raise ValueError("V0 shape does not match the drift matrix")
 
-    out: list[np.ndarray] = []
+    out = np.empty((t_grid.size,) + V0.shape)
     V = 0.5 * (V0 + V0.T)
     t_prev = 0.0
-    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    step_map = None  # (interval, M, Q) of the map in use
     for step, t in enumerate(t_grid):
         dt = float(t - t_prev)
         if dt > 0.0:
-            if dt not in cache:
-                cache[dt] = _interval_map(ss.A, ss.D, dt)
-            M, Q = cache[dt]
+            if step_map is None or abs(dt - step_map[0]) > GRID_STEP_ULPS * math.ulp(t):
+                step_map = (dt, *_interval_map(ss.A, ss.D, dt))
+            _, M, Q = step_map
             with np.errstate(over="ignore", invalid="ignore"):
                 V = M @ V @ M.T + Q
             V = 0.5 * (V + V.T)
@@ -231,6 +304,6 @@ def propagate(ss: StateSpace, V0: np.ndarray, t_grid) -> list[np.ndarray]:
             raise DivergenceError(
                 f"non-finite covariance at t = {t:.6g} (grid index {step})",
                 step=step)
-        out.append(V.copy())
+        out[step] = V
         t_prev = float(t)
     return out

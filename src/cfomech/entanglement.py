@@ -17,6 +17,9 @@ PHYSICALITY_TOL = 1e-8
 #: Log-negativity values below this are numerical dust and report as 0.
 NEGATIVITY_CLAMP = 1e-12
 
+#: Error text for a covariance matrix that fails the physicality gate.
+UNPHYSICAL = "covariance matrix violates the uncertainty principle"
+
 #: Partial transposition of the second mechanical mode (momentum flip).
 MOMENTUM_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -26,27 +29,42 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+#: Symplectic form of the two mechanical modes, built once.
+TWO_MODE_FORM = symplectic_form(2)
+
+#: Partial transposition as a sign pattern: V * PT_SIGNS equals
+#: MOMENTUM_FLIP @ V @ MOMENTUM_FLIP exactly.
+PT_SIGNS = np.outer(np.diag(MOMENTUM_FLIP), np.diag(MOMENTUM_FLIP))
+
+
 def _check_symmetric(V: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """V as a float array, checked to be one square matrix of even dimension,
+    or an (N, 2n, 2n) stack of them, each symmetric within tolerance."""
     V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2:
+    if V.ndim not in (2, 3) or V.shape[-1] != V.shape[-2] or V.shape[-1] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
-    scale = max(1.0, float(np.abs(V).max()))
-    if float(np.abs(V - V.T).max()) > tol * scale:
+    scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
+    if np.any(np.abs(V - np.swapaxes(V, -1, -2)).max(axis=(-2, -1)) > tol * scale):
         raise ValueError("covariance matrix is not symmetric within tolerance")
     return V
 
 
+def _symplectic_spectra(V: np.ndarray) -> np.ndarray:
+    n = V.shape[-1] // 2
+    omega = TWO_MODE_FORM if n == 2 else symplectic_form(n)
+    vals = np.linalg.eigvals(omega @ V)
+    return np.sort(np.abs(vals.imag), axis=-1)[..., ::2].copy()
+
+
 def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric 2n x 2n matrix, ascending.
+    """Symplectic spectrum, ascending, of a symmetric 2n x 2n matrix, or of
+    each matrix of an (N, 2n, 2n) stack.
 
     The eigenvalues of Omega V come in pairs +-i*nu for symmetric positive
     semidefinite V; the nu are recovered from the absolute imaginary parts,
     matching near-degenerate pairs by sorting.
     """
-    V = _check_symmetric(V)
-    n = V.shape[0] // 2
-    vals = np.linalg.eigvals(symplectic_form(n) @ V)
-    return np.sort(np.abs(vals.imag))[::2].copy()
+    return _symplectic_spectra(_check_symmetric(V))
 
 
 def physicality_check(V: np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
@@ -55,36 +73,52 @@ def physicality_check(V: np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
 
 
 def mechanical_submatrix(V6: np.ndarray) -> np.ndarray:
-    """Top-left 4x4 block: the reduced state of the two mechanical modes."""
+    """Top-left 4x4 block: the reduced state of the two mechanical modes, of
+    one covariance matrix or of each matrix of a stack."""
     V6 = _check_symmetric(V6)
-    if V6.shape[0] < 4:
+    if V6.shape[-1] < 4:
         raise ValueError("expected at least a two-mode covariance matrix")
-    return V6[:4, :4].copy()
+    return V6[..., :4, :4].copy()
 
 
-def min_symplectic_eigenvalue_pt(V4: np.ndarray) -> float:
-    """Minimum symplectic eigenvalue after partial transposition.
+def pt_spectrum_batch(V4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Physicality gate and partially transposed spectrum of an (N, 4, 4)
+    stack of symmetric two-mode covariance matrices.
 
-    The input must be a physical two-mode covariance matrix; the momentum of
-    the second mode is flipped and the smaller symplectic eigenvalue of the
-    transposed matrix is returned.  Values below 1/2 witness entanglement.
+    Returns a boolean array, true where the smallest symplectic eigenvalue is
+    >= 1/2 - PHYSICALITY_TOL, and the smallest symplectic eigenvalue of each
+    matrix after the momentum of the second mode is flipped.  One eigenvalue
+    call over the stack [V4; V4_pt] gives both.
+    """
+    nus = _symplectic_spectra(np.concatenate([V4, V4 * PT_SIGNS]))[:, 0]
+    nu_full, nu_pt = np.split(nus, 2)
+    return nu_full >= 0.5 - PHYSICALITY_TOL, nu_pt
+
+
+def min_symplectic_eigenvalue_pt(V4: np.ndarray):
+    """Minimum symplectic eigenvalue after partial transposition, as a float
+    for one 4x4 matrix or as an (N,) array for an (N, 4, 4) stack.
+
+    The input must be physical two-mode covariance matrices, or
+    PhysicalityError is raised; the momentum of the second mode is flipped
+    and the smaller symplectic eigenvalue of each transposed matrix is
+    returned.  Values below 1/2 witness entanglement.
     """
     V4 = _check_symmetric(V4)
-    if V4.shape != (4, 4):
+    if V4.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 two-mode covariance matrix")
-    if not physicality_check(V4):
-        raise PhysicalityError(
-            "covariance matrix violates the uncertainty principle")
-    V_pt = MOMENTUM_FLIP @ V4 @ MOMENTUM_FLIP
-    return float(symplectic_eigenvalues(V_pt)[0])
+    physical, nu_pt = pt_spectrum_batch(V4.reshape(-1, 4, 4))
+    if not physical.all():
+        raise PhysicalityError(UNPHYSICAL)
+    return float(nu_pt[0]) if V4.ndim == 2 else nu_pt
 
 
-def log_negativity_from_nu(nu_min: float) -> float:
-    """Map a post-transposition minimum symplectic eigenvalue to E_N."""
-    value = -np.log(2.0 * nu_min)
-    if value < NEGATIVITY_CLAMP:
-        return 0.0
-    return float(value)
+def log_negativity_from_nu(nu_min):
+    """Map post-transposition minimum symplectic eigenvalues to E_N: a float
+    for a scalar, an array for an array."""
+    value = -np.log(2.0 * np.asarray(nu_min, dtype=float))
+    value = np.where(value < NEGATIVITY_CLAMP, 0.0, value)
+    return float(value) if value.ndim == 0 else value
 
 
 def log_negativity(V4: np.ndarray) -> float:

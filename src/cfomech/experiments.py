@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, entanglement, params
-from .errors import ConfigError, NoFeasiblePointError, NumericalError
+from .errors import ConfigError, NoFeasiblePointError
 
 #: Parameters that a sweep axis may address.
 AXIS_NAMES = (
@@ -35,6 +35,11 @@ DEFAULT_T_POINTS = 201
 
 #: Reflectivities of the equal-coupling transient preset family.
 FIG3_RB_VALUES = (0.0, 0.9, 0.99, 0.999, 1.0)
+
+#: Steady sweeps resolve, solve and emit this many points at a time.  Larger
+#: stacks save little time but hold every point's Lyapunov operator and
+#: outcome at once, which raises peak memory.
+STEADY_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,6 @@ class ResolvedPoint:
     """One grid point after axis substitution: the model plus its regime tags."""
 
     model: params.EffectiveModel
-    feedback: params.FeedbackParams
     rwa_verdict: str
     rwa_ratio: float | None
 
@@ -217,7 +221,7 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
         model, report = params.effective_model_from_drives(
             physical, feedback, rwa_threshold=cfg.rwaThreshold)
         model = dataclasses.replace(model, nbar1=nbar1, nbar2=nbar2)
-        return ResolvedPoint(model, feedback, report.verdict, report.ratio)
+        return ResolvedPoint(model, report.verdict, report.ratio)
 
     model = params.effective_model(
         values["G1"], values["G2"], values["kappa1"], values["kappa2"],
@@ -230,8 +234,8 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
             Delta=Delta, temperature=cfg.temperatureK or 0.0)
         report = params.rwa_validity(physical, model.G1, model.G2,
                                      threshold=cfg.rwaThreshold)
-        return ResolvedPoint(model, feedback, report.verdict, report.ratio)
-    return ResolvedPoint(model, feedback, "unknown", None)
+        return ResolvedPoint(model, report.verdict, report.ratio)
+    return ResolvedPoint(model, "unknown", None)
 
 
 @dataclass
@@ -243,19 +247,33 @@ class SteadyOutcome:
     error: str | None
 
 
+def evaluate_steady_batch(models: list[params.EffectiveModel]) -> list[SteadyOutcome]:
+    """Steady-state entanglement of N models: one batched stability test, one
+    batched Lyapunov solve over the stable models and one batched spectrum
+    call over the solved ones.  Unstable, numerically failing or unphysical
+    points report missing data and an error text instead of raising."""
+    ss = dynamics.state_space_batch(models)
+    _, stable = dynamics.stability_batch(ss.A)
+    idx = np.flatnonzero(stable)
+    V, errors = dynamics.steady_state_batch(dynamics.StateSpace(A=ss.A[idx], D=ss.D[idx]))
+    solved = [k for k, error in enumerate(errors) if error is None]
+    physical, nus = entanglement.pt_spectrum_batch(V[solved, :4, :4])
+    with np.errstate(divide="ignore"):  # an unphysical V may give nu = 0; its E_N is dropped
+        ens = entanglement.log_negativity_from_nu(nus)
+    out = [SteadyOutcome(None, None, False, None, "unstable") for _ in models]
+    for k, error in zip(idx, errors):
+        out[k] = SteadyOutcome(None, None, True, None, error)
+    for j, k in enumerate(solved):
+        out[idx[k]] = (SteadyOutcome(float(ens[j]), float(nus[j]), True, V[k], None)
+                       if physical[j] else
+                       SteadyOutcome(None, None, True, None, entanglement.UNPHYSICAL))
+    return out
+
+
 def evaluate_steady(model: params.EffectiveModel) -> SteadyOutcome:
-    """Steady-state entanglement of one model; unstable or numerically failing
-    points report missing data instead of raising."""
-    ss = dynamics.state_space(model)
-    if not dynamics.stability_eigen(ss.A):
-        return SteadyOutcome(None, None, False, None, "unstable")
-    try:
-        V = dynamics.steady_state_covariance(ss)
-    except NumericalError as exc:
-        return SteadyOutcome(None, None, True, None, str(exc))
-    nu = entanglement.min_symplectic_eigenvalue_pt(
-        entanglement.mechanical_submatrix(V))
-    return SteadyOutcome(entanglement.log_negativity_from_nu(nu), nu, True, V, None)
+    """Steady-state entanglement of one model, as evaluate_steady_batch
+    reports it."""
+    return evaluate_steady_batch([model])[0]
 
 
 @dataclass
@@ -264,7 +282,7 @@ class EvolveOutcome:
     EN: np.ndarray
     nu_minus: np.ndarray
     stable: bool
-    covariances: list[np.ndarray]
+    covariances: np.ndarray
 
 
 def evaluate_evolve(model: params.EffectiveModel, t_grid) -> EvolveOutcome:
@@ -273,10 +291,8 @@ def evaluate_evolve(model: params.EffectiveModel, t_grid) -> EvolveOutcome:
     ss = dynamics.state_space(model)
     V0 = entanglement.initial_covariance(model.nbar1, model.nbar2)
     covs = dynamics.propagate(ss, V0, t_grid)
-    nus = np.array([
-        entanglement.min_symplectic_eigenvalue_pt(
-            entanglement.mechanical_submatrix(V)) for V in covs])
-    ens = np.array([entanglement.log_negativity_from_nu(nu) for nu in nus])
+    nus = entanglement.min_symplectic_eigenvalue_pt(entanglement.mechanical_submatrix(covs))
+    ens = entanglement.log_negativity_from_nu(nus)
     return EvolveOutcome(np.asarray(t_grid, dtype=float), ens, nus,
                          dynamics.stability_eigen(ss.A), covs)
 
@@ -330,15 +346,22 @@ def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:
     rows: list[dict] = []
     t_grid = cfg.time_grid()
 
+    def axis_values(combo) -> dict[str, float]:
+        return {name: float(grids[k][i]) for k, (name, i) in enumerate(zip(axis_names, combo))}
+
+    if cfg.mode == "steady":
+        for start in range(0, len(combos), STEADY_CHUNK):
+            chunk = [axis_values(combo) for combo in combos[start:start + STEADY_CHUNK]]
+            points = [resolve_point(cfg, overrides) for overrides in chunk]
+            outs = evaluate_steady_batch([point.model for point in points])
+            for overrides, point, out in zip(chunk, points, outs):
+                rows.append({**overrides, "EN": out.EN, "nu_minus": out.nu_minus,
+                             **_point_columns(point, out.stable, out.error)})
+        return ResultTable(columns=columns, rows=rows, meta=_table_meta(cfg))
+
     for combo in combos:
-        overrides = {name: float(grids[k][i])
-                     for k, (name, i) in enumerate(zip(axis_names, combo))}
+        overrides = axis_values(combo)
         point = resolve_point(cfg, overrides)
-        if cfg.mode == "steady":
-            out = evaluate_steady(point.model)
-            rows.append({**overrides, "EN": out.EN, "nu_minus": out.nu_minus,
-                         **_point_columns(point, out.stable, out.error)})
-            continue
         try:
             evo = evaluate_evolve(point.model, t_grid)
         except Exception as exc:  # recorded per point, sweep continues

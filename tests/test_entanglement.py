@@ -121,6 +121,32 @@ class TestMinSymplecticEigenvaluePT:
         with pytest.raises(PhysicalityError):
             min_symplectic_eigenvalue_pt(0.4 * np.eye(4))
 
+    def test_one_unphysical_matrix_fails_the_stack(self):
+        stack = np.stack([two_mode_squeezed_covariance(0.5), 0.4 * np.eye(4)])
+        with pytest.raises(PhysicalityError):
+            min_symplectic_eigenvalue_pt(stack)
+
+    @settings(deadline=None, max_examples=30)
+    @given(states=st.lists(st.tuples(
+        st.floats(0.0, 1.5), st.floats(0.0, 20.0),
+        st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+        st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+        min_size=1, max_size=12))
+    def test_stack_matches_per_point_eigvals(self, states):
+        stack = []
+        for r, nbar, *angles_and_squeezes in states:
+            S = two_mode_symplectic(*angles_and_squeezes)
+            stack.append(S @ two_mode_squeezed_covariance(r, nbar=nbar) @ S.T)
+        stack = np.array([0.5 * (V + V.T) for V in stack])
+        nus = min_symplectic_eigenvalue_pt(stack)
+        assert nus.shape == (len(states),)
+        for V, nu in zip(stack, nus):
+            V_pt = MOMENTUM_FLIP @ V @ MOMENTUM_FLIP
+            ref = np.abs(np.linalg.eigvals(symplectic_form(2) @ V_pt).imag).min()
+            assert nu == pytest.approx(ref, rel=1e-12)
+            assert min_symplectic_eigenvalue_pt(V) == nu
+
 
 class TestLogNegativity:
     def test_vacuum_zero(self):

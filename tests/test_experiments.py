@@ -1,12 +1,17 @@
 import math
+import types
 
 import pytest
 
+import cfomech
 from cfomech import dynamics, entanglement
 from cfomech.errors import ConfigError, NoFeasiblePointError
 from cfomech.experiments import (
+    STEADY_CHUNK,
     RunConfig,
     SweepAxis,
+    evaluate_steady,
+    evaluate_steady_batch,
     fig3_curves,
     find_optimum,
     preset_config,
@@ -169,6 +174,55 @@ class TestRunSweep:
         assert table.meta["config"]["G2"] == 1e5
 
 
+class TestSteadyBatch:
+    def test_chunked_sweep_matches_points_evaluated_alone(self):
+        # 13 x 11 = 143 points: two full chunks and a partial one, with
+        # unstable points mixed in by the ratio axis
+        cfg = base_config(axes=(SweepAxis("ratio", 0.8, 1.1, 13),
+                                SweepAxis("rB", 0.0, 0.99, 11)))
+        rows = run_sweep(cfg).rows
+        assert len(rows) > 2 * STEADY_CHUNK
+        assert {r["stable"] for r in rows} == {True, False}
+        for row in rows:
+            point = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
+            alone = evaluate_steady(point.model)
+            assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
+                (alone.EN, alone.nu_minus, alone.stable, alone.error)
+
+    def test_mixed_chunk_gives_per_point_outcomes(self):
+        def m(**kw):
+            fields = dict(G1=0.9e5, G2=1e5, kappa_tilde=1e5, delta_tilde=0.0,
+                          gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
+            return EffectiveModel(**{**fields, **kw})
+        models = [
+            m(kappa_tilde=0.0),                  # ideal feedback, still stable
+            m(kappa_tilde=0.0, G1=1e5),          # ideal feedback at G1 = G2: marginal
+            m(gamma1=0.0, gamma2=0.0),           # undamped mechanics: marginal
+            m(G1=1e5),                           # G1 = G2
+            m(nbar1=1e9, nbar2=1e9),             # very hot baths
+            m(G1=2e5, kappa_tilde=1e3),          # unstable
+            m(),
+            # G1 = G2 with weak damping: the Lyapunov operator has cond ~ 2e17,
+            # so the solved V need not even be physical
+            m(G1=197265.0, G2=197265.0, kappa_tilde=1003.0, gamma1=2.0,
+              gamma2=2.0, nbar1=1.0, nbar2=3.0),
+        ]
+        outs = evaluate_steady_batch(models)
+        assert [o.stable for o in outs] == [True, False, False, True, True, False, True, True]
+        for model, out in zip(models, outs):
+            alone = evaluate_steady(model)
+            assert (out.EN, out.nu_minus, out.stable, out.error) == \
+                (alone.EN, alone.nu_minus, alone.stable, alone.error)
+            if not out.stable:
+                assert out.error == "unstable" and out.EN is None
+            elif out.error is None:
+                assert math.isfinite(out.EN)
+            else:
+                assert out.error == entanglement.UNPHYSICAL and out.EN is None
+        assert all(o.error is None for o in outs[:-1] if o.stable)
+        assert outs[4].EN == 0.0
+
+
 class TestFindOptimum:
     def test_single_point_grid_returns_it(self):
         cfg = base_config(axes=(SweepAxis("rB", 0.5, 0.5, 1),))
@@ -212,6 +266,12 @@ class TestFig3Curves:
         assert all(r["kappaTilde"] == 0.0 for r in table.rows)
         assert all(r["DeltaTilde"] == 1e3 for r in table.rows)
         assert all(r["stable"] is False for r in table.rows)
+
+
+class TestPackage:
+    def test_all_names_no_module(self):
+        for name in cfomech.__all__:
+            assert not isinstance(getattr(cfomech, name), types.ModuleType), name
 
 
 class TestPresets:
