@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -208,7 +209,10 @@ def _add_common(parser: argparse.ArgumentParser, config_flag: bool = True) -> No
     parser.add_argument("--quiet", action="store_true")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and argparse copies the --set default list on each parse."""
     parser = argparse.ArgumentParser(
         prog="cfomech",
         description="Entanglement of two mechanical resonators in a driven "

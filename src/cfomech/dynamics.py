@@ -118,18 +118,18 @@ def stability_analytic(m: EffectiveModel) -> bool:
     Raises UnsupportedRegimeError for gamma1 != gamma2; use stability_eigen
     there.
     """
-    if m.gamma1 != m.gamma2:
-        raise UnsupportedRegimeError(
-            "closed-form stability assumes equal mechanical dampings; "
-            "use stability_eigen instead")
     return stability_margin(m) > 0.0
 
 
 def stability_margin(m: EffectiveModel) -> float:
-    """Signed gap of the closed-form stability inequality (positive = stable)."""
+    """Signed gap of the closed-form stability inequality (positive = stable).
+
+    Raises UnsupportedRegimeError for gamma1 != gamma2.
+    """
     if m.gamma1 != m.gamma2:
         raise UnsupportedRegimeError(
-            "closed-form stability assumes equal mechanical dampings")
+            "closed-form stability assumes equal mechanical dampings; "
+            "use stability_eigen instead")
     gamma = m.gamma1
     kt, dt = m.kappa_tilde, m.delta_tilde
     if kt * gamma == 0.0:
@@ -225,8 +225,10 @@ def steady_state_covariance(ss: StateSpace) -> np.ndarray:
     return V[0]
 
 
-def transition_and_noise(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact one-step map of the covariance recursion V -> M V M^T + Q.
+def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Exact one-step map of the covariance recursion V -> M V M^T + Q, for
+    one system or for each system of an (N, n, n) stack, with one step dt or
+    an (N,) array of them.
 
     M = exp(A dt) and Q = int_0^dt exp(A s) D exp(A^T s) ds are read off a
     single exponential of the augmented block matrix
@@ -234,49 +236,58 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.nd
         [[-A, D], [0, A^T]] * dt
 
     whose top-right block, left-multiplied by M, is the noise integral.  Q is
-    symmetrized; it is positive semidefinite up to rounding.
+    symmetrized; it is positive semidefinite up to rounding.  A stack takes one
+    expm call.
     """
-    if dt <= 0:
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt <= 0):
         raise ValueError("dt must be positive")
-    n = A.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -A
-    block[:n, n:] = D
-    block[n:, n:] = A.T
-    F = expm(block * dt)
-    M = F[n:, n:].T
-    Q = M @ F[:n, n:]
-    return M, 0.5 * (Q + Q.T)
+    n = A.shape[-1]
+    block = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
+    block[..., :n, :n] = -A
+    block[..., :n, n:] = D
+    block[..., n:, n:] = _transpose(A)
+    F = expm(block * dt[..., None, None])
+    M = _transpose(F[..., n:, n:])
+    Q = M @ F[..., :n, n:]
+    return M, 0.5 * (Q + _transpose(Q))
 
 
-def _interval_map(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Map covering a full grid interval, assembled by squaring the elementary
-    map so the elementary step obeys the norm cap.  Squaring is the exact
-    semigroup composition, so the interval map stays exact up to rounding."""
-    norm_A = float(np.linalg.norm(A))
-    doublings = 0
-    if norm_A * dt > STEP_NORM_CAP:
-        doublings = int(math.ceil(math.log2(norm_A * dt / STEP_NORM_CAP)))
+def _interval_maps(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maps covering a full grid interval for each system of the stack,
+    assembled by squaring the elementary map so each system's elementary step
+    obeys the norm cap.  Squaring is the exact semigroup composition, so the
+    interval maps stay exact up to rounding.  Each system keeps its own
+    doubling count; the squaring rounds skip systems that are done."""
+    norm_A = np.linalg.norm(ss.A, axis=(-2, -1))
+    doublings = np.zeros(len(norm_A), dtype=int)
+    over = norm_A * dt > STEP_NORM_CAP
+    doublings[over] = np.ceil(np.log2(norm_A[over] * dt / STEP_NORM_CAP))
     # overflow here means the system diverges over this interval; the caller
-    # turns the resulting non-finite entries into a DivergenceError
+    # reports the resulting non-finite entries
     with np.errstate(over="ignore", invalid="ignore"):
-        M, Q = transition_and_noise(A, D, dt / 2 ** doublings)
-        for _ in range(doublings):
-            Q = M @ Q @ M.T + Q
-            Q = 0.5 * (Q + Q.T)
-            M = M @ M
+        M, Q = transition_and_noise(ss.A, ss.D, dt / 2.0 ** doublings)
+        for r in range(doublings.max(initial=0)):
+            k = doublings > r
+            Mk, Qk = M[k], Q[k]
+            Qk = Mk @ Qk @ _transpose(Mk) + Qk
+            Q[k] = 0.5 * (Qk + _transpose(Qk))
+            M[k] = Mk @ Mk
     return M, Q
 
 
-def propagate(ss: StateSpace, V0: np.ndarray, t_grid) -> np.ndarray:
-    """(T, n, n) stack of the covariance matrices at the T requested times,
-    starting from V0 at t = 0.
+def propagate_batch(ss: StateSpace, V0: np.ndarray, t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T, n, n) stack of the covariance matrices of N systems at the T
+    requested times, starting from V0[k] at t = 0, and for each system the
+    first grid index whose covariance is non-finite, or -1.
 
     The grid must be strictly increasing and start at or after 0.  Each grid
     point is reached exactly through the interval map; symmetry is re-enforced
-    after every application.  An interval that equals the previous map's
+    after every application.  An interval that equals the previous maps'
     interval within GRID_STEP_ULPS ulps of t, as the steps of a linspace grid
-    do, reuses that map, so a uniform grid costs one matrix exponential.
+    do, reuses those maps, so a uniform grid costs one matrix exponential call
+    for the whole stack.  Entries from a system's first non-finite index on
+    are not meaningful.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -287,23 +298,39 @@ def propagate(ss: StateSpace, V0: np.ndarray, t_grid) -> np.ndarray:
     if V0.shape != ss.A.shape:
         raise ValueError("V0 shape does not match the drift matrix")
 
-    out = np.empty((t_grid.size,) + V0.shape)
-    V = 0.5 * (V0 + V0.T)
+    out = np.empty((len(V0), t_grid.size) + V0.shape[1:])
+    V = 0.5 * (V0 + _transpose(V0))
     t_prev = 0.0
-    step_map = None  # (interval, M, Q) of the map in use
-    for step, t in enumerate(t_grid):
-        dt = float(t - t_prev)
-        if dt > 0.0:
-            if step_map is None or abs(dt - step_map[0]) > GRID_STEP_ULPS * math.ulp(t):
-                step_map = (dt, *_interval_map(ss.A, ss.D, dt))
-            _, M, Q = step_map
-            with np.errstate(over="ignore", invalid="ignore"):
-                V = M @ V @ M.T + Q
-            V = 0.5 * (V + V.T)
-        if not np.all(np.isfinite(V)):
-            raise DivergenceError(
-                f"non-finite covariance at t = {t:.6g} (grid index {step})",
-                step=step)
-        out[step] = V
-        t_prev = float(t)
-    return out
+    step_map = None  # (interval, M, Q) of the maps in use
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, t in enumerate(t_grid):
+            dt = float(t - t_prev)
+            if dt > 0.0:
+                if step_map is None or abs(dt - step_map[0]) > GRID_STEP_ULPS * math.ulp(t):
+                    step_map = (dt, *_interval_maps(ss, dt))
+                _, M, Q = step_map
+                V = M @ V @ _transpose(M) + Q
+                V = 0.5 * (V + _transpose(V))
+            out[:, step] = V
+            t_prev = float(t)
+    finite = np.isfinite(out).all(axis=(-2, -1))
+    return out, np.where(finite.all(axis=1), -1, finite.argmin(axis=1))
+
+
+def propagation_failure(t_grid, step: int) -> DivergenceError:
+    """The error of a propagation whose covariance first turns non-finite at
+    grid index step."""
+    return DivergenceError(
+        f"non-finite covariance at t = {float(t_grid[step]):.6g} (grid index {step})",
+        step=step)
+
+
+def propagate(ss: StateSpace, V0: np.ndarray, t_grid) -> np.ndarray:
+    """(T, n, n) stack of the covariance matrices of one system at the T
+    requested times, starting from V0 at t = 0, as propagate_batch computes
+    it.  Raises DivergenceError at the first non-finite covariance."""
+    covs, first_bad = propagate_batch(StateSpace(A=ss.A[None], D=ss.D[None]),
+                                      np.asarray(V0, dtype=float)[None], t_grid)
+    if first_bad[0] >= 0:
+        raise propagation_failure(t_grid, int(first_bad[0]))
+    return covs[0]

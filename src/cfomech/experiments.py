@@ -7,13 +7,15 @@ numerics, so identical configurations produce bit-identical result rows.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dynamics, entanglement, params
-from .errors import ConfigError, NoFeasiblePointError
+from .errors import ConfigError, NoFeasiblePointError, PhysicalityError
 
 #: Parameters that a sweep axis may address.
 AXIS_NAMES = (
@@ -40,6 +42,11 @@ FIG3_RB_VALUES = (0.0, 0.9, 0.99, 0.999, 1.0)
 #: stacks save little time but hold every point's Lyapunov operator and
 #: outcome at once, which raises peak memory.
 STEADY_CHUNK = 64
+
+#: Evolve sweeps propagate and score at most this many covariance samples
+#: (points times tPoints, at least one point) at a time.  Peak memory grows
+#: with the chunk while the time per sample stops falling well below it.
+EVOLVE_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -258,7 +265,7 @@ def evaluate_steady_batch(models: list[params.EffectiveModel]) -> list[SteadyOut
     V, errors = dynamics.steady_state_batch(dynamics.StateSpace(A=ss.A[idx], D=ss.D[idx]))
     solved = [k for k, error in enumerate(errors) if error is None]
     physical, nus = entanglement.pt_spectrum_batch(V[solved, :4, :4])
-    with np.errstate(divide="ignore"):  # an unphysical V may give nu = 0; its E_N is dropped
+    with np.errstate(divide="ignore"):  # nu = 0 (diverged, or an unphysical V): E_N is dropped
         ens = entanglement.log_negativity_from_nu(nus)
     out = [SteadyOutcome(None, None, False, None, "unstable") for _ in models]
     for k, error in zip(idx, errors):
@@ -278,23 +285,63 @@ def evaluate_steady(model: params.EffectiveModel) -> SteadyOutcome:
 
 @dataclass
 class EvolveOutcome:
+    """E_N(t) of one model.  A model that diverged or left the physical region
+    carries the exception in failure and no curves."""
+
     t: np.ndarray
-    EN: np.ndarray
-    nu_minus: np.ndarray
+    EN: np.ndarray | None
+    nu_minus: np.ndarray | None
     stable: bool
-    covariances: np.ndarray
+    covariances: np.ndarray | None
+    failure: Exception | None = None
+
+    @property
+    def error(self) -> str | None:
+        return None if self.failure is None else str(self.failure)
+
+
+def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> list[EvolveOutcome]:
+    """Time-resolved entanglement of N models, each starting from the separable
+    thermal-vacuum state at its bath occupancies: one batched stability test,
+    one batched propagation and one batched spectrum call over every sample of
+    the models that stayed finite.  A model that diverges, or that has a
+    sample failing the physicality gate, gets its error instead of raising."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    N, T = len(models), t_grid.size
+    ss = dynamics.state_space_batch(models)
+    _, stable = dynamics.stability_batch(ss.A)
+    V0 = np.stack([entanglement.initial_covariance(m.nbar1, m.nbar2) for m in models])
+    covs, first_bad = dynamics.propagate_batch(ss, V0, t_grid)
+    # one non-finite matrix would make eigvals fail for the whole stack
+    finite = first_bad < 0
+    physical = np.zeros(N, dtype=bool)
+    nus = np.zeros((N, T))
+    gate, nu_pt = entanglement.pt_spectrum_batch(covs[finite, :, :4, :4].reshape(-1, 4, 4))
+    physical[finite] = gate.reshape(-1, T).all(axis=1)
+    nus[finite] = nu_pt.reshape(-1, T)
+    with np.errstate(divide="ignore"):  # nu = 0 (diverged, or an unphysical V): E_N is dropped
+        ens = entanglement.log_negativity_from_nu(nus)
+    out = []
+    for k in range(N):
+        if first_bad[k] >= 0:
+            failure = dynamics.propagation_failure(t_grid, int(first_bad[k]))
+        elif not physical[k]:
+            failure = PhysicalityError(entanglement.UNPHYSICAL)
+        else:
+            out.append(EvolveOutcome(t_grid, ens[k], nus[k], bool(stable[k]), covs[k]))
+            continue
+        out.append(EvolveOutcome(t_grid, None, None, bool(stable[k]), None, failure))
+    return out
 
 
 def evaluate_evolve(model: params.EffectiveModel, t_grid) -> EvolveOutcome:
-    """Time-resolved entanglement starting from the separable thermal-vacuum
-    state at the model's bath occupancies."""
-    ss = dynamics.state_space(model)
-    V0 = entanglement.initial_covariance(model.nbar1, model.nbar2)
-    covs = dynamics.propagate(ss, V0, t_grid)
-    nus = entanglement.min_symplectic_eigenvalue_pt(entanglement.mechanical_submatrix(covs))
-    ens = entanglement.log_negativity_from_nu(nus)
-    return EvolveOutcome(np.asarray(t_grid, dtype=float), ens, nus,
-                         dynamics.stability_eigen(ss.A), covs)
+    """Time-resolved entanglement of one model, as evaluate_evolve_batch
+    reports it.  Raises DivergenceError or PhysicalityError where the batch
+    reports an error."""
+    out = evaluate_evolve_batch([model], t_grid)[0]
+    if out.failure is not None:
+        raise out.failure
+    return out
 
 
 _META_COLUMNS = ["stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error"]
@@ -343,41 +390,48 @@ def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:
         columns = axis_names + ["t", "EN", "nu_minus"] + _META_COLUMNS
     else:
         columns = axis_names + ["EN", "nu_minus"] + _META_COLUMNS
+    values = ({name: float(grids[k][i]) for k, (name, i) in enumerate(zip(axis_names, combo))}
+              for combo in combos)
+    if cfg.mode == "evolve":
+        return ResultTable(columns, _evolve_rows(cfg, values, curves), _table_meta(cfg))
     rows: list[dict] = []
-    t_grid = cfg.time_grid()
-
-    def axis_values(combo) -> dict[str, float]:
-        return {name: float(grids[k][i]) for k, (name, i) in enumerate(zip(axis_names, combo))}
-
-    if cfg.mode == "steady":
-        for start in range(0, len(combos), STEADY_CHUNK):
-            chunk = [axis_values(combo) for combo in combos[start:start + STEADY_CHUNK]]
-            points = [resolve_point(cfg, overrides) for overrides in chunk]
-            outs = evaluate_steady_batch([point.model for point in points])
-            for overrides, point, out in zip(chunk, points, outs):
-                rows.append({**overrides, "EN": out.EN, "nu_minus": out.nu_minus,
-                             **_point_columns(point, out.stable, out.error)})
-        return ResultTable(columns=columns, rows=rows, meta=_table_meta(cfg))
-
-    for combo in combos:
-        overrides = axis_values(combo)
-        point = resolve_point(cfg, overrides)
-        try:
-            evo = evaluate_evolve(point.model, t_grid)
-        except Exception as exc:  # recorded per point, sweep continues
-            rows.append({**overrides, "EN": None, "nu_minus": None,
-                         **_point_columns(point, False, str(exc))})
-            continue
-        if curves:
-            for t, en, nu in zip(evo.t, evo.EN, evo.nu_minus):
-                rows.append({**overrides, "t": float(t), "EN": float(en),
-                             "nu_minus": float(nu),
-                             **_point_columns(point, evo.stable, None)})
-        else:
-            rows.append({**overrides, "EN": float(evo.EN.max()),
-                         "nu_minus": float(evo.nu_minus.min()),
-                         **_point_columns(point, evo.stable, None)})
+    for chunk, points in _resolved_chunks(cfg, values, STEADY_CHUNK):
+        outs = evaluate_steady_batch([point.model for point in points])
+        for overrides, point, out in zip(chunk, points, outs):
+            rows.append({**overrides, "EN": out.EN, "nu_minus": out.nu_minus,
+                         **_point_columns(point, out.stable, out.error)})
     return ResultTable(columns=columns, rows=rows, meta=_table_meta(cfg))
+
+
+def _resolved_chunks(cfg: RunConfig, values: Iterable[dict], size: int):
+    """(overrides, resolved points) of consecutive chunks of at most size
+    points, drawn from values one chunk at a time."""
+    values = iter(values)
+    while chunk := list(itertools.islice(values, size)):
+        yield chunk, [resolve_point(cfg, overrides) for overrides in chunk]
+
+
+def _evolve_rows(cfg: RunConfig, values: Iterable[dict], curves: bool) -> list[dict]:
+    """Rows of an evolve sweep over the given axis values: the peak E_N and the
+    lowest nu_minus of each point, or one row per time sample with curves.
+    A failed point gets one row with its error and no values."""
+    t_grid = cfg.time_grid()
+    rows: list[dict] = []
+    for chunk, points in _resolved_chunks(cfg, values, max(1, EVOLVE_SAMPLES // t_grid.size)):
+        outs = evaluate_evolve_batch([point.model for point in points], t_grid)
+        for overrides, point, out in zip(chunk, points, outs):
+            if out.failure is not None:
+                rows.append({**overrides, "EN": None, "nu_minus": None,
+                             **_point_columns(point, False, out.error)})
+            elif curves:
+                rows.extend({**overrides, "t": float(t), "EN": float(en), "nu_minus": float(nu),
+                             **_point_columns(point, out.stable, None)}
+                            for t, en, nu in zip(out.t, out.EN, out.nu_minus))
+            else:
+                rows.append({**overrides, "EN": float(out.EN.max()),
+                             "nu_minus": float(out.nu_minus.min()),
+                             **_point_columns(point, out.stable, None)})
+    return rows
 
 
 def find_optimum(cfg: RunConfig, refine_levels: int = 3) -> ResultTable:
@@ -447,16 +501,8 @@ def fig3_curves(
     """Entanglement transients for a family of reflectivities, one labeled
     curve per rB, all starting from the separable thermal-vacuum state."""
     cfg = fig3_base_config(nbar1, nbar2).replace(tMax=t_max, tPoints=t_points)
-    t_grid = cfg.time_grid()
     columns = ["rB", "t", "EN", "nu_minus"] + _META_COLUMNS
-    rows: list[dict] = []
-    for rB in rB_list:
-        point = resolve_point(cfg, {"rB": float(rB)})
-        evo = evaluate_evolve(point.model, t_grid)
-        for t, en, nu in zip(evo.t, evo.EN, evo.nu_minus):
-            rows.append({"rB": float(rB), "t": float(t), "EN": float(en),
-                         "nu_minus": float(nu),
-                         **_point_columns(point, evo.stable, None)})
+    rows = _evolve_rows(cfg, [{"rB": float(rB)} for rB in rB_list], curves=True)
     return ResultTable(columns=columns, rows=rows, meta=_table_meta(cfg))
 
 

@@ -146,6 +146,28 @@ class TestSteadyCommand:
         assert "stability" in err
 
 
+class TestParserReuse:
+    def test_back_to_back_calls_are_independent(self, config_file, capsys):
+        _, first, _ = run_cli(["steady", "--config", config_file, "--set", "rB=0.5"], capsys)
+        _, second, _ = run_cli(["steady", "--config", config_file, "--set", "G1=5e4"], capsys)
+        _, again, _ = run_cli(["steady", "--config", config_file, "--set", "rB=0.5"], capsys)
+        _, plain, _ = run_cli(["steady", "--config", config_file], capsys)
+        assert again == first
+        assert len({first, second, plain}) == 3
+        _, (row,) = parse_csv(second)
+        header, (base,) = parse_csv(plain)
+        assert row[header.index("kappaTilde")] == base[header.index("kappaTilde")]
+
+    def test_bad_flag_still_exits_two_with_usage(self, config_file, capsys):
+        run_cli(["steady", "--config", config_file], capsys)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["steady", "--no-such-flag"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cfomech ")
+        assert "unrecognized arguments: --no-such-flag" in err
+
+
 class TestExitCodes:
     def test_zero_dissipation_is_config_error(self, capsys):
         code, _, err = run_cli(

@@ -9,6 +9,7 @@ from cfomech.dynamics import (
     diffusion_matrix,
     drift_matrix,
     propagate,
+    propagate_batch,
     stability_analytic,
     stability_batch,
     stability_eigen,
@@ -107,6 +108,12 @@ class TestStability:
     def test_unequal_dampings_unsupported(self):
         with pytest.raises(UnsupportedRegimeError):
             stability_analytic(model(G1=1e4, G2=2e4, gamma=10.0, gamma2=20.0))
+
+    def test_one_guard_for_both_closed_form_functions(self):
+        m = model(G1=1e4, G2=2e4, gamma=10.0, gamma2=20.0)
+        for fn in (stability_analytic, dynamics.stability_margin):
+            with pytest.raises(UnsupportedRegimeError, match="use stability_eigen instead"):
+                fn(m)
 
     def test_eigen_identity(self):
         assert stability_eigen(-np.eye(6))
@@ -364,6 +371,49 @@ class TestPropagate:
         with pytest.raises(DivergenceError) as excinfo:
             propagate(ss, initial_covariance(0.0, 0.0), [0.1, 1.0, 10.0])
         assert excinfo.value.step is not None
+
+    def test_stack_on_a_uniform_grid_takes_one_expm_call(self, monkeypatch):
+        calls = []
+        expm = dynamics.expm
+        monkeypatch.setattr(dynamics, "expm", lambda X: calls.append(len(X)) or expm(X))
+        # norms from 2e4 to 3e5: doubling counts 2 to 5 over one interval
+        models = [model(G1=1e4, G2=1e4, kt=kt, dt=1e3, n1=20.0, n2=10.0)
+                  for kt in (0.0, 1e3, 2e4, 1e5, 2e5)]
+        ss = state_space_batch(models)
+        V0 = np.stack([initial_covariance(20.0, 10.0)] * len(models))
+        t_grid = np.linspace(0.0, 2e-3, 201)
+        covs, first_bad = propagate_batch(ss, V0, t_grid)
+        assert calls == [len(models)]
+        assert np.array_equal(first_bad, [-1] * len(models))
+        for k, m in enumerate(models):
+            assert np.array_equal(covs[k], propagate(state_space(m), V0[k], t_grid))
+
+    def test_stacked_maps_match_maps_built_one_by_one(self):
+        # doubling counts 0, 3 and 5 over one interval
+        models = [model(G1=1e3, G2=2e3, kt=kt, dt=1e2, n1=1.0) for kt in (1e2, 3e4, 2e5)]
+        ss = state_space_batch(models)
+        dt = 1e-5
+        norms = np.linalg.norm(ss.A, axis=(-2, -1))
+        doublings = np.maximum(0, np.ceil(np.log2(norms * dt / dynamics.STEP_NORM_CAP)))
+        assert len(set(doublings)) == len(models)
+        steps = dt / 2.0 ** doublings
+        M, Q = transition_and_noise(ss.A, ss.D, steps)
+        M_int, Q_int = dynamics._interval_maps(ss, dt)
+        for k in range(len(models)):
+            M1, Q1 = transition_and_noise(ss.A[k], ss.D[k], steps[k])
+            assert np.array_equal(M[k], M1) and np.array_equal(Q[k], Q1)
+            for _ in range(int(doublings[k])):
+                Q1 = M1 @ Q1 @ M1.T + Q1
+                Q1 = 0.5 * (Q1 + Q1.T)
+                M1 = M1 @ M1
+            assert np.array_equal(M_int[k], M1) and np.array_equal(Q_int[k], Q1)
+
+    def test_divergence_is_reported_per_system(self):
+        ss = state_space_batch([model(G1=2e5, G2=1e4, kt=1e3), model(G1=1e4, G2=2e4, kt=1e3)])
+        V0 = np.stack([initial_covariance(0.0, 0.0)] * 2)
+        covs, first_bad = propagate_batch(ss, V0, [0.1, 1.0, 10.0])
+        assert first_bad[0] >= 0 and first_bad[1] == -1
+        assert np.all(np.isfinite(covs[1]))
 
     @settings(deadline=None, max_examples=25)
     @given(n0=st.floats(1e-3, 1e4))

@@ -1,15 +1,19 @@
 import math
 import types
 
+import numpy as np
 import pytest
 
 import cfomech
 from cfomech import dynamics, entanglement
-from cfomech.errors import ConfigError, NoFeasiblePointError
+from cfomech.errors import ConfigError, DivergenceError, NoFeasiblePointError
 from cfomech.experiments import (
+    EVOLVE_SAMPLES,
     STEADY_CHUNK,
     RunConfig,
     SweepAxis,
+    evaluate_evolve,
+    evaluate_evolve_batch,
     evaluate_steady,
     evaluate_steady_batch,
     fig3_curves,
@@ -221,6 +225,70 @@ class TestSteadyBatch:
                 assert out.error == entanglement.UNPHYSICAL and out.EN is None
         assert all(o.error is None for o in outs[:-1] if o.stable)
         assert outs[4].EN == 0.0
+
+
+class TestEvolveBatch:
+    def test_chunked_sweep_matches_points_evaluated_alone(self):
+        # 9 x 7 = 63 points at 51 samples: chunks of 20 points, so three full
+        # chunks and a partial one, with unstable points and kappa_tilde = 0
+        cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, nbar1=5.0, nbar2=2.0,
+                          mode="evolve", tPoints=51,
+                          axes=(SweepAxis("ratio", 0.9, 1.1, 9),
+                                SweepAxis("rB", 0.0, 1.0, 7)))
+        rows = run_sweep(cfg).rows
+        assert len(rows) > 2 * (EVOLVE_SAMPLES // cfg.tPoints)
+        assert {r["stable"] for r in rows} == {True, False}
+        assert any(r["kappaTilde"] == 0.0 for r in rows)
+        t_grid = cfg.time_grid()
+        for row in rows:
+            point = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
+            alone = evaluate_evolve(point.model, t_grid)
+            assert row["error"] is None
+            assert (row["EN"], row["nu_minus"], row["stable"]) == \
+                (float(alone.EN.max()), float(alone.nu_minus.min()), alone.stable)
+
+    def test_mixed_chunk_gives_per_point_outcomes(self):
+        def m(**kw):
+            fields = dict(G1=1e4, G2=1e4, kappa_tilde=1e5, delta_tilde=1e3,
+                          gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
+            return EffectiveModel(**{**fields, **kw})
+        models = [
+            m(G1=2e5, kappa_tilde=1e3),          # overflows in the first interval
+            m(kappa_tilde=0.0),                  # ideal feedback
+            m(gamma1=0.0, gamma2=0.0),           # undamped: grows until unphysical
+            m(nbar1=1e9, nbar2=1e9),             # very hot baths
+            m(G1=2e4),                           # unstable: overflows later
+            m(G1=0.9e4),                         # stable
+        ]
+        t_grid = [0.1, 1.0, 10.0]
+        outs = evaluate_evolve_batch(models, t_grid)
+        with pytest.raises(DivergenceError) as excinfo:
+            dynamics.propagate(dynamics.state_space(models[0]),
+                               entanglement.initial_covariance(0.0, 0.0), t_grid)
+        assert outs[0].error == str(excinfo.value)
+        assert [o.error for o in outs] == [
+            str(excinfo.value), None, entanglement.UNPHYSICAL, None,
+            "non-finite covariance at t = 1 (grid index 1)", None]
+        assert [o.stable for o in outs] == [False, False, False, True, False, True]
+        for model, out in zip(models, outs):
+            alone = evaluate_evolve_batch([model], t_grid)[0]
+            assert (out.stable, out.error) == (alone.stable, alone.error)
+            if out.error is not None:
+                assert out.EN is None and out.nu_minus is None
+                continue
+            assert np.array_equal(out.EN, alone.EN)
+            assert np.array_equal(out.nu_minus, alone.nu_minus)
+            assert np.all(np.isfinite(out.EN))
+        assert np.all(outs[3].EN == 0.0)
+
+    def test_single_model_call_raises_the_batch_error(self):
+        model = EffectiveModel(G1=2e5, G2=1e4, kappa_tilde=1e3, delta_tilde=0.0,
+                               gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
+        with pytest.raises(DivergenceError) as excinfo:
+            evaluate_evolve(model, [0.1, 1.0, 10.0])
+        assert excinfo.value.step is not None
+        assert str(excinfo.value) == \
+            evaluate_evolve_batch([model], [0.1, 1.0, 10.0])[0].error
 
 
 class TestFindOptimum:
