@@ -42,9 +42,9 @@ from .experiments import (
     ResultTable,
     RunConfig,
     SweepAxis,
-    fig3_curves,
     find_optimum,
     preset_config,
+    run_points,
     run_preset,
     run_sweep,
 )
@@ -64,7 +64,7 @@ __all__ = [
     "min_symplectic_eigenvalue_pt", "physicality_check", "symplectic_eigenvalues",
     "two_mode_squeezed_covariance",
     # experiments
-    "ResultTable", "RunConfig", "SweepAxis", "fig3_curves", "find_optimum",
-    "preset_config", "run_preset", "run_sweep",
+    "ResultTable", "RunConfig", "SweepAxis", "find_optimum", "preset_config",
+    "run_points", "run_preset", "run_sweep",
 ]
 __version__ = "0.1.0"

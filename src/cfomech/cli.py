@@ -143,28 +143,18 @@ def _load_config(args) -> RunConfig:
     return build_config(data)
 
 
-def _single_point_table(cfg: RunConfig) -> ResultTable:
-    point = experiments.resolve_point(cfg)
-    out = experiments.evaluate_steady(point.model)
-    if not out.stable:
+def _point_table(cfg: RunConfig) -> ResultTable:
+    """The one operating point of cfg, its curve in evolve mode, through the
+    evaluation core.  A point the core reports as unstable (in steady mode)
+    or failed raises instead of giving a row."""
+    table = experiments.run_points(cfg, [], [{}], curves=True)
+    row = table.rows[0]
+    if cfg.mode == "steady" and not row["stable"]:
         raise StabilityError("steady mode on an unstable operating point; "
                              "use evolve mode or change parameters")
-    if out.error is not None:
-        raise NumericalError(out.error)
-    columns = ["EN", "nu_minus"] + experiments._META_COLUMNS
-    row = {"EN": out.EN, "nu_minus": out.nu_minus,
-           **experiments._point_columns(point, out.stable, out.error)}
-    return ResultTable(columns, [row], experiments._table_meta(cfg))
-
-
-def _evolve_table(cfg: RunConfig) -> ResultTable:
-    point = experiments.resolve_point(cfg)
-    evo = experiments.evaluate_evolve(point.model, cfg.time_grid())
-    columns = ["t", "EN", "nu_minus"] + experiments._META_COLUMNS
-    rows = [{"t": float(t), "EN": float(en), "nu_minus": float(nu),
-             **experiments._point_columns(point, evo.stable, None)}
-            for t, en, nu in zip(evo.t, evo.EN, evo.nu_minus)]
-    return ResultTable(columns, rows, experiments._table_meta(cfg))
+    if row["error"] is not None:
+        raise NumericalError(row["error"])
+    return table
 
 
 def _stability_table(cfg: RunConfig) -> ResultTable:
@@ -182,7 +172,7 @@ def _stability_table(cfg: RunConfig) -> ResultTable:
         "DeltaTilde": point.model.delta_tilde,
         "rwaVerdict": point.rwa_verdict,
     }
-    return ResultTable(list(row.keys()), [row], experiments._table_meta(cfg))
+    return ResultTable(list(row.keys()), [row], experiments.table_meta(cfg))
 
 
 def _emit(table: ResultTable, args) -> None:
@@ -247,9 +237,9 @@ def main(argv=None) -> int:
         else:
             cfg = _load_config(args)
             if args.command == "steady":
-                table = _single_point_table(cfg.replace(mode="steady"))
+                table = _point_table(cfg.replace(mode="steady"))
             elif args.command == "evolve":
-                table = _evolve_table(cfg.replace(mode="evolve"))
+                table = _point_table(cfg.replace(mode="evolve"))
             elif args.command == "sweep":
                 table = experiments.run_sweep(cfg, curves=args.curves)
             elif args.command == "optimize":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PhysicalityError
+from .errors import NumericalError, PhysicalityError
 
 #: Uncertainty-principle slack used by the physicality gates.
 PHYSICALITY_TOL = 1e-8
@@ -19,6 +19,10 @@ NEGATIVITY_CLAMP = 1e-12
 
 #: Error text for a covariance matrix that fails the physicality gate.
 UNPHYSICAL = "covariance matrix violates the uncertainty principle"
+
+#: Error text for a partially transposed spectrum the eigen-solver cannot
+#: resolve: nu_minus at or below its floor eps*||V||_F.
+UNRESOLVED = "partially transposed spectrum unresolved: nu_minus at the eigen-solver floor"
 
 #: Partial transposition of the second mechanical mode (momentum flip).
 MOMENTUM_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -88,10 +92,13 @@ def pt_spectrum_batch(V4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns a boolean array, true where the smallest symplectic eigenvalue is
     >= 1/2 - PHYSICALITY_TOL, and the smallest symplectic eigenvalue of each
     matrix after the momentum of the second mode is flipped.  One eigenvalue
-    call over the stack [V4; V4_pt] gives both.
+    call over the stack [V4; V4_pt] gives both.  The latter is NaN where it
+    is at or below the eigen-solver's floor eps*||V4||_F, where it cannot be
+    told from 0 (see UNRESOLVED).
     """
     nus = _symplectic_spectra(np.concatenate([V4, V4 * PT_SIGNS]))[:, 0]
-    nu_full, nu_pt = np.split(nus, 2)
+    nu_full, nu_pt = nus[:len(V4)], nus[len(V4):]
+    nu_pt[nu_pt <= np.finfo(float).eps * np.sqrt(np.einsum("nij,nij->n", V4, V4))] = np.nan
     return nu_full >= 0.5 - PHYSICALITY_TOL, nu_pt
 
 
@@ -102,7 +109,8 @@ def min_symplectic_eigenvalue_pt(V4: np.ndarray):
     The input must be physical two-mode covariance matrices, or
     PhysicalityError is raised; the momentum of the second mode is flipped
     and the smaller symplectic eigenvalue of each transposed matrix is
-    returned.  Values below 1/2 witness entanglement.
+    returned, or NumericalError raised where it is unresolved.  Values below
+    1/2 witness entanglement.
     """
     V4 = _check_symmetric(V4)
     if V4.shape[-2:] != (4, 4):
@@ -110,6 +118,8 @@ def min_symplectic_eigenvalue_pt(V4: np.ndarray):
     physical, nu_pt = pt_spectrum_batch(V4.reshape(-1, 4, 4))
     if not physical.all():
         raise PhysicalityError(UNPHYSICAL)
+    if np.isnan(nu_pt).any():
+        raise NumericalError(UNRESOLVED)
     return float(nu_pt[0]) if V4.ndim == 2 else nu_pt
 
 

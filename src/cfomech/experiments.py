@@ -15,16 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, entanglement, params
-from .errors import ConfigError, NoFeasiblePointError, PhysicalityError
+from .errors import ConfigError, NoFeasiblePointError, NumericalError, PhysicalityError
 
 #: Parameters that a sweep axis may address.
 AXIS_NAMES = (
     "ratio", "G1", "G2", "rB", "theta", "Delta",
     "nbar1", "nbar2", "gamma1", "gamma2", "kappa1", "kappa2",
 )
-
-#: Axis names that only make sense when the couplings are given directly.
-_DIRECT_ONLY_AXES = ("ratio", "G1", "G2")
 
 _DRIVE_KEYS = ("g1", "g2", "P1", "P2", "omegaL1", "omegaL2")
 
@@ -257,8 +254,9 @@ class SteadyOutcome:
 def evaluate_steady_batch(models: list[params.EffectiveModel]) -> list[SteadyOutcome]:
     """Steady-state entanglement of N models: one batched stability test, one
     batched Lyapunov solve over the stable models and one batched spectrum
-    call over the solved ones.  Unstable, numerically failing or unphysical
-    points report missing data and an error text instead of raising."""
+    call over the solved ones.  Unstable, numerically failing, unphysical or
+    unresolved points report missing data and an error text instead of
+    raising."""
     ss = dynamics.state_space_batch(models)
     _, stable = dynamics.stability_batch(ss.A)
     idx = np.flatnonzero(stable)
@@ -271,9 +269,10 @@ def evaluate_steady_batch(models: list[params.EffectiveModel]) -> list[SteadyOut
     for k, error in zip(idx, errors):
         out[k] = SteadyOutcome(None, None, True, None, error)
     for j, k in enumerate(solved):
-        out[idx[k]] = (SteadyOutcome(float(ens[j]), float(nus[j]), True, V[k], None)
-                       if physical[j] else
-                       SteadyOutcome(None, None, True, None, entanglement.UNPHYSICAL))
+        error = (entanglement.UNPHYSICAL if not physical[j] else
+                 entanglement.UNRESOLVED if math.isnan(nus[j]) else None)
+        out[idx[k]] = (SteadyOutcome(None, None, True, None, error) if error else
+                       SteadyOutcome(float(ens[j]), float(nus[j]), True, V[k], None))
     return out
 
 
@@ -285,8 +284,9 @@ def evaluate_steady(model: params.EffectiveModel) -> SteadyOutcome:
 
 @dataclass
 class EvolveOutcome:
-    """E_N(t) of one model.  A model that diverged or left the physical region
-    carries the exception in failure and no curves."""
+    """E_N(t) of one model.  A model that diverged, left the physical region or
+    has an unresolved sample carries the exception in failure, no curves and
+    stable = False."""
 
     t: np.ndarray
     EN: np.ndarray | None
@@ -305,7 +305,8 @@ def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> list[E
     thermal-vacuum state at its bath occupancies: one batched stability test,
     one batched propagation and one batched spectrum call over every sample of
     the models that stayed finite.  A model that diverges, or that has a
-    sample failing the physicality gate, gets its error instead of raising."""
+    sample failing the physicality gate or with an unresolved spectrum, gets
+    its error instead of raising."""
     t_grid = np.asarray(t_grid, dtype=float)
     N, T = len(models), t_grid.size
     ss = dynamics.state_space_batch(models)
@@ -319,6 +320,7 @@ def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> list[E
     gate, nu_pt = entanglement.pt_spectrum_batch(covs[finite, :, :4, :4].reshape(-1, 4, 4))
     physical[finite] = gate.reshape(-1, T).all(axis=1)
     nus[finite] = nu_pt.reshape(-1, T)
+    resolved = ~np.isnan(nus).any(axis=1)
     with np.errstate(divide="ignore"):  # nu = 0 (diverged, or an unphysical V): E_N is dropped
         ens = entanglement.log_negativity_from_nu(nus)
     out = []
@@ -327,37 +329,28 @@ def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> list[E
             failure = dynamics.propagation_failure(t_grid, int(first_bad[k]))
         elif not physical[k]:
             failure = PhysicalityError(entanglement.UNPHYSICAL)
+        elif not resolved[k]:
+            failure = NumericalError(entanglement.UNRESOLVED)
         else:
             out.append(EvolveOutcome(t_grid, ens[k], nus[k], bool(stable[k]), covs[k]))
             continue
-        out.append(EvolveOutcome(t_grid, None, None, bool(stable[k]), None, failure))
+        out.append(EvolveOutcome(t_grid, None, None, False, None, failure))
     return out
 
 
 def evaluate_evolve(model: params.EffectiveModel, t_grid) -> EvolveOutcome:
     """Time-resolved entanglement of one model, as evaluate_evolve_batch
-    reports it.  Raises DivergenceError or PhysicalityError where the batch
-    reports an error."""
+    reports it.  Raises DivergenceError, PhysicalityError or NumericalError
+    where the batch reports an error."""
     out = evaluate_evolve_batch([model], t_grid)[0]
     if out.failure is not None:
         raise out.failure
     return out
 
 
-_META_COLUMNS = ["stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error"]
-
-
-def _point_columns(point: ResolvedPoint, stable: bool, error: str | None) -> dict:
-    return {
-        "stable": stable,
-        "kappaTilde": point.model.kappa_tilde,
-        "DeltaTilde": point.model.delta_tilde,
-        "rwaVerdict": point.rwa_verdict,
-        "error": error,
-    }
-
-
-def _table_meta(cfg: RunConfig) -> dict:
+def table_meta(cfg: RunConfig) -> dict:
+    """Run metadata of a table: the configuration and the regime tags of its
+    base point."""
     base = resolve_point(cfg)
     return {
         "config": cfg.as_dict(),
@@ -367,71 +360,54 @@ def _table_meta(cfg: RunConfig) -> dict:
     }
 
 
-def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:
-    """Evaluate every grid point of a 1- or 2-axis sweep independently.
+def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
+               curves: bool = False) -> ResultTable:
+    """Evaluate cfg at each point of values, override dicts keyed by names,
+    independently and in chunks drawn one at a time.
 
     Steady mode solves for the stationary state; evolve mode reports the peak
-    entanglement over the time grid, or the full curves when requested.
-    Per-point failures land in the row's error column and never abort the
-    sweep.
+    E_N and the lowest nu_minus over the time grid, or one row per time sample
+    with curves.  A failed point gets one row with its error and no values;
+    per-point failures never abort the run.
     """
-    if not 1 <= len(cfg.axes) <= 2:
-        raise ConfigError("a sweep needs one or two axes")
-    axis_names = [ax.name for ax in cfg.axes]
-    if len(set(axis_names)) != len(axis_names):
-        raise ConfigError("sweep axes must be distinct")
-
-    grids = [ax.grid() for ax in cfg.axes]
-    combos = [(i,) for i in range(len(grids[0]))]
-    if len(grids) == 2:
-        combos = [(i, j) for i in range(len(grids[0])) for j in range(len(grids[1]))]
-
-    if cfg.mode == "evolve" and curves:
-        columns = axis_names + ["t", "EN", "nu_minus"] + _META_COLUMNS
-    else:
-        columns = axis_names + ["EN", "nu_minus"] + _META_COLUMNS
-    values = ({name: float(grids[k][i]) for k, (name, i) in enumerate(zip(axis_names, combo))}
-              for combo in combos)
-    if cfg.mode == "evolve":
-        return ResultTable(columns, _evolve_rows(cfg, values, curves), _table_meta(cfg))
+    evolve = cfg.mode == "evolve"
+    curves = curves and evolve
+    t_grid = cfg.time_grid() if evolve else None
+    size = max(1, EVOLVE_SAMPLES // cfg.tPoints) if evolve else STEADY_CHUNK
+    columns = [*names, *(["t"] if curves else []), "EN", "nu_minus",
+               "stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error"]
     rows: list[dict] = []
-    for chunk, points in _resolved_chunks(cfg, values, STEADY_CHUNK):
-        outs = evaluate_steady_batch([point.model for point in points])
-        for overrides, point, out in zip(chunk, points, outs):
-            rows.append({**overrides, "EN": out.EN, "nu_minus": out.nu_minus,
-                         **_point_columns(point, out.stable, out.error)})
-    return ResultTable(columns=columns, rows=rows, meta=_table_meta(cfg))
-
-
-def _resolved_chunks(cfg: RunConfig, values: Iterable[dict], size: int):
-    """(overrides, resolved points) of consecutive chunks of at most size
-    points, drawn from values one chunk at a time."""
     values = iter(values)
     while chunk := list(itertools.islice(values, size)):
-        yield chunk, [resolve_point(cfg, overrides) for overrides in chunk]
-
-
-def _evolve_rows(cfg: RunConfig, values: Iterable[dict], curves: bool) -> list[dict]:
-    """Rows of an evolve sweep over the given axis values: the peak E_N and the
-    lowest nu_minus of each point, or one row per time sample with curves.
-    A failed point gets one row with its error and no values."""
-    t_grid = cfg.time_grid()
-    rows: list[dict] = []
-    for chunk, points in _resolved_chunks(cfg, values, max(1, EVOLVE_SAMPLES // t_grid.size)):
-        outs = evaluate_evolve_batch([point.model for point in points], t_grid)
+        points = [resolve_point(cfg, overrides) for overrides in chunk]
+        models = [point.model for point in points]
+        outs = evaluate_evolve_batch(models, t_grid) if evolve else evaluate_steady_batch(models)
         for overrides, point, out in zip(chunk, points, outs):
-            if out.failure is not None:
-                rows.append({**overrides, "EN": None, "nu_minus": None,
-                             **_point_columns(point, False, out.error)})
+            tags = {"stable": out.stable, "kappaTilde": point.model.kappa_tilde,
+                    "DeltaTilde": point.model.delta_tilde,
+                    "rwaVerdict": point.rwa_verdict, "error": out.error}
+            if out.error is not None or not evolve:
+                rows.append({**overrides, "EN": out.EN, "nu_minus": out.nu_minus, **tags})
             elif curves:
-                rows.extend({**overrides, "t": float(t), "EN": float(en), "nu_minus": float(nu),
-                             **_point_columns(point, out.stable, None)}
+                rows.extend({**overrides, "t": float(t), "EN": float(en),
+                             "nu_minus": float(nu), **tags}
                             for t, en, nu in zip(out.t, out.EN, out.nu_minus))
             else:
                 rows.append({**overrides, "EN": float(out.EN.max()),
-                             "nu_minus": float(out.nu_minus.min()),
-                             **_point_columns(point, out.stable, None)})
-    return rows
+                             "nu_minus": float(out.nu_minus.min()), **tags})
+    return ResultTable(columns, rows, table_meta(cfg))
+
+
+def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:
+    """Evaluate every grid point of a 1- or 2-axis sweep independently through
+    run_points, the last axis varying fastest."""
+    if not 1 <= len(cfg.axes) <= 2:
+        raise ConfigError("a sweep needs one or two axes")
+    names = [ax.name for ax in cfg.axes]
+    if len(set(names)) != len(names):
+        raise ConfigError("sweep axes must be distinct")
+    grid = itertools.product(*(ax.grid().tolist() for ax in cfg.axes))
+    return run_points(cfg, names, (dict(zip(names, combo)) for combo in grid), curves)
 
 
 def find_optimum(cfg: RunConfig, refine_levels: int = 3) -> ResultTable:
@@ -448,21 +424,20 @@ def find_optimum(cfg: RunConfig, refine_levels: int = 3) -> ResultTable:
     if refine_levels < 0:
         raise ConfigError("refine_levels must be nonnegative")
 
-    original = cfg.axes
     axes = cfg.axes
-    best: tuple[dict, float] | None = None
+    best: dict | None = None
     for _ in range(refine_levels + 1):
         table = run_sweep(cfg.replace(axes=axes))
         feasible = [r for r in table.rows if r["EN"] is not None]
         if not feasible:
             raise NoFeasiblePointError("every grid point is unstable or failed")
         top = max(feasible, key=lambda r: r["EN"])
-        if best is None or top["EN"] > best[1]:
-            best = ({ax.name: top[ax.name] for ax in axes}, top["EN"])
+        if best is None or top["EN"] > best["EN"]:
+            best = top
         refined = []
-        for ax, ax0 in zip(axes, original):
+        for ax, ax0 in zip(axes, cfg.axes):
             half = (ax.max - ax.min) / 4.0
-            center = best[0][ax.name]
+            center = best[ax.name]
             refined.append(SweepAxis(
                 name=ax.name,
                 min=max(ax0.min, center - half),
@@ -470,40 +445,7 @@ def find_optimum(cfg: RunConfig, refine_levels: int = 3) -> ResultTable:
                 count=ax.count,
             ))
         axes = tuple(refined)
-
-    values, en_best = best
-    point = resolve_point(cfg, values)
-    out = evaluate_steady(point.model)
-    columns = [ax.name for ax in original] + ["EN", "nu_minus"] + _META_COLUMNS
-    row = {**values, "EN": en_best, "nu_minus": out.nu_minus,
-           **_point_columns(point, out.stable, out.error)}
-    return ResultTable(columns=columns, rows=[row], meta=_table_meta(cfg))
-
-
-def fig3_base_config(nbar1: float = 0.0, nbar2: float = 0.0) -> RunConfig:
-    """Equal-coupling transient setting: G1 = G2 = 1e4, symmetric cavity with
-    kappa = 5e4 per mirror, Delta = 1e3, theta = 0."""
-    return RunConfig(
-        G1=1e4, G2=1e4, kappa1=5e4, kappa2=5e4,
-        gamma1=10.0, gamma2=10.0, Delta=1e3, theta=0.0,
-        nbar1=nbar1, nbar2=nbar2, mode="evolve",
-        tMax=DEFAULT_T_MAX, tPoints=DEFAULT_T_POINTS,
-    )
-
-
-def fig3_curves(
-    rB_list=FIG3_RB_VALUES,
-    nbar1: float = 0.0,
-    nbar2: float = 0.0,
-    t_max: float = DEFAULT_T_MAX,
-    t_points: int = DEFAULT_T_POINTS,
-) -> ResultTable:
-    """Entanglement transients for a family of reflectivities, one labeled
-    curve per rB, all starting from the separable thermal-vacuum state."""
-    cfg = fig3_base_config(nbar1, nbar2).replace(tMax=t_max, tPoints=t_points)
-    columns = ["rB", "t", "EN", "nu_minus"] + _META_COLUMNS
-    rows = _evolve_rows(cfg, [{"rB": float(rB)} for rB in rB_list], curves=True)
-    return ResultTable(columns=columns, rows=rows, meta=_table_meta(cfg))
+    return ResultTable(columns=table.columns, rows=[best], meta=table_meta(cfg))
 
 
 PRESET_NAMES = ("fig2a", "fig2c", "fig2d", "fig3a", "fig3b")
@@ -535,18 +477,22 @@ def preset_config(name: str) -> RunConfig:
             axes=(SweepAxis("ratio", 0.8, 0.999, DEFAULT_AXIS_COUNT),
                   SweepAxis("rB", 0.0, 0.7, 2)),
         )
-    if name == "fig3a":
-        return fig3_base_config(0.0, 0.0)
-    if name == "fig3b":
-        return fig3_base_config(20.0, 10.0)
+    if name in ("fig3a", "fig3b"):
+        # equal couplings, Delta = 1e3; fig3b starts from hot baths
+        nbar1, nbar2 = (0.0, 0.0) if name == "fig3a" else (20.0, 10.0)
+        return RunConfig(
+            G1=1e4, G2=1e4, kappa1=5e4, kappa2=5e4,
+            gamma1=10.0, gamma2=10.0, Delta=1e3, theta=0.0,
+            nbar1=nbar1, nbar2=nbar2, mode="evolve",
+        )
     raise ConfigError(f"unknown preset '{name}'; expected one of {', '.join(PRESET_NAMES)}")
 
 
 def run_preset(name: str, cfg: RunConfig | None = None, curves: bool = False) -> ResultTable:
     """Run a named preset; cfg may carry overrides applied on top of the preset
-    defaults.  Transient presets always emit full curves."""
+    defaults.  Transient presets run one point per reflectivity of
+    FIG3_RB_VALUES, which sets rB, and emit full curves in evolve mode."""
     cfg = cfg if cfg is not None else preset_config(name)
     if name in ("fig3a", "fig3b"):
-        return fig3_curves(FIG3_RB_VALUES, cfg.nbar1 or 0.0, cfg.nbar2 or 0.0,
-                           t_max=cfg.tMax, t_points=cfg.tPoints)
+        return run_points(cfg, ["rB"], ({"rB": rB} for rB in FIG3_RB_VALUES), curves=True)
     return run_sweep(cfg, curves=curves)

@@ -7,6 +7,7 @@ Shared fixtures hold every covariance matrix produced along the way so the
 physicality criterion can audit exactly the states the other criteria emitted.
 """
 
+import hashlib
 import math
 import time
 
@@ -386,3 +387,26 @@ class TestCriterion9Determinism:
                f"byte-identical={identical}, csv/json agree={agree}")
         assert identical
         assert agree
+
+    def test_preset_bytes_match_recorded_digests(self):
+        # sha256 of each preset's default output, recorded when fig3 moved onto
+        # the shared evaluation core
+        recorded = {
+            ("fig2a", "csv"): "c25737733112b4cc57ef4fc9bc65e8727e4fac6bc5d434a75b8daeb84d2843bb",
+            ("fig2c", "csv"): "759cd2f1068e557896a4c064af647aa7ed5d3a5e3c9d0631160defebe1d4c078",
+            ("fig2d", "csv"): "c6475f72e19665852e11cce270f75164e4be7e59f8fe2d30f5234222dd0c5bbe",
+            ("fig3a", "csv"): "5b2d6d2a1010a2a61a22befc6468cc9d6c229afc20655ce704456257b515497b",
+            ("fig3b", "csv"): "502186af18cf3ea773ad5d6c3d8e77dd049720dca8f5f573546f09ec5e1f004b",
+            ("fig3a", "json"): "22c17849b57b6d537744362d01fc7c7fa73cc44922b7540154fbd66c53906170",
+            ("fig3b", "json"): "fb0b249634815c809b96e70bf73511ef410c307622920c8835cd6e381de4e811",
+        }
+        tables = {name: experiments.run_preset(name) for name in experiments.PRESET_NAMES}
+        changed = [f"{name} {fmt}" for (name, fmt), digest in recorded.items()
+                   if hashlib.sha256(cli.serialize(tables[name], fmt).encode()).hexdigest()
+                   != digest]
+        ok = not changed
+        report("criterion 9 (recorded preset bytes)", ok,
+               f"changed: {', '.join(changed)}" if changed else f"{len(recorded)} outputs match")
+        assert ok, (f"preset output bytes changed ({', '.join(changed)}); only an intended "
+                    "numerics change may re-record these digests, with a justification "
+                    "of the new bytes in CHANGES.md")

@@ -200,6 +200,24 @@ class TestExitCodes:
         assert "stability" in err
 
 
+    def test_unphysical_transient_is_numerical_error(self, capsys):
+        code, out, err = run_cli(
+            ["evolve", "--set", "G1=1e4", "G2=1e4", "gamma1=0", "gamma2=0",
+             "Delta=1e3", "tMax=10", "tPoints=3"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == "numerical/io error: covariance matrix violates the uncertainty principle\n"
+
+    def test_unresolved_spectrum_is_numerical_error(self, capsys):
+        # unstable growth drives nu_minus below the eigen-solver floor
+        code, out, err = run_cli(
+            ["evolve", "--set", "G1=3e4", "G2=1e4", "Delta=1e3", "rB=0.99",
+             "tPoints=3"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical/io error: partially transposed spectrum unresolved")
+
+
 class TestStabilityCommand:
     def test_reports_both_verdicts(self, config_file, capsys):
         code, out, _ = run_cli(["stability", "--config", config_file], capsys)
@@ -239,6 +257,17 @@ class TestPresetCommand:
         payload = json.loads(out)
         rbs = sorted({row["rB"] for row in payload["rows"]})
         assert rbs == [0.0, 0.9, 0.99, 0.999, 1.0]
+
+    def test_fig3_overrides_apply_to_every_curve(self, capsys):
+        _, plain, _ = run_cli(["preset", "fig3a", "--set", "tPoints=3"], capsys)
+        args = ["preset", "fig3a", "--set", "G1=3e4", "tPoints=3"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out != plain
+        code, out, _ = run_cli(args + ["--format", "json"], capsys)
+        payload = json.loads(out)
+        assert payload["meta"]["config"]["G1"] == 3e4
+        assert sorted({row["rB"] for row in payload["rows"]}) == [0.0, 0.9, 0.99, 0.999, 1.0]
 
     def test_repeat_runs_byte_identical(self, capsys):
         args = ["preset", "fig2c", "--set",

@@ -11,11 +11,12 @@ from cfomech.entanglement import (
     mechanical_submatrix,
     min_symplectic_eigenvalue_pt,
     physicality_check,
+    pt_spectrum_batch,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezed_covariance,
 )
-from cfomech.errors import PhysicalityError
+from cfomech.errors import NumericalError, PhysicalityError
 
 
 def rotation(phi):
@@ -120,6 +121,16 @@ class TestMinSymplecticEigenvaluePT:
     def test_rejects_unphysical(self):
         with pytest.raises(PhysicalityError):
             min_symplectic_eigenvalue_pt(0.4 * np.eye(4))
+
+    def test_spectrum_below_the_solver_floor_is_unresolved(self):
+        # exact nu = exp(-20)/2 ~ 1e-9 lies below eps*||V||_F ~ 7.6e-8, where
+        # eigvals cannot tell it from 0
+        V = two_mode_squeezed_covariance(10.0)
+        physical, nu_pt = pt_spectrum_batch(np.stack([V, two_mode_squeezed_covariance(5.0)]))
+        assert physical.all()
+        assert np.isnan(nu_pt[0]) and nu_pt[1] == pytest.approx(math.exp(-10.0) / 2, rel=1e-6)
+        with pytest.raises(NumericalError, match="unresolved"):
+            min_symplectic_eigenvalue_pt(V)
 
     def test_one_unphysical_matrix_fails_the_stack(self):
         stack = np.stack([two_mode_squeezed_covariance(0.5), 0.4 * np.eye(4)])

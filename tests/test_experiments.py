@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 import cfomech
-from cfomech import dynamics, entanglement
-from cfomech.errors import ConfigError, DivergenceError, NoFeasiblePointError
+from cfomech import dynamics, entanglement, experiments
+from cfomech.errors import (
+    ConfigError,
+    DivergenceError,
+    NoFeasiblePointError,
+    NumericalError,
+)
 from cfomech.experiments import (
     EVOLVE_SAMPLES,
     STEADY_CHUNK,
@@ -16,7 +21,6 @@ from cfomech.experiments import (
     evaluate_evolve_batch,
     evaluate_steady,
     evaluate_steady_batch,
-    fig3_curves,
     find_optimum,
     preset_config,
     resolve_point,
@@ -281,6 +285,15 @@ class TestEvolveBatch:
             assert np.all(np.isfinite(out.EN))
         assert np.all(outs[3].EN == 0.0)
 
+    def test_unresolved_spectrum_fails_the_model(self):
+        # unstable: by t = 2 ms ||V4||_F ~ 1e48 and nu_minus sinks below the
+        # eigen-solver floor eps*||V4||_F, where it used to read 0 (E_N = inf)
+        model = resolve_point(base_config(G1=3e4, G2=1e4, Delta=1e3, rB=0.99)).model
+        out = evaluate_evolve_batch([model], [0.0, 1e-3, 2e-3])[0]
+        assert out.error == entanglement.UNRESOLVED
+        assert isinstance(out.failure, NumericalError)
+        assert out.EN is None and out.stable is False
+
     def test_single_model_call_raises_the_batch_error(self):
         model = EffectiveModel(G1=2e5, G2=1e4, kappa_tilde=1e3, delta_tilde=0.0,
                                gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
@@ -311,6 +324,32 @@ class TestFindOptimum:
         with pytest.raises(NoFeasiblePointError):
             find_optimum(cfg, refine_levels=1)
 
+    def test_row_is_the_sweep_row_it_won(self, monkeypatch):
+        tables = []
+
+        def recording_sweep(cfg, curves=False):
+            tables.append(run_sweep(cfg, curves))
+            return tables[-1]
+
+        monkeypatch.setattr(experiments, "run_sweep", recording_sweep)
+        cfg = base_config(G1=0.99e5, axes=(SweepAxis("rB", 0.0, 0.99, 8),
+                                           SweepAxis("theta", -1.0, 1.0, 5)))
+        best = find_optimum(cfg, refine_levels=3).rows[0]
+        assert len(tables) == 4
+        won = max((r for t in tables for r in t.rows if r["EN"] is not None),
+                  key=lambda r: r["EN"])
+
+        def bits(row):  # repr round-trips floats, so equal reprs are equal bits
+            return {k: repr(v) for k, v in row.items()}
+
+        assert bits(best) == bits(won)
+        # the winner's values equal the point evaluated on its own, bit for bit
+        point = resolve_point(cfg, {"rB": best["rB"], "theta": best["theta"]})
+        alone = evaluate_steady(point.model)
+        assert bits({"EN": alone.EN, "nu_minus": alone.nu_minus, "stable": alone.stable,
+                     "error": alone.error, "kappaTilde": point.model.kappa_tilde}) == \
+            bits({k: best[k] for k in ("EN", "nu_minus", "stable", "error", "kappaTilde")})
+
     def test_refinement_never_worse(self):
         cfg = base_config(G1=0.99e5, axes=(SweepAxis("rB", 0.0, 0.99, 8),))
         coarse = find_optimum(cfg, refine_levels=0).rows[0]["EN"]
@@ -320,8 +359,9 @@ class TestFindOptimum:
 
 class TestFig3Curves:
     def test_row_layout(self):
-        table = fig3_curves(rB_list=(0.0, 1.0), nbar1=0.0, nbar2=0.0,
-                            t_max=4e-4, t_points=9)
+        cfg = preset_config("fig3a").replace(
+            tMax=4e-4, tPoints=9, axes=(SweepAxis("rB", 0.0, 1.0, 2),))
+        table = run_sweep(cfg, curves=True)
         assert len(table.rows) == 2 * 9
         assert table.rows[0]["t"] == 0.0
         assert table.rows[0]["EN"] == 0.0
@@ -329,8 +369,9 @@ class TestFig3Curves:
         assert rbs == {0.0, 1.0}
 
     def test_ideal_feedback_kills_cavity_decay(self):
-        table = fig3_curves(rB_list=(1.0,), nbar1=0.0, nbar2=0.0,
-                            t_max=2e-4, t_points=5)
+        cfg = preset_config("fig3a").replace(
+            tMax=2e-4, tPoints=5, axes=(SweepAxis("rB", 1.0, 1.0, 1),))
+        table = run_sweep(cfg, curves=True)
         assert all(r["kappaTilde"] == 0.0 for r in table.rows)
         assert all(r["DeltaTilde"] == 1e3 for r in table.rows)
         assert all(r["stable"] is False for r in table.rows)
