@@ -7,23 +7,17 @@ from .params import (
     FeedbackParams,
     PhysicalParams,
     ValidityReport,
-    collective_coupling,
     drive_amplitude,
     effective_cavity_params,
     effective_couplings,
     effective_model,
     effective_model_from_drives,
     rwa_validity,
-    squeezing_parameter,
     thermal_occupancy,
 )
 from .dynamics import (
     StateSpace,
-    diffusion_matrix,
-    drift_matrix,
     propagate,
-    spectral_abscissa,
-    stability_analytic,
     stability_eigen,
     state_space,
     steady_state_covariance,
@@ -52,12 +46,11 @@ from .experiments import (
 __all__ = [
     # params
     "EffectiveModel", "FeedbackParams", "PhysicalParams", "ValidityReport",
-    "collective_coupling", "drive_amplitude", "effective_cavity_params",
-    "effective_couplings", "effective_model", "effective_model_from_drives",
-    "rwa_validity", "squeezing_parameter", "thermal_occupancy",
+    "drive_amplitude", "effective_cavity_params", "effective_couplings",
+    "effective_model", "effective_model_from_drives", "rwa_validity",
+    "thermal_occupancy",
     # dynamics
-    "StateSpace", "diffusion_matrix", "drift_matrix", "propagate",
-    "spectral_abscissa", "stability_analytic", "stability_eigen", "state_space",
+    "StateSpace", "propagate", "stability_eigen", "state_space",
     "steady_state_covariance", "transition_and_noise",
     # entanglement
     "initial_covariance", "log_negativity", "mechanical_submatrix",

@@ -159,15 +159,15 @@ def _point_table(cfg: RunConfig) -> ResultTable:
 
 def _stability_table(cfg: RunConfig) -> ResultTable:
     point = experiments.resolve_point(cfg)
-    A = dynamics.drift_matrix(point.model)
+    abscissa, stable = dynamics.stability_batch(dynamics.state_space(point.model).A[None])
     try:
-        analytic = dynamics.stability_analytic(point.model)
+        analytic = dynamics.stability_margin(point.model) > 0.0
     except UnsupportedRegimeError:
         analytic = None
     row = {
         "stableAnalytic": analytic,
-        "stableEigen": dynamics.stability_eigen(A),
-        "spectralAbscissa": dynamics.spectral_abscissa(A),
+        "stableEigen": bool(stable[0]),
+        "spectralAbscissa": float(abscissa[0]),
         "kappaTilde": point.model.kappa_tilde,
         "DeltaTilde": point.model.delta_tilde,
         "rwaVerdict": point.rwa_verdict,

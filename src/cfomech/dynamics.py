@@ -72,19 +72,10 @@ def state_space_batch(models: Sequence[EffectiveModel]) -> StateSpace:
 
 
 def state_space(m: EffectiveModel) -> StateSpace:
+    """6x6 drift and diffusion matrices of one model, as state_space_batch
+    builds them."""
     ss = state_space_batch([m])
     return StateSpace(A=ss.A[0], D=ss.D[0])
-
-
-def drift_matrix(m: EffectiveModel) -> np.ndarray:
-    """6x6 drift matrix in the (dq1, dp1, dq2, dp2, dX, dY) ordering."""
-    return state_space(m).A
-
-
-def diffusion_matrix(m: EffectiveModel) -> np.ndarray:
-    """Diagonal 6x6 diffusion matrix: gamma_j*(nbar_j + 1/2) twice per
-    mechanical mode, kappa_tilde twice for the cavity."""
-    return state_space(m).D
 
 
 def stability_batch(A: np.ndarray, tol: float = STABILITY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -98,33 +89,21 @@ def stability_batch(A: np.ndarray, tol: float = STABILITY_TOL) -> tuple[np.ndarr
     return abscissa, abscissa < -tol * np.linalg.norm(A, axis=(-2, -1))
 
 
-def spectral_abscissa(A: np.ndarray) -> float:
-    """Largest real part of the spectrum of A."""
-    return float(stability_batch(A[None])[0][0])
-
-
 def stability_eigen(A: np.ndarray, tol: float = STABILITY_TOL) -> bool:
     """Eigenvalue stability test: true iff the spectral abscissa is below
     -tol*||A||.  Systems inside the band count as marginal, not stable."""
     return bool(stability_batch(A[None], tol)[1][0])
 
 
-def stability_analytic(m: EffectiveModel) -> bool:
-    """Closed-form stability test for equal mechanical dampings:
+def stability_margin(m: EffectiveModel) -> float:
+    """Signed gap of the closed-form stability inequality for equal mechanical
+    dampings gamma (positive = stable):
 
         G2^2 > G1^2 - (kappa_tilde*gamma/2) * [1 + 4*delta_tilde^2 /
                                                    (gamma + 2*kappa_tilde)^2]
 
     Raises UnsupportedRegimeError for gamma1 != gamma2; use stability_eigen
     there.
-    """
-    return stability_margin(m) > 0.0
-
-
-def stability_margin(m: EffectiveModel) -> float:
-    """Signed gap of the closed-form stability inequality (positive = stable).
-
-    Raises UnsupportedRegimeError for gamma1 != gamma2.
     """
     if m.gamma1 != m.gamma2:
         raise UnsupportedRegimeError(

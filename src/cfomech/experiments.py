@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, entanglement, params
-from .errors import ConfigError, NoFeasiblePointError, NumericalError, PhysicalityError
+from .errors import ConfigError, NoFeasiblePointError
 
 #: Parameters that a sweep axis may address.
 AXIS_NAMES = (
@@ -169,7 +169,6 @@ class ResolvedPoint:
 
     model: params.EffectiveModel
     rwa_verdict: str
-    rwa_ratio: float | None
 
 
 def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> ResolvedPoint:
@@ -185,6 +184,7 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
         "rB": cfg.rB, "theta": cfg.theta,
         "nbar1": cfg.nbar1, "nbar2": cfg.nbar2,
     }
+    drive = cfg.uses_drive_block
     ratio = None
     for name, value in (overrides or {}).items():
         if name == "ratio":
@@ -192,7 +192,7 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
         else:
             values[name] = float(value)
     if ratio is not None or any(k in (overrides or {}) for k in ("G1", "G2")):
-        if cfg.uses_drive_block:
+        if drive:
             raise ConfigError("coupling axes need the direct G1/G2 entry path")
     if cfg.temperatureK is not None and any(
             k in (overrides or {}) for k in ("nbar1", "nbar2")):
@@ -213,33 +213,29 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
         nbar1 = values["nbar1"] if values["nbar1"] is not None else 0.0
         nbar2 = values["nbar2"] if values["nbar2"] is not None else 0.0
 
-    if cfg.uses_drive_block:
-        physical = params.PhysicalParams(
-            omega1=cfg.omega1, omega2=cfg.omega2,
-            gamma1=values["gamma1"], gamma2=values["gamma2"],
-            kappa1=values["kappa1"], kappa2=values["kappa2"],
-            Delta=Delta, temperature=cfg.temperatureK or 0.0,
-            g1=cfg.g1, g2=cfg.g2, P1=cfg.P1, P2=cfg.P2,
-            omegaL1=cfg.omegaL1, omegaL2=cfg.omegaL2,
-        )
+    if not drive:
+        model = params.effective_model(
+            values["G1"], values["G2"], values["kappa1"], values["kappa2"],
+            feedback, Delta, values["gamma1"], values["gamma2"], nbar1, nbar2)
+        if cfg.omega1 is None or cfg.omega2 is None:
+            return ResolvedPoint(model, "unknown")
+    # the drive fields are all None on the direct path
+    physical = params.PhysicalParams(
+        omega1=cfg.omega1, omega2=cfg.omega2,
+        gamma1=values["gamma1"], gamma2=values["gamma2"],
+        kappa1=values["kappa1"], kappa2=values["kappa2"],
+        Delta=Delta, temperature=cfg.temperatureK or 0.0,
+        g1=cfg.g1, g2=cfg.g2, P1=cfg.P1, P2=cfg.P2,
+        omegaL1=cfg.omegaL1, omegaL2=cfg.omegaL2,
+    )
+    if drive:
         model, report = params.effective_model_from_drives(
             physical, feedback, rwa_threshold=cfg.rwaThreshold)
         model = dataclasses.replace(model, nbar1=nbar1, nbar2=nbar2)
-        return ResolvedPoint(model, report.verdict, report.ratio)
-
-    model = params.effective_model(
-        values["G1"], values["G2"], values["kappa1"], values["kappa2"],
-        feedback, Delta, values["gamma1"], values["gamma2"], nbar1, nbar2)
-    if cfg.omega1 is not None and cfg.omega2 is not None:
-        physical = params.PhysicalParams(
-            omega1=cfg.omega1, omega2=cfg.omega2,
-            gamma1=values["gamma1"], gamma2=values["gamma2"],
-            kappa1=values["kappa1"], kappa2=values["kappa2"],
-            Delta=Delta, temperature=cfg.temperatureK or 0.0)
+    else:
         report = params.rwa_validity(physical, model.G1, model.G2,
                                      threshold=cfg.rwaThreshold)
-        return ResolvedPoint(model, report.verdict, report.ratio)
-    return ResolvedPoint(model, "unknown", None)
+    return ResolvedPoint(model, report.verdict)
 
 
 @dataclass
@@ -276,16 +272,10 @@ def evaluate_steady_batch(models: list[params.EffectiveModel]) -> list[SteadyOut
     return out
 
 
-def evaluate_steady(model: params.EffectiveModel) -> SteadyOutcome:
-    """Steady-state entanglement of one model, as evaluate_steady_batch
-    reports it."""
-    return evaluate_steady_batch([model])[0]
-
-
 @dataclass
 class EvolveOutcome:
     """E_N(t) of one model.  A model that diverged, left the physical region or
-    has an unresolved sample carries the exception in failure, no curves and
+    has an unresolved sample carries its error text, no curves and
     stable = False."""
 
     t: np.ndarray
@@ -293,11 +283,7 @@ class EvolveOutcome:
     nu_minus: np.ndarray | None
     stable: bool
     covariances: np.ndarray | None
-    failure: Exception | None = None
-
-    @property
-    def error(self) -> str | None:
-        return None if self.failure is None else str(self.failure)
+    error: str | None = None
 
 
 def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> list[EvolveOutcome]:
@@ -326,25 +312,15 @@ def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> list[E
     out = []
     for k in range(N):
         if first_bad[k] >= 0:
-            failure = dynamics.propagation_failure(t_grid, int(first_bad[k]))
+            error = str(dynamics.propagation_failure(t_grid, int(first_bad[k])))
         elif not physical[k]:
-            failure = PhysicalityError(entanglement.UNPHYSICAL)
+            error = entanglement.UNPHYSICAL
         elif not resolved[k]:
-            failure = NumericalError(entanglement.UNRESOLVED)
+            error = entanglement.UNRESOLVED
         else:
             out.append(EvolveOutcome(t_grid, ens[k], nus[k], bool(stable[k]), covs[k]))
             continue
-        out.append(EvolveOutcome(t_grid, None, None, False, None, failure))
-    return out
-
-
-def evaluate_evolve(model: params.EffectiveModel, t_grid) -> EvolveOutcome:
-    """Time-resolved entanglement of one model, as evaluate_evolve_batch
-    reports it.  Raises DivergenceError, PhysicalityError or NumericalError
-    where the batch reports an error."""
-    out = evaluate_evolve_batch([model], t_grid)[0]
-    if out.failure is not None:
-        raise out.failure
+        out.append(EvolveOutcome(t_grid, None, None, False, None, error))
     return out
 
 

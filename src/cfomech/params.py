@@ -66,8 +66,7 @@ class PhysicalParams:
 class FeedbackParams:
     """Feedback-loop settings: net reflection coefficient and loop phase.
 
-    rB absorbs all loop losses.  rB = 1 is accepted only as the explicit ideal
-    limit and is flagged by :attr:`is_ideal`.
+    rB absorbs all loop losses; rB = 1 is the ideal lossless loop.
     """
 
     rB: float
@@ -76,10 +75,6 @@ class FeedbackParams:
     def __post_init__(self):
         if not 0.0 <= self.rB <= 1.0:
             raise ValueError("rB must lie in [0, 1]")
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.rB == 1.0
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,6 @@ class ValidityReport:
 
     ratio: float
     verdict: str
-    threshold: float = RWA_THRESHOLD
     discarded_phases: tuple[float, float] | None = None
 
 
@@ -220,26 +214,8 @@ def rwa_validity(
         verdict = "marginal"
     else:
         verdict = "invalid"
-    return ValidityReport(ratio=ratio, verdict=verdict, threshold=threshold,
+    return ValidityReport(ratio=ratio, verdict=verdict,
                           discarded_phases=discarded_phases)
-
-
-def squeezing_parameter(G1: float, G2: float) -> float:
-    """Two-mode squeezing parameter s with tanh(s) = G1/G2.
-
-    Diverges in the equal-coupling limit, which is rejected.
-    """
-    if G1 < 0 or G2 <= 0 or G1 >= G2:
-        raise ValueError("requires 0 <= G1 < G2")
-    return math.atanh(G1 / G2)
-
-
-def collective_coupling(G1: float, G2: float) -> float:
-    """Coupling of the cavity to the collective mechanical mode,
-    sqrt(G2^2 - G1^2)."""
-    if G1 < 0 or G1 >= G2:
-        raise ValueError("requires 0 <= G1 < G2")
-    return math.sqrt((G2 - G1) * (G2 + G1))
 
 
 def effective_model(

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from cfomech import cli
+from cfomech import cli, dynamics
 from cfomech.cli import build_config, main, serialize
-from cfomech.experiments import ResultTable
+from cfomech.errors import UnsupportedRegimeError
+from cfomech.experiments import ResultTable, resolve_point
 
 
 def run_cli(args, capsys):
@@ -233,6 +234,27 @@ class TestStabilityCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][0] == ""
+
+    @pytest.mark.parametrize("sets, expected", [
+        (["G1=9e4", "G2=1e5"], "true,true,-5,100000,0,unknown"),
+        (["G1=2e5", "G2=1e5"], "false,false,130274.370414,100000,0,unknown"),
+        # kappa_tilde = 0 at G1 = G2: a zero mode, so marginal, not stable
+        (["G1=1e4", "G2=1e4", "rB=1"], "false,false,2.03249104566e-06,0,0,unknown"),
+        (["G1=9e4", "G2=1e5", "gamma2=20"], ",false,16.2863352173,100000,0,unknown"),
+    ], ids=["stable", "unstable", "marginal", "unequal_dampings"])
+    def test_pinned_rows_match_the_stability_kernels(self, sets, expected, capsys):
+        code, out, err = run_cli(["stability", "--set", *sets], capsys)
+        assert (code, err) == (0, "")
+        assert out == "stableAnalytic,stableEigen,spectralAbscissa,kappaTilde," \
+            f"DeltaTilde,rwaVerdict\n{expected}\n"
+        model = resolve_point(build_config(cli._merge_sets({}, sets))).model
+        abscissa, stable = dynamics.stability_batch(dynamics.state_space(model).A[None])
+        try:
+            analytic = cli._csv_cell(dynamics.stability_margin(model) > 0.0)
+        except UnsupportedRegimeError:
+            analytic = ""
+        assert out.splitlines()[1].split(",")[:3] == \
+            [analytic, cli._csv_cell(bool(stable[0])), cli._csv_cell(float(abscissa[0]))]
 
 
 class TestEvolveCommand:

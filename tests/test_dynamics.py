@@ -6,11 +6,8 @@ from scipy.linalg import solve_continuous_lyapunov
 from cfomech import dynamics
 from cfomech.dynamics import (
     StateSpace,
-    diffusion_matrix,
-    drift_matrix,
     propagate,
     propagate_batch,
-    stability_analytic,
     stability_batch,
     stability_eigen,
     state_space,
@@ -49,10 +46,10 @@ class TestDriftMatrix:
             [0, -3, 0, 7, -11, 13],
             [-3, 0, -7, 0, -13, -11],
         ], dtype=float)
-        assert np.array_equal(drift_matrix(m), expected)
+        assert np.array_equal(state_space(m).A, expected)
 
     def test_decoupled_is_block_diagonal(self):
-        A = drift_matrix(model(kt=123.0, dt=45.0))
+        A = state_space(model(kt=123.0, dt=45.0)).A
         assert np.array_equal(A[:4, 4:], np.zeros((4, 2)))
         assert np.array_equal(A[4:, :4], np.zeros((2, 4)))
         assert A[4, 5] == 45.0 and A[5, 4] == -45.0
@@ -60,13 +57,13 @@ class TestDriftMatrix:
     def test_feedback_point_cavity_diagonal(self):
         # kappa1 = kappa2 = 5e4, rB = 0.95, theta = 0 gives kappa_tilde = 5000
         kt, _ = effective_cavity_params(5e4, 5e4, FeedbackParams(rB=0.95, theta=0.0), 0.0)
-        A = drift_matrix(model(G1=0.99e5, G2=1e5, kt=kt))
+        A = state_space(model(G1=0.99e5, G2=1e5, kt=kt)).A
         assert A[4, 4] == -5000.0
         assert A[5, 5] == -5000.0
 
     def test_coupling_entries_mirror(self):
         m = model(G1=123.0, G2=456.0)
-        A = drift_matrix(m)
+        A = state_space(m).A
         assert A[4, 1] == A[1, 4] == -123.0
         assert A[0, 5] == A[5, 0] == -123.0
         assert A[2, 5] == 456.0 and A[4, 3] == 456.0
@@ -75,45 +72,44 @@ class TestDriftMatrix:
 
 class TestDiffusionMatrix:
     def test_vacuum_mechanics(self):
-        D = diffusion_matrix(model(gamma=10.0))
+        D = state_space(model(gamma=10.0)).D
         assert np.allclose(np.diag(D)[:4], 5.0)
 
     def test_feedback_cavity_entries(self):
-        D = diffusion_matrix(model(kt=2 * 5e4 * (1 - 0.99)))
+        D = state_space(model(kt=2 * 5e4 * (1 - 0.99))).D
         assert np.diag(D)[4] == pytest.approx(1000.0)
         assert np.diag(D)[5] == pytest.approx(1000.0)
 
     def test_hot_resonator(self):
-        D = diffusion_matrix(model(n1=200.0, gamma=10.0))
+        D = state_space(model(n1=200.0, gamma=10.0)).D
         assert np.diag(D)[0] == 2005.0 and np.diag(D)[1] == 2005.0
 
     def test_diagonal_nonnegative(self):
-        D = diffusion_matrix(model(G1=1e4, G2=2e4, n1=3.0, n2=4.0))
+        D = state_space(model(G1=1e4, G2=2e4, n1=3.0, n2=4.0)).D
         assert np.array_equal(D, np.diag(np.diag(D)))
         assert np.all(np.diag(D) >= 0)
 
 
 class TestStability:
     def test_cooling_dominated_is_stable(self):
-        assert stability_analytic(model(G1=0.5e5, G2=1e5))
+        assert dynamics.stability_margin(model(G1=0.5e5, G2=1e5)) > 0.0
 
     def test_equal_couplings_with_dissipation(self):
-        assert stability_analytic(model(G1=1e4, G2=1e4, kt=1e3))
+        assert dynamics.stability_margin(model(G1=1e4, G2=1e4, kt=1e3)) > 0.0
 
     def test_heating_dominated_is_unstable(self):
         m = model(G1=2e5, G2=1e5, kt=1e3)
-        assert not stability_analytic(m)
-        assert not stability_eigen(drift_matrix(m))
+        assert dynamics.stability_margin(m) <= 0.0
+        assert not stability_eigen(state_space(m).A)
 
     def test_unequal_dampings_unsupported(self):
         with pytest.raises(UnsupportedRegimeError):
-            stability_analytic(model(G1=1e4, G2=2e4, gamma=10.0, gamma2=20.0))
+            dynamics.stability_margin(model(G1=1e4, G2=2e4, gamma=10.0, gamma2=20.0))
 
     def test_one_guard_for_both_closed_form_functions(self):
         m = model(G1=1e4, G2=2e4, gamma=10.0, gamma2=20.0)
-        for fn in (stability_analytic, dynamics.stability_margin):
-            with pytest.raises(UnsupportedRegimeError, match="use stability_eigen instead"):
-                fn(m)
+        with pytest.raises(UnsupportedRegimeError, match="use stability_eigen instead"):
+            dynamics.stability_margin(m)
 
     def test_eigen_identity(self):
         assert stability_eigen(-np.eye(6))
@@ -121,7 +117,7 @@ class TestStability:
     def test_marginal_zero_eigenvalue(self):
         # undamped cavity with equal couplings carries a zero mode
         m = model(G1=1e4, G2=1e4, kt=0.0)
-        assert not stability_eigen(drift_matrix(m))
+        assert not stability_eigen(state_space(m).A)
 
     def test_oracle_agreement_on_random_grid(self):
         rng = np.random.default_rng(7)
@@ -133,7 +129,7 @@ class TestStability:
             if abs(dynamics.stability_margin(m)) < 1e-6:
                 continue
             checked += 1
-            assert stability_analytic(m) == stability_eigen(drift_matrix(m))
+            assert (dynamics.stability_margin(m) > 0.0) == stability_eigen(state_space(m).A)
         assert checked > 250
 
 
@@ -236,8 +232,8 @@ class TestBatchedCore:
                            (2.0, 1e5, 1e3, 0.0, 10.0, 0.0, 0.0)])
         ss = state_space_batch(ms)
         for k, m in enumerate(ms):
-            assert np.array_equal(drift_matrix(m), ss.A[k])
-            assert np.array_equal(diffusion_matrix(m), ss.D[k])
+            assert np.array_equal(state_space(m).A, ss.A[k])
+            assert np.array_equal(state_space(m).D, ss.D[k])
         assert stability_eigen(ss.A[0]) and not stability_eigen(ss.A[1])
         V, _ = steady_state_batch(StateSpace(A=ss.A[:1], D=ss.D[:1]))
         assert np.array_equal(steady_state_covariance(state_space(ms[0])), V[0])
