@@ -27,6 +27,8 @@ from .errors import (
 from .experiments import ResultTable, RunConfig, SweepAxis
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} | {"thetaPi"}
+_NUMBER_KEYS = {f.name for f in dataclasses.fields(RunConfig)
+                if f.type.startswith(("float", "int"))} | {"thetaPi"}
 _AXIS_KEYS = {"name", "min", "max", "count"}
 
 SIGNIFICANT_DIGITS = 12
@@ -96,17 +98,30 @@ def _merge_sets(data: dict, set_items: list[str]) -> dict:
     return data
 
 
+def _number(key: str, value, integral: bool = False):
+    """The value of a numeric config key, checked to be a finite number, not a
+    string or a boolean, and where integral a whole one, returned as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if integral and not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value) if integral else value
+
+
 def build_config(data: dict) -> RunConfig:
     """Validate a flat key-value mapping and build the run configuration."""
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    data = dict(data)
+    data = {k: _number(k, v, k == "tPoints") if k in _NUMBER_KEYS and v is not None else v
+            for k, v in data.items()}
     if "thetaPi" in data:
         if data.get("theta") is not None:
             raise ConfigError("give either theta or thetaPi, not both")
         data["theta"] = float(data.pop("thetaPi")) * math.pi
-    axes_raw = data.pop("axes", [])
+    axes_raw = data.pop("axes", None)
+    if not isinstance(axes_raw, (list, type(None))):
+        raise ConfigError(f"axes must be a list of axis objects, got {axes_raw!r}")
     axes = []
     for i, ax in enumerate(axes_raw or []):
         if not isinstance(ax, dict):
@@ -116,9 +131,11 @@ def build_config(data: dict) -> RunConfig:
             raise ConfigError(f"axes[{i}]: unknown key(s) {', '.join(bad)}")
         if not {"name", "min", "max"} <= set(ax):
             raise ConfigError(f"axes[{i}]: name, min and max are required")
-        axes.append(SweepAxis(name=ax["name"], min=float(ax["min"]),
-                              max=float(ax["max"]),
-                              count=int(ax.get("count", experiments.DEFAULT_AXIS_COUNT))))
+        axes.append(SweepAxis(
+            name=ax["name"], min=float(_number(f"axes[{i}].min", ax["min"])),
+            max=float(_number(f"axes[{i}].max", ax["max"])),
+            count=_number(f"axes[{i}].count", ax.get("count", experiments.DEFAULT_AXIS_COUNT),
+                          integral=True)))
     # drop explicit nulls so dataclass defaults apply uniformly
     cleaned = {k: v for k, v in data.items() if v is not None}
     cleaned["axes"] = tuple(axes)

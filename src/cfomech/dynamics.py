@@ -78,21 +78,21 @@ def state_space(m: EffectiveModel) -> StateSpace:
     return StateSpace(A=ss.A[0], D=ss.D[0])
 
 
-def stability_batch(A: np.ndarray, tol: float = STABILITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral abscissa and eigenvalue stability verdict of each matrix of an
     (N, n, n) stack, from one eigenvalue call.
 
-    A matrix is stable iff its spectral abscissa is below -tol*||A||_F;
-    systems inside the band count as marginal, not stable.
+    A matrix is stable iff its spectral abscissa is below -STABILITY_TOL
+    times ||A||_F; systems inside the band count as marginal, not stable.
     """
     abscissa = np.linalg.eigvals(A).real.max(axis=-1)
-    return abscissa, abscissa < -tol * np.linalg.norm(A, axis=(-2, -1))
+    return abscissa, abscissa < -STABILITY_TOL * np.linalg.norm(A, axis=(-2, -1))
 
 
-def stability_eigen(A: np.ndarray, tol: float = STABILITY_TOL) -> bool:
-    """Eigenvalue stability test: true iff the spectral abscissa is below
-    -tol*||A||.  Systems inside the band count as marginal, not stable."""
-    return bool(stability_batch(A[None], tol)[1][0])
+def stability_eigen(A: np.ndarray) -> bool:
+    """Eigenvalue stability test of one matrix, as stability_batch makes it:
+    systems inside the band count as marginal, not stable."""
+    return bool(stability_batch(A[None])[1][0])
 
 
 def stability_margin(m: EffectiveModel) -> float:

@@ -41,14 +41,14 @@ TWO_MODE_FORM = symplectic_form(2)
 PT_SIGNS = np.outer(np.diag(MOMENTUM_FLIP), np.diag(MOMENTUM_FLIP))
 
 
-def _check_symmetric(V: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _check_symmetric(V: np.ndarray) -> np.ndarray:
     """V as a float array, checked to be one square matrix of even dimension,
-    or an (N, 2n, 2n) stack of them, each symmetric within tolerance."""
+    or an (N, 2n, 2n) stack of them, each symmetric to 1e-8 relative."""
     V = np.asarray(V, dtype=float)
     if V.ndim not in (2, 3) or V.shape[-1] != V.shape[-2] or V.shape[-1] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
     scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
-    if np.any(np.abs(V - np.swapaxes(V, -1, -2)).max(axis=(-2, -1)) > tol * scale):
+    if np.any(np.abs(V - np.swapaxes(V, -1, -2)).max(axis=(-2, -1)) > 1e-8 * scale):
         raise ValueError("covariance matrix is not symmetric within tolerance")
     return V
 
@@ -71,9 +71,9 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     return _symplectic_spectra(_check_symmetric(V))
 
 
-def physicality_check(V: np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
-    """True iff the minimum symplectic eigenvalue is >= 1/2 - tol."""
-    return bool(symplectic_eigenvalues(V)[0] >= 0.5 - tol)
+def physicality_check(V: np.ndarray) -> bool:
+    """True iff the minimum symplectic eigenvalue is >= 1/2 - PHYSICALITY_TOL."""
+    return bool(symplectic_eigenvalues(V)[0] >= 0.5 - PHYSICALITY_TOL)
 
 
 def mechanical_submatrix(V6: np.ndarray) -> np.ndarray:

@@ -239,89 +239,69 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
 
 
 @dataclass
-class SteadyOutcome:
-    EN: float | None
-    nu_minus: float | None
-    stable: bool
-    V: np.ndarray | None
-    error: str | None
+class ChunkResult:
+    """Entanglement of a chunk of N models at T samples each (T = 1 for a
+    steady point): E_N and nu_minus as (N, T) arrays, NaN for a model with an
+    error; each model's stability verdict; and each model's error text, or
+    None."""
+
+    EN: np.ndarray
+    nu_minus: np.ndarray
+    stable: np.ndarray
+    error: list[str | None]
 
 
-def evaluate_steady_batch(models: list[params.EffectiveModel]) -> list[SteadyOutcome]:
-    """Steady-state entanglement of N models: one batched stability test, one
-    batched Lyapunov solve over the stable models and one batched spectrum
-    call over the solved ones.  Unstable, numerically failing, unphysical or
-    unresolved points report missing data and an error text instead of
-    raising."""
+def _score(covs: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T) E_N and nu_minus of an (N, T, 6, 6) covariance stack from one
+    batched spectrum call over every sample of the models with no error yet.
+    Such a model with a sample failing the physicality gate, or with an
+    unresolved spectrum, gets that error in errors; errors already given
+    stay."""
+    N, T = covs.shape[:2]
+    ok = [k for k, error in enumerate(errors) if error is None]
+    physical, nus = entanglement.pt_spectrum_batch(covs[ok, :, :4, :4].reshape(-1, 4, 4))
+    physical, nus = physical.reshape(-1, T).all(axis=1), nus.reshape(-1, T)
+    nu_minus = np.full((N, T), np.nan)
+    nu_minus[ok] = nus
+    for j in np.flatnonzero(~physical | np.isnan(nus).any(axis=1)).tolist():
+        errors[ok[j]] = entanglement.UNRESOLVED if physical[j] else entanglement.UNPHYSICAL
+        nu_minus[ok[j]] = np.nan
+    with np.errstate(divide="ignore"):  # nu = 0 (diverged, or an unphysical V): E_N is dropped
+        return entanglement.log_negativity_from_nu(nu_minus), nu_minus
+
+
+def evaluate_steady_batch(models: list[params.EffectiveModel]) -> ChunkResult:
+    """Steady-state entanglement of N models: one batched stability test and
+    one batched Lyapunov solve over the stable models, then scored.  Unstable,
+    numerically failing, unphysical or unresolved points carry an error text
+    instead of raising; only the unstable ones read stable = False."""
     ss = dynamics.state_space_batch(models)
     _, stable = dynamics.stability_batch(ss.A)
     idx = np.flatnonzero(stable)
-    V, errors = dynamics.steady_state_batch(dynamics.StateSpace(A=ss.A[idx], D=ss.D[idx]))
-    solved = [k for k, error in enumerate(errors) if error is None]
-    physical, nus = entanglement.pt_spectrum_batch(V[solved, :4, :4])
-    with np.errstate(divide="ignore"):  # nu = 0 (diverged, or an unphysical V): E_N is dropped
-        ens = entanglement.log_negativity_from_nu(nus)
-    out = [SteadyOutcome(None, None, False, None, "unstable") for _ in models]
-    for k, error in zip(idx, errors):
-        out[k] = SteadyOutcome(None, None, True, None, error)
-    for j, k in enumerate(solved):
-        error = (entanglement.UNPHYSICAL if not physical[j] else
-                 entanglement.UNRESOLVED if math.isnan(nus[j]) else None)
-        out[idx[k]] = (SteadyOutcome(None, None, True, None, error) if error else
-                       SteadyOutcome(float(ens[j]), float(nus[j]), True, V[k], None))
-    return out
+    V, solve_errors = dynamics.steady_state_batch(dynamics.StateSpace(A=ss.A[idx], D=ss.D[idx]))
+    covs = np.empty((len(models), 1) + V.shape[1:])
+    covs[idx, 0] = V
+    errors: list[str | None] = ["unstable"] * len(models)
+    for k, error in zip(idx.tolist(), solve_errors):
+        errors[k] = error
+    return ChunkResult(*_score(covs, errors), stable, errors)
 
 
-@dataclass
-class EvolveOutcome:
-    """E_N(t) of one model.  A model that diverged, left the physical region or
-    has an unresolved sample carries its error text, no curves and
-    stable = False."""
-
-    t: np.ndarray
-    EN: np.ndarray | None
-    nu_minus: np.ndarray | None
-    stable: bool
-    covariances: np.ndarray | None
-    error: str | None = None
-
-
-def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> list[EvolveOutcome]:
+def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> ChunkResult:
     """Time-resolved entanglement of N models, each starting from the separable
-    thermal-vacuum state at its bath occupancies: one batched stability test,
-    one batched propagation and one batched spectrum call over every sample of
-    the models that stayed finite.  A model that diverges, or that has a
-    sample failing the physicality gate or with an unresolved spectrum, gets
-    its error instead of raising."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    N, T = len(models), t_grid.size
+    thermal-vacuum state at its bath occupancies: one batched stability test
+    and one batched propagation, then scored.  A model that diverges, or that
+    has a sample failing the physicality gate or with an unresolved spectrum,
+    carries its error instead of raising, and reads stable = False."""
     ss = dynamics.state_space_batch(models)
     _, stable = dynamics.stability_batch(ss.A)
     V0 = np.stack([entanglement.initial_covariance(m.nbar1, m.nbar2) for m in models])
     covs, first_bad = dynamics.propagate_batch(ss, V0, t_grid)
     # one non-finite matrix would make eigvals fail for the whole stack
-    finite = first_bad < 0
-    physical = np.zeros(N, dtype=bool)
-    nus = np.zeros((N, T))
-    gate, nu_pt = entanglement.pt_spectrum_batch(covs[finite, :, :4, :4].reshape(-1, 4, 4))
-    physical[finite] = gate.reshape(-1, T).all(axis=1)
-    nus[finite] = nu_pt.reshape(-1, T)
-    resolved = ~np.isnan(nus).any(axis=1)
-    with np.errstate(divide="ignore"):  # nu = 0 (diverged, or an unphysical V): E_N is dropped
-        ens = entanglement.log_negativity_from_nu(nus)
-    out = []
-    for k in range(N):
-        if first_bad[k] >= 0:
-            error = str(dynamics.propagation_failure(t_grid, int(first_bad[k])))
-        elif not physical[k]:
-            error = entanglement.UNPHYSICAL
-        elif not resolved[k]:
-            error = entanglement.UNRESOLVED
-        else:
-            out.append(EvolveOutcome(t_grid, ens[k], nus[k], bool(stable[k]), covs[k]))
-            continue
-        out.append(EvolveOutcome(t_grid, None, None, False, None, error))
-    return out
+    errors = [None if step < 0 else str(dynamics.propagation_failure(t_grid, step))
+              for step in first_bad.tolist()]
+    EN, nu_minus = _score(covs, errors)
+    return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 
 
 def table_meta(cfg: RunConfig) -> dict:
@@ -357,20 +337,21 @@ def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
     while chunk := list(itertools.islice(values, size)):
         points = [resolve_point(cfg, overrides) for overrides in chunk]
         models = [point.model for point in points]
-        outs = evaluate_evolve_batch(models, t_grid) if evolve else evaluate_steady_batch(models)
-        for overrides, point, out in zip(chunk, points, outs):
-            tags = {"stable": out.stable, "kappaTilde": point.model.kappa_tilde,
+        out = evaluate_evolve_batch(models, t_grid) if evolve else evaluate_steady_batch(models)
+        peak_EN, low_nu = out.EN.max(axis=1).tolist(), out.nu_minus.min(axis=1).tolist()
+        for k, (overrides, point, stable, error) in enumerate(
+                zip(chunk, points, out.stable.tolist(), out.error)):
+            tags = {"stable": stable, "kappaTilde": point.model.kappa_tilde,
                     "DeltaTilde": point.model.delta_tilde,
-                    "rwaVerdict": point.rwa_verdict, "error": out.error}
-            if out.error is not None or not evolve:
-                rows.append({**overrides, "EN": out.EN, "nu_minus": out.nu_minus, **tags})
+                    "rwaVerdict": point.rwa_verdict, "error": error}
+            if error is not None:
+                rows.append({**overrides, "EN": None, "nu_minus": None, **tags})
             elif curves:
-                rows.extend({**overrides, "t": float(t), "EN": float(en),
-                             "nu_minus": float(nu), **tags}
-                            for t, en, nu in zip(out.t, out.EN, out.nu_minus))
+                rows.extend({**overrides, "t": t, "EN": en, "nu_minus": nu, **tags}
+                            for t, en, nu in zip(t_grid.tolist(), out.EN[k].tolist(),
+                                                 out.nu_minus[k].tolist()))
             else:
-                rows.append({**overrides, "EN": float(out.EN.max()),
-                             "nu_minus": float(out.nu_minus.min()), **tags})
+                rows.append({**overrides, "EN": peak_EN[k], "nu_minus": low_nu[k], **tags})
     return ResultTable(columns, rows, table_meta(cfg))
 
 

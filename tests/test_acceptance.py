@@ -343,7 +343,7 @@ class TestCriterion8Physicality:
         matrices.append(fig2c_data["equal_coupling_V"])
         matrices.extend(fig2a_data["covariances"])
         matrices.extend(fig3_data["covariances"])
-        bad = sum(0 if physicality_check(V, tol=1e-8) else 1 for V in matrices)
+        bad = sum(0 if physicality_check(V) else 1 for V in matrices)
         ok = bad == 0
         report("criterion 8 (physicality of emitted states)", ok,
                f"{len(matrices)} covariance matrices audited, {bad} unphysical")

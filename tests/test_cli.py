@@ -201,6 +201,38 @@ class TestExitCodes:
         assert "stability" in err
 
 
+    @pytest.mark.parametrize("command, sets, key", [
+        ("evolve", ["G1=1e4", "G2=1e4", "tPoints=2.5"], "tPoints"),
+        ("steady", ["G1=1e4", "G2=abc"], "G2"),
+        ("steady", ["G1=1e4", "G2=1e5", "axes=5"], "axes"),
+        ("steady", ["G1=1e4", "G2=1e5", "rB=true"], "rB"),
+        ("evolve", ["G1=1e4", "G2=1e4", "tMax=NaN"], "tMax"),
+        ("sweep", ["G1=1e4", "G2=1e5",
+                   'axes=[{"name":"rB","min":0,"max":0.9,"count":2.7}]'], "axes[0].count"),
+        ("sweep", ["G1=1e4", "G2=1e5",
+                   'axes=[{"name":"rB","min":"0","max":0.9}]'], "axes[0].min"),
+    ], ids=["fractional_tPoints", "text_coupling", "scalar_axes", "boolean_rB",
+            "nan_tMax", "fractional_count", "text_axis_bound"])
+    def test_wrongly_typed_value_is_config_error(self, command, sets, key, capsys):
+        code, out, err = run_cli([command, "--set", *sets], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {key} must be ")
+
+    def test_wrongly_typed_file_value_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**BASE, "kappa1": "5e4"}))
+        code, out, err = run_cli(["steady", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: kappa1 must be a finite number, got '5e4'\n"
+
+    def test_whole_number_counts_may_be_floats(self):
+        cfg = build_config({**BASE, "tPoints": 5.0, "axes": [
+            {"name": "rB", "min": 0, "max": 0.9, "count": 3.0}]})
+        assert (cfg.tPoints, cfg.axes[0].count) == (5, 3)
+        assert type(cfg.tPoints) is type(cfg.axes[0].count) is int
+
     def test_unphysical_transient_is_numerical_error(self, capsys):
         code, out, err = run_cli(
             ["evolve", "--set", "G1=1e4", "G2=1e4", "gamma1=0", "gamma2=0",

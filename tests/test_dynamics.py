@@ -327,7 +327,7 @@ class TestPropagate:
         ss = state_space(m)
         V0 = initial_covariance(20.0, 10.0)
         for V in propagate(ss, V0, np.linspace(1e-5, 2e-3, 40)):
-            assert physicality_check(V, tol=1e-8)
+            assert physicality_check(V)
 
     @pytest.mark.parametrize("rB, n1, n2", [(0.99, 0.0, 0.0), (1.0, 20.0, 10.0)])
     def test_uniform_grid_reuses_one_interval_map(self, monkeypatch, rB, n1, n2):

@@ -1,5 +1,8 @@
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 import cfomech
-from cfomech import dynamics, entanglement, experiments
+from cfomech import cli, dynamics, entanglement, experiments
 from cfomech.errors import (
     ConfigError,
     DivergenceError,
@@ -27,6 +30,16 @@ from cfomech.experiments import (
     run_sweep,
 )
 from cfomech.params import EffectiveModel
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def peak_values(out, k=0):
+    """(EN, nu_minus, stable, error) of model k of a chunk result, as its
+    peak row gives them."""
+    if out.error[k] is not None:
+        return None, None, bool(out.stable[k]), out.error[k]
+    return float(out.EN[k].max()), float(out.nu_minus[k].min()), bool(out.stable[k]), None
 
 
 def base_config(**kw):
@@ -192,9 +205,9 @@ class TestSteadyBatch:
         assert {r["stable"] for r in rows} == {True, False}
         for row in rows:
             point = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
-            alone = evaluate_steady_batch([point.model])[0]
+            alone = evaluate_steady_batch([point.model])
             assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
-                (alone.EN, alone.nu_minus, alone.stable, alone.error)
+                peak_values(alone)
 
     def test_mixed_chunk_gives_per_point_outcomes(self):
         def m(**kw):
@@ -214,20 +227,23 @@ class TestSteadyBatch:
             m(G1=197265.0, G2=197265.0, kappa_tilde=1003.0, gamma1=2.0,
               gamma2=2.0, nbar1=1.0, nbar2=3.0),
         ]
-        outs = evaluate_steady_batch(models)
-        assert [o.stable for o in outs] == [True, False, False, True, True, False, True, True]
-        for model, out in zip(models, outs):
-            alone = evaluate_steady_batch([model])[0]
-            assert (out.EN, out.nu_minus, out.stable, out.error) == \
-                (alone.EN, alone.nu_minus, alone.stable, alone.error)
-            if not out.stable:
-                assert out.error == "unstable" and out.EN is None
-            elif out.error is None:
-                assert math.isfinite(out.EN)
+        out = evaluate_steady_batch(models)
+        assert out.EN.shape == out.nu_minus.shape == (len(models), 1)
+        assert out.stable.tolist() == [True, False, False, True, True, False, True, True]
+        for k, model in enumerate(models):
+            values = peak_values(out, k)
+            assert values == peak_values(evaluate_steady_batch([model]))
+            EN, _, stable, error = values
+            if not stable:
+                assert error == "unstable" and EN is None
+            elif error is None:
+                assert math.isfinite(EN)
             else:
-                assert out.error == entanglement.UNPHYSICAL and out.EN is None
-        assert all(o.error is None for o in outs[:-1] if o.stable)
-        assert outs[4].EN == 0.0
+                assert error == entanglement.UNPHYSICAL and EN is None
+            if error is not None:
+                assert np.isnan(out.EN[k]).all() and np.isnan(out.nu_minus[k]).all()
+        assert all(e is None for e, s in zip(out.error[:-1], out.stable[:-1]) if s)
+        assert out.EN[4, 0] == 0.0
 
 
 class TestEvolveBatch:
@@ -245,10 +261,10 @@ class TestEvolveBatch:
         t_grid = cfg.time_grid()
         for row in rows:
             point = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
-            alone = evaluate_evolve_batch([point.model], t_grid)[0]
+            alone = evaluate_evolve_batch([point.model], t_grid)
             assert row["error"] is None
-            assert (row["EN"], row["nu_minus"], row["stable"]) == \
-                (float(alone.EN.max()), float(alone.nu_minus.min()), alone.stable)
+            assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
+                peak_values(alone)
 
     def test_mixed_chunk_gives_per_point_outcomes(self):
         def m(**kw):
@@ -264,33 +280,34 @@ class TestEvolveBatch:
             m(G1=0.9e4),                         # stable
         ]
         t_grid = [0.1, 1.0, 10.0]
-        outs = evaluate_evolve_batch(models, t_grid)
+        out = evaluate_evolve_batch(models, t_grid)
+        assert out.EN.shape == out.nu_minus.shape == (len(models), len(t_grid))
         with pytest.raises(DivergenceError) as excinfo:
             dynamics.propagate(dynamics.state_space(models[0]),
                                entanglement.initial_covariance(0.0, 0.0), t_grid)
-        assert outs[0].error == str(excinfo.value)
-        assert [o.error for o in outs] == [
+        assert out.error[0] == str(excinfo.value)
+        assert out.error == [
             str(excinfo.value), None, entanglement.UNPHYSICAL, None,
             "non-finite covariance at t = 1 (grid index 1)", None]
-        assert [o.stable for o in outs] == [False, False, False, True, False, True]
-        for model, out in zip(models, outs):
-            alone = evaluate_evolve_batch([model], t_grid)[0]
-            assert (out.stable, out.error) == (alone.stable, alone.error)
-            if out.error is not None:
-                assert out.EN is None and out.nu_minus is None
+        assert out.stable.tolist() == [False, False, False, True, False, True]
+        for k, model in enumerate(models):
+            alone = evaluate_evolve_batch([model], t_grid)
+            assert (out.stable[k], out.error[k]) == (alone.stable[0], alone.error[0])
+            if out.error[k] is not None:
+                assert np.isnan(out.EN[k]).all() and np.isnan(out.nu_minus[k]).all()
                 continue
-            assert np.array_equal(out.EN, alone.EN)
-            assert np.array_equal(out.nu_minus, alone.nu_minus)
-            assert np.all(np.isfinite(out.EN))
-        assert np.all(outs[3].EN == 0.0)
+            assert np.array_equal(out.EN[k], alone.EN[0])
+            assert np.array_equal(out.nu_minus[k], alone.nu_minus[0])
+            assert np.all(np.isfinite(out.EN[k]))
+        assert np.all(out.EN[3] == 0.0)
 
     def test_unresolved_spectrum_fails_the_model(self):
         # unstable: by t = 2 ms ||V4||_F ~ 1e48 and nu_minus sinks below the
         # eigen-solver floor eps*||V4||_F, where it used to read 0 (E_N = inf)
         model = resolve_point(base_config(G1=3e4, G2=1e4, Delta=1e3, rB=0.99)).model
-        out = evaluate_evolve_batch([model], [0.0, 1e-3, 2e-3])[0]
-        assert out.error == entanglement.UNRESOLVED
-        assert out.EN is None and out.stable is False
+        out = evaluate_evolve_batch([model], [0.0, 1e-3, 2e-3])
+        assert out.error == [entanglement.UNRESOLVED]
+        assert np.isnan(out.EN).all() and out.stable.tolist() == [False]
 
 
 class TestFindOptimum:
@@ -334,9 +351,9 @@ class TestFindOptimum:
         assert bits(best) == bits(won)
         # the winner's values equal the point evaluated on its own, bit for bit
         point = resolve_point(cfg, {"rB": best["rB"], "theta": best["theta"]})
-        alone = evaluate_steady_batch([point.model])[0]
-        assert bits({"EN": alone.EN, "nu_minus": alone.nu_minus, "stable": alone.stable,
-                     "error": alone.error, "kappaTilde": point.model.kappa_tilde}) == \
+        EN, nu_minus, stable, error = peak_values(evaluate_steady_batch([point.model]))
+        assert bits({"EN": EN, "nu_minus": nu_minus, "stable": stable,
+                     "error": error, "kappaTilde": point.model.kappa_tilde}) == \
             bits({k: best[k] for k in ("EN", "nu_minus", "stable", "error", "kappaTilde")})
 
     def test_refinement_never_worse(self):
@@ -374,7 +391,7 @@ class TestPackage:
     def test_benchmark_tracer_assigns_every_public_function_a_layer(self):
         # perfbench/run.py traces these modules; a public function that no
         # layer rule matches would only fail there
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        path = ROOT / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
@@ -384,6 +401,19 @@ class TestPackage:
         for _, attr, short in targets:
             tracer.layer_of(short, attr)
         assert (dynamics, "steady_state_covariance", "dynamics") in targets
+
+    def test_reproduce_figures_script_writes_every_preset(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(f"{name}.csv" for name in experiments.PRESET_NAMES)
+        for name in experiments.PRESET_NAMES:
+            assert (tmp_path / f"{name}.csv").read_bytes() == \
+                cli.serialize(run_preset(name), "csv").encode("utf-8"), name
+        assert done.stdout.splitlines()[-1].startswith(
+            f"total: {len(experiments.PRESET_NAMES)} presets in ")
 
 
 class TestPresets:
