@@ -4,14 +4,11 @@ loop."""
 
 from .params import (
     EffectiveModel,
-    FeedbackParams,
-    PhysicalParams,
     ValidityReport,
     drive_amplitude,
     effective_cavity_params,
     effective_couplings,
     effective_model,
-    effective_model_from_drives,
     rwa_validity,
     thermal_occupancy,
 )
@@ -45,10 +42,9 @@ from .experiments import (
 
 __all__ = [
     # params
-    "EffectiveModel", "FeedbackParams", "PhysicalParams", "ValidityReport",
-    "drive_amplitude", "effective_cavity_params", "effective_couplings",
-    "effective_model", "effective_model_from_drives", "rwa_validity",
-    "thermal_occupancy",
+    "EffectiveModel", "ValidityReport", "drive_amplitude",
+    "effective_cavity_params", "effective_couplings", "effective_model",
+    "rwa_validity", "thermal_occupancy",
     # dynamics
     "StateSpace", "propagate", "stability_eigen", "state_space",
     "steady_state_covariance", "transition_and_noise",

@@ -29,6 +29,7 @@ from .experiments import ResultTable, RunConfig, SweepAxis
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} | {"thetaPi"}
 _NUMBER_KEYS = {f.name for f in dataclasses.fields(RunConfig)
                 if f.type.startswith(("float", "int"))} | {"thetaPi"}
+_BOOLEAN_KEYS = {f.name for f in dataclasses.fields(RunConfig) if f.type == "bool"}
 _AXIS_KEYS = {"name", "min", "max", "count"}
 
 SIGNIFICANT_DIGITS = 12
@@ -108,13 +109,22 @@ def _number(key: str, value, integral: bool = False):
     return int(value) if integral else value
 
 
+def _checked(key: str, value):
+    """A config value checked for its key's kind; the mode and the axes are
+    checked where they are read."""
+    if key in _NUMBER_KEYS:
+        return _number(key, value, key == "tPoints")
+    if key in _BOOLEAN_KEYS and not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def build_config(data: dict) -> RunConfig:
     """Validate a flat key-value mapping and build the run configuration."""
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    data = {k: _number(k, v, k == "tPoints") if k in _NUMBER_KEYS and v is not None else v
-            for k, v in data.items()}
+    data = {k: v if v is None else _checked(k, v) for k, v in data.items()}
     if "thetaPi" in data:
         if data.get("theta") is not None:
             raise ConfigError("give either theta or thetaPi, not both")
@@ -153,8 +163,11 @@ def _load_config(args) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         # accept a previous JSON output directly as an override source
-        if "meta" in loaded and "config" in loaded.get("meta", {}):
-            loaded = loaded["meta"]["config"]
+        meta = loaded.get("meta")
+        if isinstance(meta, dict) and "config" in meta:
+            loaded = meta["config"]
+            if not isinstance(loaded, dict):
+                raise ConfigError(f"meta.config must be a JSON object, got {loaded!r}")
         data.update(loaded)
     _merge_sets(data, args.set or [])
     return build_config(data)

@@ -137,6 +137,11 @@ class RunConfig:
             raise ConfigError("tPoints must be >= 2")
         if self.rwaThreshold <= 0:
             raise ConfigError("rwaThreshold must be positive")
+        if self.omega1 is not None and self.omega2 is not None:
+            if self.omega1 <= 0 or self.omega2 <= 0:
+                raise ConfigError("mechanical frequencies must be positive")
+            if self.omega1 == self.omega2:
+                raise ConfigError("mechanical frequencies must differ")
 
     @property
     def uses_drive_block(self) -> bool:
@@ -174,9 +179,18 @@ class ResolvedPoint:
 def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> ResolvedPoint:
     """Apply axis values to the configuration and build the effective model.
 
-    The detuning lock replaces Delta by 2*sqrt(kappa1*kappa2)*rB*sin(theta) so
-    the effective detuning vanishes identically.
+    The couplings are G1 and G2, with G1 = ratio*G2 on a ratio axis, or come
+    from the drive block.  The detuning lock replaces Delta by
+    2*sqrt(kappa1*kappa2)*rB*sin(theta) so the effective detuning vanishes
+    identically.  The RWA verdict is "unknown" unless both mechanical
+    frequencies are set.
     """
+    overrides = overrides or {}
+    drive = cfg.uses_drive_block
+    if drive and ("ratio" in overrides or "G1" in overrides or "G2" in overrides):
+        raise ConfigError("coupling axes need the direct G1/G2 entry path")
+    if cfg.temperatureK is not None and ("nbar1" in overrides or "nbar2" in overrides):
+        raise ConfigError("occupancy axes conflict with temperatureK")
     values = {
         "gamma1": cfg.gamma1, "gamma2": cfg.gamma2,
         "kappa1": cfg.kappa1, "kappa2": cfg.kappa2,
@@ -184,57 +198,33 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
         "rB": cfg.rB, "theta": cfg.theta,
         "nbar1": cfg.nbar1, "nbar2": cfg.nbar2,
     }
-    drive = cfg.uses_drive_block
-    ratio = None
-    for name, value in (overrides or {}).items():
-        if name == "ratio":
-            ratio = float(value)
-        else:
-            values[name] = float(value)
-    if ratio is not None or any(k in (overrides or {}) for k in ("G1", "G2")):
-        if drive:
-            raise ConfigError("coupling axes need the direct G1/G2 entry path")
-    if cfg.temperatureK is not None and any(
-            k in (overrides or {}) for k in ("nbar1", "nbar2")):
-        raise ConfigError("occupancy axes conflict with temperatureK")
-    if ratio is not None:
-        values["G1"] = ratio * values["G2"]
-
-    feedback = params.FeedbackParams(rB=values["rB"], theta=values["theta"])
-    Delta = values["Delta"]
+    for name, value in overrides.items():
+        values[name] = float(value)
+    kappa1, kappa2 = values["kappa1"], values["kappa2"]
+    rB, theta, Delta = values["rB"], values["theta"], values["Delta"]
     if cfg.detuningLock:
-        Delta = 2.0 * math.sqrt(values["kappa1"] * values["kappa2"]) \
-            * feedback.rB * math.sin(feedback.theta)
-
+        Delta = 2.0 * math.sqrt(kappa1 * kappa2) * rB * math.sin(theta)
     if cfg.temperatureK is not None:
         nbar1 = params.thermal_occupancy(cfg.omega1, cfg.temperatureK)
         nbar2 = params.thermal_occupancy(cfg.omega2, cfg.temperatureK)
     else:
         nbar1 = values["nbar1"] if values["nbar1"] is not None else 0.0
         nbar2 = values["nbar2"] if values["nbar2"] is not None else 0.0
-
-    if not drive:
-        model = params.effective_model(
-            values["G1"], values["G2"], values["kappa1"], values["kappa2"],
-            feedback, Delta, values["gamma1"], values["gamma2"], nbar1, nbar2)
-        if cfg.omega1 is None or cfg.omega2 is None:
-            return ResolvedPoint(model, "unknown")
-    # the drive fields are all None on the direct path
-    physical = params.PhysicalParams(
-        omega1=cfg.omega1, omega2=cfg.omega2,
-        gamma1=values["gamma1"], gamma2=values["gamma2"],
-        kappa1=values["kappa1"], kappa2=values["kappa2"],
-        Delta=Delta, temperature=cfg.temperatureK or 0.0,
-        g1=cfg.g1, g2=cfg.g2, P1=cfg.P1, P2=cfg.P2,
-        omegaL1=cfg.omegaL1, omegaL2=cfg.omegaL2,
-    )
     if drive:
-        model, report = params.effective_model_from_drives(
-            physical, feedback, rwa_threshold=cfg.rwaThreshold)
-        model = dataclasses.replace(model, nbar1=nbar1, nbar2=nbar2)
+        G1, G2 = params.effective_couplings(
+            cfg.g1, cfg.g2,
+            params.drive_amplitude(cfg.P1, kappa1, cfg.omegaL1),
+            params.drive_amplitude(cfg.P2, kappa1, cfg.omegaL2),
+            cfg.omega1, cfg.omega2, Delta, kappa1, kappa2)
     else:
-        report = params.rwa_validity(physical, model.G1, model.G2,
-                                     threshold=cfg.rwaThreshold)
+        G1 = values["ratio"] * values["G2"] if "ratio" in values else values["G1"]
+        G2 = values["G2"]
+    model = params.effective_model(G1, G2, kappa1, kappa2, rB, theta, Delta,
+                                   values["gamma1"], values["gamma2"], nbar1, nbar2)
+    if cfg.omega1 is None or cfg.omega2 is None:
+        return ResolvedPoint(model, "unknown")
+    report = params.rwa_validity(G1, G2, kappa1, kappa2, cfg.omega1, cfg.omega2,
+                                 threshold=cfg.rwaThreshold)
     return ResolvedPoint(model, report.verdict)
 
 

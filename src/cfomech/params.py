@@ -1,4 +1,5 @@
-"""Physical parameters and the effective quantities entering the linearized dynamics.
+"""The effective quantities entering the linearized dynamics, derived from
+the raw parameters of a run configuration.
 
 All rates and frequencies are rates in s^-1.  Values quoted in the source
 literature as "Hz" are used literally, with no 2*pi conversion; the dynamics
@@ -8,73 +9,16 @@ and nothing else.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from scipy.constants import hbar, k as k_B
 
-from .errors import SingularityError, UnsupportedRegimeError
+from .errors import SingularityError
 
 #: Verdict threshold for the rotating-wave validity ratio (order-of-magnitude
 #: reading of "much smaller than"); configurable at call sites.
 RWA_THRESHOLD = 0.1
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Raw experimental parameters.
-
-    The drive block (g1, g2, P1, P2, omegaL1, omegaL2) is optional; it is only
-    needed when the effective couplings are derived from pump powers instead of
-    being supplied directly.
-    """
-
-    omega1: float
-    omega2: float
-    gamma1: float
-    gamma2: float
-    kappa1: float
-    kappa2: float
-    Delta: float
-    temperature: float = 0.0
-    g1: float | None = None
-    g2: float | None = None
-    P1: float | None = None
-    P2: float | None = None
-    omegaL1: float | None = None
-    omegaL2: float | None = None
-
-    def __post_init__(self):
-        if self.omega1 <= 0 or self.omega2 <= 0:
-            raise ValueError("mechanical frequencies must be positive")
-        if self.omega1 == self.omega2:
-            raise ValueError("mechanical frequencies must differ")
-        for name in ("gamma1", "gamma2", "kappa1", "kappa2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
-
-    @property
-    def has_drive_block(self) -> bool:
-        block = (self.g1, self.g2, self.P1, self.P2, self.omegaL1, self.omegaL2)
-        return all(v is not None for v in block)
-
-
-@dataclass(frozen=True)
-class FeedbackParams:
-    """Feedback-loop settings: net reflection coefficient and loop phase.
-
-    rB absorbs all loop losses; rB = 1 is the ideal lossless loop.
-    """
-
-    rB: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.rB <= 1.0:
-            raise ValueError("rB must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -83,14 +27,11 @@ class ValidityReport:
 
     ratio is max(|G1|, |G2|, kappa1, kappa2) / min(omega1, omega2, |omega1 -
     omega2|); verdict is "valid", "marginal" or "invalid".  The check never
-    blocks a simulation, it travels with the outputs as metadata.  When the
-    couplings were derived from complex expressions the discarded phases are
-    recorded here.
+    blocks a simulation, it travels with the outputs as metadata.
     """
 
     ratio: float
     verdict: str
-    discarded_phases: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -98,7 +39,7 @@ class EffectiveModel:
     """The closed set of quantities entering the quadrature dynamics.
 
     Couplings are stored as nonnegative reals; coupling phases are absorbable
-    by quadrature rotations and are dropped (and reported) at construction.
+    by quadrature rotations and are dropped at construction.
     """
 
     G1: float
@@ -174,9 +115,11 @@ def effective_couplings(
 
 
 def effective_cavity_params(
-    kappa1: float, kappa2: float, feedback: FeedbackParams, Delta: float
+    kappa1: float, kappa2: float, rB: float, theta: float, Delta: float
 ) -> tuple[float, float]:
-    """Feedback-modified cavity decay and detuning.
+    """Feedback-modified cavity decay and detuning for a loop of net
+    reflection coefficient rB (all loop losses, rB = 1 the ideal lossless
+    loop) and loop phase theta.
 
     kappa_tilde = kappa1 + kappa2 - 2*sqrt(kappa1*kappa2)*rB*cos(theta)
     delta_tilde = Delta - 2*sqrt(kappa1*kappa2)*rB*sin(theta)
@@ -184,11 +127,13 @@ def effective_cavity_params(
     kappa_tilde >= 0 for rB <= 1 by Cauchy-Schwarz; rounding dust below zero is
     clamped.
     """
+    if not 0.0 <= rB <= 1.0:
+        raise ValueError("rB must lie in [0, 1]")
     if kappa1 < 0 or kappa2 < 0:
         raise ValueError("cavity decays must be nonnegative")
-    cross = 2.0 * math.sqrt(kappa1 * kappa2) * feedback.rB
-    kappa_tilde = kappa1 + kappa2 - cross * math.cos(feedback.theta)
-    delta_tilde = Delta - cross * math.sin(feedback.theta)
+    cross = 2.0 * math.sqrt(kappa1 * kappa2) * rB
+    kappa_tilde = kappa1 + kappa2 - cross * math.cos(theta)
+    delta_tilde = Delta - cross * math.sin(theta)
     if kappa_tilde < 0.0:
         if kappa_tilde < -8 * math.ulp(kappa1 + kappa2):
             raise ValueError("negative effective cavity decay")
@@ -197,16 +142,13 @@ def effective_cavity_params(
 
 
 def rwa_validity(
-    params: PhysicalParams,
-    G1: complex,
-    G2: complex,
+    G1: complex, G2: complex, kappa1: float, kappa2: float, omega1: float, omega2: float,
     threshold: float = RWA_THRESHOLD,
-    discarded_phases: tuple[float, float] | None = None,
 ) -> ValidityReport:
     """Check the rotating-wave regime: couplings and cavity decays must be
     small against the mechanical frequencies and their difference."""
-    numer = max(abs(G1), abs(G2), params.kappa1, params.kappa2)
-    denom = min(params.omega1, params.omega2, abs(params.omega1 - params.omega2))
+    numer = max(abs(G1), abs(G2), kappa1, kappa2)
+    denom = min(omega1, omega2, abs(omega1 - omega2))
     ratio = math.inf if denom == 0 else numer / denom
     if ratio < threshold:
         verdict = "valid"
@@ -214,55 +156,19 @@ def rwa_validity(
         verdict = "marginal"
     else:
         verdict = "invalid"
-    return ValidityReport(ratio=ratio, verdict=verdict,
-                          discarded_phases=discarded_phases)
+    return ValidityReport(ratio=ratio, verdict=verdict)
 
 
 def effective_model(
-    G1: float,
-    G2: float,
-    kappa1: float,
-    kappa2: float,
-    feedback: FeedbackParams,
-    Delta: float,
-    gamma1: float,
-    gamma2: float,
-    nbar1: float,
-    nbar2: float,
+    G1: complex, G2: complex, kappa1: float, kappa2: float, rB: float, theta: float,
+    Delta: float, gamma1: float, gamma2: float, nbar1: float, nbar2: float,
 ) -> EffectiveModel:
-    """Direct entry path: the couplings are given, only the cavity parameters
-    are reshaped by the feedback loop."""
-    kappa_tilde, delta_tilde = effective_cavity_params(kappa1, kappa2, feedback, Delta)
+    """The model of couplings G1, G2, given directly or derived from the
+    drive block, whose phases are dropped, with the cavity parameters
+    reshaped by the feedback loop."""
+    kappa_tilde, delta_tilde = effective_cavity_params(kappa1, kappa2, rB, theta, Delta)
     return EffectiveModel(
         G1=abs(G1), G2=abs(G2),
         kappa_tilde=kappa_tilde, delta_tilde=delta_tilde,
         gamma1=gamma1, gamma2=gamma2, nbar1=nbar1, nbar2=nbar2,
     )
-
-
-def effective_model_from_drives(
-    params: PhysicalParams, feedback: FeedbackParams,
-    rwa_threshold: float = RWA_THRESHOLD,
-) -> tuple[EffectiveModel, ValidityReport]:
-    """Physical entry path: derive drive amplitudes from pump powers, then the
-    complex couplings, keep their magnitudes and record the dropped phases."""
-    if not params.has_drive_block:
-        raise UnsupportedRegimeError(
-            "physical entry path needs g1, g2, P1, P2, omegaL1, omegaL2")
-    E1 = drive_amplitude(params.P1, params.kappa1, params.omegaL1)
-    E2 = drive_amplitude(params.P2, params.kappa1, params.omegaL2)
-    G1c, G2c = effective_couplings(
-        params.g1, params.g2, E1, E2,
-        params.omega1, params.omega2, params.Delta,
-        params.kappa1, params.kappa2,
-    )
-    phases = (cmath.phase(G1c), cmath.phase(G2c))
-    report = rwa_validity(params, G1c, G2c, threshold=rwa_threshold,
-                          discarded_phases=phases)
-    model = effective_model(
-        abs(G1c), abs(G2c), params.kappa1, params.kappa2, feedback, params.Delta,
-        params.gamma1, params.gamma2,
-        thermal_occupancy(params.omega1, params.temperature),
-        thermal_occupancy(params.omega2, params.temperature),
-    )
-    return model, report

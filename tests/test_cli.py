@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -7,8 +8,8 @@ import pytest
 
 from cfomech import cli, dynamics
 from cfomech.cli import build_config, main, serialize
-from cfomech.errors import UnsupportedRegimeError
-from cfomech.experiments import ResultTable, resolve_point
+from cfomech.errors import ConfigError, UnsupportedRegimeError
+from cfomech.experiments import ResultTable, RunConfig, resolve_point
 
 
 def run_cli(args, capsys):
@@ -77,6 +78,17 @@ class TestBuildConfig:
     def test_null_values_fall_back_to_defaults(self):
         cfg = build_config({**BASE, "nbar1": None, "omega1": None})
         assert cfg.nbar1 is None
+
+    def test_every_key_has_exactly_one_checked_kind(self):
+        # a key with no kind would reach RunConfig unchecked
+        kinds = (cli._NUMBER_KEYS, cli._BOOLEAN_KEYS, {"mode"}, {"axes"})
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert cli._CONFIG_KEYS == fields | {"thetaPi"}
+        for key in sorted(cli._CONFIG_KEYS):
+            assert sum(key in kind for kind in kinds) == 1, key
+            # an object is the wrong type for every kind
+            with pytest.raises(ConfigError, match=f"^{key} must be "):
+                build_config({**BASE, key: {}})
 
 
 class TestSerialize:
@@ -211,8 +223,11 @@ class TestExitCodes:
                    'axes=[{"name":"rB","min":0,"max":0.9,"count":2.7}]'], "axes[0].count"),
         ("sweep", ["G1=1e4", "G2=1e5",
                    'axes=[{"name":"rB","min":"0","max":0.9}]'], "axes[0].min"),
+        ("steady", ["G1=0.9e5", "G2=1e5", "rB=0.5", "theta=0.3", 'detuningLock="no"'],
+         "detuningLock"),
+        ("steady", ["G1=0.9e5", "G2=1e5", "detuningLock=1"], "detuningLock"),
     ], ids=["fractional_tPoints", "text_coupling", "scalar_axes", "boolean_rB",
-            "nan_tMax", "fractional_count", "text_axis_bound"])
+            "nan_tMax", "fractional_count", "text_axis_bound", "text_lock", "numeric_lock"])
     def test_wrongly_typed_value_is_config_error(self, command, sets, key, capsys):
         code, out, err = run_cli([command, "--set", *sets], capsys)
         assert code == 2
@@ -226,6 +241,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "config error: kappa1 must be a finite number, got '5e4'\n"
+
+    @pytest.mark.parametrize("loaded, message", [
+        ({"meta": "config"}, "unknown config key(s): meta"),
+        ({"meta": ["config"]}, "unknown config key(s): meta"),
+        ({"meta": {"config": 5}}, "meta.config must be a JSON object, got 5"),
+    ], ids=["text_meta", "list_meta", "scalar_meta_config"])
+    def test_malformed_meta_is_config_error(self, loaded, message, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(loaded))
+        code, out, err = run_cli(["steady", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
 
     def test_whole_number_counts_may_be_floats(self):
         cfg = build_config({**BASE, "tPoints": 5.0, "axes": [

@@ -26,7 +26,7 @@ from cfomech.entanglement import (
     pt_spectrum_batch,
 )
 from cfomech.errors import StabilityError, UnsupportedRegimeError
-from cfomech.params import EffectiveModel, FeedbackParams, effective_cavity_params
+from cfomech.params import EffectiveModel, effective_cavity_params
 
 
 def model(G1=0.0, G2=0.0, kt=1e5, dt=0.0, gamma=10.0, gamma2=None, n1=0.0, n2=0.0):
@@ -56,7 +56,7 @@ class TestDriftMatrix:
 
     def test_feedback_point_cavity_diagonal(self):
         # kappa1 = kappa2 = 5e4, rB = 0.95, theta = 0 gives kappa_tilde = 5000
-        kt, _ = effective_cavity_params(5e4, 5e4, FeedbackParams(rB=0.95, theta=0.0), 0.0)
+        kt, _ = effective_cavity_params(5e4, 5e4, 0.95, 0.0, 0.0)
         A = state_space(model(G1=0.99e5, G2=1e5, kt=kt)).A
         assert A[4, 4] == -5000.0
         assert A[5, 5] == -5000.0

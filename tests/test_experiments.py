@@ -29,7 +29,12 @@ from cfomech.experiments import (
     run_preset,
     run_sweep,
 )
-from cfomech.params import EffectiveModel
+from cfomech.params import (
+    EffectiveModel,
+    drive_amplitude,
+    effective_couplings,
+    thermal_occupancy,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,6 +76,14 @@ class TestConfigValidation:
     def test_temperature_needs_frequencies(self):
         with pytest.raises(ConfigError):
             base_config(nbar1=None, nbar2=None, temperatureK=0.01)
+
+    def test_mechanical_frequencies_positive_and_distinct(self):
+        for omegas, text in (((-1e8, 2e8), "be positive"), ((1e8, 0.0), "be positive"),
+                             ((1e8, 1e8), "differ")):
+            with pytest.raises(ConfigError, match=f"^mechanical frequencies must {text}$"):
+                base_config(omega1=omegas[0], omega2=omegas[1])
+        # one frequency alone is not checked: nothing reads it
+        assert base_config(omega1=-1e8).omega1 == -1e8
 
     def test_zero_dissipation_rejected(self):
         with pytest.raises(ConfigError):
@@ -117,6 +130,29 @@ class TestResolvePoint:
     def test_rwa_verdict_with_frequencies(self):
         pt = resolve_point(base_config(omega1=1e8, omega2=2e8))
         assert pt.rwa_verdict == "valid"
+
+    def test_drive_block_couplings_drop_phases(self):
+        drive = dict(g1=100.0, g2=100.0, P1=1e-6, P2=2e-6, omegaL1=1.77e15,
+                     omegaL2=1.77e15, omega1=1e8, omega2=2e8)
+        cfg = base_config(G1=None, G2=None, nbar1=None, nbar2=None, temperatureK=0.01,
+                          rB=0.5, theta=0.3, Delta=7.0, detuningLock=True, **drive)
+        pt = resolve_point(cfg, {"kappa1": 4e4})
+        # the couplings see the axis value of kappa1 and the locked Delta
+        Delta = 2.0 * math.sqrt(4e4 * 5e4) * 0.5 * math.sin(0.3)
+        G1, G2 = effective_couplings(100.0, 100.0, drive_amplitude(1e-6, 4e4, 1.77e15),
+                                     drive_amplitude(2e-6, 4e4, 1.77e15),
+                                     1e8, 2e8, Delta, 4e4, 5e4)
+        assert G1.imag != 0 and G2.imag != 0
+        assert (pt.model.G1, pt.model.G2) == (abs(G1), abs(G2))
+        assert pt.model.delta_tilde == 0.0
+        assert (pt.model.nbar1, pt.model.nbar2) == (thermal_occupancy(1e8, 0.01),
+                                                    thermal_occupancy(2e8, 0.01))
+        # ratio kappa2 / omega1 = 5e-4
+        assert pt.rwa_verdict == "valid"
+        assert resolve_point(cfg.replace(rwaThreshold=1e-4)).rwa_verdict == "marginal"
+        for axis in ("ratio", "G1", "G2"):
+            with pytest.raises(ConfigError, match="coupling axes need"):
+                resolve_point(cfg, {axis: 0.5})
 
 
 class TestRunSweep:

@@ -8,7 +8,8 @@ whose bound each test states.  About 0.2 s per point.
 
 The propagator oracle is Van Loan's block exponential (Van Loan 1978, IEEE
 TAC 23:395) taken by mpmath.expm at the same precision; it checks the
-one-step maps M and Q of transition_and_noise.
+one-step maps M and Q of transition_and_noise and the interval maps that
+dynamics._interval_maps assembles from them by squaring.
 """
 
 import mpmath
@@ -31,8 +32,10 @@ ORACLE_NU_RTOL = 1e-7
 ORACLE_NU_RTOL_EQUAL_COUPLINGS = 1e-4
 
 #: Relative Frobenius error allowed in the M and Q of transition_and_noise
-#: against Van Loan's block exponential; the largest measured is 3.2e-16,
-#: in Q at an eighth of a fig3 grid step.
+#: and of the squared interval maps against Van Loan's block exponential; the
+#: largest measured is 3.2e-16 for one exponential, in Q at an eighth of a fig3
+#: grid step, and 2.0e-15 for the interval maps, in M over 8 grid steps
+#: (2 to 6 doublings).
 VAN_LOAN_RTOL = 1e-14
 
 _N = 6
@@ -176,14 +179,17 @@ _FIG3 = preset_config("fig3a")
 _FIG3_STEP = float(_FIG3.time_grid()[1])
 
 
-@pytest.mark.parametrize("dt", [_FIG3_STEP, _FIG3_STEP / 8], ids=["step", "step_over_8"])
-@pytest.mark.parametrize("model, stable", [
+_VAN_LOAN_MODELS = pytest.mark.parametrize("model, stable", [
     pytest.param(resolve_point(_FIG3, {"rB": 0.99}).model, True, id="fig3a_rB_0.99"),
     # ideal feedback at G1 = G2: kappa_tilde = 0 and marginal
     pytest.param(resolve_point(_FIG3, {"rB": 1.0}).model, False, id="kappa_tilde_zero"),
     pytest.param(resolve_point(_FIG3.replace(G1=3e4), {"rB": 0.99}).model, False,
                  id="unstable"),
 ])
+
+
+@pytest.mark.parametrize("dt", [_FIG3_STEP, _FIG3_STEP / 8], ids=["step", "step_over_8"])
+@_VAN_LOAN_MODELS
 def test_transition_and_noise_matches_van_loan(model, stable, dt):
     ss = dynamics.state_space(model)
     assert dynamics.stability_eigen(ss.A) == stable
@@ -191,3 +197,26 @@ def test_transition_and_noise_matches_van_loan(model, stable, dt):
     M_ref, Q_ref = van_loan_maps(ss.A, ss.D, dt)
     assert relative_frobenius_error(M, M_ref) <= VAN_LOAN_RTOL
     assert relative_frobenius_error(Q, Q_ref) <= VAN_LOAN_RTOL
+
+
+@pytest.mark.parametrize("dt", [_FIG3_STEP, 8 * _FIG3_STEP], ids=["step", "8_steps"])
+@_VAN_LOAN_MODELS
+def test_interval_maps_match_van_loan(model, stable, dt, monkeypatch):
+    # the squaring composes the elementary maps exactly, so the interval maps
+    # meet the same bound as one exponential over the whole interval
+    steps = []
+    original = dynamics.transition_and_noise
+
+    def recording(A, D, step):
+        steps.append(float(np.asarray(step).item()))
+        return original(A, D, step)
+
+    monkeypatch.setattr(dynamics, "transition_and_noise", recording)
+    ss = dynamics.state_space_batch([model])
+    M, Q = dynamics._interval_maps(ss, dt)
+    doublings = round(np.log2(dt / steps[0]))
+    assert len(steps) == 1 and dt / 2.0 ** doublings == steps[0]
+    assert doublings >= 2
+    M_ref, Q_ref = van_loan_maps(ss.A[0], ss.D[0], dt)
+    assert relative_frobenius_error(M[0], M_ref) <= VAN_LOAN_RTOL
+    assert relative_frobenius_error(Q[0], Q_ref) <= VAN_LOAN_RTOL

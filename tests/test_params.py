@@ -5,15 +5,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar, k as k_B
 
 from cfomech import params
-from cfomech.errors import SingularityError, UnsupportedRegimeError
+from cfomech.errors import SingularityError
 from cfomech.params import (
-    FeedbackParams,
-    PhysicalParams,
     drive_amplitude,
     effective_cavity_params,
     effective_couplings,
     effective_model,
-    effective_model_from_drives,
     rwa_validity,
     thermal_occupancy,
 )
@@ -103,17 +100,17 @@ class TestEffectiveCouplings:
 
 class TestEffectiveCavityParams:
     def test_no_feedback(self):
-        kt, dt = effective_cavity_params(5e4, 5e4, FeedbackParams(rB=0.0, theta=1.23), 777.0)
+        kt, dt = effective_cavity_params(5e4, 5e4, 0.0, 1.23, 777.0)
         assert kt == 1e5
         assert dt == 777.0
 
     def test_ideal_symmetric_cancels(self):
-        kt, dt = effective_cavity_params(5e4, 5e4, FeedbackParams(rB=1.0, theta=0.0), 42.0)
+        kt, dt = effective_cavity_params(5e4, 5e4, 1.0, 0.0, 42.0)
         assert kt == 0.0
         assert dt == 42.0
 
     def test_quarter_phase(self):
-        kt, dt = effective_cavity_params(5e4, 5e4, FeedbackParams(rB=0.95, theta=math.pi / 2), 0.0)
+        kt, dt = effective_cavity_params(5e4, 5e4, 0.95, math.pi / 2, 0.0)
         assert kt == pytest.approx(1e5, rel=1e-15)
         assert dt == pytest.approx(-9.5e4, rel=1e-15)
 
@@ -121,10 +118,8 @@ class TestEffectiveCavityParams:
     @given(k1=st.floats(1.0, 1e6), k2=st.floats(1.0, 1e6),
            rB=st.floats(0.0, 1.0), theta=st.floats(-10.0, 10.0))
     def test_cos_theta_zero_phase_minimizes(self, k1, k2, rB, theta):
-        fb0 = FeedbackParams(rB=rB, theta=0.0)
-        fb = FeedbackParams(rB=rB, theta=theta)
-        kt0, _ = effective_cavity_params(k1, k2, fb0, 0.0)
-        kt, _ = effective_cavity_params(k1, k2, fb, 0.0)
+        kt0, _ = effective_cavity_params(k1, k2, rB, 0.0, 0.0)
+        kt, _ = effective_cavity_params(k1, k2, rB, theta, 0.0)
         assert kt0 <= kt + 1e-9 * (k1 + k2)
         assert kt >= 0.0
 
@@ -132,69 +127,51 @@ class TestEffectiveCavityParams:
     @given(k1=st.floats(1.0, 1e6), k2=st.floats(1.0, 1e6), rB=st.floats(0.0, 1.0))
     def test_half_pi_phase_restores_bare_decay(self, k1, k2, rB):
         for sign in (1.0, -1.0):
-            kt, _ = effective_cavity_params(
-                k1, k2, FeedbackParams(rB=rB, theta=sign * math.pi / 2), 0.0)
+            kt, _ = effective_cavity_params(k1, k2, rB, sign * math.pi / 2, 0.0)
             assert kt == pytest.approx(k1 + k2, rel=5e-16)
+
+    def test_reflectivity_checked_before_decays(self):
+        with pytest.raises(ValueError, match="rB must lie"):
+            effective_cavity_params(-5e4, 5e4, 1.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="cavity decays must be nonnegative"):
+            effective_cavity_params(-5e4, 5e4, 0.5, 0.0, 0.0)
 
 
 class TestRwaValidity:
-    def _params(self, **kw):
-        base = dict(omega1=1e8, omega2=2e8, gamma1=10, gamma2=10,
-                    kappa1=5e4, kappa2=5e4, Delta=0.0)
-        base.update(kw)
-        return PhysicalParams(**base)
-
     def test_well_separated_is_valid(self):
-        rep = rwa_validity(self._params(), 1e5, 1e5)
+        rep = rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 2e8)
         assert rep.ratio == pytest.approx(1e-3, rel=1e-12)
         assert rep.verdict == "valid"
 
     def test_degenerate_frequencies_invalid(self):
-        with pytest.raises(ValueError):
-            self._params(omega2=1e8)
-        # nearly degenerate: the difference dominates the divisor
-        rep = rwa_validity(self._params(omega2=1e8 + 1.0), 1e5, 1e5)
+        # nearly degenerate: the difference dominates the divisor; equal
+        # frequencies are a config error (RunConfig)
+        rep = rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 1e8 + 1.0)
         assert rep.verdict == "invalid"
 
     def test_marginal_band(self):
-        rep = rwa_validity(self._params(kappa1=5e7, kappa2=5e7), 1e5, 1e5)
+        rep = rwa_validity(1e5, 1e5, 5e7, 5e7, 1e8, 2e8)
         assert rep.verdict == "marginal"
-        rep = rwa_validity(self._params(), 1e5, 1e5, threshold=1e-4)
+        rep = rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 2e8, threshold=1e-4)
         assert rep.verdict == "marginal"
 
 
 class TestModelConstruction:
     def test_feedback_bounds(self):
-        with pytest.raises(ValueError):
-            FeedbackParams(rB=-0.1)
-        with pytest.raises(ValueError):
-            FeedbackParams(rB=1.1)
-        assert FeedbackParams(rB=1.0).rB == 1.0  # the ideal lossless loop is allowed
+        for rB in (-0.1, 1.1):
+            with pytest.raises(ValueError, match=r"rB must lie in \[0, 1\]"):
+                effective_model(1e4, 2e4, 5e4, 5e4, rB, 0.0, 0.0, 10.0, 10.0, 0.0, 0.0)
+        # the ideal lossless loop is allowed
+        m = effective_model(1e4, 2e4, 5e4, 5e4, 1.0, 0.0, 0.0, 10.0, 10.0, 0.0, 0.0)
+        assert m.kappa_tilde == 0.0
 
     def test_direct_model_drops_phases(self):
-        m = effective_model(-1e4, 2e4, 5e4, 5e4, FeedbackParams(rB=0.0), 0.0,
-                            10.0, 10.0, 0.0, 0.0)
+        m = effective_model(-1e4, 2e4, 5e4, 5e4, 0.0, 0.0, 0.0, 10.0, 10.0, 0.0, 0.0)
         assert m.G1 == 1e4 and m.G2 == 2e4
         assert m.kappa_tilde == 1e5
+        m = effective_model(3e4 - 4e4j, 2e4, 5e4, 5e4, 0.0, 0.0, 0.0, 10.0, 10.0, 0.0, 0.0)
+        assert m.G1 == 5e4
 
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ValueError):
-            effective_model(1e4, 2e4, 5e4, 5e4, FeedbackParams(rB=0.0), 0.0,
-                            10.0, 10.0, -1.0, 0.0)
-
-    def test_drive_path_records_phases(self):
-        p = PhysicalParams(
-            omega1=1e8, omega2=2e8, gamma1=10, gamma2=10,
-            kappa1=5e4, kappa2=5e4, Delta=0.0, temperature=0.0,
-            g1=100.0, g2=100.0, P1=1e-6, P2=1e-6,
-            omegaL1=1.77e15, omegaL2=1.77e15)
-        model, report = effective_model_from_drives(p, FeedbackParams(rB=0.5))
-        assert model.G1 > 0 and model.G2 > 0
-        assert report.discarded_phases is not None
-        assert report.verdict in ("valid", "marginal", "invalid")
-
-    def test_drive_path_requires_block(self):
-        p = PhysicalParams(omega1=1e8, omega2=2e8, gamma1=10, gamma2=10,
-                           kappa1=5e4, kappa2=5e4, Delta=0.0)
-        with pytest.raises(UnsupportedRegimeError):
-            effective_model_from_drives(p, FeedbackParams(rB=0.0))
+            effective_model(1e4, 2e4, 5e4, 5e4, 0.0, 0.0, 0.0, 10.0, 10.0, -1.0, 0.0)
