@@ -154,8 +154,11 @@ class RunConfig:
         return np.linspace(0.0, self.tMax, self.tPoints)
 
     def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["axes"] = [dataclasses.asdict(ax) for ax in self.axes]
+        """Fields by name, the axes as a list of field dicts: what
+        dataclasses.asdict gives, without its deep copy of every value."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["axes"] = [{f.name: getattr(ax, f.name) for f in dataclasses.fields(ax)}
+                       for ax in self.axes]
         return out
 
 
@@ -203,7 +206,8 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
     kappa1, kappa2 = values["kappa1"], values["kappa2"]
     rB, theta, Delta = values["rB"], values["theta"], values["Delta"]
     if cfg.detuningLock:
-        Delta = 2.0 * math.sqrt(kappa1 * kappa2) * rB * math.sin(theta)
+        # the loop's own detuning shift; this checks rB and the decays first
+        Delta = -params.effective_cavity_params(kappa1, kappa2, rB, theta, 0.0)[1]
     if cfg.temperatureK is not None:
         nbar1 = params.thermal_occupancy(cfg.omega1, cfg.temperatureK)
         nbar2 = params.thermal_occupancy(cfg.omega2, cfg.temperatureK)
@@ -287,7 +291,7 @@ def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> ChunkR
     _, stable = dynamics.stability_batch(ss.A)
     V0 = np.stack([entanglement.initial_covariance(m.nbar1, m.nbar2) for m in models])
     covs, first_bad = dynamics.propagate_batch(ss, V0, t_grid)
-    # one non-finite matrix would make eigvals fail for the whole stack
+    # a model whose covariance turned non-finite is not scored
     errors = [None if step < 0 else str(dynamics.propagation_failure(t_grid, step))
               for step in first_bad.tolist()]
     EN, nu_minus = _score(covs, errors)

@@ -389,16 +389,16 @@ class TestCriterion9Determinism:
         assert agree
 
     def test_preset_bytes_match_recorded_digests(self):
-        # sha256 of each preset's default output, recorded when fig3 moved onto
-        # the shared evaluation core
+        # sha256 of each preset's default output, recorded when the PT
+        # spectrum moved to the closed form
         recorded = {
-            ("fig2a", "csv"): "c25737733112b4cc57ef4fc9bc65e8727e4fac6bc5d434a75b8daeb84d2843bb",
-            ("fig2c", "csv"): "759cd2f1068e557896a4c064af647aa7ed5d3a5e3c9d0631160defebe1d4c078",
-            ("fig2d", "csv"): "c6475f72e19665852e11cce270f75164e4be7e59f8fe2d30f5234222dd0c5bbe",
-            ("fig3a", "csv"): "5b2d6d2a1010a2a61a22befc6468cc9d6c229afc20655ce704456257b515497b",
-            ("fig3b", "csv"): "502186af18cf3ea773ad5d6c3d8e77dd049720dca8f5f573546f09ec5e1f004b",
-            ("fig3a", "json"): "22c17849b57b6d537744362d01fc7c7fa73cc44922b7540154fbd66c53906170",
-            ("fig3b", "json"): "fb0b249634815c809b96e70bf73511ef410c307622920c8835cd6e381de4e811",
+            ("fig2a", "csv"): "ebb5d4c18da44591797ccf3aa212977079c6a8b3ec13bad1349d9302bada4732",
+            ("fig2c", "csv"): "f7f36676086cfd8da1f7903922fe91a6a5879ca6c9bd3efd2e719f287915ca0d",
+            ("fig2d", "csv"): "36ef3ecb6bd51bb1cd3451b8042ad0904543894f98415ba92f408950147b41fa",
+            ("fig3a", "csv"): "4c3955b408729af45677d566526c5d8dfa1acf81bf0e9b865601c8769efa079e",
+            ("fig3b", "csv"): "c035f71ea4b86f379747a1594f11f3474408542bc06dc8a6138ec0b7fd1c71d7",
+            ("fig3a", "json"): "994a1a1d7a2b859f6608c8f49497a629228cfd36b5c07abd3beba23046ef9f64",
+            ("fig3b", "json"): "13447d66d0cbe8068078d2c7258582ae146d8d6568e4998f622a3dc06e22041d",
         }
         tables = {name: experiments.run_preset(name) for name in experiments.PRESET_NAMES}
         changed = [f"{name} {fmt}" for (name, fmt), digest in recorded.items()

@@ -189,6 +189,15 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    def test_negative_decay_under_detuning_lock_is_config_error(self, capsys):
+        # the decays are checked before the lock takes sqrt(kappa1*kappa2)
+        code, out, err = run_cli(
+            ["steady", "--set", "G1=0.9e5", "G2=1e5", "kappa1=-1", "detuningLock=true",
+             "rB=0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: cavity decays must be nonnegative\n"
+
     def test_unknown_key_is_config_error(self, config_file, capsys):
         code, _, _ = run_cli(
             ["steady", "--config", config_file, "--set", "bogus=1"], capsys)

@@ -132,6 +132,36 @@ class TestMinSymplecticEigenvaluePT:
         with pytest.raises(NumericalError, match="unresolved"):
             min_symplectic_eigenvalue_pt(V)
 
+    @pytest.mark.parametrize("r", [10.0, 15.0])
+    def test_squeezing_past_the_floor_is_unresolved_not_unphysical(self, r):
+        # an eigen-solver's error in nu_full grows like eps*||V||_F^2: +1.36 at
+        # r = 10, and at r = 15 it put nu_full below 1/2
+        with pytest.raises(NumericalError, match="unresolved"):
+            min_symplectic_eigenvalue_pt(two_mode_squeezed_covariance(r))
+
+    @pytest.mark.parametrize("r", [6.0, 7.0])
+    def test_rounded_squeezed_vacuum_passes_the_gate(self, r):
+        # stored as doubles, the state misses nu_full = 1/2 by up to 2.7e-5,
+        # which rounding its entries by an ulp can explain
+        nu = min_symplectic_eigenvalue_pt(two_mode_squeezed_covariance(r))
+        assert nu == pytest.approx(math.exp(-2 * r) / 2, rel=1e-3)
+
+    def test_batch_makes_no_eigenvalue_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigen-solver called")
+
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        # resolved, resolved through the double-double invariants, unresolved,
+        # and unphysical
+        stack = np.stack([two_mode_squeezed_covariance(0.5, nbar=1.0),
+                          two_mode_squeezed_covariance(5.0), two_mode_squeezed_covariance(10.0),
+                          0.4 * np.eye(4)])
+        physical, nu_pt = pt_spectrum_batch(stack)
+        assert physical.tolist() == [True, True, True, False]
+        assert nu_pt[:2] == pytest.approx([1.5 * math.exp(-1.0), math.exp(-10.0) / 2], rel=1e-9)
+        assert np.isnan(nu_pt[2])
+
     def test_one_unphysical_matrix_fails_the_stack(self):
         stack = np.stack([two_mode_squeezed_covariance(0.5), 0.4 * np.eye(4)])
         with pytest.raises(PhysicalityError):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import os
@@ -101,6 +102,12 @@ class TestConfigValidation:
 
 
 class TestResolvePoint:
+    def test_config_dict_is_asdict_without_its_deep_copy(self):
+        cfg = preset_config("fig2a")
+        ref = {**dataclasses.asdict(cfg), "axes": [dataclasses.asdict(ax) for ax in cfg.axes]}
+        assert cfg.as_dict() == ref
+        assert list(cfg.as_dict()) == list(ref)
+
     def test_ratio_axis_scales_coupling(self):
         pt = resolve_point(base_config(), {"ratio": 0.5})
         assert pt.model.G1 == 0.5e5
@@ -259,7 +266,8 @@ class TestSteadyBatch:
             m(G1=2e5, kappa_tilde=1e3),          # unstable
             m(),
             # G1 = G2 with weak damping: the Lyapunov operator has cond ~ 2e17,
-            # so the solved V need not even be physical
+            # so the solved V is singular to rounding (the 50-digit state is
+            # physical; see test_oracle)
             m(G1=197265.0, G2=197265.0, kappa_tilde=1003.0, gamma1=2.0,
               gamma2=2.0, nbar1=1.0, nbar2=3.0),
         ]
@@ -275,7 +283,7 @@ class TestSteadyBatch:
             elif error is None:
                 assert math.isfinite(EN)
             else:
-                assert error == entanglement.UNPHYSICAL and EN is None
+                assert error == entanglement.UNRESOLVED and EN is None
             if error is not None:
                 assert np.isnan(out.EN[k]).all() and np.isnan(out.nu_minus[k]).all()
         assert all(e is None for e, s in zip(out.error[:-1], out.stable[:-1]) if s)

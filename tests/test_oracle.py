@@ -15,9 +15,10 @@ dynamics._interval_maps assembles from them by squaring.
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
-from cfomech import dynamics
-from cfomech.experiments import evaluate_steady_batch, preset_config, resolve_point
+from cfomech import dynamics, entanglement
+from cfomech.experiments import evaluate_steady_batch, preset_config, resolve_point, run_preset
 from cfomech.params import EffectiveModel
 
 ORACLE_DPS = 50
@@ -31,6 +32,13 @@ ORACLE_NU_RTOL = 1e-7
 #: measured error is 2.5e-5.
 ORACLE_NU_RTOL_EQUAL_COUPLINGS = 1e-4
 
+#: Relative error allowed in pt_spectrum_batch's nu against the oracle on
+#: the fig2d and fig3b samples: a margin's rounding (at most about 22
+#: eps*||V4||_F) over COMPENSATED_MARGIN bounds the product form's error in
+#: nu by 1.1e-8.  The largest measured is 3.2e-10 (3.9e-9 for the eigvals
+#: route of symplectic_eigenvalues).
+ORACLE_PT_RTOL = 2e-8
+
 #: Relative Frobenius error allowed in the M and Q of transition_and_noise
 #: and of the squared interval maps against Van Loan's block exponential; the
 #: largest measured is 3.2e-16 for one exponential, in Q at an eighth of a fig3
@@ -43,11 +51,21 @@ _PT_SIGNS = (1, 1, 1, -1)
 _TWO_MODE_FORM = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
 
 
+def oracle_nu_pt(V4) -> mpmath.mpf:
+    """Smallest symplectic eigenvalue of the 4x4 V4 with the second momentum
+    flipped, at ORACLE_DPS digits: the smallest |Im| of the eigenvalues of
+    Omega V_pt."""
+    with mpmath.workdps(ORACLE_DPS):
+        V_pt = mpmath.matrix([[mpmath.mpf(V4[i][j]) * _PT_SIGNS[i] * _PT_SIGNS[j]
+                               for j in range(4)] for i in range(4)])
+        vals = mpmath.eig(mpmath.matrix(_TWO_MODE_FORM) * V_pt, left=False, right=False)
+        return min(abs(mpmath.im(v)) for v in vals)
+
+
 def oracle_nu_minus(model: EffectiveModel) -> mpmath.mpf:
     """nu_minus of the stationary state, at ORACLE_DPS digits: the kron-form
     Lyapunov system (A X + X A^T = -D on the column-major vec(X)) solved by
-    mpmath.lu_solve, then the smallest |Im| of the eigenvalues of
-    Omega V_pt, V_pt the mechanical block with the second momentum flipped."""
+    mpmath.lu_solve, then oracle_nu_pt of the mechanical block."""
     ss = dynamics.state_space(model)
     with mpmath.workdps(ORACLE_DPS):
         A = [[mpmath.mpf(float(x)) for x in row] for row in ss.A]
@@ -61,10 +79,8 @@ def oracle_nu_minus(model: EffectiveModel) -> mpmath.mpf:
                     op[r, j * _N + k] += A[i][k]
                     op[r, k * _N + i] += A[j][k]
         x = mpmath.lu_solve(op, rhs)
-        V_pt = mpmath.matrix([[(x[j * _N + i] + x[i * _N + j]) / 2 * _PT_SIGNS[i] * _PT_SIGNS[j]
-                               for j in range(4)] for i in range(4)])
-        vals = mpmath.eig(mpmath.matrix(_TWO_MODE_FORM) * V_pt, left=False, right=False)
-        return min(abs(mpmath.im(v)) for v in vals)
+        return oracle_nu_pt([[(x[j * _N + i] + x[i * _N + j]) / 2 for j in range(4)]
+                             for i in range(4)])
 
 
 def fig2_model(ratio: float, rB: float) -> EffectiveModel:
@@ -134,6 +150,89 @@ def test_equal_couplings_match_oracle_within_their_bound():
     with mpmath.workdps(ORACLE_DPS):
         en = -mpmath.log(2 * oracle_nu_minus(model))
     assert abs(en - mpmath.mpf("0.6911507")) < 1e-7
+
+
+def collective_mode_nu_minus(model: EffectiveModel) -> sympy.Expr:
+    """Exact nu_minus of the stationary state at G1 = G2, gamma1 = gamma2 and
+    delta_tilde = 0.
+
+    In s = q1 + q2 and d = q1 - q2 the q block of the drift is the chain
+    s -> Y -> d: s is damped by gamma/2 alone, Y is driven by -G s and d by
+    -2G Y.  The p block is the same chain in u = p1 - p2 -> X -> v = p1 + p2,
+    with the same diffusion, so both share one stationary covariance K; the
+    drift is lower triangular, so A K + K A^T + D = 0 is solved entry by entry
+    by back-substitution.  After the second momentum flips, p1 and -p2 are
+    built from (u, v) as q1 and q2 are from (s, d), so V_pt is V_q twice and
+    nu_minus is the smaller eigenvalue of V_q: half that of K's (s, d) block.
+    """
+    G, kt, gamma = (sympy.Rational(x) for x in (model.G1, model.kappa_tilde, model.gamma1))
+    N1, N2 = (gamma * (sympy.Rational(n) + sympy.Rational(1, 2)) for n in (model.nbar1, model.nbar2))
+    A = sympy.Matrix([[-gamma / 2, 0, 0], [-G, -kt, 0], [0, -2 * G, -gamma / 2]])
+    D = sympy.Matrix([[N1 + N2, 0, N1 - N2], [0, kt, 0], [N1 - N2, 0, N1 + N2]])
+    K = sympy.zeros(3, 3)
+    for i in range(3):
+        for j in range(i + 1):
+            known = (sum(A[i, k] * K[k, j] for k in range(i))
+                     + sum(K[i, k] * A[j, k] for k in range(j)) + D[i, j])
+            K[i, j] = K[j, i] = -known / (A[i, i] + A[j, j])
+    return (K[0, 0] + K[2, 2] - sympy.sqrt((K[0, 0] - K[2, 2]) ** 2 + 4 * K[0, 2] ** 2)) / 4
+
+
+def test_equal_couplings_match_the_collective_mode_chain():
+    # criterion 5c's point, where the Lyapunov operator has cond ~ 1e16
+    model = fig2_model(1.0, 0.95)
+    assert (model.G1, model.gamma1, model.delta_tilde) == (model.G2, model.gamma2, 0.0)
+    # the drift in (s, Y, d, u, X, v) is the two chains, exactly
+    to_chain = np.array([[1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1], [1, 0, -1, 0, 0, 0],
+                         [0, 1, 0, -1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0]], float)
+    g, G, kt = model.gamma1 / 2, model.G1, model.kappa_tilde
+    chain = np.array([[-g, 0, 0], [-G, -kt, 0], [0, -2 * G, -g]])
+    A = dynamics.state_space(model).A
+    assert np.array_equal(to_chain @ A @ np.linalg.inv(to_chain),
+                          np.kron(np.eye(2), chain))
+    with mpmath.workdps(ORACLE_DPS):
+        nu = mpmath.mpf(str(collective_mode_nu_minus(model).evalf(ORACLE_DPS)))
+        # the 50-digit solve keeps about 34 digits at cond 1e16 (measured: 5.4e-40)
+        assert abs(nu - oracle_nu_minus(model)) < nu * mpmath.mpf(10) ** -30
+    got = evaluate_steady_batch([model]).nu_minus[0, 0]
+    assert float(abs(got - nu) / nu) <= ORACLE_NU_RTOL_EQUAL_COUPLINGS
+
+
+def test_equal_couplings_with_weak_damping_read_unresolved():
+    # the Lyapunov operator has cond ~ 2e17, so the solved V is singular to
+    # rounding and its row reads unresolved, though the 50-digit state is
+    # physical and not entangled
+    model = EffectiveModel(G1=197265.0, G2=197265.0, kappa_tilde=1003.0, delta_tilde=0.0,
+                           gamma1=2.0, gamma2=2.0, nbar1=1.0, nbar2=3.0)
+    assert evaluate_steady_batch([model]).error == [entanglement.UNRESOLVED]
+    assert abs(oracle_nu_minus(model) - mpmath.mpf("1.2525")) < 1e-4
+
+
+def scored_covariances(preset: str) -> np.ndarray:
+    """Every 4x4 mechanical block that a preset run scores, in order."""
+    seen = []
+    original = entanglement.pt_spectrum_batch
+
+    def recording(V4):
+        seen.append(np.array(V4))
+        return original(V4)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entanglement, "pt_spectrum_batch", recording)
+        run_preset(preset)
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("preset", ["fig2d", "fig3b"])
+def test_pt_spectrum_matches_oracle(preset):
+    # the 10 samples with the smallest nu and 10 spread evenly over the run
+    V4 = scored_covariances(preset)
+    _, nu = entanglement.pt_spectrum_batch(V4)
+    picked = sorted({*np.argsort(nu)[:10].tolist(),
+                     *np.linspace(0, len(V4) - 1, 10).astype(int).tolist()})
+    for k in picked:
+        ref = oracle_nu_pt(V4[k].tolist())
+        assert float(abs(nu[k] - ref) / ref) <= ORACLE_PT_RTOL
 
 
 @pytest.mark.parametrize("model", MARGINAL_MODELS.values(), ids=MARGINAL_MODELS.keys())
