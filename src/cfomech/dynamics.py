@@ -125,24 +125,30 @@ def _transpose(X: np.ndarray) -> np.ndarray:
     return np.swapaxes(X, -1, -2)
 
 
-def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
-    """Stack of kron(I, A) + kron(A, I): the matrix of X -> A X + X A^T acting
-    on the column-major vec(X), one per matrix of the (N, n, n) stack A."""
-    N, n, _ = A.shape
-    op = np.zeros((N, n, n, n, n))  # op[k, i, a, j, b] sits at row i*n + a, column j*n + b
-    for i in range(n):
-        op[:, i, :, i, :] = A
-    for a in range(n):
-        op[:, :, a, :, a] += A
-    return op.reshape(N, n * n, n * n)
+#: Upper triangle (vech) of a symmetric 6x6 matrix; vech position of each entry.
+_IU, _JU = np.triu_indices(6)
+_VECH_INDEX = np.zeros((6, 6), dtype=int)
+_VECH_INDEX[_IU, _JU] = _VECH_INDEX[_JU, _IU] = np.arange(21)
+
+
+def _vech_operator_basis() -> np.ndarray:
+    """(36, 441) tensor T: A.reshape(N, 36) @ T stacks the 21x21 matrices
+    L6 (I (x) A + A (x) I) D6 of X -> A X + X A^T on vech(X).  Row p, at
+    (i, j) = (_IU[p], _JU[p]), sums A[i, b] X[b, j] + A[j, b] X[i, b] over b.
+    Filled in place: einsum temporaries raised the peak memory of a run."""
+    p, b = np.divmod(np.arange(21 * 6), 6)
+    T = np.zeros((6, 6, 21, 21))
+    T[_IU[p], b, p, _VECH_INDEX[b, _JU[p]]] = 1.0
+    T[_JU[p], b, p, _VECH_INDEX[_IU[p], b]] += 1.0  # 2 where both terms meet (i = j)
+    return T.reshape(36, 441)
+
+
+_VECH_OPERATOR_BASIS = _vech_operator_basis()
 
 
 def _solve_lyapunov_once(op: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # column-major vectorization: vec(X)[j*n + i] = X[i, j]
-    N, n, _ = rhs.shape
-    x = np.linalg.solve(op, -_transpose(rhs).reshape(N, n * n, 1))
-    V = _transpose(x.reshape(N, n, n))
-    return 0.5 * (V + _transpose(V))
+    x = np.linalg.solve(op, -rhs[:, _IU, _JU, None])[..., 0]
+    return x[:, _VECH_INDEX]
 
 
 def _refined_solution(op: np.ndarray, A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -152,20 +158,21 @@ def _refined_solution(op: np.ndarray, A: np.ndarray, D: np.ndarray) -> np.ndarra
 
 def steady_state_batch(ss: StateSpace) -> tuple[np.ndarray, list[str | None]]:
     """Stationary covariances V[k] solving A[k] V + V A[k]^T = -D[k] for an
-    (N, n, n) stack of strictly stable systems, with a per-system error.
+    (N, 6, 6) stack of strictly stable systems, with a per-system error.
 
-    Each system is solved through the dense linearization of the Lyapunov
-    equation (kron form, 36 unknowns for the full system) with one
-    iterative-refinement pass, all N in one batched linear solve.  The relative
-    residual ||A V + V A^T + D||_F / ||D||_F must come out below the contract
-    value, or below the double-precision floor eps*||A||*||V||/||D|| for
-    strongly amplifying systems.  A system that misses it, or whose linear
-    system is singular, gets the text of a NumericalError carrying a condition
-    estimate in place of None; its V is not meaningful.
+    Each system is solved as a linear system on the 21 entries of the upper
+    triangle of the symmetric V (vech form), with one iterative-refinement
+    pass, all N in one batched linear solve.  The relative residual
+    ||A V + V A^T + D||_F / ||D||_F must come out below the contract value, or
+    below the double-precision floor eps*||A||*||V||/||D|| for strongly
+    amplifying systems.  A system that misses it, or whose linear system is
+    singular, gets the text of a NumericalError carrying a condition estimate
+    in place of None; its V is not meaningful.
     """
     A, D = ss.A, ss.D
     N = len(A)
-    op = _lyapunov_operator(A)
+    # reshape(N, 36), not (N, -1): a chunk with no stable point is (0, 6, 6)
+    op = (A.reshape(N, 36) @ _VECH_OPERATOR_BASIS).reshape(N, 21, 21)
     singular = np.zeros(N, dtype=bool)
     try:
         V = _refined_solution(op, A, D)
@@ -223,20 +230,23 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
         [[-A, D], [0, A^T]] * dt
 
     whose top-right block, left-multiplied by M, is the noise integral.  Q is
-    symmetrized; it is positive semidefinite up to rounding.  A stack takes one
-    expm call.
+    linear in D, so D enters scaled by 2^-s to the size of A and Q is scaled
+    back exactly: a hot bath does not set expm's rounding.  Q is symmetrized
+    (positive semidefinite up to rounding); a stack takes one expm call.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt <= 0):
         raise ValueError("dt must be positive")
     n = A.shape[-1]
+    shift = np.maximum(0, np.frexp(np.abs(D).max(axis=(-2, -1)))[1]
+                       - np.frexp(np.abs(A).max(axis=(-2, -1)))[1])[..., None, None]
     block = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
     block[..., :n, :n] = -A
-    block[..., :n, n:] = D
+    block[..., :n, n:] = np.ldexp(D, -shift)
     block[..., n:, n:] = _transpose(A)
     F = expm(block * dt[..., None, None])
     M = _transpose(F[..., n:, n:])
-    Q = M @ F[..., :n, n:]
+    Q = np.ldexp(M @ F[..., :n, n:], shift)
     return M, 0.5 * (Q + _transpose(Q))
 
 

@@ -1,10 +1,17 @@
-"""Eigenvalue reference route for symplectic spectra, and test fixtures.
+"""Reference routes for the steady-state solve and symplectic spectra, and
+test fixtures.
+
+The library solves the Lyapunov equation A V + V A^T = -D on the 21 entries
+of the upper triangle of the symmetric V (cfomech.dynamics.steady_state_batch).
+The tests hold it to the kron form here, which solves for all n*n entries of
+vec(V), with the same single refinement pass.
 
 The library takes the partially transposed spectrum of a two-mode covariance
 matrix in closed form (cfomech.entanglement.pt_spectrum_batch).  The tests
-hold it to this route, which reads the spectrum off numpy's eigenvalues of
-Omega V for a symmetric 2n x 2n matrix of any n, or an (N, 2n, 2n) stack, in
-the convention of cfomech.entanglement (vacuum variance 1/2).
+hold it to the eigenvalue route here, which reads the spectrum off numpy's
+eigenvalues of Omega V for a symmetric 2n x 2n matrix of any n, or an
+(N, 2n, 2n) stack, in the convention of cfomech.entanglement (vacuum
+variance 1/2).
 """
 
 import numpy as np
@@ -17,6 +24,46 @@ MOMENTUM_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 #: Partial transposition as a sign pattern: V * PT_SIGNS equals
 #: MOMENTUM_FLIP @ V @ MOMENTUM_FLIP exactly.
 PT_SIGNS = np.outer(np.diag(MOMENTUM_FLIP), np.diag(MOMENTUM_FLIP))
+
+
+def kron_lyapunov_operator(A: np.ndarray) -> np.ndarray:
+    """Stack of kron(I, A) + kron(A, I): the matrix of X -> A X + X A^T acting
+    on the column-major vec(X), one per matrix of the (N, n, n) stack A."""
+    N, n, _ = A.shape
+    op = np.zeros((N, n, n, n, n))  # op[k, i, a, j, b] sits at row i*n + a, column j*n + b
+    for i in range(n):
+        op[:, i, :, i, :] = A
+    for a in range(n):
+        op[:, :, a, :, a] += A
+    return op.reshape(N, n * n, n * n)
+
+
+def kron_steady_state(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Solutions V[k] of A[k] V + V A[k]^T = -D[k] for an (N, n, n) stack,
+    from the kron form with one iterative-refinement pass, symmetrized."""
+    N, n, _ = A.shape
+    op = kron_lyapunov_operator(A)
+
+    def solve_once(rhs):
+        # column-major vectorization: vec(X)[j*n + i] = X[i, j]
+        x = np.linalg.solve(op, -np.swapaxes(rhs, -1, -2).reshape(N, n * n, 1))
+        V = np.swapaxes(x.reshape(N, n, n), -1, -2)
+        return 0.5 * (V + np.swapaxes(V, -1, -2))
+
+    V = solve_once(D)
+    return V + solve_once(A @ V + V @ np.swapaxes(A, -1, -2) + D)
+
+
+def vech_lyapunov_operator(A: np.ndarray) -> np.ndarray:
+    """The kron-form operator restricted to symmetric X, on vech(X), the upper
+    triangle in np.triu_indices order: L_n kron_lyapunov_operator(A) D_n with
+    elimination matrix L_n and duplication matrix D_n."""
+    n = A.shape[-1]
+    iu, ju = np.triu_indices(n)
+    duplication = np.zeros((n * n, len(iu)))
+    duplication[ju * n + iu, np.arange(len(iu))] = 1.0
+    duplication[iu * n + ju, np.arange(len(iu))] = 1.0
+    return kron_lyapunov_operator(A)[:, ju * n + iu] @ duplication
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

@@ -387,12 +387,13 @@ class TestCriterion9Determinism:
         assert agree
 
     def test_preset_bytes_match_recorded_digests(self):
-        # sha256 of each preset's default output, recorded when the PT
-        # spectrum moved to the closed form
+        # sha256 of each preset's default output: the fig3 ones recorded when
+        # the PT spectrum moved to the closed form, the fig2 ones when the
+        # steady-state solve moved to the 21 unknowns of vech(V)
         recorded = {
-            ("fig2a", "csv"): "ebb5d4c18da44591797ccf3aa212977079c6a8b3ec13bad1349d9302bada4732",
-            ("fig2c", "csv"): "f7f36676086cfd8da1f7903922fe91a6a5879ca6c9bd3efd2e719f287915ca0d",
-            ("fig2d", "csv"): "36ef3ecb6bd51bb1cd3451b8042ad0904543894f98415ba92f408950147b41fa",
+            ("fig2a", "csv"): "943e23cab06d57d4074e2c0d6d9e57e40e060ecfcfb12161c35c2f0d45959832",
+            ("fig2c", "csv"): "0bc82241884a65ba40873c9c7623c3dc8536d51d1808e4a52451077111ad24d4",
+            ("fig2d", "csv"): "2631f3a10f17097c80fed0c435bea9f785494b10c6710a03aedf109f652d9d33",
             ("fig3a", "csv"): "4c3955b408729af45677d566526c5d8dfa1acf81bf0e9b865601c8769efa079e",
             ("fig3b", "csv"): "c035f71ea4b86f379747a1594f11f3474408542bc06dc8a6138ec0b7fd1c71d7",
             ("fig3a", "json"): "994a1a1d7a2b859f6608c8f49497a629228cfd36b5c07abd3beba23046ef9f64",

@@ -23,8 +23,15 @@ from cfomech.entanglement import (
     pt_spectrum_batch,
 )
 from cfomech.errors import StabilityError, UnsupportedRegimeError
+from cfomech.experiments import run_preset
 from cfomech.params import EffectiveModel, effective_cavity_params
-from reference import PT_SIGNS, physicality_check, symplectic_eigenvalues
+from reference import (
+    PT_SIGNS,
+    kron_steady_state,
+    physicality_check,
+    symplectic_eigenvalues,
+    vech_lyapunov_operator,
+)
 
 
 def model(G1=0.0, G2=0.0, kt=1e5, dt=0.0, gamma=10.0, gamma2=None, n1=0.0, n2=0.0):
@@ -170,7 +177,7 @@ class TestSteadyState:
         assert np.abs(V_t - V_inf).max() / np.abs(V_inf).max() < 1e-9
 
 
-#: Agreement of the batched kron solve with scipy's Bartels-Stewart solver:
+#: Agreement of the batched steady-state solve with scipy's Bartels-Stewart solver:
 #: V relative to its largest entry, nu_minus relative, E_N absolute.  The
 #: worst seen over 4k random stable points of this family with cond < 1e10
 #: was 7e-9.
@@ -180,6 +187,12 @@ SCIPY_RTOL = 1e-7
 #: about eps*cond of relative accuracy (1e-5 and worse was seen at exactly
 #: equal couplings), so they are not compared there.
 SCIPY_COND_MAX = 1e10
+
+#: Relative Frobenius distance allowed between the library's V, solved on the
+#: 21 unknowns of vech(V), and the kron-form reference on all 36 of vec(V),
+#: both with one refinement pass, on every fig2a, fig2c and fig2d point; the
+#: largest measured is 7.4e-11, on fig2d (fig2a median 3.4e-13).
+KRON_REFERENCE_RTOL = 1e-9
 
 
 def _model_stack(draws):
@@ -255,9 +268,36 @@ class TestBatchedCore:
         assert errors[0].startswith("Lyapunov linear system is singular (cond ~ ")
         assert errors[1].startswith("Lyapunov residual ")
         assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(
-            np.kron(np.eye(6), ss.A[1]) + np.kron(ss.A[1], np.eye(6))))
+            vech_lyapunov_operator(ss.A[1:2])[0]))
         assert errors[2] is None
         assert np.array_equal(V[2], clean[2])
+
+    def test_empty_stack_gives_empty_results(self):
+        V, errors = steady_state_batch(StateSpace(A=np.zeros((0, 6, 6)), D=np.zeros((0, 6, 6))))
+        assert V.shape == (0, 6, 6) and errors == []
+
+    def test_operator_is_the_kron_form_on_symmetric_matrices(self):
+        A = np.random.default_rng(5).normal(size=(20, 6, 6))
+        op = (A.reshape(20, 36) @ dynamics._VECH_OPERATOR_BASIS).reshape(20, 21, 21)
+        assert np.array_equal(op, vech_lyapunov_operator(A))
+
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2c", "fig2d"])
+    def test_preset_points_match_the_kron_reference(self, preset, monkeypatch):
+        solved = []
+        original = dynamics.steady_state_batch
+
+        def recording(ss):
+            V, errors = original(ss)
+            solved.append((ss.A, ss.D, V, errors))
+            return V, errors
+
+        monkeypatch.setattr(dynamics, "steady_state_batch", recording)
+        run_preset(preset)
+        A, D, V = (np.concatenate([s[k] for s in solved]) for k in range(3))
+        assert len(A) > 100 and all(e is None for s in solved for e in s[3])
+        V_ref = kron_steady_state(A, D)
+        rel = np.linalg.norm(V - V_ref, axis=(-2, -1)) / np.linalg.norm(V_ref, axis=(-2, -1))
+        assert rel.max() <= KRON_REFERENCE_RTOL
 
 
 class TestTransitionAndNoise:
@@ -290,6 +330,23 @@ class TestTransitionAndNoise:
         _, Q = transition_and_noise(ss.A, ss.D, 1e-5)
         assert np.array_equal(Q, Q.T)
         assert np.linalg.eigvalsh(Q).min() > -1e-12 * np.abs(Q).max()
+
+    def test_hot_bath_enters_linearly(self):
+        # Q is linear in D: a hot bath scales it exactly and does not set
+        # expm's rounding, so a stable system stays finite however hot
+        ss = state_space(model(G1=1e4, G2=1e4, kt=1e5, dt=1e3, n1=1.0))
+        M, Q = transition_and_noise(ss.A, ss.D, 1e-3)
+        M_hot, Q_hot = transition_and_noise(ss.A, ss.D * 2.0 ** 200, 1e-3)
+        assert np.array_equal(M_hot, M) and np.array_equal(Q_hot, np.ldexp(Q, 200))
+        final = []
+        for n1 in (1e20, 1e50, 1e300):
+            ss = state_space(model(G1=1e4, G2=1e4, kt=1e5, dt=1e3, n1=n1))
+            covs, first_bad = propagate_batch(StateSpace(A=ss.A[None], D=ss.D[None]),
+                                              initial_covariance(n1, 0.0)[None], [1e-3, 2e-3])
+            assert first_bad[0] == -1
+            final.append(covs[0, -1] / n1)
+        for V in final[1:]:
+            assert np.abs(V - final[0]).max() <= 1e-12 * np.abs(final[0]).max()
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):

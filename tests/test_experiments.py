@@ -296,6 +296,15 @@ class TestSteadyBatch:
         assert all(e is None for e, s in zip(out.error[:-2], out.stable[:-2]) if s)
         assert out.EN[4, 0] == out.EN[5, 0] == 0.0
 
+    def test_chunk_with_no_stable_point(self):
+        models = [EffectiveModel(G1=G1, G2=1e5, kappa_tilde=1e3, delta_tilde=0.0, gamma1=10.0,
+                                 gamma2=10.0, nbar1=0.0, nbar2=0.0) for G1 in (1.5e5, 2e5)]
+        out = evaluate_steady_batch(models)
+        assert out.error == ["unstable", "unstable"]
+        assert out.stable.tolist() == [False, False]
+        assert out.EN.shape == out.nu_minus.shape == (2, 1)
+        assert np.isnan(out.EN).all() and np.isnan(out.nu_minus).all()
+
 
 class TestEvolveBatch:
     def test_chunked_sweep_matches_points_evaluated_alone(self):
