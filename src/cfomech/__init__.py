@@ -4,7 +4,6 @@ loop."""
 
 from .params import (
     EffectiveModel,
-    ValidityReport,
     drive_amplitude,
     effective_cavity_params,
     effective_couplings,
@@ -13,7 +12,6 @@ from .params import (
     thermal_occupancy,
 )
 from .dynamics import (
-    StateSpace,
     propagate,
     stability_eigen,
     state_space,
@@ -38,11 +36,11 @@ from .experiments import (
 
 __all__ = [
     # params
-    "EffectiveModel", "ValidityReport", "drive_amplitude",
+    "EffectiveModel", "drive_amplitude",
     "effective_cavity_params", "effective_couplings", "effective_model",
     "rwa_validity", "thermal_occupancy",
     # dynamics
-    "StateSpace", "propagate", "stability_eigen", "state_space",
+    "propagate", "stability_eigen", "state_space",
     "steady_state_covariance", "transition_and_noise",
     # entanglement
     "initial_covariance", "log_negativity", "min_symplectic_eigenvalue_pt",

@@ -188,19 +188,19 @@ def _point_table(cfg: RunConfig) -> ResultTable:
 
 
 def _stability_table(cfg: RunConfig) -> ResultTable:
-    point = experiments.resolve_point(cfg)
-    abscissa, stable = dynamics.stability_batch(dynamics.state_space(point.model).A[None])
+    model, verdict = experiments.resolve_point(cfg)
+    abscissa, stable = dynamics.stability_batch(dynamics.state_space_batch([model])[0])
     try:
-        analytic = dynamics.stability_margin(point.model) > 0.0
+        analytic = dynamics.stability_margin(model) > 0.0
     except UnsupportedRegimeError:
         analytic = None
     row = {
         "stableAnalytic": analytic,
         "stableEigen": bool(stable[0]),
         "spectralAbscissa": float(abscissa[0]),
-        "kappaTilde": point.model.kappa_tilde,
-        "DeltaTilde": point.model.delta_tilde,
-        "rwaVerdict": point.rwa_verdict,
+        "kappaTilde": model.kappa_tilde,
+        "DeltaTilde": model.delta_tilde,
+        "rwaVerdict": verdict,
     }
     return ResultTable(list(row.keys()), [row], experiments.table_meta(cfg))
 

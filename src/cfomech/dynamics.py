@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,21 +35,14 @@ STEP_NORM_CAP = 0.1
 GRID_STEP_ULPS = 4
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Drift and diffusion matrices of one model instance, or (N, 6, 6) stacks
-    of them for N models."""
-
-    A: np.ndarray
-    D: np.ndarray
-
-
-def state_space_batch(models: Sequence[EffectiveModel]) -> StateSpace:
-    """(N, 6, 6) drift and diffusion stacks of N models, in the
+def state_space_batch(models: Sequence[EffectiveModel]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 6, 6) drift and diffusion stacks (A, D) of N models, in the
     (dq1, dp1, dq2, dp2, dX, dY) ordering.
 
     The diffusion matrix is diagonal: gamma_j*(nbar_j + 1/2) twice per
-    mechanical mode, kappa_tilde twice for the cavity.
+    mechanical mode, kappa_tilde twice for the cavity.  A bath too hot for
+    double precision gives an infinite entry, which the solve or the
+    propagation reports for its point.
     """
     G1, G2, kt, dt, g1, g2, n1, n2 = np.array(
         [(m.G1, m.G2, m.kappa_tilde, m.delta_tilde, m.gamma1, m.gamma2, m.nbar1, m.nbar2)
@@ -65,17 +57,18 @@ def state_space_batch(models: Sequence[EffectiveModel]) -> StateSpace:
     A[:, 4, 5] = dt
     A[:, 5, 4] = -dt
     D = np.zeros_like(A)
-    D[:, 0, 0] = D[:, 1, 1] = g1 * (n1 + 0.5)
-    D[:, 2, 2] = D[:, 3, 3] = g2 * (n2 + 0.5)
+    with np.errstate(over="ignore"):
+        D[:, 0, 0] = D[:, 1, 1] = g1 * (n1 + 0.5)
+        D[:, 2, 2] = D[:, 3, 3] = g2 * (n2 + 0.5)
     D[:, 4, 4] = D[:, 5, 5] = kt
-    return StateSpace(A=A, D=D)
+    return A, D
 
 
-def state_space(m: EffectiveModel) -> StateSpace:
-    """6x6 drift and diffusion matrices of one model, as state_space_batch
-    builds them."""
-    ss = state_space_batch([m])
-    return StateSpace(A=ss.A[0], D=ss.D[0])
+def state_space(m: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
+    """6x6 drift and diffusion matrices (A, D) of one model, as
+    state_space_batch builds them."""
+    A, D = state_space_batch([m])
+    return A[0], D[0]
 
 
 def stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,23 +149,27 @@ def _refined_solution(op: np.ndarray, A: np.ndarray, D: np.ndarray) -> np.ndarra
     return V + _solve_lyapunov_once(op, A @ V + V @ _transpose(A) + D)
 
 
-def steady_state_batch(ss: StateSpace) -> tuple[np.ndarray, list[str | None]]:
+def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     """Stationary covariances V[k] solving A[k] V + V A[k]^T = -D[k] for an
     (N, 6, 6) stack of strictly stable systems, with a per-system error.
 
     Each system is solved as a linear system on the 21 entries of the upper
     triangle of the symmetric V (vech form), with one iterative-refinement
-    pass, all N in one batched linear solve.  The relative residual
-    ||A V + V A^T + D||_F / ||D||_F must come out below the contract value, or
-    below the double-precision floor eps*||A||*||V||/||D|| for strongly
-    amplifying systems.  A system that misses it, or whose linear system is
-    singular, gets the text of a NumericalError carrying a condition estimate
-    in place of None; its V is not meaningful.
+    pass, all N in one batched linear solve.  V is linear in D, so each D
+    enters scaled by a power of 2 near 1/max|D| and V is scaled back, both
+    exactly: a hot bath overflows neither the solve nor the norms.  The
+    relative residual ||A V + V A^T + D||_F / ||D||_F must come out below the
+    contract value, or below the double-precision floor eps*||A||*||V||/||D||
+    for strongly amplifying systems.  A system that misses it, or whose linear
+    system is singular, gets the text of a NumericalError carrying a condition
+    estimate in place of None, and one whose V overflows once scaled back
+    gets a text naming the overflow; such a V is not meaningful.
     """
-    A, D = ss.A, ss.D
     N = len(A)
     # reshape(N, 36), not (N, -1): a chunk with no stable point is (0, 6, 6)
     op = (A.reshape(N, 36) @ _VECH_OPERATOR_BASIS).reshape(N, 21, 21)
+    shift = np.frexp(np.abs(D).max(axis=(-2, -1)))[1][:, None, None]
+    D = np.ldexp(D, -shift)
     singular = np.zeros(N, dtype=bool)
     try:
         V = _refined_solution(op, A, D)
@@ -184,36 +181,38 @@ def steady_state_batch(ss: StateSpace) -> tuple[np.ndarray, list[str | None]]:
                 V[k] = _refined_solution(op[k:k + 1], A[k:k + 1], D[k:k + 1])[0]
             except np.linalg.LinAlgError:
                 singular[k] = True
-    # the norms are taken of D, V and the residual scaled by a power of 2 near
-    # 1/max|D|, which is exact and keeps them from overflowing for very hot
-    # baths; a solve that overflowed leaves a residual that is not finite and
-    # fails the contract below
-    scale = np.ldexp(1.0, -np.frexp(np.abs(D).max(axis=(-2, -1)))[1])[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm_D = np.linalg.norm(D * scale, axis=(-2, -1))
-        rel = np.linalg.norm((A @ V + V @ _transpose(A) + D) * scale, axis=(-2, -1)) / norm_D
-        floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A, axis=(-2, -1)) \
-            * np.linalg.norm(V * scale, axis=(-2, -1)) / norm_D
+    norm_D = np.linalg.norm(D, axis=(-2, -1))
+    rel = np.linalg.norm(A @ V + V @ _transpose(A) + D, axis=(-2, -1)) / norm_D
+    floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A, axis=(-2, -1)) \
+        * np.linalg.norm(V, axis=(-2, -1)) / norm_D
+    # an infinite D (a bath too hot for double precision) solves to NaN, and a
+    # V too large for double precision overflows here; both are reported below
+    with np.errstate(over="ignore"):
+        V = np.ldexp(V, shift)
+    overflow = ~np.isfinite(V).all(axis=(-2, -1))
     errors: list[str | None] = [None] * N
-    for k in np.flatnonzero(singular | ~(rel < np.maximum(LYAPUNOV_RTOL, floor))):
+    for k in np.flatnonzero(singular | overflow | ~(rel < np.maximum(LYAPUNOV_RTOL, floor))):
+        if overflow[k] and not singular[k]:
+            errors[k] = "stationary covariance overflows double precision"
+            continue
         cond = np.linalg.cond(op[k])
         errors[k] = (f"Lyapunov linear system is singular (cond ~ {cond:.3g})" if singular[k]
                      else f"Lyapunov residual {rel[k]:.3g} above tolerance (cond ~ {cond:.3g})")
     return V, errors
 
 
-def steady_state_covariance(ss: StateSpace) -> np.ndarray:
+def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Stationary covariance V solving A V + V A^T = -D for one system.
 
     Raises StabilityError unless A is strictly stable, and NumericalError when
-    the solve misses the residual contract of steady_state_batch.
+    the solve fails as steady_state_batch reports it.
     """
-    abscissa, stable = stability_batch(ss.A[None])
+    abscissa, stable = stability_batch(A[None])
     if not stable[0]:
         raise StabilityError(
             "drift matrix is not strictly stable "
             f"(spectral abscissa {abscissa[0]:.6g})")
-    V, errors = steady_state_batch(StateSpace(A=ss.A[None], D=ss.D[None]))
+    V, errors = steady_state_batch(A[None], D[None])
     if errors[0] is not None:
         raise NumericalError(errors[0])
     return V[0]
@@ -250,20 +249,20 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
     return M, 0.5 * (Q + _transpose(Q))
 
 
-def _interval_maps(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _interval_maps(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Maps covering a full grid interval for each system of the stack,
     assembled by squaring the elementary map so each system's elementary step
     obeys the norm cap.  Squaring is the exact semigroup composition, so the
     interval maps stay exact up to rounding.  Each system keeps its own
     doubling count; the squaring rounds skip systems that are done."""
-    norm_A = np.linalg.norm(ss.A, axis=(-2, -1))
+    norm_A = np.linalg.norm(A, axis=(-2, -1))
     doublings = np.zeros(len(norm_A), dtype=int)
     over = norm_A * dt > STEP_NORM_CAP
     doublings[over] = np.ceil(np.log2(norm_A[over] * dt / STEP_NORM_CAP))
     # overflow here means the system diverges over this interval; the caller
     # reports the resulting non-finite entries
     with np.errstate(over="ignore", invalid="ignore"):
-        M, Q = transition_and_noise(ss.A, ss.D, dt / 2.0 ** doublings)
+        M, Q = transition_and_noise(A, D, dt / 2.0 ** doublings)
         for r in range(doublings.max(initial=0)):
             k = doublings > r
             Mk, Qk = M[k], Q[k]
@@ -273,10 +272,12 @@ def _interval_maps(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return M, Q
 
 
-def propagate_batch(ss: StateSpace, V0: np.ndarray, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """(N, T, n, n) stack of the covariance matrices of N systems at the T
-    requested times, starting from V0[k] at t = 0, and for each system the
-    first grid index whose covariance is non-finite, or -1.
+def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
+                    t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T, n, n) stack of the covariance matrices of the N systems of the
+    drift and diffusion stacks A and D at the T requested times, starting
+    from V0[k] at t = 0, and for each system the first grid index whose
+    covariance is non-finite, or -1.
 
     The grid must be strictly increasing and start at or after 0.  Each grid
     point is reached exactly through the interval map; symmetry is re-enforced
@@ -292,19 +293,21 @@ def propagate_batch(ss: StateSpace, V0: np.ndarray, t_grid) -> tuple[np.ndarray,
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing and start at >= 0")
     V0 = np.asarray(V0, dtype=float)
-    if V0.shape != ss.A.shape:
+    if V0.shape != A.shape:
         raise ValueError("V0 shape does not match the drift matrix")
 
     out = np.empty((len(V0), t_grid.size) + V0.shape[1:])
-    V = 0.5 * (V0 + _transpose(V0))
     t_prev = 0.0
     step_map = None  # (interval, M, Q) of the maps in use
+    # a start or a map too hot for double precision overflows: the non-finite
+    # entries are reported below
     with np.errstate(over="ignore", invalid="ignore"):
+        V = 0.5 * (V0 + _transpose(V0))
         for step, t in enumerate(t_grid):
             dt = float(t - t_prev)
             if dt > 0.0:
                 if step_map is None or abs(dt - step_map[0]) > GRID_STEP_ULPS * math.ulp(t):
-                    step_map = (dt, *_interval_maps(ss, dt))
+                    step_map = (dt, *_interval_maps(A, D, dt))
                 _, M, Q = step_map
                 V = M @ V @ _transpose(M) + Q
                 V = 0.5 * (V + _transpose(V))
@@ -322,12 +325,12 @@ def propagation_failure(t_grid, step: int) -> DivergenceError:
         step=step)
 
 
-def propagate(ss: StateSpace, V0: np.ndarray, t_grid) -> np.ndarray:
+def propagate(A: np.ndarray, D: np.ndarray, V0: np.ndarray, t_grid) -> np.ndarray:
     """(T, n, n) stack of the covariance matrices of one system at the T
     requested times, starting from V0 at t = 0, as propagate_batch computes
     it.  Raises DivergenceError at the first non-finite covariance."""
-    covs, first_bad = propagate_batch(StateSpace(A=ss.A[None], D=ss.D[None]),
-                                      np.asarray(V0, dtype=float)[None], t_grid)
+    covs, first_bad = propagate_batch(A[None], D[None], np.asarray(V0, dtype=float)[None],
+                                      t_grid)
     if first_bad[0] >= 0:
         raise propagation_failure(t_grid, int(first_bad[0]))
     return covs[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,16 +171,10 @@ class ResultTable:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ResolvedPoint:
-    """One grid point after axis substitution: the model plus its regime tags."""
-
-    model: params.EffectiveModel
-    rwa_verdict: str
-
-
-def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> ResolvedPoint:
-    """Apply axis values to the configuration and build the effective model.
+def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None
+                  ) -> tuple[params.EffectiveModel, str]:
+    """Apply axis values to the configuration: the effective model and its RWA
+    verdict.
 
     The couplings are G1 and G2, with G1 = ratio*G2 on a ratio axis, or come
     from the drive block.  The detuning lock replaces Delta by
@@ -226,10 +220,9 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None) -> 
     model = params.effective_model(G1, G2, kappa1, kappa2, rB, theta, Delta,
                                    values["gamma1"], values["gamma2"], nbar1, nbar2)
     if cfg.omega1 is None or cfg.omega2 is None:
-        return ResolvedPoint(model, "unknown")
-    report = params.rwa_validity(G1, G2, kappa1, kappa2, cfg.omega1, cfg.omega2,
-                                 threshold=cfg.rwaThreshold)
-    return ResolvedPoint(model, report.verdict)
+        return model, "unknown"
+    return model, params.rwa_validity(G1, G2, kappa1, kappa2, cfg.omega1, cfg.omega2,
+                                      threshold=cfg.rwaThreshold)
 
 
 @dataclass
@@ -264,15 +257,15 @@ def _score(covs: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.n
         return entanglement.log_negativity_from_nu(nu_minus), nu_minus
 
 
-def evaluate_steady_batch(models: list[params.EffectiveModel]) -> ChunkResult:
+def evaluate_steady_batch(models: Sequence[params.EffectiveModel]) -> ChunkResult:
     """Steady-state entanglement of N models: one batched stability test and
     one batched Lyapunov solve over the stable models, then scored.  Unstable,
     numerically failing, unphysical or unresolved points carry an error text
     instead of raising; only the unstable ones read stable = False."""
-    ss = dynamics.state_space_batch(models)
-    _, stable = dynamics.stability_batch(ss.A)
+    A, D = dynamics.state_space_batch(models)
+    _, stable = dynamics.stability_batch(A)
     idx = np.flatnonzero(stable)
-    V, solve_errors = dynamics.steady_state_batch(dynamics.StateSpace(A=ss.A[idx], D=ss.D[idx]))
+    V, solve_errors = dynamics.steady_state_batch(A[idx], D[idx])
     covs = np.empty((len(models), 1) + V.shape[1:])
     covs[idx, 0] = V
     errors: list[str | None] = ["unstable"] * len(models)
@@ -281,16 +274,16 @@ def evaluate_steady_batch(models: list[params.EffectiveModel]) -> ChunkResult:
     return ChunkResult(*_score(covs, errors), stable, errors)
 
 
-def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> ChunkResult:
+def evaluate_evolve_batch(models: Sequence[params.EffectiveModel], t_grid) -> ChunkResult:
     """Time-resolved entanglement of N models, each starting from the separable
     thermal-vacuum state at its bath occupancies: one batched stability test
     and one batched propagation, then scored.  A model that diverges, or that
     has a sample failing the physicality gate or with an unresolved spectrum,
     carries its error instead of raising, and reads stable = False."""
-    ss = dynamics.state_space_batch(models)
-    _, stable = dynamics.stability_batch(ss.A)
+    A, D = dynamics.state_space_batch(models)
+    _, stable = dynamics.stability_batch(A)
     V0 = np.stack([entanglement.initial_covariance(m.nbar1, m.nbar2) for m in models])
-    covs, first_bad = dynamics.propagate_batch(ss, V0, t_grid)
+    covs, first_bad = dynamics.propagate_batch(A, D, V0, t_grid)
     # a model whose covariance turned non-finite is not scored
     errors = [None if step < 0 else str(dynamics.propagation_failure(t_grid, step))
               for step in first_bad.tolist()]
@@ -301,12 +294,12 @@ def evaluate_evolve_batch(models: list[params.EffectiveModel], t_grid) -> ChunkR
 def table_meta(cfg: RunConfig) -> dict:
     """Run metadata of a table: the configuration and the regime tags of its
     base point."""
-    base = resolve_point(cfg)
+    model, verdict = resolve_point(cfg)
     return {
         "config": cfg.as_dict(),
-        "kappaTilde": base.model.kappa_tilde,
-        "DeltaTilde": base.model.delta_tilde,
-        "rwaVerdict": base.rwa_verdict,
+        "kappaTilde": model.kappa_tilde,
+        "DeltaTilde": model.delta_tilde,
+        "rwaVerdict": verdict,
     }
 
 
@@ -329,15 +322,13 @@ def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
     rows: list[dict] = []
     values = iter(values)
     while chunk := list(itertools.islice(values, size)):
-        points = [resolve_point(cfg, overrides) for overrides in chunk]
-        models = [point.model for point in points]
+        models, verdicts = zip(*(resolve_point(cfg, overrides) for overrides in chunk))
         out = evaluate_evolve_batch(models, t_grid) if evolve else evaluate_steady_batch(models)
         peak_EN, low_nu = out.EN.max(axis=1).tolist(), out.nu_minus.min(axis=1).tolist()
-        for k, (overrides, point, stable, error) in enumerate(
-                zip(chunk, points, out.stable.tolist(), out.error)):
-            tags = {"stable": stable, "kappaTilde": point.model.kappa_tilde,
-                    "DeltaTilde": point.model.delta_tilde,
-                    "rwaVerdict": point.rwa_verdict, "error": error}
+        for k, (overrides, model, verdict, stable, error) in enumerate(
+                zip(chunk, models, verdicts, out.stable.tolist(), out.error)):
+            tags = {"stable": stable, "kappaTilde": model.kappa_tilde,
+                    "DeltaTilde": model.delta_tilde, "rwaVerdict": verdict, "error": error}
             if error is not None:
                 rows.append({**overrides, "EN": None, "nu_minus": None, **tags})
             elif curves:

@@ -22,19 +22,6 @@ RWA_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
-class ValidityReport:
-    """Outcome of the rotating-wave validity check.
-
-    ratio is max(|G1|, |G2|, kappa1, kappa2) / min(omega1, omega2, |omega1 -
-    omega2|); verdict is "valid", "marginal" or "invalid".  The check never
-    blocks a simulation, it travels with the outputs as metadata.
-    """
-
-    ratio: float
-    verdict: str
-
-
-@dataclass(frozen=True)
 class EffectiveModel:
     """The closed set of quantities entering the quadrature dynamics.
 
@@ -144,19 +131,21 @@ def effective_cavity_params(
 def rwa_validity(
     G1: complex, G2: complex, kappa1: float, kappa2: float, omega1: float, omega2: float,
     threshold: float = RWA_THRESHOLD,
-) -> ValidityReport:
-    """Check the rotating-wave regime: couplings and cavity decays must be
-    small against the mechanical frequencies and their difference."""
+) -> str:
+    """Verdict of the rotating-wave check: couplings and cavity decays must be
+    small against the mechanical frequencies and their difference.
+
+    The ratio max(|G1|, |G2|, kappa1, kappa2) / min(omega1, omega2, |omega1 -
+    omega2|) reads "valid" below threshold, "marginal" below 1 and "invalid"
+    from 1 on.  The check never blocks a simulation, its verdict travels with
+    the outputs as metadata.
+    """
     numer = max(abs(G1), abs(G2), kappa1, kappa2)
     denom = min(omega1, omega2, abs(omega1 - omega2))
     ratio = math.inf if denom == 0 else numer / denom
     if ratio < threshold:
-        verdict = "valid"
-    elif ratio < 1.0:
-        verdict = "marginal"
-    else:
-        verdict = "invalid"
-    return ValidityReport(ratio=ratio, verdict=verdict)
+        return "valid"
+    return "marginal" if ratio < 1.0 else "invalid"
 
 
 def effective_model(

@@ -55,7 +55,7 @@ def fig3_model(rB: float, nbar1: float, nbar2: float) -> EffectiveModel:
 
 
 def steady_en(model: EffectiveModel):
-    V = dynamics.steady_state_covariance(dynamics.state_space(model))
+    V = dynamics.steady_state_covariance(*dynamics.state_space(model))
     return log_negativity(V[:4, :4]), V
 
 
@@ -74,7 +74,7 @@ def sample_stable_models(seed: int, count: int) -> list[EffectiveModel]:
             nbar2=rng.uniform(0, 50))
         gamma = 10 ** rng.uniform(0.0, 3.0)
         m = EffectiveModel(**{**m.__dict__, "gamma1": gamma, "gamma2": gamma})
-        if dynamics.stability_eigen(dynamics.state_space(m).A):
+        if dynamics.stability_eigen(dynamics.state_space(m)[0]):
             models.append(m)
     return models
 
@@ -84,10 +84,10 @@ def crit3_data():
     start = time.perf_counter()
     records = []
     for m in sample_stable_models(20240811, 50):
-        ss = dynamics.state_space(m)
-        V_ss = dynamics.steady_state_covariance(ss)
-        horizon = 50.0 / float(np.abs(np.linalg.eigvals(ss.A).real).min())
-        V_t = dynamics.propagate(ss, initial_covariance(m.nbar1, m.nbar2), [horizon])[0]
+        A, D = dynamics.state_space(m)
+        V_ss = dynamics.steady_state_covariance(A, D)
+        horizon = 50.0 / float(np.abs(np.linalg.eigvals(A).real).min())
+        V_t = dynamics.propagate(A, D, initial_covariance(m.nbar1, m.nbar2), [horizon])[0]
         records.append({
             "EN_steady": log_negativity(V_ss[:4, :4]),
             "EN_propagated": log_negativity(V_t[:4, :4]),
@@ -147,8 +147,8 @@ def fig3_data():
     out = {"t": t_grid, "cold": {}, "hot": {}, "covariances": []}
     for label, (n1, n2) in (("cold", (0.0, 0.0)), ("hot", (20.0, 10.0))):
         for rB in experiments.FIG3_RB_VALUES:
-            ss = dynamics.state_space(fig3_model(rB, n1, n2))
-            covs = dynamics.propagate(ss, initial_covariance(n1, n2), t_grid)
+            A, D = dynamics.state_space(fig3_model(rB, n1, n2))
+            covs = dynamics.propagate(A, D, initial_covariance(n1, n2), t_grid)
             ens = np.array([
                 log_negativity_from_nu(
                     min_symplectic_eigenvalue_pt(V[:4, :4]))
@@ -175,7 +175,7 @@ class TestCriterion1StabilityOracles:
                 continue
             checked += 1
             if (dynamics.stability_margin(m) > 0.0) != dynamics.stability_eigen(
-                    dynamics.state_space(m).A):
+                    dynamics.state_space(m)[0]):
                 disagreements += 1
         elapsed = time.perf_counter() - start
         ok = disagreements == 0 and elapsed < 10.0
@@ -190,10 +190,10 @@ class TestCriterion2LyapunovResidual:
         start = time.perf_counter()
         worst = 0.0
         for m in sample_stable_models(20240811, 200):
-            ss = dynamics.state_space(m)
-            V = dynamics.steady_state_covariance(ss)
-            residual = np.linalg.norm(ss.A @ V + V @ ss.A.T + ss.D)
-            worst = max(worst, residual / np.linalg.norm(ss.D))
+            A, D = dynamics.state_space(m)
+            V = dynamics.steady_state_covariance(A, D)
+            residual = np.linalg.norm(A @ V + V @ A.T + D)
+            worst = max(worst, residual / np.linalg.norm(D))
         elapsed = time.perf_counter() - start
         ok = worst < 1e-10 and elapsed < 10.0
         report("criterion 2 (Lyapunov residual)", ok,

@@ -5,7 +5,6 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from cfomech import dynamics
 from cfomech.dynamics import (
-    StateSpace,
     propagate,
     propagate_batch,
     stability_batch,
@@ -51,10 +50,10 @@ class TestDriftMatrix:
             [0, -3, 0, 7, -11, 13],
             [-3, 0, -7, 0, -13, -11],
         ], dtype=float)
-        assert np.array_equal(state_space(m).A, expected)
+        assert np.array_equal(state_space(m)[0], expected)
 
     def test_decoupled_is_block_diagonal(self):
-        A = state_space(model(kt=123.0, dt=45.0)).A
+        A = state_space(model(kt=123.0, dt=45.0))[0]
         assert np.array_equal(A[:4, 4:], np.zeros((4, 2)))
         assert np.array_equal(A[4:, :4], np.zeros((2, 4)))
         assert A[4, 5] == 45.0 and A[5, 4] == -45.0
@@ -62,13 +61,13 @@ class TestDriftMatrix:
     def test_feedback_point_cavity_diagonal(self):
         # kappa1 = kappa2 = 5e4, rB = 0.95, theta = 0 gives kappa_tilde = 5000
         kt, _ = effective_cavity_params(5e4, 5e4, 0.95, 0.0, 0.0)
-        A = state_space(model(G1=0.99e5, G2=1e5, kt=kt)).A
+        A = state_space(model(G1=0.99e5, G2=1e5, kt=kt))[0]
         assert A[4, 4] == -5000.0
         assert A[5, 5] == -5000.0
 
     def test_coupling_entries_mirror(self):
         m = model(G1=123.0, G2=456.0)
-        A = state_space(m).A
+        A = state_space(m)[0]
         assert A[4, 1] == A[1, 4] == -123.0
         assert A[0, 5] == A[5, 0] == -123.0
         assert A[2, 5] == 456.0 and A[4, 3] == 456.0
@@ -77,20 +76,20 @@ class TestDriftMatrix:
 
 class TestDiffusionMatrix:
     def test_vacuum_mechanics(self):
-        D = state_space(model(gamma=10.0)).D
+        D = state_space(model(gamma=10.0))[1]
         assert np.allclose(np.diag(D)[:4], 5.0)
 
     def test_feedback_cavity_entries(self):
-        D = state_space(model(kt=2 * 5e4 * (1 - 0.99))).D
+        D = state_space(model(kt=2 * 5e4 * (1 - 0.99)))[1]
         assert np.diag(D)[4] == pytest.approx(1000.0)
         assert np.diag(D)[5] == pytest.approx(1000.0)
 
     def test_hot_resonator(self):
-        D = state_space(model(n1=200.0, gamma=10.0)).D
+        D = state_space(model(n1=200.0, gamma=10.0))[1]
         assert np.diag(D)[0] == 2005.0 and np.diag(D)[1] == 2005.0
 
     def test_diagonal_nonnegative(self):
-        D = state_space(model(G1=1e4, G2=2e4, n1=3.0, n2=4.0)).D
+        D = state_space(model(G1=1e4, G2=2e4, n1=3.0, n2=4.0))[1]
         assert np.array_equal(D, np.diag(np.diag(D)))
         assert np.all(np.diag(D) >= 0)
 
@@ -105,7 +104,7 @@ class TestStability:
     def test_heating_dominated_is_unstable(self):
         m = model(G1=2e5, G2=1e5, kt=1e3)
         assert dynamics.stability_margin(m) <= 0.0
-        assert not stability_eigen(state_space(m).A)
+        assert not stability_eigen(state_space(m)[0])
 
     def test_unequal_dampings_unsupported(self):
         with pytest.raises(UnsupportedRegimeError):
@@ -122,7 +121,7 @@ class TestStability:
     def test_marginal_zero_eigenvalue(self):
         # undamped cavity with equal couplings carries a zero mode
         m = model(G1=1e4, G2=1e4, kt=0.0)
-        assert not stability_eigen(state_space(m).A)
+        assert not stability_eigen(state_space(m)[0])
 
     def test_oracle_agreement_on_random_grid(self):
         rng = np.random.default_rng(7)
@@ -134,14 +133,14 @@ class TestStability:
             if abs(dynamics.stability_margin(m)) < 1e-6:
                 continue
             checked += 1
-            assert (dynamics.stability_margin(m) > 0.0) == stability_eigen(state_space(m).A)
+            assert (dynamics.stability_margin(m) > 0.0) == stability_eigen(state_space(m)[0])
         assert checked > 250
 
 
 class TestSteadyState:
     def test_decoupled_thermal_equilibrium(self):
         m = model(n1=3.0, n2=7.0, kt=123.0, dt=99.0)
-        V = steady_state_covariance(state_space(m))
+        V = steady_state_covariance(*state_space(m))
         assert V == pytest.approx(np.diag([3.5, 3.5, 7.5, 7.5, 0.5, 0.5]), abs=1e-12)
 
     def test_residual_contract(self):
@@ -153,27 +152,27 @@ class TestSteadyState:
                       dt=rng.uniform(-1e5, 1e5),
                       gamma=10 ** rng.uniform(0, 3),
                       n1=rng.uniform(0, 50), n2=rng.uniform(0, 50))
-            ss = state_space(m)
-            if not stability_eigen(ss.A):
+            A, D = state_space(m)
+            if not stability_eigen(A):
                 continue
-            V = steady_state_covariance(ss)
-            res = np.linalg.norm(ss.A @ V + V @ ss.A.T + ss.D)
-            assert res / np.linalg.norm(ss.D) < 1e-10
+            V = steady_state_covariance(A, D)
+            res = np.linalg.norm(A @ V + V @ A.T + D)
+            assert res / np.linalg.norm(D) < 1e-10
 
     def test_unstable_raises(self):
         with pytest.raises(StabilityError):
-            steady_state_covariance(state_space(model(G1=2e5, G2=1e5, kt=1e3)))
+            steady_state_covariance(*state_space(model(G1=2e5, G2=1e5, kt=1e3)))
 
     def test_marginal_refused(self):
         with pytest.raises(StabilityError):
-            steady_state_covariance(state_space(model(G1=1e4, G2=1e4, kt=0.0)))
+            steady_state_covariance(*state_space(model(G1=1e4, G2=1e4, kt=0.0)))
 
     def test_matches_long_time_propagation(self):
         m = model(G1=0.9e5, G2=1e5, kt=5e3, n1=1.0, n2=2.0)
-        ss = state_space(m)
-        V_inf = steady_state_covariance(ss)
-        T = 50.0 / np.abs(np.linalg.eigvals(ss.A).real).min()
-        V_t = propagate(ss, initial_covariance(1.0, 2.0), [T])[0]
+        A, D = state_space(m)
+        V_inf = steady_state_covariance(A, D)
+        T = 50.0 / np.abs(np.linalg.eigvals(A).real).min()
+        V_t = propagate(A, D, initial_covariance(1.0, 2.0), [T])[0]
         assert np.abs(V_t - V_inf).max() / np.abs(V_inf).max() < 1e-9
 
 
@@ -213,24 +212,24 @@ class TestBatchedCore:
     @settings(deadline=None, max_examples=30)
     @given(draws=st.lists(_draw, min_size=1, max_size=20))
     def test_stacks_match_scipy_and_per_point_eigvals(self, draws):
-        ss = state_space_batch(_model_stack(draws))
-        abscissa, stable = stability_batch(ss.A)
+        A, D = state_space_batch(_model_stack(draws))
+        abscissa, stable = stability_batch(A)
         for k in range(len(draws)):
-            norm_A = np.linalg.norm(ss.A[k])
-            ref = np.linalg.eigvals(ss.A[k]).real.max()
+            norm_A = np.linalg.norm(A[k])
+            ref = np.linalg.eigvals(A[k]).real.max()
             assert abs(abscissa[k] - ref) <= 1e-12 * norm_A
             if abs(ref + dynamics.STABILITY_TOL * norm_A) > 1e-12 * norm_A:
                 assert stable[k] == (ref < -dynamics.STABILITY_TOL * norm_A)
         idx = np.flatnonzero(stable)
-        V, errors = steady_state_batch(StateSpace(A=ss.A[idx], D=ss.D[idx]))
+        V, errors = steady_state_batch(A[idx], D[idx])
         physical, nus = pt_spectrum_batch(V[:, :4, :4])
         ens = log_negativity_from_nu(nus)
         for j, k in enumerate(idx):
-            op = np.kron(np.eye(6), ss.A[k]) + np.kron(ss.A[k], np.eye(6))
+            op = np.kron(np.eye(6), A[k]) + np.kron(A[k], np.eye(6))
             if np.linalg.cond(op) > SCIPY_COND_MAX:
                 continue
             assert errors[j] is None
-            V_ref = solve_continuous_lyapunov(ss.A[k], -ss.D[k])
+            V_ref = solve_continuous_lyapunov(A[k], -D[k])
             assert np.abs(V[j] - V_ref).max() <= SCIPY_RTOL * np.abs(V_ref).max()
             nu_ref = symplectic_eigenvalues(V_ref[:4, :4] * PT_SIGNS)[0]
             assert physical[j]
@@ -240,40 +239,40 @@ class TestBatchedCore:
     def test_scalar_functions_are_single_point_stacks(self):
         ms = _model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
                            (2.0, 1e5, 1e3, 0.0, 10.0, 0.0, 0.0)])
-        ss = state_space_batch(ms)
+        A, D = state_space_batch(ms)
         for k, m in enumerate(ms):
-            assert np.array_equal(state_space(m).A, ss.A[k])
-            assert np.array_equal(state_space(m).D, ss.D[k])
-        assert stability_eigen(ss.A[0]) and not stability_eigen(ss.A[1])
-        V, _ = steady_state_batch(StateSpace(A=ss.A[:1], D=ss.D[:1]))
-        assert np.array_equal(steady_state_covariance(state_space(ms[0])), V[0])
+            assert np.array_equal(state_space(m)[0], A[k])
+            assert np.array_equal(state_space(m)[1], D[k])
+        assert stability_eigen(A[0]) and not stability_eigen(A[1])
+        V, _ = steady_state_batch(A[:1], D[:1])
+        assert np.array_equal(steady_state_covariance(*state_space(ms[0])), V[0])
 
     def test_failures_are_reported_per_system(self, monkeypatch):
-        ss = state_space_batch(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
-                                             (0.8, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
-                                             (0.7, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)]))
-        clean, _ = steady_state_batch(ss)
+        A, D = state_space_batch(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
+                                               (0.8, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
+                                               (0.7, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)]))
+        clean, _ = steady_state_batch(A, D)
         refined = dynamics._refined_solution
 
-        def flaky(op, A, D):
+        def flaky(op, A_k, D_k):
             # system 0 has a singular solve, system 1 misses the residual
-            if any(np.array_equal(a, ss.A[0]) for a in A):
+            if any(np.array_equal(a, A[0]) for a in A_k):
                 raise np.linalg.LinAlgError("Singular matrix")
-            V = refined(op, A, D)
-            V[[np.array_equal(a, ss.A[1]) for a in A]] += 1.0
+            V = refined(op, A_k, D_k)
+            V[[np.array_equal(a, A[1]) for a in A_k]] += 1.0
             return V
 
         monkeypatch.setattr(dynamics, "_refined_solution", flaky)
-        V, errors = steady_state_batch(ss)
+        V, errors = steady_state_batch(A, D)
         assert errors[0].startswith("Lyapunov linear system is singular (cond ~ ")
         assert errors[1].startswith("Lyapunov residual ")
         assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(
-            vech_lyapunov_operator(ss.A[1:2])[0]))
+            vech_lyapunov_operator(A[1:2])[0]))
         assert errors[2] is None
         assert np.array_equal(V[2], clean[2])
 
     def test_empty_stack_gives_empty_results(self):
-        V, errors = steady_state_batch(StateSpace(A=np.zeros((0, 6, 6)), D=np.zeros((0, 6, 6))))
+        V, errors = steady_state_batch(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)))
         assert V.shape == (0, 6, 6) and errors == []
 
     def test_operator_is_the_kron_form_on_symmetric_matrices(self):
@@ -286,9 +285,9 @@ class TestBatchedCore:
         solved = []
         original = dynamics.steady_state_batch
 
-        def recording(ss):
-            V, errors = original(ss)
-            solved.append((ss.A, ss.D, V, errors))
+        def recording(A, D):
+            V, errors = original(A, D)
+            solved.append((A, D, V, errors))
             return V, errors
 
         monkeypatch.setattr(dynamics, "steady_state_batch", recording)
@@ -316,33 +315,33 @@ class TestTransitionAndNoise:
 
     def test_semigroup_composition(self):
         m = model(G1=0.9e5, G2=1e5, kt=5e3, n1=2.0)
-        ss = state_space(m)
+        A, D = state_space(m)
         dt = 1e-6
-        M1, Q1 = transition_and_noise(ss.A, ss.D, dt)
-        M2, Q2 = transition_and_noise(ss.A, ss.D, 2 * dt)
+        M1, Q1 = transition_and_noise(A, D, dt)
+        M2, Q2 = transition_and_noise(A, D, 2 * dt)
         assert M1 @ M1 == pytest.approx(M2, rel=1e-12, abs=1e-12 * np.abs(M2).max())
         Q_comp = M1 @ Q1 @ M1.T + Q1
         assert Q_comp == pytest.approx(Q2, rel=1e-12, abs=1e-12 * np.abs(Q2).max())
 
     def test_noise_block_psd(self):
         m = model(G1=0.9e5, G2=1e5, kt=5e3, n1=2.0)
-        ss = state_space(m)
-        _, Q = transition_and_noise(ss.A, ss.D, 1e-5)
+        A, D = state_space(m)
+        _, Q = transition_and_noise(A, D, 1e-5)
         assert np.array_equal(Q, Q.T)
         assert np.linalg.eigvalsh(Q).min() > -1e-12 * np.abs(Q).max()
 
     def test_hot_bath_enters_linearly(self):
         # Q is linear in D: a hot bath scales it exactly and does not set
         # expm's rounding, so a stable system stays finite however hot
-        ss = state_space(model(G1=1e4, G2=1e4, kt=1e5, dt=1e3, n1=1.0))
-        M, Q = transition_and_noise(ss.A, ss.D, 1e-3)
-        M_hot, Q_hot = transition_and_noise(ss.A, ss.D * 2.0 ** 200, 1e-3)
+        A, D = state_space(model(G1=1e4, G2=1e4, kt=1e5, dt=1e3, n1=1.0))
+        M, Q = transition_and_noise(A, D, 1e-3)
+        M_hot, Q_hot = transition_and_noise(A, D * 2.0 ** 200, 1e-3)
         assert np.array_equal(M_hot, M) and np.array_equal(Q_hot, np.ldexp(Q, 200))
         final = []
         for n1 in (1e20, 1e50, 1e300):
-            ss = state_space(model(G1=1e4, G2=1e4, kt=1e5, dt=1e3, n1=n1))
-            covs, first_bad = propagate_batch(StateSpace(A=ss.A[None], D=ss.D[None]),
-                                              initial_covariance(n1, 0.0)[None], [1e-3, 2e-3])
+            A, D = state_space(model(G1=1e4, G2=1e4, kt=1e5, dt=1e3, n1=n1))
+            covs, first_bad = propagate_batch(A[None], D[None], initial_covariance(n1, 0.0)[None],
+                                              [1e-3, 2e-3])
             assert first_bad[0] == -1
             final.append(covs[0, -1] / n1)
         for V in final[1:]:
@@ -355,32 +354,31 @@ class TestTransitionAndNoise:
 
 class TestPropagate:
     def test_frozen_dynamics_keeps_state(self):
-        ss = StateSpace(A=np.zeros((6, 6)), D=np.zeros((6, 6)))
         V0 = initial_covariance(3.0, 1.0)
-        for V in propagate(ss, V0, [1e-4, 2e-3, 0.5]):
+        for V in propagate(np.zeros((6, 6)), np.zeros((6, 6)), V0, [1e-4, 2e-3, 0.5]):
             assert np.array_equal(V, V0)
 
     def test_grid_validation(self):
-        ss = state_space(model())
+        A, D = state_space(model())
         V0 = initial_covariance(0.0, 0.0)
         with pytest.raises(ValueError):
-            propagate(ss, V0, [])
+            propagate(A, D, V0, [])
         with pytest.raises(ValueError):
-            propagate(ss, V0, [-1.0, 1.0])
+            propagate(A, D, V0, [-1.0, 1.0])
         with pytest.raises(ValueError):
-            propagate(ss, V0, [1.0, 1.0])
+            propagate(A, D, V0, [1.0, 1.0])
 
     def test_time_zero_returns_start(self):
-        ss = state_space(model(G1=1e4, G2=2e4))
+        A, D = state_space(model(G1=1e4, G2=2e4))
         V0 = initial_covariance(5.0, 5.0)
-        out = propagate(ss, V0, [0.0, 1e-5])
+        out = propagate(A, D, V0, [0.0, 1e-5])
         assert np.array_equal(out[0], V0)
 
     def test_physicality_preserved_along_transient(self):
         m = model(G1=1e4, G2=1e4, kt=1e3, dt=1e3, n1=20.0, n2=10.0)
-        ss = state_space(m)
+        A, D = state_space(m)
         V0 = initial_covariance(20.0, 10.0)
-        for V in propagate(ss, V0, np.linspace(1e-5, 2e-3, 40)):
+        for V in propagate(A, D, V0, np.linspace(1e-5, 2e-3, 40)):
             assert physicality_check(V)
 
     @pytest.mark.parametrize("rB, n1, n2", [(0.99, 0.0, 0.0), (1.0, 20.0, 10.0)])
@@ -389,17 +387,17 @@ class TestPropagate:
         expm = dynamics.expm
         monkeypatch.setattr(dynamics, "expm", lambda X: calls.append(1) or expm(X))
         # the fig3 setting: G1 = G2 = 1e4, kappa1 = kappa2 = 5e4, Delta = 1e3
-        ss = state_space(model(G1=1e4, G2=1e4, kt=1e5 * (1.0 - rB), dt=1e3,
+        A, D = state_space(model(G1=1e4, G2=1e4, kt=1e5 * (1.0 - rB), dt=1e3,
                                n1=n1, n2=n2))
         t_grid = np.linspace(0.0, 2e-3, 201)
         V0 = initial_covariance(n1, n2)
-        covs = propagate(ss, V0, t_grid)
+        covs = propagate(A, D, V0, t_grid)
         assert len(calls) == 1
         # reference: a fresh exact map for every interval, from its own dt
         V, t_prev = V0, 0.0
         for t, V_fast in zip(t_grid, covs):
             if t > t_prev:
-                M, Q = transition_and_noise(ss.A, ss.D, t - t_prev)
+                M, Q = transition_and_noise(A, D, t - t_prev)
                 V = M @ V @ M.T + Q
                 V = 0.5 * (V + V.T)
             t_prev = t
@@ -411,15 +409,15 @@ class TestPropagate:
         calls = []
         expm = dynamics.expm
         monkeypatch.setattr(dynamics, "expm", lambda X: calls.append(1) or expm(X))
-        ss = state_space(model(G1=1e4, G2=1e4, kt=1e3, dt=1e3))
-        propagate(ss, initial_covariance(0.0, 0.0), np.linspace(1e-5, 2e-3, 40))
+        A, D = state_space(model(G1=1e4, G2=1e4, kt=1e3, dt=1e3))
+        propagate(A, D, initial_covariance(0.0, 0.0), np.linspace(1e-5, 2e-3, 40))
         assert len(calls) == 2
 
     def test_unstable_long_horizon_reports_divergence(self):
         from cfomech.errors import DivergenceError
-        ss = state_space(model(G1=2e5, G2=1e4, kt=1e3))
+        A, D = state_space(model(G1=2e5, G2=1e4, kt=1e3))
         with pytest.raises(DivergenceError) as excinfo:
-            propagate(ss, initial_covariance(0.0, 0.0), [0.1, 1.0, 10.0])
+            propagate(A, D, initial_covariance(0.0, 0.0), [0.1, 1.0, 10.0])
         assert excinfo.value.step is not None
 
     def test_stack_on_a_uniform_grid_takes_one_expm_call(self, monkeypatch):
@@ -429,28 +427,28 @@ class TestPropagate:
         # norms from 2e4 to 3e5: doubling counts 2 to 5 over one interval
         models = [model(G1=1e4, G2=1e4, kt=kt, dt=1e3, n1=20.0, n2=10.0)
                   for kt in (0.0, 1e3, 2e4, 1e5, 2e5)]
-        ss = state_space_batch(models)
+        A, D = state_space_batch(models)
         V0 = np.stack([initial_covariance(20.0, 10.0)] * len(models))
         t_grid = np.linspace(0.0, 2e-3, 201)
-        covs, first_bad = propagate_batch(ss, V0, t_grid)
+        covs, first_bad = propagate_batch(A, D, V0, t_grid)
         assert calls == [len(models)]
         assert np.array_equal(first_bad, [-1] * len(models))
         for k, m in enumerate(models):
-            assert np.array_equal(covs[k], propagate(state_space(m), V0[k], t_grid))
+            assert np.array_equal(covs[k], propagate(*state_space(m), V0[k], t_grid))
 
     def test_stacked_maps_match_maps_built_one_by_one(self):
         # doubling counts 0, 3 and 5 over one interval
         models = [model(G1=1e3, G2=2e3, kt=kt, dt=1e2, n1=1.0) for kt in (1e2, 3e4, 2e5)]
-        ss = state_space_batch(models)
+        A, D = state_space_batch(models)
         dt = 1e-5
-        norms = np.linalg.norm(ss.A, axis=(-2, -1))
+        norms = np.linalg.norm(A, axis=(-2, -1))
         doublings = np.maximum(0, np.ceil(np.log2(norms * dt / dynamics.STEP_NORM_CAP)))
         assert len(set(doublings)) == len(models)
         steps = dt / 2.0 ** doublings
-        M, Q = transition_and_noise(ss.A, ss.D, steps)
-        M_int, Q_int = dynamics._interval_maps(ss, dt)
+        M, Q = transition_and_noise(A, D, steps)
+        M_int, Q_int = dynamics._interval_maps(A, D, dt)
         for k in range(len(models)):
-            M1, Q1 = transition_and_noise(ss.A[k], ss.D[k], steps[k])
+            M1, Q1 = transition_and_noise(A[k], D[k], steps[k])
             assert np.array_equal(M[k], M1) and np.array_equal(Q[k], Q1)
             for _ in range(int(doublings[k])):
                 Q1 = M1 @ Q1 @ M1.T + Q1
@@ -459,9 +457,9 @@ class TestPropagate:
             assert np.array_equal(M_int[k], M1) and np.array_equal(Q_int[k], Q1)
 
     def test_divergence_is_reported_per_system(self):
-        ss = state_space_batch([model(G1=2e5, G2=1e4, kt=1e3), model(G1=1e4, G2=2e4, kt=1e3)])
+        A, D = state_space_batch([model(G1=2e5, G2=1e4, kt=1e3), model(G1=1e4, G2=2e4, kt=1e3)])
         V0 = np.stack([initial_covariance(0.0, 0.0)] * 2)
-        covs, first_bad = propagate_batch(ss, V0, [0.1, 1.0, 10.0])
+        covs, first_bad = propagate_batch(A, D, V0, [0.1, 1.0, 10.0])
         assert first_bad[0] >= 0 and first_bad[1] == -1
         assert np.all(np.isfinite(covs[1]))
 
@@ -471,6 +469,6 @@ class TestPropagate:
         # vacuum baths, no amplifying coupling: mode 2 steady variance must
         # drop below any thermal starting variance
         m = model(G1=0.0, G2=5e4, kt=1e5, dt=0.0)
-        V = steady_state_covariance(state_space(m))
+        V = steady_state_covariance(*state_space(m))
         assert V[2, 2] < n0 + 0.5
         assert V[2, 2] == pytest.approx(0.5, abs=1e-9)

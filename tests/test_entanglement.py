@@ -97,7 +97,7 @@ class TestMechanicalSubmatrix:
         from cfomech.params import EffectiveModel
         m = EffectiveModel(G1=0.9e5, G2=1e5, kappa_tilde=5e3, delta_tilde=0.0,
                            gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
-        Vm = dynamics.steady_state_covariance(dynamics.state_space(m))[:4, :4]
+        Vm = dynamics.steady_state_covariance(*dynamics.state_space(m))[:4, :4]
         assert abs(Vm[0, 2]) > 1.0   # q1-q2
         assert abs(Vm[1, 3]) > 1.0   # p1-p2
         assert np.allclose(Vm, Vm.T)

@@ -110,24 +110,24 @@ class TestResolvePoint:
         assert list(cfg.as_dict()) == list(ref)
 
     def test_ratio_axis_scales_coupling(self):
-        pt = resolve_point(base_config(), {"ratio": 0.5})
-        assert pt.model.G1 == 0.5e5
-        assert pt.model.G2 == 1e5
+        model, _ = resolve_point(base_config(), {"ratio": 0.5})
+        assert model.G1 == 0.5e5
+        assert model.G2 == 1e5
 
     def test_detuning_lock_zeroes_effective_detuning(self):
         cfg = base_config(Delta=123.0, theta=0.7, rB=0.9, detuningLock=True)
-        pt = resolve_point(cfg)
-        assert pt.model.delta_tilde == 0.0
+        model, _ = resolve_point(cfg)
+        assert model.delta_tilde == 0.0
 
     def test_temperature_sets_occupancies(self):
         cfg = base_config(nbar1=None, nbar2=None, temperatureK=0.01,
                           omega1=1e9, omega2=2e9)
-        pt = resolve_point(cfg)
-        assert pt.model.nbar1 == pytest.approx(0.8722448670164474, rel=1e-12)
-        assert pt.model.nbar2 < pt.model.nbar1
+        model, _ = resolve_point(cfg)
+        assert model.nbar1 == pytest.approx(0.8722448670164474, rel=1e-12)
+        assert model.nbar2 < model.nbar1
 
     def test_rwa_verdict_unknown_without_frequencies(self):
-        assert resolve_point(base_config()).rwa_verdict == "unknown"
+        assert resolve_point(base_config())[1] == "unknown"
 
     def test_occupancy_axis_conflicts_with_temperature(self):
         cfg = base_config(nbar1=None, nbar2=None, temperatureK=0.01,
@@ -136,28 +136,28 @@ class TestResolvePoint:
             resolve_point(cfg, {"nbar1": 5.0})
 
     def test_rwa_verdict_with_frequencies(self):
-        pt = resolve_point(base_config(omega1=1e8, omega2=2e8))
-        assert pt.rwa_verdict == "valid"
+        _, verdict = resolve_point(base_config(omega1=1e8, omega2=2e8))
+        assert verdict == "valid"
 
     def test_drive_block_couplings_drop_phases(self):
         drive = dict(g1=100.0, g2=100.0, P1=1e-6, P2=2e-6, omegaL1=1.77e15,
                      omegaL2=1.77e15, omega1=1e8, omega2=2e8)
         cfg = base_config(G1=None, G2=None, nbar1=None, nbar2=None, temperatureK=0.01,
                           rB=0.5, theta=0.3, Delta=7.0, detuningLock=True, **drive)
-        pt = resolve_point(cfg, {"kappa1": 4e4})
+        model, verdict = resolve_point(cfg, {"kappa1": 4e4})
         # the couplings see the axis value of kappa1 and the locked Delta
         Delta = 2.0 * math.sqrt(4e4 * 5e4) * 0.5 * math.sin(0.3)
         G1, G2 = effective_couplings(100.0, 100.0, drive_amplitude(1e-6, 4e4, 1.77e15),
                                      drive_amplitude(2e-6, 4e4, 1.77e15),
                                      1e8, 2e8, Delta, 4e4, 5e4)
         assert G1.imag != 0 and G2.imag != 0
-        assert (pt.model.G1, pt.model.G2) == (abs(G1), abs(G2))
-        assert pt.model.delta_tilde == 0.0
-        assert (pt.model.nbar1, pt.model.nbar2) == (thermal_occupancy(1e8, 0.01),
-                                                    thermal_occupancy(2e8, 0.01))
+        assert (model.G1, model.G2) == (abs(G1), abs(G2))
+        assert model.delta_tilde == 0.0
+        assert (model.nbar1, model.nbar2) == (thermal_occupancy(1e8, 0.01),
+                                              thermal_occupancy(2e8, 0.01))
         # ratio kappa2 / omega1 = 5e-4
-        assert pt.rwa_verdict == "valid"
-        assert resolve_point(cfg.replace(rwaThreshold=1e-4)).rwa_verdict == "marginal"
+        assert verdict == "valid"
+        assert resolve_point(cfg.replace(rwaThreshold=1e-4))[1] == "marginal"
         for axis in ("ratio", "G1", "G2"):
             with pytest.raises(ConfigError, match="coupling axes need"):
                 resolve_point(cfg, {axis: 0.5})
@@ -184,7 +184,7 @@ class TestRunSweep:
             G1=row["ratio"] * 1e5, G2=1e5,
             kappa_tilde=row["kappaTilde"], delta_tilde=row["DeltaTilde"],
             gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
-        V = dynamics.steady_state_covariance(dynamics.state_space(model))
+        V = dynamics.steady_state_covariance(*dynamics.state_space(model))
         en = entanglement.log_negativity(V[:4, :4])
         assert en == pytest.approx(row["EN"], abs=1e-12)
 
@@ -248,8 +248,8 @@ class TestSteadyBatch:
         assert len(rows) > 2 * STEADY_CHUNK
         assert {r["stable"] for r in rows} == {True, False}
         for row in rows:
-            point = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
-            alone = evaluate_steady_batch([point.model])
+            model, _ = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
+            alone = evaluate_steady_batch([model])
             assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
                 peak_values(alone)
 
@@ -267,20 +267,25 @@ class TestSteadyBatch:
             m(nbar1=1e300),                      # hotter still: norms past overflow
             m(G1=2e5, kappa_tilde=1e3),          # unstable
             m(),
-            m(nbar1=1e303),                      # the solve itself overflows
+            m(nbar1=1e303),                      # unscaled, A V would overflow
+            m(nbar1=1e306),                      # V near 1e307 still fits
+            m(nbar1=1e307),                      # V overflows once scaled back
+            m(nbar1=1e308),                      # D itself overflows
             # G1 = G2 with weak damping: the Lyapunov operator has cond ~ 2e17,
             # so the solved V is singular to rounding (the 50-digit state is
             # physical; see test_oracle)
             m(G1=197265.0, G2=197265.0, kappa_tilde=1003.0, gamma1=2.0,
               gamma2=2.0, nbar1=1.0, nbar2=3.0),
         ]
+        overflowing = (10, 11)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warns nothing
             out = evaluate_steady_batch(models)
         assert out.EN.shape == out.nu_minus.shape == (len(models), 1)
         assert out.stable.tolist() == [True, False, False, True, True, True, False, True, True,
-                                       True]
-        assert out.error[-2].startswith("Lyapunov residual nan above tolerance")
+                                       True, True, True, True]
+        for k in overflowing:
+            assert out.error[k] == "stationary covariance overflows double precision"
         for k, model in enumerate(models):
             values = peak_values(out, k)
             assert values == peak_values(evaluate_steady_batch([model]))
@@ -289,12 +294,15 @@ class TestSteadyBatch:
                 assert error == "unstable" and EN is None
             elif error is None:
                 assert math.isfinite(EN)
-            elif k != len(models) - 2:
+            elif k not in overflowing:
                 assert error == entanglement.UNRESOLVED and EN is None
             if error is not None:
                 assert np.isnan(out.EN[k]).all() and np.isnan(out.nu_minus[k]).all()
-        assert all(e is None for e, s in zip(out.error[:-2], out.stable[:-2]) if s)
-        assert out.EN[4, 0] == out.EN[5, 0] == 0.0
+        assert all(e is None for e, s in zip(out.error[:10], out.stable[:10]) if s)
+        assert out.EN[4, 0] == out.EN[5, 0] == out.EN[8, 0] == out.EN[9, 0] == 0.0
+        # V is linear in D, and the bath term dominates D at these occupancies
+        assert out.nu_minus[8, 0] / out.nu_minus[5, 0] == pytest.approx(1e3, rel=1e-9)
+        assert out.nu_minus[9, 0] / out.nu_minus[5, 0] == pytest.approx(1e6, rel=1e-9)
 
     def test_chunk_with_no_stable_point(self):
         models = [EffectiveModel(G1=G1, G2=1e5, kappa_tilde=1e3, delta_tilde=0.0, gamma1=10.0,
@@ -320,8 +328,8 @@ class TestEvolveBatch:
         assert any(r["kappaTilde"] == 0.0 for r in rows)
         t_grid = cfg.time_grid()
         for row in rows:
-            point = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
-            alone = evaluate_evolve_batch([point.model], t_grid)
+            model, _ = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
+            alone = evaluate_evolve_batch([model], t_grid)
             assert row["error"] is None
             assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
                 peak_values(alone)
@@ -338,18 +346,22 @@ class TestEvolveBatch:
             m(nbar1=1e9, nbar2=1e9),             # very hot baths
             m(G1=2e4),                           # unstable: overflows later
             m(G1=0.9e4),                         # stable
+            m(nbar1=1e308),                      # D and the start overflow
         ]
         t_grid = [0.1, 1.0, 10.0]
-        out = evaluate_evolve_batch(models, t_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warns nothing
+            out = evaluate_evolve_batch(models, t_grid)
         assert out.EN.shape == out.nu_minus.shape == (len(models), len(t_grid))
         with pytest.raises(DivergenceError) as excinfo:
-            dynamics.propagate(dynamics.state_space(models[0]),
+            dynamics.propagate(*dynamics.state_space(models[0]),
                                entanglement.initial_covariance(0.0, 0.0), t_grid)
         assert out.error[0] == str(excinfo.value)
         assert out.error == [
             str(excinfo.value), None, entanglement.UNPHYSICAL, None,
-            "non-finite covariance at t = 1 (grid index 1)", None]
-        assert out.stable.tolist() == [False, False, False, True, False, True]
+            "non-finite covariance at t = 1 (grid index 1)", None,
+            "non-finite covariance at t = 0.1 (grid index 0)"]
+        assert out.stable.tolist() == [False, False, False, True, False, True, False]
         for k, model in enumerate(models):
             alone = evaluate_evolve_batch([model], t_grid)
             assert (out.stable[k], out.error[k]) == (alone.stable[0], alone.error[0])
@@ -364,10 +376,40 @@ class TestEvolveBatch:
     def test_unresolved_spectrum_fails_the_model(self):
         # unstable: by t = 2 ms ||V4||_F ~ 1e48 and nu_minus sinks below the
         # eigen-solver floor eps*||V4||_F, where it used to read 0 (E_N = inf)
-        model = resolve_point(base_config(G1=3e4, G2=1e4, Delta=1e3, rB=0.99)).model
+        model, _ = resolve_point(base_config(G1=3e4, G2=1e4, Delta=1e3, rB=0.99))
         out = evaluate_evolve_batch([model], [0.0, 1e-3, 2e-3])
         assert out.error == [entanglement.UNRESOLVED]
         assert np.isnan(out.EN).all() and out.stable.tolist() == [False]
+
+
+class TestRunPoints:
+    @pytest.mark.parametrize("mode", ["steady", "evolve"])
+    def test_points_are_drawn_one_chunk_at_a_time(self, mode, monkeypatch):
+        cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, mode=mode, tPoints=51)
+        size = max(1, EVOLVE_SAMPLES // cfg.tPoints) if mode == "evolve" else STEADY_CHUNK
+        values = [{"ratio": r} for r in np.linspace(0.8, 1.1, 2 * size + 5).tolist()]
+        drawn = 0
+
+        def points():
+            nonlocal drawn
+            for overrides in values:
+                drawn += 1
+                yield overrides
+
+        name = f"evaluate_{mode}_batch"
+        evaluate = getattr(experiments, name)
+        drawn_at_call = []
+
+        def recording(models, *args):
+            drawn_at_call.append(drawn)
+            return evaluate(models, *args)
+
+        monkeypatch.setattr(experiments, name, recording)
+        rows = experiments.run_points(cfg, ["ratio"], points()).rows
+        assert len(drawn_at_call) == 3
+        for k, count in enumerate(drawn_at_call, start=1):
+            assert count <= k * size
+        assert rows == experiments.run_points(cfg, ["ratio"], values).rows
 
 
 class TestFindOptimum:
@@ -410,10 +452,10 @@ class TestFindOptimum:
 
         assert bits(best) == bits(won)
         # the winner's values equal the point evaluated on its own, bit for bit
-        point = resolve_point(cfg, {"rB": best["rB"], "theta": best["theta"]})
-        EN, nu_minus, stable, error = peak_values(evaluate_steady_batch([point.model]))
+        model, _ = resolve_point(cfg, {"rB": best["rB"], "theta": best["theta"]})
+        EN, nu_minus, stable, error = peak_values(evaluate_steady_batch([model]))
         assert bits({"EN": EN, "nu_minus": nu_minus, "stable": stable,
-                     "error": error, "kappaTilde": point.model.kappa_tilde}) == \
+                     "error": error, "kappaTilde": model.kappa_tilde}) == \
             bits({k: best[k] for k in ("EN", "nu_minus", "stable", "error", "kappaTilde")})
 
     def test_refinement_never_worse(self):

@@ -66,15 +66,15 @@ def oracle_nu_minus(model: EffectiveModel) -> mpmath.mpf:
     """nu_minus of the stationary state, at ORACLE_DPS digits: the kron-form
     Lyapunov system (A X + X A^T = -D on the column-major vec(X)) solved by
     mpmath.lu_solve, then oracle_nu_pt of the mechanical block."""
-    ss = dynamics.state_space(model)
+    A_float, D = dynamics.state_space(model)
     with mpmath.workdps(ORACLE_DPS):
-        A = [[mpmath.mpf(float(x)) for x in row] for row in ss.A]
+        A = [[mpmath.mpf(float(x)) for x in row] for row in A_float]
         op = mpmath.zeros(_N * _N, _N * _N)
         rhs = mpmath.matrix(_N * _N, 1)
         for i in range(_N):
             for j in range(_N):
                 r = j * _N + i  # vec(X)[j*n + i] = X[i, j]
-                rhs[r] = -mpmath.mpf(float(ss.D[i, j]))
+                rhs[r] = -mpmath.mpf(float(D[i, j]))
                 for k in range(_N):
                     op[r, j * _N + k] += A[i][k]
                     op[r, k * _N + i] += A[j][k]
@@ -100,7 +100,7 @@ def marginal_model(gamma: float, **kw) -> EffectiveModel:
 def band_ratio(model: EffectiveModel) -> float:
     """Spectral abscissa in units of the marginal band's edge
     -STABILITY_TOL*||A||_F: a point is stable above 1."""
-    A = dynamics.state_space(model).A
+    A = dynamics.state_space(model)[0]
     abscissa, _ = dynamics.stability_batch(A[None])
     return float(abscissa[0] / (-dynamics.STABILITY_TOL * np.linalg.norm(A)))
 
@@ -129,10 +129,10 @@ def test_oracle_gives_the_thermal_value_without_coupling():
 @pytest.mark.parametrize("model", [
     # fig2a's smallest nu_minus (~5.3e-3)
     pytest.param(resolve_point(preset_config("fig2a"),
-                               {"theta": -0.3141592653589793, "rB": 0.9075}).model,
+                               {"theta": -0.3141592653589793, "rB": 0.9075})[0],
                  id="fig2a_min_nu"),
     # ideal feedback, kappa_tilde = 0
-    pytest.param(resolve_point(preset_config("fig2c"), {"ratio": 0.99, "rB": 1.0}).model,
+    pytest.param(resolve_point(preset_config("fig2c"), {"ratio": 0.99, "rB": 1.0})[0],
                  id="kappa_tilde_zero"),
     # the peak of the rB = 0.95 curve that criterion 5b looks for
     pytest.param(fig2_model(0.9989, 0.95), id="5b_peak"),
@@ -187,7 +187,7 @@ def test_equal_couplings_match_the_collective_mode_chain():
                          [0, 1, 0, -1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0]], float)
     g, G, kt = model.gamma1 / 2, model.G1, model.kappa_tilde
     chain = np.array([[-g, 0, 0], [-G, -kt, 0], [0, -2 * G, -g]])
-    A = dynamics.state_space(model).A
+    A = dynamics.state_space(model)[0]
     assert np.array_equal(to_chain @ A @ np.linalg.inv(to_chain),
                           np.kron(np.eye(2), chain))
     with mpmath.workdps(ORACLE_DPS):
@@ -279,10 +279,10 @@ _FIG3_STEP = float(_FIG3.time_grid()[1])
 
 
 _VAN_LOAN_MODELS = pytest.mark.parametrize("model, stable", [
-    pytest.param(resolve_point(_FIG3, {"rB": 0.99}).model, True, id="fig3a_rB_0.99"),
+    pytest.param(resolve_point(_FIG3, {"rB": 0.99})[0], True, id="fig3a_rB_0.99"),
     # ideal feedback at G1 = G2: kappa_tilde = 0 and marginal
-    pytest.param(resolve_point(_FIG3, {"rB": 1.0}).model, False, id="kappa_tilde_zero"),
-    pytest.param(resolve_point(_FIG3.replace(G1=3e4), {"rB": 0.99}).model, False,
+    pytest.param(resolve_point(_FIG3, {"rB": 1.0})[0], False, id="kappa_tilde_zero"),
+    pytest.param(resolve_point(_FIG3.replace(G1=3e4), {"rB": 0.99})[0], False,
                  id="unstable"),
 ])
 
@@ -290,10 +290,10 @@ _VAN_LOAN_MODELS = pytest.mark.parametrize("model, stable", [
 @pytest.mark.parametrize("dt", [_FIG3_STEP, _FIG3_STEP / 8], ids=["step", "step_over_8"])
 @_VAN_LOAN_MODELS
 def test_transition_and_noise_matches_van_loan(model, stable, dt):
-    ss = dynamics.state_space(model)
-    assert dynamics.stability_eigen(ss.A) == stable
-    M, Q = dynamics.transition_and_noise(ss.A, ss.D, dt)
-    M_ref, Q_ref = van_loan_maps(ss.A, ss.D, dt)
+    A, D = dynamics.state_space(model)
+    assert dynamics.stability_eigen(A) == stable
+    M, Q = dynamics.transition_and_noise(A, D, dt)
+    M_ref, Q_ref = van_loan_maps(A, D, dt)
     assert relative_frobenius_error(M, M_ref) <= VAN_LOAN_RTOL
     assert relative_frobenius_error(Q, Q_ref) <= VAN_LOAN_RTOL
 
@@ -311,11 +311,11 @@ def test_interval_maps_match_van_loan(model, stable, dt, monkeypatch):
         return original(A, D, step)
 
     monkeypatch.setattr(dynamics, "transition_and_noise", recording)
-    ss = dynamics.state_space_batch([model])
-    M, Q = dynamics._interval_maps(ss, dt)
+    A, D = dynamics.state_space_batch([model])
+    M, Q = dynamics._interval_maps(A, D, dt)
     doublings = round(np.log2(dt / steps[0]))
     assert len(steps) == 1 and dt / 2.0 ** doublings == steps[0]
     assert doublings >= 2
-    M_ref, Q_ref = van_loan_maps(ss.A[0], ss.D[0], dt)
+    M_ref, Q_ref = van_loan_maps(A[0], D[0], dt)
     assert relative_frobenius_error(M[0], M_ref) <= VAN_LOAN_RTOL
     assert relative_frobenius_error(Q[0], Q_ref) <= VAN_LOAN_RTOL

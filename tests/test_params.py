@@ -139,21 +139,21 @@ class TestEffectiveCavityParams:
 
 class TestRwaValidity:
     def test_well_separated_is_valid(self):
-        rep = rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 2e8)
-        assert rep.ratio == pytest.approx(1e-3, rel=1e-12)
-        assert rep.verdict == "valid"
+        assert rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 2e8) == "valid"
+        # the ratio is 1e-3 to 12 digits: the verdict flips between thresholds
+        # just above and just below it
+        assert rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 2e8, threshold=1e-3 * (1 + 1e-12)) == "valid"
+        assert rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 2e8,
+                            threshold=1e-3 * (1 - 1e-12)) == "marginal"
 
     def test_degenerate_frequencies_invalid(self):
         # nearly degenerate: the difference dominates the divisor; equal
         # frequencies are a config error (RunConfig)
-        rep = rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 1e8 + 1.0)
-        assert rep.verdict == "invalid"
+        assert rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 1e8 + 1.0) == "invalid"
 
     def test_marginal_band(self):
-        rep = rwa_validity(1e5, 1e5, 5e7, 5e7, 1e8, 2e8)
-        assert rep.verdict == "marginal"
-        rep = rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 2e8, threshold=1e-4)
-        assert rep.verdict == "marginal"
+        assert rwa_validity(1e5, 1e5, 5e7, 5e7, 1e8, 2e8) == "marginal"
+        assert rwa_validity(1e5, 1e5, 5e4, 5e4, 1e8, 2e8, threshold=1e-4) == "marginal"
 
 
 class TestModelConstruction:
