@@ -2,7 +2,9 @@
 
 The quadrature vector is ordered (dq1, dp1, dq2, dp2, dX, dY): two mechanical
 modes then the cavity.  The first moments obey du/dt = A u + n with drift A and
-a diagonal diffusion matrix D for the noise vector n.
+a diagonal diffusion matrix D for the noise vector n.  The model is
+phase-insensitive: A and D realify a complex 3x3 drift M and a Hermitian D_c
+(see cfomech.entanglement), and the steady state is solved on that form.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from .entanglement import _check_phase_insensitive, _realification_maps
 from .errors import (
     DivergenceError,
     NumericalError,
@@ -118,30 +121,43 @@ def _transpose(X: np.ndarray) -> np.ndarray:
     return np.swapaxes(X, -1, -2)
 
 
-#: Upper triangle (vech) of a symmetric 6x6 matrix; vech position of each entry.
-_IU, _JU = np.triu_indices(6)
-_VECH_INDEX = np.zeros((6, 6), dtype=int)
-_VECH_INDEX[_IU, _JU] = _VECH_INDEX[_JU, _IU] = np.arange(21)
+#: Maps to and from the coordinates of the realifications of the 3x3
+#: Hermitian matrices (9) and of all complex 3x3 matrices (18) on the
+#: quadratures: the drift A realifies a complex M, the diffusion D and every
+#: covariance V a Hermitian D_c and H.
+_HERMITIAN = _realification_maps(3, hermitian=True)
+_COMPLEX = _realification_maps(3, hermitian=False)
 
 
-def _vech_operator_basis() -> np.ndarray:
-    """(36, 441) tensor T: A.reshape(N, 36) @ T stacks the 21x21 matrices
-    L6 (I (x) A + A (x) I) D6 of X -> A X + X A^T on vech(X).  Row p, at
-    (i, j) = (_IU[p], _JU[p]), sums A[i, b] X[b, j] + A[j, b] X[i, b] over b.
-    Filled in place: einsum temporaries raised the peak memory of a run."""
-    p, b = np.divmod(np.arange(21 * 6), 6)
-    T = np.zeros((6, 6, 21, 21))
-    T[_IU[p], b, p, _VECH_INDEX[b, _JU[p]]] = 1.0
-    T[_JU[p], b, p, _VECH_INDEX[_IU[p], b]] += 1.0  # 2 where both terms meet (i = j)
-    return T.reshape(36, 441)
+def _lyapunov_basis() -> np.ndarray:
+    """(18, 81) tensor T: m @ T stacks the 9x9 matrices of H -> M H + H
+    M^dagger on the Hermitian coordinates, for the coordinates m of M, that
+    is of V -> A V + V A^T on the covariances that Hermitian H realify, for
+    the A that M realifies.  Its entries are 0, +-1 and +-2, and each 9x9
+    entry sums at most two terms, so it comes out the same in any summation
+    order."""
+    embed, project, _ = _HERMITIAN
+    drifts = _COMPLEX[0].reshape(18, 1, 6, 6)
+    basis = embed.reshape(1, 9, 6, 6)
+    images = drifts @ basis + basis @ _transpose(drifts)  # [drift, column, 6, 6]
+    return _transpose(images.reshape(18, 9, 36) @ project).reshape(18, 81)
 
 
-_VECH_OPERATOR_BASIS = _vech_operator_basis()
+_LYAPUNOV_BASIS = _lyapunov_basis()
+
+
+def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
+    """(N, 9, 9) stack of the matrices of H -> M H + H M^dagger on the
+    Hermitian coordinates, for the (N, 6, 6) stack of drifts A realifying M."""
+    # reshape(N, 36), not (N, -1): a chunk with no stable point is (0, 6, 6)
+    return (A.reshape(len(A), 36) @ _COMPLEX[1] @ _LYAPUNOV_BASIS).reshape(-1, 9, 9)
 
 
 def _solve_lyapunov_once(op: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    x = np.linalg.solve(op, -rhs[:, _IU, _JU, None])[..., 0]
-    return x[:, _VECH_INDEX]
+    embed, project, _ = _HERMITIAN
+    with np.errstate(invalid="ignore"):  # an infinite D solves to NaN, reported by the caller
+        h = np.linalg.solve(op, -(rhs.reshape(len(rhs), 36) @ project)[..., None])[..., 0]
+    return (h @ embed).reshape(-1, 6, 6)
 
 
 def _refined_solution(op: np.ndarray, A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -153,21 +169,26 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
     """Stationary covariances V[k] solving A[k] V + V A[k]^T = -D[k] for an
     (N, 6, 6) stack of strictly stable systems, with a per-system error.
 
-    Each system is solved as a linear system on the 21 entries of the upper
-    triangle of the symmetric V (vech form), with one iterative-refinement
-    pass, all N in one batched linear solve.  V is linear in D, so each D
-    enters scaled by a power of 2 near 1/max|D| and V is scaled back, both
-    exactly: a hot bath overflows neither the solve nor the norms.  The
-    relative residual ||A V + V A^T + D||_F / ||D||_F must come out below the
-    contract value, or below the double-precision floor eps*||A||*||V||/||D||
-    for strongly amplifying systems.  A system that misses it, or whose linear
-    system is singular, gets the text of a NumericalError carrying a condition
-    estimate in place of None, and one whose V overflows once scaled back
-    gets a text naming the overflow; such a V is not meaningful.
+    A and D must realify a complex drift M and a Hermitian diffusion D_c (see
+    cfomech.entanglement), to STRUCTURE_RTOL relative, or ValueError is
+    raised naming the defect; every model's state space does.  Each system
+    is then solved as M H + H M^dagger = -D_c on the 9 real coordinates of
+    the Hermitian H that V realifies, with one iterative-refinement pass,
+    all N in one batched linear solve.  V is linear in D, so each D enters
+    scaled by a power of 2 near 1/max|D| and V is scaled back, both exactly:
+    a hot bath overflows neither the solve nor the norms.  The relative
+    residual ||A V + V A^T + D||_F / ||D||_F must come out below the
+    contract value, or below the double-precision floor
+    eps*||A||*||V||/||D|| for strongly amplifying systems.  A system that
+    misses it, or whose linear system is singular, gets the text of a
+    NumericalError carrying a condition estimate of its 9x9 operator in
+    place of None, and one whose V overflows once scaled back gets a text
+    naming the overflow; such a V is not meaningful.
     """
     N = len(A)
-    # reshape(N, 36), not (N, -1): a chunk with no stable point is (0, 6, 6)
-    op = (A.reshape(N, 36) @ _VECH_OPERATOR_BASIS).reshape(N, 21, 21)
+    _check_phase_insensitive(A, _COMPLEX, "drift matrix")
+    _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
+    op = _lyapunov_operator(A)
     shift = np.frexp(np.abs(D).max(axis=(-2, -1)))[1][:, None, None]
     D = np.ldexp(D, -shift)
     singular = np.zeros(N, dtype=bool)
@@ -204,15 +225,16 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
 def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Stationary covariance V solving A V + V A^T = -D for one system.
 
-    Raises StabilityError unless A is strictly stable, and NumericalError when
-    the solve fails as steady_state_batch reports it.
+    Raises ValueError as steady_state_batch does, StabilityError unless A is
+    strictly stable, and NumericalError when the solve fails as
+    steady_state_batch reports it.
     """
+    V, errors = steady_state_batch(A[None], D[None])
     abscissa, stable = stability_batch(A[None])
     if not stable[0]:
         raise StabilityError(
             "drift matrix is not strictly stable "
             f"(spectral abscissa {abscissa[0]:.6g})")
-    V, errors = steady_state_batch(A[None], D[None])
     if errors[0] is not None:
         raise NumericalError(errors[0])
     return V[0]

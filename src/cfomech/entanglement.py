@@ -4,20 +4,24 @@ Convention: quadratures carry vacuum variance 1/2, so a physical state has
 every symplectic eigenvalue >= 1/2, separability after partial transposition
 means nu_min >= 1/2, and the logarithmic negativity is max(0, -ln(2*nu_min)).
 
-The pipeline scores two-mode states with pt_spectrum_batch, which takes both
-symplectic spectra of each 4x4 matrix in closed form, with no eigen-solver:
-the local standard form (Simon 2000, PRL 84:2726; Duan, Giedke, Cirac and
-Zoller 2000, PRL 84:2722) and the two-mode invariants (Serafini, Illuminati
-and De Siena 2004, J. Phys. B 37:L21), arranged so that the only differences
-of large terms are the margins sqrt(ab) - s_i between the local and cross
-correlations.  Where a margin is small its rounding would reach nu, so the
-invariants are then evaluated in double-double arithmetic.  Where a margin
-is within UNRESOLVED_MARGIN * eps * ||V||_F of 0 the matrix is singular to
-rounding: its spectra are unresolved (UNRESOLVED), neither a number nor a
-violation of the uncertainty principle.  The physicality gate likewise
-counts only a violation that rounding of V's entries cannot explain
-(GATE_ROUNDING).  This is the package's only spectrum route; the tests hold
-it to the eigenvalues of Omega V (tests/reference.py).
+Every state the model makes is phase-insensitive: the quadratures (q1, p1,
+q2, p2, ...) are the real parts q and the imaginary parts (-p1, p2, ...) of
+the complex amplitudes (b1^dagger, b2, ...), and a covariance matrix is the
+realification [[Re H, -Im H], [Im H, Re H]] of a Hermitian H (the U(n)
+structure of Simon, Mukunda and Dutta 1994, PRA 49:1567).  A two-mode block
+is then [[a I, C], [C^T, b I]] with C = [[Re c, -Im c], [-Im c, -Re c]],
+where (a, b, c) = (H11, H22, H12), and both of its symplectic spectra have
+closed forms (the two-mode squeezed thermal case of Adesso, Serafini and
+Illuminati 2004, PRA 70:022318).  pt_spectrum_batch scores the pipeline's
+two-mode states with them, with no eigen-solver; their only difference of
+large terms is delta = ab - |c|^2, taken from Dekker's exact products.
+Where delta is within UNRESOLVED_MARGIN * eps * (ab + |c|^2) of 0 the
+matrix is singular to rounding: its spectra are unresolved (UNRESOLVED),
+neither a number nor a violation of the uncertainty principle.  The
+physicality gate likewise counts only a violation that rounding of V's
+entries cannot explain (GATE_ROUNDING).  This is the package's only
+spectrum route; the tests hold it to the eigenvalues of Omega V
+(tests/reference.py).
 """
 
 from __future__ import annotations
@@ -32,61 +36,97 @@ PHYSICALITY_TOL = 1e-8
 #: Log-negativity values below this are numerical dust and report as 0.
 NEGATIVITY_CLAMP = 1e-12
 
+#: Relative tolerance, against max(1, max|X|), of the symmetry and
+#: phase-insensitivity checks on the matrices the public functions take.
+STRUCTURE_RTOL = 1e-8
+
 #: Error text for a covariance matrix that fails the physicality gate.
 UNPHYSICAL = "covariance matrix violates the uncertainty principle"
 
-#: A two-mode spectrum is unresolved where a margin sqrt(ab) - s_i of the
-#: local standard form (see pt_spectrum_batch) is within this many
-#: eps*||V4||_F of 0.  The margins' own rounding error reached 22
-#: eps*||V4||_F on 3000 random states with local squeezing up to e^3; the
-#: transients that drift out of the physical set (undamped mechanics) sit at
-#: 645-679 and the benchmark workloads at 3.1e4 or more.
+#: A two-mode spectrum is unresolved where delta = ab - |c|^2 (see
+#: pt_spectrum_batch) is within this many eps*(ab + |c|^2) of 0.  One-ulp
+#: changes of the entries move delta by up to 2.6 of those, and its own
+#: rounding is below 0.9 (measured on 2000 and 3000 locally rotated
+#: two-mode squeezed thermal states); the G1 = G2 weak-damping steady state
+#: sits at 0.99, the undamped transients that drift out of the physical set
+#: at 2.1e3 or more, the benchmark workloads at 8.7e4 or more and a hot
+#: product state at 1/eps.
 UNRESOLVED_MARGIN = 100.0
 
-#: Below this many eps*||V4||_F, a margin's rounding (up to about 22 of them)
-#: could move nu by more than about 2e-8 relative, so both spectra are then
-#: taken from the invariants in double-double arithmetic (_dd_spectra).
-#: About 2% of the samples of an evolve sweep and 0.4% of steady points fall
-#: below it.
-COMPENSATED_MARGIN = 1e9
-
 #: The physicality gate fails only where nu_full is below 1/2 -
-#: PHYSICALITY_TOL by more than this many times its shift under one-ulp
-#: changes of V's entries.  Near a pure, strongly squeezed state that shift
-#: grows like eps*||V||^2 and passes the tolerance: a two-mode squeezed
-#: vacuum stored as doubles falls 2.7e-5 short of 1/2 at r = 7.  The
-#: undamped transients that drift out of the physical set fall short of
-#: 1/2 by 35 to 58 times their shift.
+#: PHYSICALITY_TOL by more than this many times its relative shift under
+#: one-ulp changes of V's entries, 1/margin with margin = delta / (eps*(ab +
+#: |c|^2)).  Measured: one-ulp changes move nu_full by up to 2.4/margin, and
+#: two-mode squeezed vacua stored as doubles fall up to 1.5/margin short of
+#: 1/2; the undamped transient of `cfomech evolve --set G1=1e4 G2=1e4
+#: gamma1=0 gamma2=0 Delta=1e3 tMax=10` falls 170/margin short at t = 10.
 GATE_ROUNDING = 10.0
 
 #: Error text for a covariance matrix whose spectra are unresolved: it is
 #: singular to within rounding, so nu_minus cannot be told from 0.
 UNRESOLVED = "partially transposed spectrum unresolved: covariance matrix singular to rounding"
 
-#: Flat indices in a 4x4 matrix [[A, C], [C^T, B]] of its 10 distinct
-#: entries, in the order a11 b11 a12 b12 a22 b22 c11 c12 c21 c22.
-_ENTRIES = np.array([0, 10, 1, 11, 5, 15, 2, 3, 6, 7])
-
-#: Position among those entries of V[i][j].
-_ENTRY_OF = [[_ENTRIES.tolist().index(4 * min(i, j) + max(i, j)) for j in range(4)]
-             for i in range(4)]
-
-#: The 2x2 minors of rows (0, 1) at column pairs ordered to carry the sign of
-#: their Laplace term, then those of rows (2, 3) at the complementary pairs.
-#: The minor of rows (i, i+1) at columns (j, k) is V[i][j] V[i+1][k] -
-#: V[i][k] V[i+1][j]; _MINOR_X * _MINOR_Y lists the 12 first products, then
-#: the 12 second ones.
-_MINORS = [(0, (0, 1)), (0, (2, 0)), (0, (0, 3)), (0, (1, 2)), (0, (3, 1)), (0, (2, 3)),
-           (2, (2, 3)), (2, (1, 3)), (2, (1, 2)), (2, (0, 3)), (2, (0, 2)), (2, (0, 1))]
-_MINOR_X = np.array([_ENTRY_OF[i][j] for i, (j, k) in _MINORS]
-                    + [_ENTRY_OF[i][k] for i, (j, k) in _MINORS])
-_MINOR_Y = np.array([_ENTRY_OF[i + 1][k] for i, (j, k) in _MINORS]
-                    + [_ENTRY_OF[i + 1][j] for i, (j, k) in _MINORS])
-
 #: Dekker's splitter 2^27 + 1: splits a double into two 26-bit halves.
 _SPLITTER = 134217729.0
 
-_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+
+
+def _realification_maps(n_modes: int,
+                        hermitian: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(embed, project, defect) for the realifications of complex n x n
+    matrices Z in the quadrature ordering (q1, p1, q2, p2, ...), with Re Z
+    acting on the q and Im Z on (-p1, p2, ...).  Z runs over the basis E_jj,
+    E_jk + E_kj and i(E_jk - E_kj) (j < k) of the Hermitian matrices, so the
+    coordinates are the real upper triangle of Z then the imaginary parts
+    above its diagonal, or else over E_jk then i E_jk.  h @ embed is the
+    flattened realification of the coordinates h.  X.reshape(-1, 4 n^2) @
+    project reads the coordinates of X, each the mean of two paired entries
+    (both in the upper triangle for a Hermitian Z, whose realification is
+    symmetric), so they come out the same in any summation order; and
+    X.reshape(-1, 4 n^2) @ defect is X minus the realification of those."""
+    n = n_modes
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[j, k] = E_jk
+    if hermitian:
+        j, k = np.triu_indices(n)
+        upper = j != k
+        Z = np.concatenate([units[j, k] + units[k, j] * upper[:, None, None],
+                            1j * (units[j, k] - units[k, j])[upper]])
+    else:
+        Z = np.concatenate([units, 1j * units]).reshape(-1, n, n)
+    realified = np.block([[Z.real, -Z.imag], [Z.imag, Z.real]])
+    # from (Re, Im) order to the quadrature order, flipping the sign of p1
+    order = np.r_[0:2 * n:2, 1:2 * n:2]
+    signs = np.r_[np.ones(n), -1.0, np.ones(n - 1)]
+    embed = np.empty_like(realified)
+    embed[:, order[:, None], order] = realified * np.outer(signs, signs)
+    embed = embed.reshape(len(Z), -1)
+    read = embed * np.triu(np.ones((2 * n, 2 * n))).ravel() if hermitian else embed
+    project = (read / (read * embed).sum(axis=1, keepdims=True)).T
+    return embed, project, np.eye(4 * n * n) - project @ embed
+
+
+def _check_phase_insensitive(X: np.ndarray, maps: tuple[np.ndarray, ...], name: str) -> None:
+    """Raise ValueError, naming the worst entry, unless every matrix of the
+    stack X is within STRUCTURE_RTOL * max(1, max|X|) of the realification
+    of its own coordinates under maps (see _realification_maps)."""
+    flat = X.reshape(len(X), maps[2].shape[0])
+    with np.errstate(invalid="ignore"):  # an infinite entry reads NaN here, no defect
+        defect = np.abs(flat @ maps[2])
+    bad = defect.max(axis=1) > STRUCTURE_RTOL * np.abs(flat).max(axis=1, initial=1.0)
+    if bad.any():
+        worst = defect[np.argmax(bad)]
+        i, j = np.divmod(int(np.argmax(worst)), X.shape[-1])
+        raise ValueError(f"{name} is not phase-insensitive within tolerance "
+                         f"(entry ({i}, {j}) is off by {worst.max():.3g})")
+
+
+#: The two-mode maps: coordinates (a, Re c, b, Im c) of H = [[a, c], [c*, b]].
+_TWO_MODE = _realification_maps(2, hermitian=True)
+
+#: V4.reshape(N, 16) @ _FACTORS reads (a, Re c, Im c, b, Re c, Im c): the
+#: factors of ab, (Re c)^2 and (Im c)^2.
+_FACTORS = _TWO_MODE[1][:, [0, 1, 3, 2, 1, 3]]
 
 
 def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,140 +145,67 @@ def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (x - (s - z)) + (y - z)
 
 
-def _dd_sum(his: list, los: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of the double-double numbers his[k] + los[k], as hi + lo."""
-    total, carry = his[0], los[0]
-    for hi, lo in zip(his[1:], los[1:]):
-        total, err = _two_sum(total, hi)
-        carry = carry + err + lo
-    return _two_sum(total, carry)
-
-
-def _dd_spectra(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared smaller symplectic eigenvalues, before and after the partial
-    transposition, of symmetric 4x4 matrices given as (10, N) entry columns
-    in _ENTRIES order, from the invariants evaluated in double-double
-    arithmetic: det V by the Laplace expansion in the 2x2 minors of rows
-    (0, 1) and (2, 3), Delta = det A + det B +- 2 det C from three of those
-    minors, and the discriminant Delta^2 - 4 det V.  Each is good to a few
-    ulps of itself however near singular the matrix is."""
-    p, e = _two_product(entries[_MINOR_X], entries[_MINOR_Y])
-    hi, lo = _two_sum(p[:12], -p[12:])
-    lo += e[:12] - e[12:]
-    q, f = _two_product(hi[:6], hi[6:])
-    f += hi[:6] * lo[6:] + lo[:6] * hi[6:]
-    det_hi, det_lo = _dd_sum(q, f)
-    out = []
-    for sign in (2.0, -2.0):  # det C enters Delta with + before the transposition
-        delta_hi, delta_lo = _dd_sum([hi[0], hi[6], sign * hi[5]], [lo[0], lo[6], sign * lo[5]])
-        sq_hi, sq_lo = _two_product(delta_hi, delta_hi)
-        disc, _ = _dd_sum([sq_hi, -4.0 * det_hi], [sq_lo + 2.0 * delta_hi * delta_lo, -4.0 * det_lo])
-        out.append(2.0 * det_hi / (delta_hi + np.sqrt(np.maximum(disc, 0.0))))
-    return out[0], out[1]
-
-
 def pt_spectrum_batch(V4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Physicality gate and partially transposed spectrum of an (N, 4, 4)
-    stack of symmetric two-mode covariance matrices, in closed form.
+    stack of phase-insensitive two-mode covariance matrices, in closed form.
 
-    Each matrix [[A, C], [C^T, B]] is brought to the local standard form
-    [[a I, C'], [C'^T, b I]] by the symplectic S = adj(X + sqrt(det X) I) /
-    sqrt((tr X + 2 sqrt(det X)) sqrt(det X)) on each local block X (Simon
-    2000, PRL 84:2726).  With s1 >= s2 the singular values of C' (s1 from the
-    sum of the 2x2 SVD, s2 = |det C'| / s1) and g = sqrt(ab), det V =
-    (g - s1)(g + s1)(g - s2)(g + s2), and the smaller symplectic eigenvalue
-    is nu^2 = 2 det V / (Delta + sqrt(Delta^2 - 4 det V)) with Delta = a^2 +
-    b^2 -+ 2 det C', minus after transposition (Serafini, Illuminati and De
-    Siena 2004, J. Phys. B 37:L21).  Delta and the discriminant are sums of
-    nonnegative terms and of the margins g - s_i, so the margins are the only
-    differences of large terms; where one is small (COMPENSATED_MARGIN) both
-    spectra come from _dd_spectra instead.  Matrices are first scaled by a
-    power of 4, which is exact, so nothing overflows.
+    Each matrix is read as (a, b, c), each the mean of its paired entries,
+    so the slight asymmetry and phase-sensitive part that propagation
+    leaves (below 4e-11 relative) is dropped.  With delta = ab - |c|^2 =
+    sqrt(det V), the smaller symplectic eigenvalue after the transposition
+    is nu_pt = 2 delta / ((a + b) + sqrt((a - b)^2 + 4|c|^2)) and before it
+    nu_full = 2 delta / (|a - b| + sqrt((a - b)^2 + 4 delta)).  delta is the
+    only difference of large terms; ab and |c|^2 enter it as exact products
+    and sums, so it is good to a few ulps of itself.  (a, b, c) are first
+    scaled by a power of 2, which is exact, so nothing overflows.
 
-    Returns a boolean array, false where the smallest symplectic eigenvalue
-    is below 1/2 - PHYSICALITY_TOL by more than rounding of the entries can
-    explain (GATE_ROUNDING), and the smallest symplectic eigenvalue of each
-    matrix after the momentum of the second mode is flipped.  Where a margin
-    is within UNRESOLVED_MARGIN * eps * ||V4||_F of 0 neither spectrum is
-    resolved: the gate passes and the latter is NaN (see UNRESOLVED).  A
-    margin below that belongs to a matrix that is not positive definite,
-    which fails the gate.
+    Returns a boolean array, false where nu_full is below 1/2 -
+    PHYSICALITY_TOL by more than rounding of the entries can explain
+    (GATE_ROUNDING), and nu_pt of each matrix.  Where delta is within
+    UNRESOLVED_MARGIN * eps * (ab + |c|^2) of 0 neither spectrum is
+    resolved: the gate passes and nu_pt is NaN (see UNRESOLVED).  A delta
+    below that, or a + b <= 0, belongs to a matrix that is not positive
+    definite, which fails the gate.
     """
-    entries = np.asarray(V4, dtype=float).reshape(-1, 16)[:, _ENTRIES].T
-    half = np.frexp(np.abs(entries).max(axis=0))[1] // 2
-    entries = np.ldexp(entries, -2 * half)
-    x11, x12, x22 = entries[:6].reshape(3, 2, -1)  # the local blocks A and B side by side
-    c11, c12, c21, c22 = entries[6:]
-    with np.errstate(invalid="ignore", divide="ignore"):  # NaN: not positive definite
-        a_b = np.sqrt(x11 * x22 - x12 * x12)
-        t = np.sqrt((x11 + x22 + 2.0 * a_b) * a_b)
-        (u1, v1), (u2, v2), (u3, v3) = (x22 + a_b) / t, -x12 / t, (x11 + a_b) / t
-        m11, m12 = u1 * c11 + u2 * c21, u1 * c12 + u2 * c22
-        m21, m22 = u2 * c11 + u3 * c21, u2 * c12 + u3 * c22
-        p, q = m11 * v1 + m12 * v2, m11 * v2 + m12 * v3
-        r, s = m21 * v1 + m22 * v2, m21 * v2 + m22 * v3
-        root_e, root_f = np.hypot(p + s, q - r), np.hypot(p - s, q + r)
-        s1 = 0.5 * (root_e + root_f)
-        det_c = p * s - q * r
-        s2 = np.abs(det_c) / np.maximum(s1, _TINY)
-        a, b = a_b
-        g = np.sqrt(a * b)
-        e1, e2 = g - s1, g - s2
-        # the margin in units of eps*||V4||_F, summed elementwise so that a
-        # matrix gets the same bits alone as in a stack
-        local_sq = x11 * x11 + x22 * x22 + 2.0 * (x12 * x12)
-        ulp = _EPS * np.sqrt(
-            local_sq[0] + local_sq[1] + 2.0 * (c11 * c11 + c12 * c12 + c21 * c21 + c22 * c22))
-        margin = np.minimum(e1, e2) / ulp
-        unresolved = np.abs(margin) <= UNRESOLVED_MARGIN
-        resolved = margin > UNRESOLVED_MARGIN
-        det_v = e1 * (g + s1) * e2 * (g + s2)
-        # Delta and its discriminant with +2 s1 s2, then with -2 s1 s2, using
-        # a + b - s1 - s2 = (sqrt a - sqrt b)^2 + e1 + e2, s1 - s2 = min(root_e, root_f)
-        amb2, apb = (a - b) ** 2, a + b
-        delta_plus = amb2 + 2.0 * (a * b + s1 * s2)
-        disc_plus = amb2 * apb * apb + 4.0 * (a * s1 + b * s2) * (a * s2 + b * s1)
-        delta_minus = amb2 + 2.0 * (g * e1 + s1 * e2)
-        disc_minus = (amb2 * (amb2 / (np.sqrt(a) + np.sqrt(b)) ** 2 + e1 + e2)
-                      * (apb + s1 + s2) + (apb * np.minimum(root_e, root_f)) ** 2)
-        den_plus = delta_plus + np.sqrt(disc_plus)
-        den_minus = delta_minus + np.sqrt(disc_minus)
-        nu2_plus, nu2_minus = 2.0 * det_v / den_plus, 2.0 * det_v / den_minus
-        # det C' < 0: the transposition turns -2 s1 s2 into +2 s1 s2
-        flips = det_c < 0.0
-        nu2_full = np.where(flips, nu2_minus, nu2_plus)
-        nu2_pt = np.where(flips, nu2_plus, nu2_minus)
-        near = np.flatnonzero(resolved & (margin < COMPENSATED_MARGIN))
-        if near.size:
-            nu2_full[near], nu2_pt[near] = _dd_spectra(entries[:, near])
-        nu_full = np.ldexp(np.sqrt(nu2_full), 2 * half)
-        nu_pt = np.ldexp(np.sqrt(nu2_pt), 2 * half)
-        violates = nu_full < 0.5 - PHYSICALITY_TOL
-        if violates.any():
-            # relative shift of nu_full when V's entries move by an ulp:
-            # through the margins, and through Delta - sqrt(disc) near a pure state
-            shift = 1.0 / margin + 2.0 * g * ulp / np.where(flips, den_minus, den_plus)
-            violates &= nu_full * (1.0 + GATE_ROUNDING * shift) < 0.5 - PHYSICALITY_TOL
-    nu_pt[~resolved] = np.nan
-    return unresolved | (resolved & ~violates), nu_pt
+    h = np.asarray(V4, dtype=float).reshape(-1, 16) @ _FACTORS
+    # NaN and inf below belong to a matrix that is not positive definite
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        shift = np.frexp(np.abs(h).max(axis=1))[1]
+        h = np.ldexp(h.T, -shift)
+        a, b = h[0], h[3]
+        # ab, (Re c)^2 and (Im c)^2 as exact sums p + e
+        p, e = _two_product(h[:3], h[3:])
+        c2, c2_err = _two_sum(p[1], p[2])
+        delta = (p[0] - c2) + (((e[0] - e[1]) - e[2]) - c2_err)
+        # delta in units of its rounding under one-ulp changes of the entries
+        margin = delta / (_EPS * (p[0] + c2))
+        apb, amb = a + b, np.abs(a - b)
+        unresolved = (apb > 0.0) & (np.abs(margin) <= UNRESOLVED_MARGIN)
+        resolved = (apb > 0.0) & (margin > UNRESOLVED_MARGIN)
+        nu_pt = np.ldexp(2.0 * delta / (apb + np.sqrt(amb * amb + 4.0 * c2)), shift)
+        nu_full = np.ldexp(2.0 * delta / (amb + np.sqrt(amb * amb + 4.0 * delta)), shift)
+        violates = nu_full * (1.0 + GATE_ROUNDING / margin) < 0.5 - PHYSICALITY_TOL
+    return unresolved | (resolved & ~violates), np.where(resolved, nu_pt, np.nan)
 
 
 def min_symplectic_eigenvalue_pt(V4: np.ndarray):
     """Minimum symplectic eigenvalue after partial transposition, as a float
     for one 4x4 matrix or as an (N,) array for an (N, 4, 4) stack.
 
-    The input must be symmetric to 1e-8 relative, or ValueError is raised,
-    and physical, or PhysicalityError is raised; the momentum of the second
-    mode is flipped and the smaller symplectic eigenvalue of each transposed
-    matrix is returned, or NumericalError raised where it is unresolved.
-    Values below 1/2 witness entanglement.
+    The input must be symmetric and phase-insensitive (see the module
+    docstring) to STRUCTURE_RTOL relative, or ValueError is raised naming
+    the defect, and physical, or PhysicalityError is raised; the momentum of
+    the second mode is flipped and the smaller symplectic eigenvalue of each
+    transposed matrix is returned, or NumericalError raised where it is
+    unresolved.  Values below 1/2 witness entanglement.
     """
     V4 = np.asarray(V4, dtype=float)
     if V4.ndim not in (2, 3) or V4.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 two-mode covariance matrix")
     scale = np.maximum(1.0, np.abs(V4).max(axis=(-2, -1)))
-    if np.any(np.abs(V4 - np.swapaxes(V4, -1, -2)).max(axis=(-2, -1)) > 1e-8 * scale):
+    if np.any(np.abs(V4 - np.swapaxes(V4, -1, -2)).max(axis=(-2, -1)) > STRUCTURE_RTOL * scale):
         raise ValueError("covariance matrix is not symmetric within tolerance")
+    _check_phase_insensitive(V4.reshape(-1, 4, 4), _TWO_MODE, "covariance matrix")
     physical, nu_pt = pt_spectrum_batch(V4.reshape(-1, 4, 4))
     if not physical.all():
         raise PhysicalityError(UNPHYSICAL)

@@ -1,17 +1,21 @@
 """Reference routes for the steady-state solve and symplectic spectra, and
 test fixtures.
 
-The library solves the Lyapunov equation A V + V A^T = -D on the 21 entries
-of the upper triangle of the symmetric V (cfomech.dynamics.steady_state_batch).
-The tests hold it to the kron form here, which solves for all n*n entries of
-vec(V), with the same single refinement pass.
+Every model the library builds is phase-insensitive: its drift A and
+diffusion D, and so every covariance V, are realifications of complex 3x3
+matrices (realify).  The library solves the Lyapunov equation A V + V A^T =
+-D on the 9 real coordinates of the Hermitian H that V realifies
+(cfomech.dynamics.steady_state_batch).  The tests hold it to the kron form
+here, which solves for all n*n entries of vec(V) with the same single
+refinement pass, and to the vech form, the kron form restricted to the 21
+entries of the upper triangle of a symmetric V.
 
 The library takes the partially transposed spectrum of a two-mode covariance
-matrix in closed form (cfomech.entanglement.pt_spectrum_batch).  The tests
-hold it to the eigenvalue route here, which reads the spectrum off numpy's
-eigenvalues of Omega V for a symmetric 2n x 2n matrix of any n, or an
-(N, 2n, 2n) stack, in the convention of cfomech.entanglement (vacuum
-variance 1/2).
+matrix from the closed forms of its Hermitian 2x2 form
+(cfomech.entanglement.pt_spectrum_batch).  The tests hold it to the
+eigenvalue route here, which reads the spectrum off numpy's eigenvalues of
+Omega V for a symmetric 2n x 2n matrix of any n, or an (N, 2n, 2n) stack, in
+the convention of cfomech.entanglement (vacuum variance 1/2).
 """
 
 import numpy as np
@@ -64,6 +68,22 @@ def vech_lyapunov_operator(A: np.ndarray) -> np.ndarray:
     duplication[ju * n + iu, np.arange(len(iu))] = 1.0
     duplication[iu * n + ju, np.arange(len(iu))] = 1.0
     return kron_lyapunov_operator(A)[:, ju * n + iu] @ duplication
+
+
+def realify(Z) -> np.ndarray:
+    """Realification of a complex n x n matrix, or of an (N, n, n) stack, in
+    the quadrature ordering (q1, p1, q2, p2, ...): the complex amplitudes are
+    (b1^dagger, b2, ...), so Re Z acts on the q and Im Z on (-p1, p2, ...)."""
+    Z = np.asarray(Z, dtype=complex)
+    n = Z.shape[-1]
+    q, p = 2 * np.arange(n), 2 * np.arange(n) + 1
+    sign = np.r_[-1.0, np.ones(n - 1)]  # y = sign * p
+    X = np.zeros(Z.shape[:-2] + (2 * n, 2 * n))
+    X[..., q[:, None], q] = Z.real
+    X[..., p[:, None], p] = Z.real * np.outer(sign, sign)
+    X[..., p[:, None], q] = Z.imag * sign[:, None]
+    X[..., q[:, None], p] = -Z.imag * sign
+    return X
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

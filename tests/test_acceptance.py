@@ -387,17 +387,16 @@ class TestCriterion9Determinism:
         assert agree
 
     def test_preset_bytes_match_recorded_digests(self):
-        # sha256 of each preset's default output: the fig3 ones recorded when
-        # the PT spectrum moved to the closed form, the fig2 ones when the
-        # steady-state solve moved to the 21 unknowns of vech(V)
+        # sha256 of each preset's default output, recorded when the steady
+        # solve and the PT spectrum moved to the 3x3 Hermitian form
         recorded = {
-            ("fig2a", "csv"): "943e23cab06d57d4074e2c0d6d9e57e40e060ecfcfb12161c35c2f0d45959832",
-            ("fig2c", "csv"): "0bc82241884a65ba40873c9c7623c3dc8536d51d1808e4a52451077111ad24d4",
-            ("fig2d", "csv"): "2631f3a10f17097c80fed0c435bea9f785494b10c6710a03aedf109f652d9d33",
-            ("fig3a", "csv"): "4c3955b408729af45677d566526c5d8dfa1acf81bf0e9b865601c8769efa079e",
-            ("fig3b", "csv"): "c035f71ea4b86f379747a1594f11f3474408542bc06dc8a6138ec0b7fd1c71d7",
-            ("fig3a", "json"): "994a1a1d7a2b859f6608c8f49497a629228cfd36b5c07abd3beba23046ef9f64",
-            ("fig3b", "json"): "13447d66d0cbe8068078d2c7258582ae146d8d6568e4998f622a3dc06e22041d",
+            ("fig2a", "csv"): "fd9b92ed42366dc80401d2ffb658c5c23fd54b277b06eb73a21cf08a1391890d",
+            ("fig2c", "csv"): "70e31fed05686c458ca55978bf4ff153068b35d5cbb54378cc7df9d95ff9e8ac",
+            ("fig2d", "csv"): "84cc29b1b36dc749a097e4510d4dfc7caa26d9465c0b6465e77242f77af7dc52",
+            ("fig3a", "csv"): "6e3cf0c5ccc04cf385bc15bdb28b302a35a958d2691cfbfa2cd32626f5df776d",
+            ("fig3b", "csv"): "775ae53a26974eef7daf7c18a8140271fc32a1774b61674e0e519a9bfd0a47a7",
+            ("fig3a", "json"): "f87ffc67aec7797f953ac7b50be88da80505a01bd6f19ae0291b4f4460b28f1a",
+            ("fig3b", "json"): "021efb0d325ce35510e90041d4c41bf08e7634d80ea9429b1e09f08d4826a1d1",
         }
         tables = {name: experiments.run_preset(name) for name in experiments.PRESET_NAMES}
         changed = [f"{name} {fmt}" for (name, fmt), digest in recorded.items()

@@ -287,6 +287,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numerical/io error: partially transposed spectrum unresolved")
 
+    @pytest.mark.parametrize("nbar1", ["1e27", "1e30"])
+    def test_hot_product_state_is_resolved(self, capsys, nbar1):
+        # the separable start diag(nbar1 + 1/2, nbar1 + 1/2, 1/2, 1/2) has
+        # nu_minus = 1/2 exactly, and a floor that grew like eps*||V4|| with
+        # the bath would call it unresolved
+        code, out, err = run_cli(
+            ["evolve", "--set", "G1=1e4", "G2=1e4", "Delta=1e3", f"nbar1={nbar1}",
+             "tPoints=3"], capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        first = dict(zip(header, rows[0]))
+        assert (first["t"], first["nu_minus"], first["error"]) == ("0", "0.5", "")
+        assert all(row[header.index("error")] == "" for row in rows)
+
 
 class TestStabilityCommand:
     def test_reports_both_verdicts(self, config_file, capsys):

@@ -28,6 +28,7 @@ from reference import (
     PT_SIGNS,
     kron_steady_state,
     physicality_check,
+    realify,
     symplectic_eigenvalues,
     vech_lyapunov_operator,
 )
@@ -188,9 +189,9 @@ SCIPY_RTOL = 1e-7
 SCIPY_COND_MAX = 1e10
 
 #: Relative Frobenius distance allowed between the library's V, solved on the
-#: 21 unknowns of vech(V), and the kron-form reference on all 36 of vec(V),
-#: both with one refinement pass, on every fig2a, fig2c and fig2d point; the
-#: largest measured is 7.4e-11, on fig2d (fig2a median 3.4e-13).
+#: 9 coordinates of its Hermitian form, and the kron-form reference on all 36
+#: of vec(V), both with one refinement pass, on every fig2a, fig2c and fig2d
+#: point; the largest measured is 6.2e-11, on fig2d (fig2a median 3.4e-13).
 KRON_REFERENCE_RTOL = 1e-9
 
 
@@ -266,8 +267,8 @@ class TestBatchedCore:
         V, errors = steady_state_batch(A, D)
         assert errors[0].startswith("Lyapunov linear system is singular (cond ~ ")
         assert errors[1].startswith("Lyapunov residual ")
-        assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(
-            vech_lyapunov_operator(A[1:2])[0]))
+        op = dynamics._lyapunov_operator(A[1:2])[0]
+        assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(op))
         assert errors[2] is None
         assert np.array_equal(V[2], clean[2])
 
@@ -276,9 +277,54 @@ class TestBatchedCore:
         assert V.shape == (0, 6, 6) and errors == []
 
     def test_operator_is_the_kron_form_on_symmetric_matrices(self):
-        A = np.random.default_rng(5).normal(size=(20, 6, 6))
-        op = (A.reshape(20, 36) @ dynamics._VECH_OPERATOR_BASIS).reshape(20, 21, 21)
-        assert np.array_equal(op, vech_lyapunov_operator(A))
+        # on the symmetric matrices that realify a Hermitian H, the 9x9
+        # operator acts as the 21x21 vech form does, for any complex M
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+        A = realify(M)
+        op = dynamics._lyapunov_operator(A)
+        embed, project, _ = dynamics._HERMITIAN
+        iu, ju = np.triu_indices(6)
+        to_vech = embed.reshape(9, 6, 6)[:, iu, ju].T
+        gap = vech_lyapunov_operator(A) @ to_vech - to_vech @ op
+        assert np.abs(gap).max() <= 1e-14 * np.abs(A).max()
+        # the coordinates are those of realify's Hermitian matrices
+        B = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+        H = realify(B @ np.conj(np.swapaxes(B, -1, -2)))
+        assert np.abs(H.reshape(20, 36) @ project @ embed - H.reshape(20, 36)).max() \
+            <= 1e-15 * np.abs(H).max()
+        # and the solve is the kron reference's on stable such systems
+        M = M - (np.linalg.eigvals(M).real.max(axis=-1) + 1.0)[:, None, None] * np.eye(3)
+        V, errors = steady_state_batch(realify(M), H)
+        V_ref = kron_steady_state(realify(M), H)
+        assert errors == [None] * 20
+        rel = np.linalg.norm(V - V_ref, axis=(-2, -1)) / np.linalg.norm(V_ref, axis=(-2, -1))
+        assert rel.max() <= KRON_REFERENCE_RTOL
+
+    def test_rejects_systems_that_are_not_phase_insensitive(self):
+        A, D = state_space(model(G1=0.9e5, G2=1e5, kt=5e3, n1=1.0))
+        squeezing = A.copy()
+        squeezing[0, 0] -= 1.0  # q1 damped faster than p1
+        correlated = D.copy()
+        correlated[0, 1] = correlated[1, 0] = 1.0  # q1-p1 correlated noise
+        drift = r"^drift matrix is not phase-insensitive within tolerance \(entry \(0, 0\) "
+        diffusion = r"^diffusion matrix is not phase-insensitive within tolerance \(entry \(0, 1\) "
+        for solve in (steady_state_covariance,
+                      lambda A, D: steady_state_batch(A[None], D[None])):
+            with pytest.raises(ValueError, match=drift + r"is off by 0.5\)"):
+                solve(squeezing, D)
+            with pytest.raises(ValueError, match=diffusion + r"is off by 1\)"):
+                solve(A, correlated)
+        # the check comes before the stability verdict
+        unstable = state_space(model(G1=2e5, G2=1e5, kt=1e3))[0]
+        unstable[0, 0] -= 1.0
+        with pytest.raises(ValueError, match="drift matrix"):
+            steady_state_covariance(unstable, D)
+        # a defect within STRUCTURE_RTOL of max|A| (1e5) passes the check
+        nearly = A.copy()
+        nearly[0, 0] -= 1e-6
+        V, _ = steady_state_batch(nearly[None], D[None])
+        assert V.shape == (1, 6, 6)
 
     @pytest.mark.parametrize("preset", ["fig2a", "fig2c", "fig2d"])
     def test_preset_points_match_the_kron_reference(self, preset, monkeypatch):

@@ -30,19 +30,19 @@ from cfomech.params import EffectiveModel
 ORACLE_DPS = 50
 
 #: Relative nu_minus error allowed against the oracle at the pinned points;
-#: the largest measured is 1.8e-8, at the 5b peak (5.6e-12 in the marginal
+#: the largest measured is 1.3e-8, at the 5b peak (1.6e-12 in the marginal
 #: band).
 ORACLE_NU_RTOL = 1e-7
 
 #: The same at G1 = G2, where the Lyapunov operator has cond ~ 1e16; the
-#: measured error is 2.5e-5.
+#: measured error is 3.9e-5.
 ORACLE_NU_RTOL_EQUAL_COUPLINGS = 1e-4
 
 #: Relative error allowed in pt_spectrum_batch's nu against the oracle on
-#: the fig2d and fig3b samples: a margin's rounding (at most about 22
-#: eps*||V4||_F) over COMPENSATED_MARGIN bounds the product form's error in
-#: nu by 1.1e-8.  The largest measured is 3.2e-10 (3.9e-9 for the eigvals
-#: route of symplectic_eigenvalues).
+#: the fig2d and fig3b samples.  delta = ab - |c|^2 is exact for the (a, b,
+#: c) read, so what is left is that a propagated sample is scored by the
+#: means of its paired entries: the largest measured is 4.0e-10, on fig3b
+#: (2.1e-16 on fig2d; 3.9e-9 for the eigvals route of symplectic_eigenvalues).
 ORACLE_PT_RTOL = 2e-8
 
 #: Relative Frobenius error allowed in the M and Q of transition_and_noise
@@ -390,9 +390,9 @@ def sweep_models() -> list[tuple[str, EffectiveModel]]:
 
 
 #: Relative nu_minus error allowed in the sweep: ORACLE_NU_RTOL_EQUAL_COUPLINGS
-#: for the near-equal couplings (measured up to 2.4e-6, where the Lyapunov
+#: for the near-equal couplings (measured up to 1.6e-6, where the Lyapunov
 #: operator's condition grows as G1/G2 nears 1), ORACLE_NU_RTOL elsewhere
-#: (measured up to 1.3e-10, on the hot baths).
+#: (measured up to 2.6e-11, on the hot baths).
 SWEEP_RTOL = {family: ORACLE_NU_RTOL for family in SWEEP_FAMILIES}
 SWEEP_RTOL["near_equal_couplings"] = ORACLE_NU_RTOL_EQUAL_COUPLINGS
 
