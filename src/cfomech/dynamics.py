@@ -153,16 +153,13 @@ def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return (A.reshape(len(A), 36) @ _COMPLEX[1] @ _LYAPUNOV_BASIS).reshape(-1, 9, 9)
 
 
-def _solve_lyapunov_once(op: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_lyapunov(op: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """(N, 6, 6) stack of the V solving op h = -d on the Hermitian coordinates
+    h of V and d of D, for the (N, 9, 9) operators op."""
     embed, project, _ = _HERMITIAN
     with np.errstate(invalid="ignore"):  # an infinite D solves to NaN, reported by the caller
-        h = np.linalg.solve(op, -(rhs.reshape(len(rhs), 36) @ project)[..., None])[..., 0]
+        h = np.linalg.solve(op, -(D.reshape(len(D), 36) @ project)[..., None])[..., 0]
     return (h @ embed).reshape(-1, 6, 6)
-
-
-def _refined_solution(op: np.ndarray, A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    V = _solve_lyapunov_once(op, D)
-    return V + _solve_lyapunov_once(op, A @ V + V @ _transpose(A) + D)
 
 
 def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
@@ -173,10 +170,10 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
     cfomech.entanglement), to STRUCTURE_RTOL relative, or ValueError is
     raised naming the defect; every model's state space does.  Each system
     is then solved as M H + H M^dagger = -D_c on the 9 real coordinates of
-    the Hermitian H that V realifies, with one iterative-refinement pass,
-    all N in one batched linear solve.  V is linear in D, so each D enters
-    scaled by a power of 2 near 1/max|D| and V is scaled back, both exactly:
-    a hot bath overflows neither the solve nor the norms.  The relative
+    the Hermitian H that V realifies, all N in one batched linear solve.  V
+    is linear in D, so each D enters scaled by a power of 2 near 1/max|D|
+    and V is scaled back, both exactly: a hot bath overflows neither the
+    solve nor the norms.  The relative
     residual ||A V + V A^T + D||_F / ||D||_F must come out below the
     contract value, or below the double-precision floor
     eps*||A||*||V||/||D|| for strongly amplifying systems.  A system that
@@ -193,13 +190,13 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
     D = np.ldexp(D, -shift)
     singular = np.zeros(N, dtype=bool)
     try:
-        V = _refined_solution(op, A, D)
+        V = _solve_lyapunov(op, D)
     except np.linalg.LinAlgError:
         # one singular system fails the whole batched solve: solve one by one
         V = np.full_like(D, np.nan)
         for k in range(N):
             try:
-                V[k] = _refined_solution(op[k:k + 1], A[k:k + 1], D[k:k + 1])[0]
+                V[k] = _solve_lyapunov(op[k:k + 1], D[k:k + 1])[0]
             except np.linalg.LinAlgError:
                 singular[k] = True
     norm_D = np.linalg.norm(D, axis=(-2, -1))

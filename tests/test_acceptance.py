@@ -387,12 +387,13 @@ class TestCriterion9Determinism:
         assert agree
 
     def test_preset_bytes_match_recorded_digests(self):
-        # sha256 of each preset's default output, recorded when the steady
-        # solve and the PT spectrum moved to the 3x3 Hermitian form
+        # sha256 of each preset's default output; fig3 recorded when the
+        # steady solve and the PT spectrum moved to the 3x3 Hermitian form,
+        # fig2 when the steady solve dropped its refinement pass
         recorded = {
-            ("fig2a", "csv"): "fd9b92ed42366dc80401d2ffb658c5c23fd54b277b06eb73a21cf08a1391890d",
-            ("fig2c", "csv"): "70e31fed05686c458ca55978bf4ff153068b35d5cbb54378cc7df9d95ff9e8ac",
-            ("fig2d", "csv"): "84cc29b1b36dc749a097e4510d4dfc7caa26d9465c0b6465e77242f77af7dc52",
+            ("fig2a", "csv"): "18f93890742dbe7496b7507fe5567a59178ceb7388b5af43b26250bf13c0c635",
+            ("fig2c", "csv"): "5c23d1ca23cb3d9940fc0a33561f8d31a58d08d6e9f4a56c163329963813b293",
+            ("fig2d", "csv"): "90184d34e11bffe252d282361b44aba5f87906c0256f3d0aecbc34d10c9927ef",
             ("fig3a", "csv"): "6e3cf0c5ccc04cf385bc15bdb28b302a35a958d2691cfbfa2cd32626f5df776d",
             ("fig3b", "csv"): "775ae53a26974eef7daf7c18a8140271fc32a1774b61674e0e519a9bfd0a47a7",
             ("fig3a", "json"): "f87ffc67aec7797f953ac7b50be88da80505a01bd6f19ae0291b4f4460b28f1a",

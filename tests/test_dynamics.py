@@ -22,7 +22,7 @@ from cfomech.entanglement import (
     pt_spectrum_batch,
 )
 from cfomech.errors import StabilityError, UnsupportedRegimeError
-from cfomech.experiments import run_preset
+from cfomech.experiments import preset_config, run_points, run_preset
 from cfomech.params import EffectiveModel, effective_cavity_params
 from reference import (
     PT_SIGNS,
@@ -253,24 +253,48 @@ class TestBatchedCore:
                                                (0.8, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
                                                (0.7, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)]))
         clean, _ = steady_state_batch(A, D)
-        refined = dynamics._refined_solution
+        op = dynamics._lyapunov_operator(A)
+        solve = dynamics._solve_lyapunov
 
-        def flaky(op, A_k, D_k):
+        def flaky(op_k, D_k):
             # system 0 has a singular solve, system 1 misses the residual
-            if any(np.array_equal(a, A[0]) for a in A_k):
+            if any(np.array_equal(o, op[0]) for o in op_k):
                 raise np.linalg.LinAlgError("Singular matrix")
-            V = refined(op, A_k, D_k)
-            V[[np.array_equal(a, A[1]) for a in A_k]] += 1.0
+            V = solve(op_k, D_k)
+            V[[np.array_equal(o, op[1]) for o in op_k]] += 1.0
             return V
 
-        monkeypatch.setattr(dynamics, "_refined_solution", flaky)
+        monkeypatch.setattr(dynamics, "_solve_lyapunov", flaky)
         V, errors = steady_state_batch(A, D)
         assert errors[0].startswith("Lyapunov linear system is singular (cond ~ ")
         assert errors[1].startswith("Lyapunov residual ")
-        op = dynamics._lyapunov_operator(A[1:2])[0]
-        assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(op))
+        assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(op[1]))
         assert errors[2] is None
         assert np.array_equal(V[2], clean[2])
+
+    def test_each_chunk_is_one_batched_solve(self, monkeypatch):
+        # the 9-coordinate solve takes no refinement pass: one np.linalg.solve
+        # call of its (N, 9, 9) systems per chunk
+        A, D = state_space_batch(_model_stack([(r, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)
+                                               for r in (0.5, 0.7, 0.9, 0.99)]))
+        shapes = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        _, errors = steady_state_batch(A, D)
+        assert errors == [None] * 4
+        assert shapes == [(4, 9, 9)]
+        # a 100-point sweep is two chunks of STEADY_CHUNK = 64 and 36 points
+        shapes.clear()
+        table = run_points(preset_config("fig2c"), ["ratio"],
+                           [{"ratio": r} for r in np.linspace(0.5, 0.99, 100).tolist()])
+        stable = sum(row["stable"] for row in table.rows)
+        assert stable > 64 and [len(s) for s in shapes] == [3, 3]
+        assert sum(s[0] for s in shapes) == stable
 
     def test_empty_stack_gives_empty_results(self):
         V, errors = steady_state_batch(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)))
