@@ -179,7 +179,7 @@ def _point_table(cfg: RunConfig) -> ResultTable:
     or failed raises instead of giving a row."""
     table = experiments.run_points(cfg, [], [{}], curves=True)
     row = table.rows[0]
-    if cfg.mode == "steady" and not row["stable"]:
+    if cfg.mode == "steady" and row["error"] == "unstable":
         raise StabilityError("steady mode on an unstable operating point; "
                              "use evolve mode or change parameters")
     if row["error"] is not None:

@@ -74,15 +74,36 @@ def state_space(m: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
     return A[0], D[0]
 
 
+def _frobenius_norm(X: np.ndarray) -> np.ndarray:
+    """Frobenius norms of an (N, n, n) stack.  Where the squares overflow the
+    norm is taken again on the matrix scaled by a power of 2 near 1/max|X|,
+    exactly; a matrix with an infinite entry has norm inf."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(X, axis=(-2, -1))
+        big = np.isinf(norm)
+        if big.any():
+            shift = np.frexp(np.abs(X[big]).max(axis=(-2, -1)))[1]
+            norm[big] = np.ldexp(np.linalg.norm(np.ldexp(X[big], -shift[:, None, None]),
+                                                axis=(-2, -1)), shift)
+    return norm
+
+
 def stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral abscissa and eigenvalue stability verdict of each matrix of an
     (N, n, n) stack, from one eigenvalue call.
 
     A matrix is stable iff its spectral abscissa is below -STABILITY_TOL
-    times ||A||_F; systems inside the band count as marginal, not stable.
+    times ||A||_F; systems inside the band count as marginal, not stable.  A
+    matrix with a non-finite entry has a NaN abscissa and is not stable.
     """
-    abscissa = np.linalg.eigvals(A).real.max(axis=-1)
-    return abscissa, abscissa < -STABILITY_TOL * np.linalg.norm(A, axis=(-2, -1))
+    try:
+        abscissa = np.linalg.eigvals(A).real.max(axis=-1)
+    except np.linalg.LinAlgError:
+        # a non-finite entry fails the whole batched call: leave those out
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        abscissa = np.full(len(A), np.nan)
+        abscissa[finite] = np.linalg.eigvals(A[finite]).real.max(axis=-1)
+    return abscissa, abscissa < -STABILITY_TOL * _frobenius_norm(A)
 
 
 def stability_eigen(A: np.ndarray) -> bool:
@@ -109,12 +130,16 @@ def stability_margin(m: EffectiveModel) -> float:
         raise UnsupportedRegimeError(
             "closed-form stability assumes equal mechanical dampings; "
             "use stability_eigen instead")
-    gamma = m.gamma1
-    kt, dt = m.kappa_tilde, m.delta_tilde
+    # the gap is homogeneous of degree 2 in the rates: rates from 2^500 on are
+    # scaled down by a power of 2, exactly, so that no square overflows, and
+    # the gap is scaled back (an overflow there gives inf of the gap's sign)
+    rates = (m.G1, m.G2, m.kappa_tilde, m.delta_tilde, m.gamma1)
+    scale = 2.0 ** max(0, math.frexp(max(map(abs, rates)))[1] - 500)
+    G1, G2, kt, dt, gamma = (x / scale for x in rates)
     if gamma == 0.0:
-        return min(0.0, m.G2 ** 2 - m.G1 ** 2)
+        return min(0.0, G2 ** 2 - G1 ** 2) * scale * scale
     correction = 0.5 * kt * gamma * (1.0 + 4.0 * dt * dt / (gamma + 2.0 * kt) ** 2)
-    return m.G2 ** 2 - m.G1 ** 2 + correction
+    return (G2 ** 2 - G1 ** 2 + correction) * scale * scale
 
 
 def _transpose(X: np.ndarray) -> np.ndarray:
@@ -199,13 +224,13 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
                 V[k] = _solve_lyapunov(op[k:k + 1], D[k:k + 1])[0]
             except np.linalg.LinAlgError:
                 singular[k] = True
-    norm_D = np.linalg.norm(D, axis=(-2, -1))
-    rel = np.linalg.norm(A @ V + V @ _transpose(A) + D, axis=(-2, -1)) / norm_D
-    floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A, axis=(-2, -1)) \
-        * np.linalg.norm(V, axis=(-2, -1)) / norm_D
     # an infinite D (a bath too hot for double precision) solves to NaN, and a
     # V too large for double precision overflows here; both are reported below
     with np.errstate(over="ignore"):
+        norm_D = np.linalg.norm(D, axis=(-2, -1))
+        rel = np.linalg.norm(A @ V + V @ _transpose(A) + D, axis=(-2, -1)) / norm_D
+        floor = 100.0 * np.finfo(float).eps * _frobenius_norm(A) \
+            * np.linalg.norm(V, axis=(-2, -1)) / norm_D
         V = np.ldexp(V, shift)
     overflow = ~np.isfinite(V).all(axis=(-2, -1))
     errors: list[str | None] = [None] * N
@@ -274,9 +299,11 @@ def _interval_maps(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray,
     obeys the norm cap.  Squaring is the exact semigroup composition, so the
     interval maps stay exact up to rounding.  Each system keeps its own
     doubling count; the squaring rounds skip systems that are done."""
-    norm_A = np.linalg.norm(A, axis=(-2, -1))
+    norm_A = _frobenius_norm(A)
     doublings = np.zeros(len(norm_A), dtype=int)
-    over = norm_A * dt > STEP_NORM_CAP
+    # a drift whose norm is not finite is not subdivided: its maps come out
+    # non-finite, which the caller reports
+    over = np.isfinite(norm_A) & (norm_A * dt > STEP_NORM_CAP)
     doublings[over] = np.ceil(np.log2(norm_A[over] * dt / STEP_NORM_CAP))
     # overflow here means the system diverges over this interval; the caller
     # reports the resulting non-finite entries

@@ -238,6 +238,11 @@ class ChunkResult:
     error: list[str | None]
 
 
+#: Error text of a point whose drift matrix has a non-finite entry, a rate
+#: beyond double precision: no stability verdict can be read from it.
+NONFINITE_DRIFT = "drift matrix has a non-finite entry"
+
+
 def _score(covs: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.ndarray]:
     """(N, T) E_N and nu_minus of an (N, T, 6, 6) covariance stack from one
     batched spectrum call over every sample of the models with no error yet.
@@ -261,14 +266,16 @@ def evaluate_steady_batch(models: Sequence[params.EffectiveModel]) -> ChunkResul
     """Steady-state entanglement of N models: one batched stability test and
     one batched Lyapunov solve over the stable models, then scored.  Unstable,
     numerically failing, unphysical or unresolved points carry an error text
-    instead of raising; only the unstable ones read stable = False."""
+    instead of raising; only the unstable ones, and those whose drift has a
+    non-finite entry (NONFINITE_DRIFT), read stable = False."""
     A, D = dynamics.state_space_batch(models)
-    _, stable = dynamics.stability_batch(A)
+    abscissa, stable = dynamics.stability_batch(A)
     idx = np.flatnonzero(stable)
     V, solve_errors = dynamics.steady_state_batch(A[idx], D[idx])
     covs = np.empty((len(models), 1) + V.shape[1:])
     covs[idx, 0] = V
-    errors: list[str | None] = ["unstable"] * len(models)
+    errors: list[str | None] = [NONFINITE_DRIFT if math.isnan(a) else "unstable"
+                                for a in abscissa.tolist()]
     for k, error in zip(idx.tolist(), solve_errors):
         errors[k] = error
     return ChunkResult(*_score(covs, errors), stable, errors)
@@ -281,12 +288,13 @@ def evaluate_evolve_batch(models: Sequence[params.EffectiveModel], t_grid) -> Ch
     has a sample failing the physicality gate or with an unresolved spectrum,
     carries its error instead of raising, and reads stable = False."""
     A, D = dynamics.state_space_batch(models)
-    _, stable = dynamics.stability_batch(A)
+    abscissa, stable = dynamics.stability_batch(A)
     V0 = np.stack([entanglement.initial_covariance(m.nbar1, m.nbar2) for m in models])
     covs, first_bad = dynamics.propagate_batch(A, D, V0, t_grid)
     # a model whose covariance turned non-finite is not scored
-    errors = [None if step < 0 else str(dynamics.propagation_failure(t_grid, step))
-              for step in first_bad.tolist()]
+    errors = [NONFINITE_DRIFT if math.isnan(a) else None if step < 0
+              else str(dynamics.propagation_failure(t_grid, step))
+              for a, step in zip(abscissa.tolist(), first_bad.tolist())]
     EN, nu_minus = _score(covs, errors)
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 

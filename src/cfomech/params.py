@@ -52,8 +52,8 @@ class EffectiveModel:
 def thermal_occupancy(omega: float, temperature: float) -> float:
     """Mean thermal phonon number 1/(exp(hbar*omega/kB*T) - 1).
 
-    Exactly 0 at zero temperature; stable for both small and large
-    hbar*omega/kB*T.
+    Exactly 0 at zero temperature, and inf where hbar*omega/kB*T underflows
+    to 0; stable for both small and large hbar*omega/kB*T.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -62,6 +62,8 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     if temperature == 0.0:
         return 0.0
     x = hbar * omega / (k_B * temperature)
+    if x == 0.0:
+        return math.inf
     if x < 1.0:
         return 1.0 / math.expm1(x)
     return math.exp(-x) / (-math.expm1(-x))
@@ -118,7 +120,10 @@ def effective_cavity_params(
         raise ValueError("rB must lie in [0, 1]")
     if kappa1 < 0 or kappa2 < 0:
         raise ValueError("cavity decays must be nonnegative")
-    cross = 2.0 * math.sqrt(kappa1 * kappa2) * rB
+    root = math.sqrt(kappa1 * kappa2)
+    if math.isinf(root):  # the product overflows where the roots do not
+        root = math.sqrt(kappa1) * math.sqrt(kappa2)
+    cross = 2.0 * (root * rB)
     kappa_tilde = kappa1 + kappa2 - cross * math.cos(theta)
     delta_tilde = Delta - cross * math.sin(theta)
     if kappa_tilde < 0.0:

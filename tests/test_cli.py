@@ -301,6 +301,38 @@ class TestExitCodes:
         assert (first["t"], first["nu_minus"], first["error"]) == ("0", "0.5", "")
         assert all(row[header.index("error")] == "" for row in rows)
 
+    @pytest.mark.parametrize("command", ["steady", "evolve"])
+    def test_non_finite_drift_is_numerical_error(self, command, capsys):
+        # kappa1 + kappa2 overflows: kappa_tilde = inf, a per-point error
+        code, out, err = run_cli(
+            [command, "--set", "G1=0.9e5", "G2=1e5", "kappa1=1e308", "kappa2=1e308",
+             "tPoints=3"], capsys)
+        assert (code, out) == (4, "")
+        assert err == "numerical/io error: drift matrix has a non-finite entry\n"
+
+    def test_overflowing_point_keeps_the_other_rows(self, capsys):
+        # sqrt(kappa1*kappa2) overflows at the last point, where kappa1 +
+        # kappa2 does not: kappa_tilde is that sum at rB = 0
+        code, out, err = run_cli(
+            ["sweep", "--set", "G1=0.9e5", "G2=1e5", "kappa2=5e4",
+             'axes=[{"name": "kappa1", "min": 5e4, "max": 1.7e308, "count": 3}]'], capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        rows = [dict(zip(header, row)) for row in rows]
+        assert [row["kappaTilde"] for row in rows] == ["100000", "8.5e+307", "1.7e+308"]
+        assert rows[0]["error"] == "" and float(rows[0]["EN"]) > 0
+        # the mechanical dampings are inside the marginal band of so large a drift
+        assert [row["error"] for row in rows[1:]] == ["unstable", "unstable"]
+
+    @pytest.mark.parametrize("sets", [
+        ["omega1=1e-300", "omega2=2e7", "temperatureK=1e10"],
+        ["omega1=1e-10", "omega2=2e7", "temperatureK=1e300"],
+    ], ids=["occupancy_ratio_underflows", "occupancy_overflows"])
+    def test_bath_beyond_double_precision_is_numerical_error(self, sets, capsys):
+        code, out, err = run_cli(["steady", "--set", "G1=0.9e5", "G2=1e5", *sets], capsys)
+        assert (code, out) == (4, "")
+        assert err == "numerical/io error: stationary covariance overflows double precision\n"
+
 
 class TestStabilityCommand:
     def test_reports_both_verdicts(self, config_file, capsys):
@@ -317,6 +349,14 @@ class TestStabilityCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][0] == ""
+
+    def test_couplings_whose_squares_overflow(self, capsys):
+        # G2^2 overflows; the closed form's sign is G2 > G1, while the
+        # abscissa of so large a drift is inside the marginal band
+        code, out, err = run_cli(["stability", "--set", "G1=2e154", "G2=3e154"], capsys)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows[0][:2] == ["true", "false"]
 
     @pytest.mark.parametrize("sets, expected", [
         (["G1=9e4", "G2=1e5"], "true,true,-5,100000,0,unknown"),

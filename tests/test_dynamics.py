@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,23 @@ class TestStability:
         m = model(G1=1e4, G2=2e4, gamma=10.0, gamma2=20.0)
         with pytest.raises(UnsupportedRegimeError, match="use stability_eigen instead"):
             dynamics.stability_margin(m)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 1e300])
+    def test_margin_scales_as_the_square_of_the_rates(self, scale):
+        # the squares overflow beyond 1e154; the gap keeps its sign, and is
+        # exact up to rounding where it does not itself overflow
+        m = model(G1=0.9e5, G2=1e5, kt=1e3, dt=2e3, gamma=10.0)
+        big = model(**{k: v * scale for k, v in
+                       dict(G1=m.G1, G2=m.G2, kt=m.kappa_tilde, dt=m.delta_tilde,
+                            gamma=m.gamma1).items()})
+        gap = dynamics.stability_margin(m)
+        assert gap > 0.0
+        if scale == 2.0 ** 600:
+            assert dynamics.stability_margin(big) == gap * scale * scale
+        else:
+            assert dynamics.stability_margin(big) == math.inf
+            unstable = model(G1=1e300, G2=0.9e300, kt=1e298, gamma=1e298)
+            assert dynamics.stability_margin(unstable) == -math.inf
 
     def test_eigen_identity(self):
         assert stability_eigen(-np.eye(6))

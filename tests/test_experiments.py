@@ -313,6 +313,26 @@ class TestSteadyBatch:
         assert out.EN.shape == out.nu_minus.shape == (2, 1)
         assert np.isnan(out.EN).all() and np.isnan(out.nu_minus).all()
 
+    def test_non_finite_drift_is_a_per_point_error(self):
+        def m(**kw):
+            fields = dict(G1=0.9e5, G2=1e5, kappa_tilde=1e5, delta_tilde=0.0,
+                          gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
+            return EffectiveModel(**{**fields, **kw})
+        models = [m(), m(kappa_tilde=math.inf), m(delta_tilde=math.nan),
+                  m(G1=2e5, kappa_tilde=1e3)]
+        abscissa, _ = dynamics.stability_batch(dynamics.state_space_batch(models)[0])
+        assert np.isnan(abscissa).tolist() == [False, True, True, False]
+        t_grid = np.linspace(0.0, 1e-3, 3)
+        evaluate = (evaluate_steady_batch, lambda ms: evaluate_evolve_batch(ms, t_grid))
+        for run in evaluate:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an overflow warns nothing
+                out = run(models)
+            assert out.error[1:3] == [experiments.NONFINITE_DRIFT] * 2
+            assert out.stable.tolist() == [True, False, False, False]
+            assert peak_values(out, 0) == peak_values(run(models[:1]))
+            assert peak_values(out, 3) == peak_values(run(models[3:]))
+
 
 class TestEvolveBatch:
     def test_chunked_sweep_matches_points_evaluated_alone(self):
@@ -540,6 +560,26 @@ class TestPresets:
         table = run_preset("fig3a", cfg)
         assert sorted({r["rB"] for r in table.rows}) == [0.0, 0.9, 0.99, 0.999, 1.0]
         assert len(table.rows) == 5 * 5
+
+    def test_kappa_tilde_is_the_closed_form_on_every_preset_point(self, monkeypatch):
+        # bit for bit kappa1 + kappa2 - 2*sqrt(kappa1*kappa2)*rB*cos(theta),
+        # and the matching detuning, as the closed form reads
+        seen = []
+        original = experiments.params.effective_cavity_params
+
+        def recording(kappa1, kappa2, rB, theta, Delta):
+            out = original(kappa1, kappa2, rB, theta, Delta)
+            seen.append(((kappa1, kappa2, rB, theta, Delta), out))
+            return out
+
+        monkeypatch.setattr(experiments.params, "effective_cavity_params", recording)
+        for name in experiments.PRESET_NAMES:
+            run_preset(name)
+        assert len(seen) > 4000
+        for (kappa1, kappa2, rB, theta, Delta), (kt, dt) in seen:
+            cross = 2.0 * math.sqrt(kappa1 * kappa2) * rB
+            assert kt == max(0.0, kappa1 + kappa2 - cross * math.cos(theta))
+            assert dt == Delta - cross * math.sin(theta)
 
     def test_equal_coupling_rows_no_entanglement_when_hot(self):
         # hot baths wash out stationary entanglement at equal couplings

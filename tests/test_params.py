@@ -40,6 +40,13 @@ class TestThermalOccupancy:
         with pytest.raises(ValueError):
             thermal_occupancy(1e8, -0.1)
 
+    def test_underflowing_ratio_gives_an_infinite_occupancy(self):
+        # hbar*omega/(kB*T) underflows to 0: the occupancy is beyond double
+        # precision, as where 1/(hbar*omega/(kB*T)) overflows
+        assert hbar * 1e-300 / (k_B * 1e10) == 0.0
+        assert thermal_occupancy(1e-300, 1e10) == math.inf
+        assert thermal_occupancy(1e-10, 1e300) == math.inf
+
     @settings(deadline=None)
     @given(omega=rates, t1=st.floats(1e-6, 1e3), t2=st.floats(1e-6, 1e3))
     def test_monotone_in_temperature(self, omega, t1, t2):
@@ -129,6 +136,16 @@ class TestEffectiveCavityParams:
         for sign in (1.0, -1.0):
             kt, _ = effective_cavity_params(k1, k2, rB, sign * math.pi / 2, 0.0)
             assert kt == pytest.approx(k1 + k2, rel=5e-16)
+
+    def test_product_of_decays_beyond_double_precision(self):
+        # sqrt(kappa1*kappa2) overflows where the decays and their sum do not
+        kt, dt = effective_cavity_params(1.7e308, 5e4, 0.0, 0.0, 0.0)
+        assert (kt, dt) == (1.7e308 + 5e4, 0.0)
+        kt, dt = effective_cavity_params(1e200, 1e200, 0.5, math.pi / 2, 0.0)
+        assert kt == pytest.approx(2e200, rel=1e-15)
+        assert dt == pytest.approx(-1e200, rel=1e-15)
+        # the sum overflows: kappa_tilde is inf, which the model's solve reports
+        assert effective_cavity_params(1e308, 1e308, 0.0, 0.0, 0.0) == (math.inf, 0.0)
 
     def test_reflectivity_checked_before_decays(self):
         with pytest.raises(ValueError, match="rB must lie"):
