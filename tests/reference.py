@@ -5,10 +5,10 @@ Every model the library builds is phase-insensitive: its drift A and
 diffusion D, and so every covariance V, are realifications of complex 3x3
 matrices (realify).  The library solves the Lyapunov equation A V + V A^T =
 -D on the 9 real coordinates of the Hermitian H that V realifies
-(cfomech.dynamics.steady_state_batch).  The tests hold it to the kron form
-here, which solves for all n*n entries of vec(V) with the same single
-refinement pass, and to the vech form, the kron form restricted to the 21
-entries of the upper triangle of a symmetric V.
+(cfomech.dynamics.steady_state_batch), in one solve.  The tests hold it to
+the kron form here, which solves for all n*n entries of vec(V) and keeps one
+refinement pass of its own, and to the vech form, the kron form restricted
+to the 21 entries of the upper triangle of a symmetric V.
 
 The library takes the partially transposed spectrum of a two-mode covariance
 matrix from the closed forms of its Hermitian 2x2 form
