@@ -224,8 +224,8 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
                 V[k] = _solve_lyapunov(op[k:k + 1], D[k:k + 1])[0]
             except np.linalg.LinAlgError:
                 singular[k] = True
-    # an infinite D (a bath too hot for double precision) solves to NaN, and a
-    # V too large for double precision overflows here; both are reported below
+    # an infinite D (too hot a bath) solves to NaN and overflows the norms, and
+    # a V too large for double precision overflows here; both are reported below
     with np.errstate(over="ignore"):
         norm_D = np.linalg.norm(D, axis=(-2, -1))
         rel = np.linalg.norm(A @ V + V @ _transpose(A) + D, axis=(-2, -1)) / norm_D
