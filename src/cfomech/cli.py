@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -34,9 +35,16 @@ _AXIS_KEYS = {"name", "min", "max", "count"}
 
 SIGNIFICANT_DIGITS = 12
 
+#: serialize formats CSV cells this many rows at a time, column by column:
+#: a whole table's columns at once would hold every cell string in memory.
+CSV_BLOCK = 1024
+
 
 def _round12(value: float) -> float:
     return float(f"{value:.{SIGNIFICANT_DIGITS}g}")
+
+
+_CSV_FLOAT = f"%.{SIGNIFICANT_DIGITS}g"
 
 
 def _csv_cell(value) -> str:
@@ -45,8 +53,15 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.{SIGNIFICANT_DIGITS}g}"
+        return _CSV_FLOAT % value
     return str(value)
+
+
+def _csv_column(values) -> list[str]:
+    """_csv_cell of each value, with floats, None and strings, the common
+    cells, formatted inline."""
+    return [_CSV_FLOAT % v if type(v) is float else "" if v is None
+            else v if type(v) is str else _csv_cell(v) for v in values]
 
 
 def _json_cell(value):
@@ -64,8 +79,10 @@ def serialize(table: ResultTable, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_csv_cell(row.get(col)) for col in table.columns])
+        for start in range(0, len(table.rows), CSV_BLOCK):
+            block = table.rows[start:start + CSV_BLOCK]
+            writer.writerows(zip(*(_csv_column(map(dict.get, block, itertools.repeat(col)))
+                                   for col in table.columns)))
         return buf.getvalue()
     if fmt == "json":
         payload = {
@@ -189,7 +206,9 @@ def _point_table(cfg: RunConfig) -> ResultTable:
 
 def _stability_table(cfg: RunConfig) -> ResultTable:
     model, verdict = experiments.resolve_point(cfg)
-    abscissa, stable = dynamics.stability_batch(dynamics.state_space_batch([model])[0])
+    abscissa, stable = dynamics.stability_batch(dynamics.state_space_batch(model)[0])
+    if math.isnan(abscissa[0]):
+        raise NumericalError(experiments.NONFINITE_DRIFT)
     try:
         analytic = dynamics.stability_margin(model) > 0.0
     except UnsupportedRegimeError:

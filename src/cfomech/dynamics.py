@@ -10,10 +10,8 @@ phase-insensitive: A and D realify a complex 3x3 drift M and a Hermitian D_c
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .entanglement import _check_phase_insensitive, _realification_maps
 from .errors import (
@@ -38,18 +36,17 @@ STEP_NORM_CAP = 0.1
 GRID_STEP_ULPS = 4
 
 
-def state_space_batch(models: Sequence[EffectiveModel]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 6, 6) drift and diffusion stacks (A, D) of N models, in the
-    (dq1, dp1, dq2, dp2, dX, dY) ordering.
+def state_space_batch(model: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 6, 6) drift and diffusion stacks (A, D) of the N models of a
+    column model (N = 1 for a model of floats), in the (dq1, dp1, dq2, dp2,
+    dX, dY) ordering.
 
     The diffusion matrix is diagonal: gamma_j*(nbar_j + 1/2) twice per
     mechanical mode, kappa_tilde twice for the cavity.  A bath too hot for
     double precision gives an infinite entry, which the solve or the
     propagation reports for its point.
     """
-    G1, G2, kt, dt, g1, g2, n1, n2 = np.array(
-        [(m.G1, m.G2, m.kappa_tilde, m.delta_tilde, m.gamma1, m.gamma2, m.nbar1, m.nbar2)
-         for m in models], dtype=float).reshape(-1, 8).T
+    G1, G2, kt, dt, g1, g2, n1, n2 = model.columns()
     A = np.zeros((len(G1), 6, 6))
     A[:, 0, 0] = A[:, 1, 1] = -(g1 / 2.0)
     A[:, 2, 2] = A[:, 3, 3] = -(g2 / 2.0)
@@ -70,7 +67,7 @@ def state_space_batch(models: Sequence[EffectiveModel]) -> tuple[np.ndarray, np.
 def state_space(m: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
     """6x6 drift and diffusion matrices (A, D) of one model, as
     state_space_batch builds them."""
-    A, D = state_space_batch([m])
+    A, D = state_space_batch(m)
     return A[0], D[0]
 
 
@@ -170,12 +167,29 @@ def _lyapunov_basis() -> np.ndarray:
 
 _LYAPUNOV_BASIS = _lyapunov_basis()
 
+#: (6, 81) map from the columns (G1, G2, kappa_tilde, delta_tilde, gamma1,
+#: gamma2) of a model to the matrix of its Lyapunov operator: A is linear in
+#: them, each entry of A is one column times 1 or 1/2 up to sign, and each
+#: operator entry sums at most two such terms, so the map gives the operator
+#: of _lyapunov_operator(A) bit for bit.
+_COLUMN_OPERATOR = (state_space_batch(EffectiveModel(*np.eye(8)[:, :6]))[0].reshape(6, 36)
+                    @ _COMPLEX[1] @ _LYAPUNOV_BASIS)
+
 
 def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     """(N, 9, 9) stack of the matrices of H -> M H + H M^dagger on the
     Hermitian coordinates, for the (N, 6, 6) stack of drifts A realifying M."""
     # reshape(N, 36), not (N, -1): a chunk with no stable point is (0, 6, 6)
     return (A.reshape(len(A), 36) @ _COMPLEX[1] @ _LYAPUNOV_BASIS).reshape(-1, 9, 9)
+
+
+def lyapunov_operator_batch(model: EffectiveModel) -> np.ndarray:
+    """(N, 9, 9) stack of the Lyapunov operators of the N models of a column
+    model, as steady_state_batch builds them from state_space_batch's drifts,
+    read straight off the columns.  A model with rates beyond double
+    precision gets non-finite entries, which its solve reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (model.columns()[:6].T @ _COLUMN_OPERATOR).reshape(-1, 9, 9)
 
 
 def _solve_lyapunov(op: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -187,13 +201,17 @@ def _solve_lyapunov(op: np.ndarray, D: np.ndarray) -> np.ndarray:
     return (h @ embed).reshape(-1, 6, 6)
 
 
-def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+def steady_state_batch(A: np.ndarray, D: np.ndarray, op: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, list[str | None]]:
     """Stationary covariances V[k] solving A[k] V + V A[k]^T = -D[k] for an
     (N, 6, 6) stack of strictly stable systems, with a per-system error.
 
     A and D must realify a complex drift M and a Hermitian diffusion D_c (see
     cfomech.entanglement), to STRUCTURE_RTOL relative, or ValueError is
-    raised naming the defect; every model's state space does.  Each system
+    raised naming the defect; every model's state space does.  Given op, the
+    systems' operators as lyapunov_operator_batch builds them from the model
+    columns that A and D came from, A and D are phase-insensitive by
+    construction and are not checked.  Each system
     is then solved as M H + H M^dagger = -D_c on the 9 real coordinates of
     the Hermitian H that V realifies, all N in one batched linear solve.  V
     is linear in D, so each D enters scaled by a power of 2 near 1/max|D|
@@ -208,9 +226,10 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
     naming the overflow; such a V is not meaningful.
     """
     N = len(A)
-    _check_phase_insensitive(A, _COMPLEX, "drift matrix")
-    _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
-    op = _lyapunov_operator(A)
+    if op is None:
+        _check_phase_insensitive(A, _COMPLEX, "drift matrix")
+        _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
+        op = _lyapunov_operator(A)
     shift = np.frexp(np.abs(D).max(axis=(-2, -1)))[1][:, None, None]
     D = np.ldexp(D, -shift)
     singular = np.zeros(N, dtype=bool)
@@ -260,6 +279,14 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     if errors[0] is not None:
         raise NumericalError(errors[0])
     return V[0]
+
+
+def expm(X: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of a matrix or of each matrix of a stack.  scipy is
+    imported on the first call: only propagation takes exponentials, so the
+    steady path runs without loading it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(X)
 
 
 def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:

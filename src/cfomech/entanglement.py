@@ -227,9 +227,13 @@ def log_negativity(V4: np.ndarray) -> float:
     return log_negativity_from_nu(min_symplectic_eigenvalue_pt(V4))
 
 
-def initial_covariance(nbar1: float, nbar2: float) -> np.ndarray:
-    """Separable start: each resonator thermal, the cavity in vacuum."""
-    if nbar1 < 0 or nbar2 < 0:
+def initial_covariance(nbar1, nbar2) -> np.ndarray:
+    """Separable start: each resonator thermal, the cavity in vacuum; an
+    (N, 6, 6) stack for (N,) arrays of occupancies."""
+    if np.any(nbar1 < 0) or np.any(nbar2 < 0):
         raise ValueError("thermal occupancies must be nonnegative")
-    return np.diag([nbar1 + 0.5, nbar1 + 0.5, nbar2 + 0.5, nbar2 + 0.5, 0.5, 0.5])
+    diagonal = np.stack(np.broadcast_arrays(nbar1, nbar1, nbar2, nbar2, 0.0, 0.0), axis=-1)
+    V = np.zeros(diagonal.shape + (6,))
+    V[..., range(6), range(6)] = diagonal + 0.5
+    return V
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -35,10 +36,11 @@ DEFAULT_T_POINTS = 201
 #: Reflectivities of the equal-coupling transient preset family.
 FIG3_RB_VALUES = (0.0, 0.9, 0.99, 0.999, 1.0)
 
-#: Steady sweeps resolve, solve and emit this many points at a time.  Larger
-#: stacks save little time but hold every point's Lyapunov operator and
-#: outcome at once, which raises peak memory.
-STEADY_CHUNK = 64
+#: Steady sweeps resolve, solve and emit this many points at a time.  Each
+#: chunk pays a fixed cost per numpy call, which 256 points spread thinly;
+#: much larger stacks save little more time but hold every point's Lyapunov
+#: operator and outcome at once, which raises peak memory.
+STEADY_CHUNK = 256
 
 #: Evolve sweeps propagate and score at most this many covariance samples
 #: (points times tPoints, at least one point) at a time.  Peak memory grows
@@ -171,23 +173,39 @@ class ResultTable:
     meta: dict = field(default_factory=dict)
 
 
-def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None
-                  ) -> tuple[params.EffectiveModel, str]:
-    """Apply axis values to the configuration: the effective model and its RWA
-    verdict.
+def resolve_chunk(cfg: RunConfig, names: Sequence[str], chunk: Sequence[dict]
+                  ) -> tuple[params.EffectiveModel, list[str]]:
+    """Apply the axis values of each point of chunk, N override dicts keyed
+    by names, to the configuration: one model of (N,) columns and the N RWA
+    verdicts.
 
     The couplings are G1 and G2, with G1 = ratio*G2 on a ratio axis, or come
     from the drive block.  The detuning lock replaces Delta by
     2*sqrt(kappa1*kappa2)*rB*sin(theta) so the effective detuning vanishes
     identically.  The RWA verdict is "unknown" unless both mechanical
-    frequencies are set.
+    frequencies are set.  Each point gets the bits it gets alone: + - * /
+    and sqrt run on the columns in the scalar formulas' order, and math's
+    sin and cos, the drive block's complex arithmetic and the verdict run
+    once per distinct value (params.per_value).  An invalid chunk raises
+    what its first failing point raises alone.
     """
-    overrides = overrides or {}
     drive = cfg.uses_drive_block
-    if drive and ("ratio" in overrides or "G1" in overrides or "G2" in overrides):
+    if drive and {"ratio", "G1", "G2"} & set(names):
         raise ConfigError("coupling axes need the direct G1/G2 entry path")
-    if cfg.temperatureK is not None and ("nbar1" in overrides or "nbar2" in overrides):
+    if cfg.temperatureK is not None and {"nbar1", "nbar2"} & set(names):
         raise ConfigError("occupancy axes conflict with temperatureK")
+    try:
+        return _resolve_columns(cfg, names, chunk, drive)
+    except (ValueError, ArithmeticError):
+        if len(chunk) > 1:  # raise what the first failing point raises alone
+            for overrides in chunk:
+                resolve_chunk(cfg, names, [overrides])
+        raise
+
+
+def _resolve_columns(cfg: RunConfig, names: Sequence[str], chunk: Sequence[dict],
+                     drive: bool) -> tuple[params.EffectiveModel, list[str]]:
+    """resolve_chunk on the columns, with any point's failure raised."""
     values = {
         "gamma1": cfg.gamma1, "gamma2": cfg.gamma2,
         "kappa1": cfg.kappa1, "kappa2": cfg.kappa2,
@@ -195,8 +213,9 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None
         "rB": cfg.rB, "theta": cfg.theta,
         "nbar1": cfg.nbar1, "nbar2": cfg.nbar2,
     }
-    for name, value in overrides.items():
-        values[name] = float(value)
+    # each value below is a float of the configuration or an (N,) column
+    values.update((name, np.fromiter(map(operator.itemgetter(name), chunk), float, len(chunk)))
+                  for name in names)
     kappa1, kappa2 = values["kappa1"], values["kappa2"]
     rB, theta, Delta = values["rB"], values["theta"], values["Delta"]
     if cfg.detuningLock:
@@ -209,20 +228,41 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None
         nbar1 = values["nbar1"] if values["nbar1"] is not None else 0.0
         nbar2 = values["nbar2"] if values["nbar2"] is not None else 0.0
     if drive:
-        G1, G2 = params.effective_couplings(
-            cfg.g1, cfg.g2,
-            params.drive_amplitude(cfg.P1, kappa1, cfg.omegaL1),
-            params.drive_amplitude(cfg.P2, kappa1, cfg.omegaL2),
-            cfg.omega1, cfg.omega2, Delta, kappa1, kappa2)
+        def couplings(kappa1, kappa2, Delta):
+            G1, G2 = params.effective_couplings(
+                cfg.g1, cfg.g2,
+                params.drive_amplitude(cfg.P1, kappa1, cfg.omegaL1),
+                params.drive_amplitude(cfg.P2, kappa1, cfg.omegaL2),
+                cfg.omega1, cfg.omega2, Delta, kappa1, kappa2)
+            return abs(G1), abs(G2)
+        G1, G2 = params.per_value(couplings, kappa1, kappa2, Delta)
+    elif "ratio" in values:
+        with np.errstate(over="ignore"):  # a product beyond double precision is inf
+            G1, G2 = values["ratio"] * values["G2"], values["G2"]
     else:
-        G1 = values["ratio"] * values["G2"] if "ratio" in values else values["G1"]
-        G2 = values["G2"]
-    model = params.effective_model(G1, G2, kappa1, kappa2, rB, theta, Delta,
-                                   values["gamma1"], values["gamma2"], nbar1, nbar2)
+        G1, G2 = values["G1"], values["G2"]
+    kappa_tilde, delta_tilde = params.effective_cavity_params(kappa1, kappa2, rB, theta, Delta)
+    columns = np.empty((8, len(chunk)))
+    for k, value in enumerate((np.abs(G1), np.abs(G2), kappa_tilde, delta_tilde,
+                               values["gamma1"], values["gamma2"], nbar1, nbar2)):
+        columns[k] = value
+    model = params.EffectiveModel(*columns)
     if cfg.omega1 is None or cfg.omega2 is None:
-        return model, "unknown"
-    return model, params.rwa_validity(G1, G2, kappa1, kappa2, cfg.omega1, cfg.omega2,
-                                      threshold=cfg.rwaThreshold)
+        return model, ["unknown"] * len(chunk)
+    verdicts = params.per_value(
+        lambda G1, G2, kappa1, kappa2: params.rwa_validity(
+            G1, G2, kappa1, kappa2, cfg.omega1, cfg.omega2, threshold=cfg.rwaThreshold),
+        model.G1, model.G2, kappa1, kappa2)
+    return model, verdicts.tolist()
+
+
+def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None
+                  ) -> tuple[params.EffectiveModel, str]:
+    """The effective model of one point, in floats, and its RWA verdict: the
+    N = 1 view of resolve_chunk."""
+    overrides = overrides or {}
+    model, verdicts = resolve_chunk(cfg, list(overrides), [overrides])
+    return params.EffectiveModel(*model.columns()[:, 0].tolist()), verdicts[0]
 
 
 @dataclass
@@ -262,17 +302,19 @@ def _score(covs: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.n
         return entanglement.log_negativity_from_nu(nu_minus), nu_minus
 
 
-def evaluate_steady_batch(models: Sequence[params.EffectiveModel]) -> ChunkResult:
-    """Steady-state entanglement of N models: one batched stability test and
-    one batched Lyapunov solve over the stable models, then scored.  Unstable,
-    numerically failing, unphysical or unresolved points carry an error text
-    instead of raising; only the unstable ones, and those whose drift has a
-    non-finite entry (NONFINITE_DRIFT), read stable = False."""
-    A, D = dynamics.state_space_batch(models)
+def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
+    """Steady-state entanglement of the N models of a column model: one
+    batched stability test and one batched Lyapunov solve over the stable
+    models, whose operators come straight from the columns, then scored.
+    Unstable, numerically failing, unphysical or unresolved points carry an
+    error text instead of raising; only the unstable ones, and those whose
+    drift has a non-finite entry (NONFINITE_DRIFT), read stable = False."""
+    A, D = dynamics.state_space_batch(model)
     abscissa, stable = dynamics.stability_batch(A)
     idx = np.flatnonzero(stable)
-    V, solve_errors = dynamics.steady_state_batch(A[idx], D[idx])
-    covs = np.empty((len(models), 1) + V.shape[1:])
+    V, solve_errors = dynamics.steady_state_batch(
+        A[idx], D[idx], dynamics.lyapunov_operator_batch(model)[idx])
+    covs = np.empty((len(A), 1) + V.shape[1:])
     covs[idx, 0] = V
     errors: list[str | None] = [NONFINITE_DRIFT if math.isnan(a) else "unstable"
                                 for a in abscissa.tolist()]
@@ -281,15 +323,16 @@ def evaluate_steady_batch(models: Sequence[params.EffectiveModel]) -> ChunkResul
     return ChunkResult(*_score(covs, errors), stable, errors)
 
 
-def evaluate_evolve_batch(models: Sequence[params.EffectiveModel], t_grid) -> ChunkResult:
-    """Time-resolved entanglement of N models, each starting from the separable
-    thermal-vacuum state at its bath occupancies: one batched stability test
-    and one batched propagation, then scored.  A model that diverges, or that
-    has a sample failing the physicality gate or with an unresolved spectrum,
+def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
+    """Time-resolved entanglement of the N models of a column model, each
+    starting from the separable thermal-vacuum state at its bath occupancies
+    (entanglement.initial_covariance): one batched stability test and one
+    batched propagation, then scored.  A model that diverges, or that has a
+    sample failing the physicality gate or with an unresolved spectrum,
     carries its error instead of raising, and reads stable = False."""
-    A, D = dynamics.state_space_batch(models)
+    A, D = dynamics.state_space_batch(model)
     abscissa, stable = dynamics.stability_batch(A)
-    V0 = np.stack([entanglement.initial_covariance(m.nbar1, m.nbar2) for m in models])
+    V0 = entanglement.initial_covariance(*model.columns()[6:])
     covs, first_bad = dynamics.propagate_batch(A, D, V0, t_grid)
     # a model whose covariance turned non-finite is not scored
     errors = [NONFINITE_DRIFT if math.isnan(a) else None if step < 0
@@ -299,14 +342,15 @@ def evaluate_evolve_batch(models: Sequence[params.EffectiveModel], t_grid) -> Ch
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 
 
-def table_meta(cfg: RunConfig) -> dict:
+def table_meta(cfg: RunConfig, base: tuple[params.EffectiveModel, list[str]] | None = None
+               ) -> dict:
     """Run metadata of a table: the configuration and the regime tags of its
-    base point."""
-    model, verdict = resolve_point(cfg)
+    base point, read off base, a resolved chunk of base points, if given."""
+    model, (verdict, *_) = base or resolve_chunk(cfg, [], [{}])
     return {
         "config": cfg.as_dict(),
-        "kappaTilde": model.kappa_tilde,
-        "DeltaTilde": model.delta_tilde,
+        "kappaTilde": float(model.kappa_tilde[0]),
+        "DeltaTilde": float(model.delta_tilde[0]),
         "rwaVerdict": verdict,
     }
 
@@ -328,15 +372,19 @@ def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
     columns = [*names, *(["t"] if curves else []), "EN", "nu_minus",
                "stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error"]
     rows: list[dict] = []
+    base = None  # with no axes every point is the base point, whose tags the meta reads
     values = iter(values)
     while chunk := list(itertools.islice(values, size)):
-        models, verdicts = zip(*(resolve_point(cfg, overrides) for overrides in chunk))
-        out = evaluate_evolve_batch(models, t_grid) if evolve else evaluate_steady_batch(models)
+        model, verdicts = resolve_chunk(cfg, names, chunk)
+        if not names:
+            base = model, verdicts
+        out = evaluate_evolve_batch(model, t_grid) if evolve else evaluate_steady_batch(model)
         peak_EN, low_nu = out.EN.max(axis=1).tolist(), out.nu_minus.min(axis=1).tolist()
-        for k, (overrides, model, verdict, stable, error) in enumerate(
-                zip(chunk, models, verdicts, out.stable.tolist(), out.error)):
-            tags = {"stable": stable, "kappaTilde": model.kappa_tilde,
-                    "DeltaTilde": model.delta_tilde, "rwaVerdict": verdict, "error": error}
+        for k, (overrides, kt, dt, verdict, stable, error) in enumerate(
+                zip(chunk, model.kappa_tilde.tolist(), model.delta_tilde.tolist(), verdicts,
+                    out.stable.tolist(), out.error)):
+            tags = {"stable": stable, "kappaTilde": kt, "DeltaTilde": dt,
+                    "rwaVerdict": verdict, "error": error}
             if error is not None:
                 rows.append({**overrides, "EN": None, "nu_minus": None, **tags})
             elif curves:
@@ -345,7 +393,7 @@ def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
                                                  out.nu_minus[k].tolist()))
             else:
                 rows.append({**overrides, "EN": peak_EN[k], "nu_minus": low_nu[k], **tags})
-    return ResultTable(columns, rows, table_meta(cfg))
+    return ResultTable(columns, rows, table_meta(cfg, base))
 
 
 def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:

@@ -12,9 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import hbar, k as k_B
+import numpy as np
 
 from .errors import SingularityError
+
+#: Reduced Planck constant and Boltzmann constant in SI units, exact by the
+#: 2019 SI definitions (the values scipy.constants gives, bit for bit).
+hbar = 6.62607015e-34 / (2 * math.pi)
+k_B = 1.380649e-23
 
 #: Verdict threshold for the rotating-wave validity ratio (order-of-magnitude
 #: reading of "much smaller than"); configurable at call sites.
@@ -23,30 +28,39 @@ RWA_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class EffectiveModel:
-    """The closed set of quantities entering the quadrature dynamics.
+    """The closed set of quantities entering the quadrature dynamics, of one
+    model (floats) or of a chunk of N models (every field an (N,) array, a
+    struct of arrays).
 
     Couplings are stored as nonnegative reals; coupling phases are absorbable
     by quadrature rotations and are dropped at construction.
     """
 
-    G1: float
-    G2: float
-    kappa_tilde: float
-    delta_tilde: float
-    gamma1: float
-    gamma2: float
-    nbar1: float
-    nbar2: float
+    G1: float | np.ndarray
+    G2: float | np.ndarray
+    kappa_tilde: float | np.ndarray
+    delta_tilde: float | np.ndarray
+    gamma1: float | np.ndarray
+    gamma2: float | np.ndarray
+    nbar1: float | np.ndarray
+    nbar2: float | np.ndarray
 
     def __post_init__(self):
-        if self.G1 < 0 or self.G2 < 0:
+        G1, G2, kt, _, g1, g2, n1, n2 = (self.columns() < 0).any(axis=1).tolist()
+        if G1 or G2:
             raise ValueError("couplings must be nonnegative reals")
-        if self.kappa_tilde < 0:
+        if kt:
             raise ValueError("effective cavity decay must be nonnegative")
-        if self.gamma1 < 0 or self.gamma2 < 0:
+        if g1 or g2:
             raise ValueError("mechanical dampings must be nonnegative")
-        if self.nbar1 < 0 or self.nbar2 < 0:
+        if n1 or n2:
             raise ValueError("thermal occupancies must be nonnegative")
+
+    def columns(self) -> np.ndarray:
+        """(8, N) array of the fields in order, N = 1 for a model of floats."""
+        return np.array([self.G1, self.G2, self.kappa_tilde, self.delta_tilde,
+                         self.gamma1, self.gamma2, self.nbar1, self.nbar2],
+                        dtype=float).reshape(8, -1)
 
 
 def thermal_occupancy(omega: float, temperature: float) -> float:
@@ -103,9 +117,7 @@ def effective_couplings(
     return g1 * E1 / den1, g2 * E2 / den2
 
 
-def effective_cavity_params(
-    kappa1: float, kappa2: float, rB: float, theta: float, Delta: float
-) -> tuple[float, float]:
+def effective_cavity_params(kappa1, kappa2, rB, theta, Delta):
     """Feedback-modified cavity decay and detuning for a loop of net
     reflection coefficient rB (all loop losses, rB = 1 the ideal lossless
     loop) and loop phase theta.
@@ -114,23 +126,63 @@ def effective_cavity_params(
     delta_tilde = Delta - 2*sqrt(kappa1*kappa2)*rB*sin(theta)
 
     kappa_tilde >= 0 for rB <= 1 by Cauchy-Schwarz; rounding dust below zero is
-    clamped.
+    clamped.  Each argument is a float or an (N,) array, and so is each
+    result, elementwise: + - * / and sqrt are correctly rounded in numpy as in
+    math, and cos and sin are math's (per_value), so a point gives the same
+    bits alone or in a column.  Any invalid point raises.
     """
-    if not 0.0 <= rB <= 1.0:
+    if not _all((0.0 <= rB) & (rB <= 1.0)):
         raise ValueError("rB must lie in [0, 1]")
-    if kappa1 < 0 or kappa2 < 0:
+    if _any((kappa1 < 0) | (kappa2 < 0)):
         raise ValueError("cavity decays must be nonnegative")
-    root = math.sqrt(kappa1 * kappa2)
-    if math.isinf(root):  # the product overflows where the roots do not
-        root = math.sqrt(kappa1) * math.sqrt(kappa2)
-    cross = 2.0 * (root * rB)
-    kappa_tilde = kappa1 + kappa2 - cross * math.cos(theta)
-    delta_tilde = Delta - cross * math.sin(theta)
-    if kappa_tilde < 0.0:
-        if kappa_tilde < -8 * math.ulp(kappa1 + kappa2):
-            raise ValueError("negative effective cavity decay")
-        kappa_tilde = 0.0
+    # rates beyond double precision give inf or nan, as with Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(kappa1 * kappa2)
+        big = root == math.inf  # the product overflows where the roots do not
+        if _any(big):
+            root = np.where(big, np.sqrt(kappa1) * np.sqrt(kappa2), root)
+        cos, sin = per_value(lambda t: (math.cos(t), math.sin(t)), theta)
+        cross = 2.0 * (root * rB)
+        kappa_tilde = kappa1 + kappa2 - cross * cos
+        delta_tilde = Delta - cross * sin
+        negative = kappa_tilde < 0.0
+        if _any(negative):
+            if _any(kappa_tilde < -8 * np.spacing(kappa1 + kappa2)):
+                raise ValueError("negative effective cavity decay")
+            kappa_tilde = np.where(negative, 0.0, kappa_tilde)
     return kappa_tilde, delta_tilde
+
+
+def _any(mask) -> bool:
+    """Whether any entry holds, for a comparison of floats or of arrays:
+    np.any without its overhead at one point."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _all(mask) -> bool:
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def per_value(fn, *args):
+    """fn(*values) at each point of args, floats or (N,) arrays: fn's result
+    for floats, else an (N,) array per result of fn.  fn, a function of
+    floats, is called once per distinct tuple of values, told apart by their
+    bits (so 0.0 and -0.0 stay apart).  This keeps math's functions and
+    Python's complex arithmetic on columns, whose bits numpy's vector kernels
+    need not match."""
+    if not any(isinstance(x, np.ndarray) for x in args):
+        return fn(*args)
+    if len(args) == 1:
+        keys = np.asarray(args[0], dtype=float).view(np.int64)
+        distinct = np.unique(keys)
+        inverse = np.searchsorted(distinct, keys)
+        distinct = distinct[:, None]
+    else:
+        keys = np.stack(np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in args)),
+                        axis=-1).view(np.int64)
+        distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    out = np.array([fn(*x) for x in distinct.view(float).tolist()])[inverse.reshape(-1)]
+    return tuple(out.T) if out.ndim == 2 else out
 
 
 def rwa_validity(

@@ -21,6 +21,7 @@ the convention of cfomech.entanglement (vacuum variance 1/2).
 import numpy as np
 
 from cfomech.entanglement import PHYSICALITY_TOL
+from cfomech.params import EffectiveModel
 
 #: Partial transposition of the second mechanical mode (momentum flip).
 MOMENTUM_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -128,3 +129,9 @@ def two_mode_squeezed_covariance(r: float, nbar: float = 0.0) -> np.ndarray:
         [s, 0.0, c, 0.0],
         [0.0, -s, 0.0, c],
     ])
+
+
+def stack_models(models) -> EffectiveModel:
+    """The column model of a list of models: one EffectiveModel whose fields
+    are (N,) arrays, the form the batched stages take."""
+    return EffectiveModel(*np.concatenate([m.columns() for m in models], axis=1))

@@ -374,7 +374,7 @@ class TestStabilityCommand:
         assert out == "stableAnalytic,stableEigen,spectralAbscissa,kappaTilde," \
             f"DeltaTilde,rwaVerdict\n{expected}\n"
         model, _ = resolve_point(build_config(cli._merge_sets({}, sets)))
-        abscissa, stable = dynamics.stability_batch(dynamics.state_space_batch([model])[0])
+        abscissa, stable = dynamics.stability_batch(dynamics.state_space_batch(model)[0])
         try:
             analytic = cli._csv_cell(dynamics.stability_margin(model) > 0.0)
         except UnsupportedRegimeError:

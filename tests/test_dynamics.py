@@ -24,9 +24,10 @@ from cfomech.entanglement import (
     pt_spectrum_batch,
 )
 from cfomech.errors import StabilityError, UnsupportedRegimeError
-from cfomech.experiments import preset_config, run_points, run_preset
+from cfomech.experiments import STEADY_CHUNK, preset_config, run_points, run_preset
 from cfomech.params import EffectiveModel, effective_cavity_params
 from reference import (
+    stack_models,
     PT_SIGNS,
     kron_steady_state,
     physicality_check,
@@ -212,8 +213,8 @@ KRON_REFERENCE_RTOL = 1e-9
 
 
 def _model_stack(draws):
-    return [model(G1=ratio * G2, G2=G2, kt=kt, dt=dt, gamma=gamma, n1=n1, n2=n2)
-            for ratio, G2, kt, dt, gamma, n1, n2 in draws]
+    return stack_models([model(G1=ratio * G2, G2=G2, kt=kt, dt=dt, gamma=gamma, n1=n1, n2=n2)
+                         for ratio, G2, kt, dt, gamma, n1, n2 in draws])
 
 
 _draw = st.tuples(
@@ -254,9 +255,9 @@ class TestBatchedCore:
             assert abs(ens[j] - max(0.0, -np.log(2.0 * nu_ref))) <= SCIPY_RTOL
 
     def test_scalar_functions_are_single_point_stacks(self):
-        ms = _model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
-                           (2.0, 1e5, 1e3, 0.0, 10.0, 0.0, 0.0)])
-        A, D = state_space_batch(ms)
+        ms = [model(G1=0.9e5, G2=1e5, kt=5e3, n1=1.0, n2=2.0),
+              model(G1=2e5, G2=1e5, kt=1e3)]
+        A, D = state_space_batch(stack_models(ms))
         for k, m in enumerate(ms):
             assert np.array_equal(state_space(m)[0], A[k])
             assert np.array_equal(state_space(m)[1], D[k])
@@ -304,12 +305,13 @@ class TestBatchedCore:
         _, errors = steady_state_batch(A, D)
         assert errors == [None] * 4
         assert shapes == [(4, 9, 9)]
-        # a 100-point sweep is two chunks of STEADY_CHUNK = 64 and 36 points
+        # a sweep of STEADY_CHUNK + 44 points is two chunks
         shapes.clear()
         table = run_points(preset_config("fig2c"), ["ratio"],
-                           [{"ratio": r} for r in np.linspace(0.5, 0.99, 100).tolist()])
+                           [{"ratio": r} for r in
+                            np.linspace(0.5, 0.99, STEADY_CHUNK + 44).tolist()])
         stable = sum(row["stable"] for row in table.rows)
-        assert stable > 64 and [len(s) for s in shapes] == [3, 3]
+        assert stable > STEADY_CHUNK and [len(s) for s in shapes] == [3, 3]
         assert sum(s[0] for s in shapes) == stable
 
     def test_empty_stack_gives_empty_results(self):
@@ -371,8 +373,8 @@ class TestBatchedCore:
         solved = []
         original = dynamics.steady_state_batch
 
-        def recording(A, D):
-            V, errors = original(A, D)
+        def recording(A, D, op=None):
+            V, errors = original(A, D, op)
             solved.append((A, D, V, errors))
             return V, errors
 
@@ -513,7 +515,7 @@ class TestPropagate:
         # norms from 2e4 to 3e5: doubling counts 2 to 5 over one interval
         models = [model(G1=1e4, G2=1e4, kt=kt, dt=1e3, n1=20.0, n2=10.0)
                   for kt in (0.0, 1e3, 2e4, 1e5, 2e5)]
-        A, D = state_space_batch(models)
+        A, D = state_space_batch(stack_models(models))
         V0 = np.stack([initial_covariance(20.0, 10.0)] * len(models))
         t_grid = np.linspace(0.0, 2e-3, 201)
         covs, first_bad = propagate_batch(A, D, V0, t_grid)
@@ -525,7 +527,7 @@ class TestPropagate:
     def test_stacked_maps_match_maps_built_one_by_one(self):
         # doubling counts 0, 3 and 5 over one interval
         models = [model(G1=1e3, G2=2e3, kt=kt, dt=1e2, n1=1.0) for kt in (1e2, 3e4, 2e5)]
-        A, D = state_space_batch(models)
+        A, D = state_space_batch(stack_models(models))
         dt = 1e-5
         norms = np.linalg.norm(A, axis=(-2, -1))
         doublings = np.maximum(0, np.ceil(np.log2(norms * dt / dynamics.STEP_NORM_CAP)))
@@ -543,7 +545,8 @@ class TestPropagate:
             assert np.array_equal(M_int[k], M1) and np.array_equal(Q_int[k], Q1)
 
     def test_divergence_is_reported_per_system(self):
-        A, D = state_space_batch([model(G1=2e5, G2=1e4, kt=1e3), model(G1=1e4, G2=2e4, kt=1e3)])
+        A, D = state_space_batch(stack_models([model(G1=2e5, G2=1e4, kt=1e3),
+                                                model(G1=1e4, G2=2e4, kt=1e3)]))
         V0 = np.stack([initial_covariance(0.0, 0.0)] * 2)
         covs, first_bad = propagate_batch(A, D, V0, [0.1, 1.0, 10.0])
         assert first_bad[0] >= 0 and first_bad[1] == -1

@@ -37,6 +37,7 @@ from cfomech.params import (
     effective_couplings,
     thermal_occupancy,
 )
+from reference import stack_models
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -240,16 +241,16 @@ class TestRunSweep:
 
 class TestSteadyBatch:
     def test_chunked_sweep_matches_points_evaluated_alone(self):
-        # 13 x 11 = 143 points: two full chunks and a partial one, with
+        # 27 x 21 = 567 points: two full chunks and a partial one, with
         # unstable points mixed in by the ratio axis
-        cfg = base_config(axes=(SweepAxis("ratio", 0.8, 1.1, 13),
-                                SweepAxis("rB", 0.0, 0.99, 11)))
+        cfg = base_config(axes=(SweepAxis("ratio", 0.8, 1.1, 27),
+                                SweepAxis("rB", 0.0, 0.99, 21)))
         rows = run_sweep(cfg).rows
         assert len(rows) > 2 * STEADY_CHUNK
         assert {r["stable"] for r in rows} == {True, False}
         for row in rows:
             model, _ = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
-            alone = evaluate_steady_batch([model])
+            alone = evaluate_steady_batch(model)
             assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
                 peak_values(alone)
 
@@ -280,7 +281,7 @@ class TestSteadyBatch:
         overflowing = (10, 11)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warns nothing
-            out = evaluate_steady_batch(models)
+            out = evaluate_steady_batch(stack_models(models))
         assert out.EN.shape == out.nu_minus.shape == (len(models), 1)
         assert out.stable.tolist() == [True, False, False, True, True, True, False, True, True,
                                        True, True, True, True]
@@ -288,7 +289,7 @@ class TestSteadyBatch:
             assert out.error[k] == "stationary covariance overflows double precision"
         for k, model in enumerate(models):
             values = peak_values(out, k)
-            assert values == peak_values(evaluate_steady_batch([model]))
+            assert values == peak_values(evaluate_steady_batch(model))
             EN, _, stable, error = values
             if not stable:
                 assert error == "unstable" and EN is None
@@ -307,7 +308,7 @@ class TestSteadyBatch:
     def test_chunk_with_no_stable_point(self):
         models = [EffectiveModel(G1=G1, G2=1e5, kappa_tilde=1e3, delta_tilde=0.0, gamma1=10.0,
                                  gamma2=10.0, nbar1=0.0, nbar2=0.0) for G1 in (1.5e5, 2e5)]
-        out = evaluate_steady_batch(models)
+        out = evaluate_steady_batch(stack_models(models))
         assert out.error == ["unstable", "unstable"]
         assert out.stable.tolist() == [False, False]
         assert out.EN.shape == out.nu_minus.shape == (2, 1)
@@ -320,18 +321,18 @@ class TestSteadyBatch:
             return EffectiveModel(**{**fields, **kw})
         models = [m(), m(kappa_tilde=math.inf), m(delta_tilde=math.nan),
                   m(G1=2e5, kappa_tilde=1e3)]
-        abscissa, _ = dynamics.stability_batch(dynamics.state_space_batch(models)[0])
+        abscissa, _ = dynamics.stability_batch(dynamics.state_space_batch(stack_models(models))[0])
         assert np.isnan(abscissa).tolist() == [False, True, True, False]
         t_grid = np.linspace(0.0, 1e-3, 3)
         evaluate = (evaluate_steady_batch, lambda ms: evaluate_evolve_batch(ms, t_grid))
         for run in evaluate:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an overflow warns nothing
-                out = run(models)
+                out = run(stack_models(models))
             assert out.error[1:3] == [experiments.NONFINITE_DRIFT] * 2
             assert out.stable.tolist() == [True, False, False, False]
-            assert peak_values(out, 0) == peak_values(run(models[:1]))
-            assert peak_values(out, 3) == peak_values(run(models[3:]))
+            assert peak_values(out, 0) == peak_values(run(models[0]))
+            assert peak_values(out, 3) == peak_values(run(models[3]))
 
 
 class TestEvolveBatch:
@@ -349,7 +350,7 @@ class TestEvolveBatch:
         t_grid = cfg.time_grid()
         for row in rows:
             model, _ = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
-            alone = evaluate_evolve_batch([model], t_grid)
+            alone = evaluate_evolve_batch(model, t_grid)
             assert row["error"] is None
             assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
                 peak_values(alone)
@@ -371,7 +372,7 @@ class TestEvolveBatch:
         t_grid = [0.1, 1.0, 10.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warns nothing
-            out = evaluate_evolve_batch(models, t_grid)
+            out = evaluate_evolve_batch(stack_models(models), t_grid)
         assert out.EN.shape == out.nu_minus.shape == (len(models), len(t_grid))
         with pytest.raises(DivergenceError) as excinfo:
             dynamics.propagate(*dynamics.state_space(models[0]),
@@ -383,7 +384,7 @@ class TestEvolveBatch:
             "non-finite covariance at t = 0.1 (grid index 0)"]
         assert out.stable.tolist() == [False, False, False, True, False, True, False]
         for k, model in enumerate(models):
-            alone = evaluate_evolve_batch([model], t_grid)
+            alone = evaluate_evolve_batch(model, t_grid)
             assert (out.stable[k], out.error[k]) == (alone.stable[0], alone.error[0])
             if out.error[k] is not None:
                 assert np.isnan(out.EN[k]).all() and np.isnan(out.nu_minus[k]).all()
@@ -397,7 +398,7 @@ class TestEvolveBatch:
         # unstable: by t = 2 ms ||V4||_F ~ 1e48 and nu_minus sinks below the
         # eigen-solver floor eps*||V4||_F, where it used to read 0 (E_N = inf)
         model, _ = resolve_point(base_config(G1=3e4, G2=1e4, Delta=1e3, rB=0.99))
-        out = evaluate_evolve_batch([model], [0.0, 1e-3, 2e-3])
+        out = evaluate_evolve_batch(model, [0.0, 1e-3, 2e-3])
         assert out.error == [entanglement.UNRESOLVED]
         assert np.isnan(out.EN).all() and out.stable.tolist() == [False]
 
@@ -473,7 +474,7 @@ class TestFindOptimum:
         assert bits(best) == bits(won)
         # the winner's values equal the point evaluated on its own, bit for bit
         model, _ = resolve_point(cfg, {"rB": best["rB"], "theta": best["theta"]})
-        EN, nu_minus, stable, error = peak_values(evaluate_steady_batch([model]))
+        EN, nu_minus, stable, error = peak_values(evaluate_steady_batch(model))
         assert bits({"EN": EN, "nu_minus": nu_minus, "stable": stable,
                      "error": error, "kappaTilde": model.kappa_tilde}) == \
             bits({k: best[k] for k in ("EN", "nu_minus", "stable", "error", "kappaTilde")})
@@ -568,15 +569,17 @@ class TestPresets:
         original = experiments.params.effective_cavity_params
 
         def recording(kappa1, kappa2, rB, theta, Delta):
+            # called on the columns of a chunk: record each point
             out = original(kappa1, kappa2, rB, theta, Delta)
-            seen.append(((kappa1, kappa2, rB, theta, Delta), out))
+            seen.extend(zip(*(np.broadcast_to(x, np.shape(out[0])).reshape(-1).tolist()
+                              for x in (kappa1, kappa2, rB, theta, Delta, *out))))
             return out
 
         monkeypatch.setattr(experiments.params, "effective_cavity_params", recording)
         for name in experiments.PRESET_NAMES:
             run_preset(name)
         assert len(seen) > 4000
-        for (kappa1, kappa2, rB, theta, Delta), (kt, dt) in seen:
+        for kappa1, kappa2, rB, theta, Delta, kt, dt in seen:
             cross = 2.0 * math.sqrt(kappa1 * kappa2) * rB
             assert kt == max(0.0, kappa1 + kappa2 - cross * math.cos(theta))
             assert dt == Delta - cross * math.sin(theta)

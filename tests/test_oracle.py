@@ -26,6 +26,7 @@ import sympy
 from cfomech import dynamics, entanglement
 from cfomech.experiments import evaluate_steady_batch, preset_config, resolve_point, run_preset
 from cfomech.params import EffectiveModel
+from reference import stack_models
 
 ORACLE_DPS = 50
 
@@ -176,7 +177,7 @@ MARGINAL_MODELS = {
 
 
 def relative_nu_error(model: EffectiveModel) -> float:
-    out = evaluate_steady_batch([model])
+    out = evaluate_steady_batch(model)
     assert out.error == [None]
     nu = oracle_nu_minus(model)
     return float(abs(mpmath.mpf(float(out.nu_minus[0, 0])) - nu) / nu)
@@ -257,7 +258,7 @@ def test_equal_couplings_match_the_collective_mode_chain():
         nu = mpmath.mpf(str(collective_mode_nu_minus(model).evalf(ORACLE_DPS)))
         # the 50-digit solve keeps about 34 digits at cond 1e16 (measured: 5.4e-40)
         assert abs(nu - oracle_nu_minus(model)) < nu * mpmath.mpf(10) ** -30
-    got = evaluate_steady_batch([model]).nu_minus[0, 0]
+    got = evaluate_steady_batch(model).nu_minus[0, 0]
     assert float(abs(got - nu) / nu) <= ORACLE_NU_RTOL_EQUAL_COUPLINGS
 
 
@@ -267,7 +268,7 @@ def test_equal_couplings_with_weak_damping_read_unresolved():
     # physical and not entangled
     model = EffectiveModel(G1=197265.0, G2=197265.0, kappa_tilde=1003.0, delta_tilde=0.0,
                            gamma1=2.0, gamma2=2.0, nbar1=1.0, nbar2=3.0)
-    assert evaluate_steady_batch([model]).error == [entanglement.UNRESOLVED]
+    assert evaluate_steady_batch(model).error == [entanglement.UNRESOLVED]
     assert abs(oracle_nu_minus(model) - mpmath.mpf("1.2525")) < 1e-4
 
 
@@ -309,7 +310,7 @@ def test_stable_point_inside_the_band_is_reported_unstable():
     # stationary state exists
     model = marginal_model(4e-4)
     assert 0.0 < band_ratio(model) < 1.0
-    assert evaluate_steady_batch([model]).error == ["unstable"]
+    assert evaluate_steady_batch(model).error == ["unstable"]
     assert abs(oracle_nu_minus(model) - mpmath.mpf("0.0475450922")) < 1e-10
 
 
@@ -402,7 +403,7 @@ SWEEP_UNRESOLVED_MAX = 3
 
 def test_sweep_matches_the_hermitian_oracle():
     drawn = sweep_models()
-    out = evaluate_steady_batch([model for _, model in drawn])
+    out = evaluate_steady_batch(stack_models([model for _, model in drawn]))
     misses, unresolved, checked = [], 0, 0
     for (family, model), stable, error, nu in zip(drawn, out.stable, out.error,
                                                  out.nu_minus[:, 0].tolist()):
@@ -482,7 +483,7 @@ def test_interval_maps_match_van_loan(model, stable, dt, monkeypatch):
         return original(A, D, step)
 
     monkeypatch.setattr(dynamics, "transition_and_noise", recording)
-    A, D = dynamics.state_space_batch([model])
+    A, D = dynamics.state_space_batch(model)
     M, Q = dynamics._interval_maps(A, D, dt)
     doublings = round(np.log2(dt / steps[0]))
     assert len(steps) == 1 and dt / 2.0 ** doublings == steps[0]
