@@ -10,6 +10,10 @@ the kron form here, which solves for all n*n entries of vec(V) and keeps one
 refinement pass of its own, and to the vech form, the kron form restricted
 to the 21 entries of the upper triangle of a symmetric V.
 
+The library resolves a chunk of sweep points to columns of numpy arrays
+(cfomech.experiments.resolve_chunk).  The tests hold it to the scalar
+resolution here, one point at a time in Python floats and math.
+
 The library takes the partially transposed spectrum of a two-mode covariance
 matrix from the closed forms of its Hermitian 2x2 form
 (cfomech.entanglement.pt_spectrum_batch).  The tests hold it to the
@@ -18,9 +22,13 @@ Omega V for a symmetric 2n x 2n matrix of any n, or an (N, 2n, 2n) stack, in
 the convention of cfomech.entanglement (vacuum variance 1/2).
 """
 
+import math
+
 import numpy as np
 
+from cfomech import params
 from cfomech.entanglement import PHYSICALITY_TOL
+from cfomech.errors import ConfigError
 from cfomech.params import EffectiveModel
 
 #: Partial transposition of the second mechanical mode (momentum flip).
@@ -135,3 +143,64 @@ def stack_models(models) -> EffectiveModel:
     """The column model of a list of models: one EffectiveModel whose fields
     are (N,) arrays, the form the batched stages take."""
     return EffectiveModel(*np.concatenate([m.columns() for m in models], axis=1))
+
+
+def scalar_cavity_params(kappa1, kappa2, rB, theta, Delta):
+    """kappa_tilde and delta_tilde of one point in Python floats, with the
+    checks and texts of cfomech.params.effective_cavity_params."""
+    if not 0.0 <= rB <= 1.0:
+        raise ValueError("rB must lie in [0, 1]")
+    if kappa1 < 0 or kappa2 < 0:
+        raise ValueError("cavity decays must be nonnegative")
+    root = math.sqrt(kappa1 * kappa2)
+    if math.isinf(root):
+        root = math.sqrt(kappa1) * math.sqrt(kappa2)
+    cross = 2.0 * (root * rB)
+    kappa_tilde = kappa1 + kappa2 - cross * math.cos(theta)
+    delta_tilde = Delta - cross * math.sin(theta)
+    if kappa_tilde < 0.0:
+        if kappa_tilde < -8 * math.ulp(kappa1 + kappa2):
+            raise ValueError("negative effective cavity decay")
+        kappa_tilde = 0.0
+    return kappa_tilde, delta_tilde
+
+
+def scalar_resolve(cfg, overrides: dict) -> tuple[tuple[float, ...], str]:
+    """The 8 model fields (EffectiveModel order) and the RWA verdict of one
+    point, resolved in Python floats, with the checks and texts of
+    cfomech.experiments.resolve_chunk, in the same order."""
+    drive = cfg.uses_drive_block
+    if drive and ("ratio" in overrides or "G1" in overrides or "G2" in overrides):
+        raise ConfigError("coupling axes need the direct G1/G2 entry path")
+    if cfg.temperatureK is not None and ("nbar1" in overrides or "nbar2" in overrides):
+        raise ConfigError("occupancy axes conflict with temperatureK")
+    values = {"gamma1": cfg.gamma1, "gamma2": cfg.gamma2, "kappa1": cfg.kappa1,
+              "kappa2": cfg.kappa2, "G1": cfg.G1, "G2": cfg.G2, "Delta": cfg.Delta,
+              "rB": cfg.rB, "theta": cfg.theta, "nbar1": cfg.nbar1, "nbar2": cfg.nbar2}
+    values.update((name, float(value)) for name, value in overrides.items())
+    kappa1, kappa2 = values["kappa1"], values["kappa2"]
+    rB, theta, Delta = values["rB"], values["theta"], values["Delta"]
+    if cfg.detuningLock:
+        Delta = -scalar_cavity_params(kappa1, kappa2, rB, theta, 0.0)[1]
+    if cfg.temperatureK is not None:
+        nbar1 = params.thermal_occupancy(cfg.omega1, cfg.temperatureK)
+        nbar2 = params.thermal_occupancy(cfg.omega2, cfg.temperatureK)
+    else:
+        nbar1 = values["nbar1"] if values["nbar1"] is not None else 0.0
+        nbar2 = values["nbar2"] if values["nbar2"] is not None else 0.0
+    if drive:
+        G1, G2 = params.effective_couplings(
+            cfg.g1, cfg.g2, params.drive_amplitude(cfg.P1, kappa1, cfg.omegaL1),
+            params.drive_amplitude(cfg.P2, kappa1, cfg.omegaL2),
+            cfg.omega1, cfg.omega2, Delta, kappa1, kappa2)
+    else:
+        G1 = values["ratio"] * values["G2"] if "ratio" in values else values["G1"]
+        G2 = values["G2"]
+    kappa_tilde, delta_tilde = scalar_cavity_params(kappa1, kappa2, rB, theta, Delta)
+    fields = (abs(G1), abs(G2), kappa_tilde, delta_tilde, values["gamma1"], values["gamma2"],
+              nbar1, nbar2)
+    EffectiveModel(*map(float, fields))  # the model's own checks
+    if cfg.omega1 is None or cfg.omega2 is None:
+        return fields, "unknown"
+    return fields, params.rwa_validity(G1, G2, kappa1, kappa2, cfg.omega1, cfg.omega2,
+                                       threshold=cfg.rwaThreshold)

@@ -5,8 +5,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cfomech import cli, dynamics
+from cfomech import cli, dynamics, experiments
 from cfomech.cli import build_config, main, serialize
 from cfomech.errors import ConfigError, UnsupportedRegimeError
 from cfomech.experiments import ResultTable, RunConfig, resolve_point
@@ -112,6 +113,53 @@ class TestSerialize:
         payload = json.loads(serialize(table, "json"))
         assert float(rows[0][0]) == payload["rows"][0]["x"]
         assert payload["rows"][0]["ok"] is True
+
+
+def _rowwise_csv(table: ResultTable) -> str:
+    """The CSV writer as it formatted rows one at a time, cell by cell."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.12g}"
+        return str(value)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([cell(row.get(col)) for col in table.columns])
+    return buf.getvalue()
+
+
+_CELLS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                   st.floats(allow_nan=True, allow_infinity=True),
+                   st.text(max_size=8))
+
+
+class TestBlockwiseCsv:
+    @settings(deadline=None, max_examples=200)
+    @given(columns=st.lists(st.sampled_from(["a", "b", "c,d", 'e"f', "g"]), min_size=1,
+                            max_size=5, unique=True),
+           rows=st.lists(st.dictionaries(st.sampled_from(["a", "b", "c,d", 'e"f', "g", "x"]),
+                                         _CELLS), max_size=12),
+           block=st.integers(1, 5))
+    def test_matches_the_rowwise_writer(self, columns, rows, block):
+        # rows may lack a column or carry an extra key; blocks of 1 to 5 rows
+        # leave a partial last block for most row counts
+        table = ResultTable(columns, rows)
+        original = cli.CSV_BLOCK
+        cli.CSV_BLOCK = block
+        try:
+            assert serialize(table, "csv") == _rowwise_csv(table)
+        finally:
+            cli.CSV_BLOCK = original
+
+    def test_preset_bytes_match_the_rowwise_writer(self):
+        table = experiments.run_preset("fig2c")
+        assert len(table.rows) % cli.CSV_BLOCK != 0
+        assert serialize(table, "csv") == _rowwise_csv(table)
 
 
 class TestSteadyCommand:
@@ -301,7 +349,7 @@ class TestExitCodes:
         assert (first["t"], first["nu_minus"], first["error"]) == ("0", "0.5", "")
         assert all(row[header.index("error")] == "" for row in rows)
 
-    @pytest.mark.parametrize("command", ["steady", "evolve"])
+    @pytest.mark.parametrize("command", ["steady", "evolve", "stability"])
     def test_non_finite_drift_is_numerical_error(self, command, capsys):
         # kappa1 + kappa2 overflows: kappa_tilde = inf, a per-point error
         code, out, err = run_cli(

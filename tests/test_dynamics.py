@@ -314,6 +314,16 @@ class TestBatchedCore:
         assert stable > STEADY_CHUNK and [len(s) for s in shapes] == [3, 3]
         assert sum(s[0] for s in shapes) == stable
 
+    @settings(deadline=None, max_examples=30)
+    @given(draws=st.lists(_draw, min_size=1, max_size=20))
+    def test_column_operator_is_the_drift_operator(self, draws):
+        # read off the columns, the operator is the one steady_state_batch
+        # builds from the drift, bit for bit
+        models = _model_stack(draws)
+        A, _ = state_space_batch(models)
+        assert np.array_equal(dynamics.lyapunov_operator_batch(models),
+                              dynamics._lyapunov_operator(A))
+
     def test_empty_stack_gives_empty_results(self):
         V, errors = steady_state_batch(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)))
         assert V.shape == (0, 6, 6) and errors == []

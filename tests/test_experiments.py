@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import itertools
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ import cfomech
 from cfomech import cli, dynamics, entanglement, experiments
 from cfomech.errors import (
     ConfigError,
+    SingularityError,
     DivergenceError,
     NoFeasiblePointError,
 )
@@ -27,6 +29,7 @@ from cfomech.experiments import (
     evaluate_steady_batch,
     find_optimum,
     preset_config,
+    resolve_chunk,
     resolve_point,
     run_preset,
     run_sweep,
@@ -37,7 +40,7 @@ from cfomech.params import (
     effective_couplings,
     thermal_occupancy,
 )
-from reference import stack_models
+from reference import scalar_resolve, stack_models
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -162,6 +165,123 @@ class TestResolvePoint:
         for axis in ("ratio", "G1", "G2"):
             with pytest.raises(ConfigError, match="coupling axes need"):
                 resolve_point(cfg, {axis: 0.5})
+
+
+def _grid(cfg):
+    names = [ax.name for ax in cfg.axes]
+    return names, [dict(zip(names, combo))
+                   for combo in itertools.product(*(ax.grid().tolist() for ax in cfg.axes))]
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+_DRIVE = dict(G1=None, G2=None, g1=100.0, g2=100.0, P1=1e-6, P2=2e-6, omegaL1=1.77e15,
+              omegaL2=1.77e15, omega1=1e8, omega2=2e8)
+
+
+class TestResolveChunk:
+    """resolve_chunk against the scalar resolution of tests/reference.py, bit
+    for bit, and against resolve_point, its N = 1 view."""
+
+    def assert_matches_scalar(self, cfg, names, points):
+        for start in range(0, len(points), STEADY_CHUNK):
+            chunk = points[start:start + STEADY_CHUNK]
+            model, verdicts = resolve_chunk(cfg, names, chunk)
+            columns = model.columns()
+            assert columns.shape == (8, len(chunk)) and len(verdicts) == len(chunk)
+            for k, overrides in enumerate(chunk):
+                fields, verdict = scalar_resolve(cfg, overrides)
+                assert _bits(columns[:, k].tolist()) == _bits(fields), overrides
+                assert verdicts[k] == verdict
+                alone, alone_verdict = resolve_point(cfg, overrides)
+                assert _bits(alone.columns()[:, 0].tolist()) == _bits(fields)
+                assert alone_verdict == verdict
+
+    @pytest.mark.parametrize("name", experiments.PRESET_NAMES)
+    def test_every_preset_point(self, name):
+        cfg = preset_config(name)
+        if name in ("fig3a", "fig3b"):
+            self.assert_matches_scalar(cfg, ["rB"], [{"rB": rB} for rB in
+                                                     experiments.FIG3_RB_VALUES])
+        else:
+            self.assert_matches_scalar(cfg, *_grid(cfg))
+
+    def test_evolve_sweep_grid(self):
+        cfg = base_config(G1=1e4, G2=1e4, Delta=1.3e3, nbar1=4.0, nbar2=11.0, mode="evolve",
+                          tPoints=51, axes=(SweepAxis("ratio", 0.9, 1.1, 15),
+                                            SweepAxis("rB", 0.0, 1.0, 15)))
+        self.assert_matches_scalar(cfg, *_grid(cfg))
+
+    @pytest.mark.parametrize("lock", [True, False])
+    def test_drive_block_temperature_and_lock_over_delta_and_theta(self, lock):
+        cfg = base_config(nbar1=None, nbar2=None, temperatureK=0.01, rB=0.7,
+                          detuningLock=lock, **_DRIVE,
+                          axes=(SweepAxis("Delta", -2e4, 2e4, 7),
+                                SweepAxis("theta", -math.pi, math.pi, 9)))
+        names, points = _grid(cfg)
+        self.assert_matches_scalar(cfg, names, points)
+        # the couplings vary over the chunk, with the locked or the swept Delta
+        assert len(set(resolve_chunk(cfg, names, points)[0].G1.tolist())) > 1
+
+    @pytest.mark.parametrize("kw, points", [
+        ({}, [{"rB": 0.5}, {"rB": 1.2}, {"rB": 0.7}]),
+        ({}, [{"kappa1": 5e4}, {"kappa1": -1.0}]),
+        # the decays fail at point 1 before rB at point 2 (a columnwise
+        # check would meet the rB check first)
+        ({}, [{"kappa1": 5e4, "rB": 0.5}, {"kappa1": -1.0, "rB": 0.5},
+              {"kappa1": 5e4, "rB": 1.5}]),
+        ({}, [{"gamma1": 10.0}, {"gamma1": -1.0}]),
+        ({"detuningLock": True, "theta": 0.3}, [{"rB": 0.2}, {"rB": -0.1}]),
+        # a vanishing coupling denominator (omega1 - Delta = 0 and kappa1 +
+        # kappa2 = 0), first or after a point with a negative decay
+        ({"kappa2": -5e4, "nbar1": None, "nbar2": None, **_DRIVE},
+         [{"Delta": 1e8}, {"Delta": 2e8}]),
+        ({"kappa2": -5e4, "nbar1": None, "nbar2": None, **_DRIVE},
+         [{"Delta": 2e8}, {"Delta": 1e8}]),
+    ], ids=["rB_above_1", "negative_decay", "first_failing_point", "negative_damping",
+            "lock_negative_rB", "singular_first", "singular_second"])
+    def test_invalid_chunk_raises_as_its_first_failing_point(self, kw, points):
+        cfg = base_config(**kw)
+        first, expected = next((p, _scalar_failure(cfg, p)) for p in points
+                               if _scalar_failure(cfg, p) is not None)
+        for run in (lambda: resolve_chunk(cfg, list(points[0]), points),
+                    lambda: resolve_point(cfg, first)):
+            with pytest.raises(ValueError) as got:
+                run()
+            assert (type(got.value), str(got.value)) == (type(expected), str(expected))
+
+    def test_singular_denominator_is_a_singularity_error(self):
+        cfg = base_config(kappa2=-5e4, nbar1=None, nbar2=None, **_DRIVE)
+        with pytest.raises(SingularityError, match="coupling denominator vanishes"):
+            resolve_chunk(cfg, ["Delta"], [{"Delta": 1e8}, {"Delta": 2e8}])
+
+    @pytest.mark.parametrize("field, text", [
+        ("G2", "couplings must be nonnegative reals"),
+        ("kappa_tilde", "effective cavity decay must be nonnegative"),
+        ("gamma1", "mechanical dampings must be nonnegative"),
+        ("nbar2", "thermal occupancies must be nonnegative"),
+    ])
+    def test_column_model_checks_as_a_float_model(self, field, text):
+        fields = dict(G1=0.9e5, G2=1e5, kappa_tilde=1e5, delta_tilde=-3.0,
+                      gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
+        with pytest.raises(ValueError, match=text):
+            EffectiveModel(**{**fields, field: -1.0})
+        columns = {k: np.full(3, v) for k, v in fields.items()}
+        columns[field][1] = -1.0
+        with pytest.raises(ValueError, match=text):
+            EffectiveModel(**columns)
+        # a negative detuning is no defect
+        assert EffectiveModel(**{k: np.full(3, v) for k, v in fields.items()}).columns()[3, 0] == -3.0
+
+
+def _scalar_failure(cfg, overrides) -> ValueError | None:
+    try:
+        scalar_resolve(cfg, overrides)
+    except ValueError as exc:
+        return exc
+    return None
 
 
 class TestRunSweep:
@@ -404,6 +524,20 @@ class TestEvolveBatch:
 
 
 class TestRunPoints:
+    def test_steady_chunks_make_no_structure_check(self, monkeypatch):
+        # drifts and diffusions built from the columns are phase-insensitive
+        # by construction; only the public solve checks its inputs
+        checked = []
+        original = dynamics._check_phase_insensitive
+        monkeypatch.setattr(dynamics, "_check_phase_insensitive",
+                            lambda X, maps, name: checked.append(name) or original(X, maps, name))
+        cfg = base_config(axes=(SweepAxis("ratio", 0.8, 1.1, 30), SweepAxis("rB", 0.0, 0.9, 10)))
+        rows = run_sweep(cfg).rows
+        assert {r["stable"] for r in rows} == {True, False} and checked == []
+        model, _ = resolve_chunk(cfg, ["ratio", "rB"], [{"ratio": 0.9, "rB": 0.5}])
+        dynamics.steady_state_batch(*dynamics.state_space_batch(model))
+        assert checked == ["drift matrix", "diffusion matrix"]
+
     @pytest.mark.parametrize("mode", ["steady", "evolve"])
     def test_points_are_drawn_one_chunk_at_a_time(self, mode, monkeypatch):
         cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, mode=mode, tPoints=51)
@@ -524,6 +658,20 @@ class TestPackage:
         for _, attr, short in targets:
             tracer.layer_of(short, attr)
         assert (dynamics, "steady_state_covariance", "dynamics") in targets
+
+    def test_steady_path_runs_without_scipy(self):
+        # scipy is imported by the first matrix exponential, which only evolve
+        # mode takes
+        code = ("import sys, cfomech, cfomech.cli; print('scipy' in sys.modules); "
+                "cfomech.cli.main(['steady', '--set', 'G1=9e4', 'G2=1e5', '--quiet']); "
+                "print('scipy' in sys.modules); "
+                "cfomech.cli.main(['evolve', '--set', 'G1=1e4', 'G2=1e4', 'tPoints=3']); "
+                "print('scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        lines = done.stdout.splitlines()
+        assert [lines[0], lines[3], lines[-1]] == ["False", "False", "True"]
 
     def test_reproduce_figures_script_writes_every_preset(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
