@@ -171,7 +171,9 @@ _LYAPUNOV_BASIS = _lyapunov_basis()
 #: gamma2) of a model to the matrix of its Lyapunov operator: A is linear in
 #: them, each entry of A is one column times 1 or 1/2 up to sign, and each
 #: operator entry sums at most two such terms, so the map gives the operator
-#: of _lyapunov_operator(A) bit for bit.
+#: of _lyapunov_operator(A) bit for bit wherever the rates are zero or their
+#: halves are normal numbers (that projection halves a smaller rate
+#: inexactly).
 _COLUMN_OPERATOR = (state_space_batch(EffectiveModel(*np.eye(8)[:, :6]))[0].reshape(6, 36)
                     @ _COMPLEX[1] @ _LYAPUNOV_BASIS)
 

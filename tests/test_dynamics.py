@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from cfomech import dynamics
@@ -318,8 +318,12 @@ class TestBatchedCore:
     @given(draws=st.lists(_draw, min_size=1, max_size=20))
     def test_column_operator_is_the_drift_operator(self, draws):
         # read off the columns, the operator is the one steady_state_batch
-        # builds from the drift, bit for bit
+        # builds from the drift, bit for bit, for rates that are zero or
+        # whose halves are normal numbers (the drift's projection halves a
+        # smaller one inexactly)
         models = _model_stack(draws)
+        rates = np.abs(models.columns()[:6])
+        assume(np.all((rates == 0.0) | (rates >= 2 * np.finfo(float).tiny)))
         A, _ = state_space_batch(models)
         assert np.array_equal(dynamics.lyapunov_operator_batch(models),
                               dynamics._lyapunov_operator(A))
