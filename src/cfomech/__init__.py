@@ -7,7 +7,6 @@ from .params import (
     drive_amplitude,
     effective_cavity_params,
     effective_couplings,
-    effective_model,
     rwa_validity,
     thermal_occupancy,
 )
@@ -37,7 +36,7 @@ from .experiments import (
 __all__ = [
     # params
     "EffectiveModel", "drive_amplitude",
-    "effective_cavity_params", "effective_couplings", "effective_model",
+    "effective_cavity_params", "effective_couplings",
     "rwa_validity", "thermal_occupancy",
     # dynamics
     "propagate", "stability_eigen", "state_space",

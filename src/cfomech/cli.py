@@ -47,21 +47,12 @@ def _round12(value: float) -> float:
 _CSV_FLOAT = f"%.{SIGNIFICANT_DIGITS}g"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _CSV_FLOAT % value
-    return str(value)
-
-
-def _csv_column(values) -> list[str]:
-    """_csv_cell of each value, with floats, None and strings, the common
-    cells, formatted inline."""
-    return [_CSV_FLOAT % v if type(v) is float else "" if v is None
-            else v if type(v) is str else _csv_cell(v) for v in values]
+def _csv_cells(values) -> list[str]:
+    """CSV text of each value: a float to SIGNIFICANT_DIGITS, None empty, a
+    boolean true or false, anything else its str."""
+    return [_CSV_FLOAT % v if isinstance(v, float) else "" if v is None
+            else ("true" if v else "false") if isinstance(v, bool) else str(v)
+            for v in values]
 
 
 def _json_cell(value):
@@ -81,7 +72,7 @@ def serialize(table: ResultTable, fmt: str) -> str:
         writer.writerow(table.columns)
         for start in range(0, len(table.rows), CSV_BLOCK):
             block = table.rows[start:start + CSV_BLOCK]
-            writer.writerows(zip(*(_csv_column(map(dict.get, block, itertools.repeat(col)))
+            writer.writerows(zip(*(_csv_cells(map(dict.get, block, itertools.repeat(col)))
                                    for col in table.columns)))
         return buf.getvalue()
     if fmt == "json":

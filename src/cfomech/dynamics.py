@@ -167,31 +167,12 @@ def _lyapunov_basis() -> np.ndarray:
 
 _LYAPUNOV_BASIS = _lyapunov_basis()
 
-#: (6, 81) map from the columns (G1, G2, kappa_tilde, delta_tilde, gamma1,
-#: gamma2) of a model to the matrix of its Lyapunov operator: A is linear in
-#: them, each entry of A is one column times 1 or 1/2 up to sign, and each
-#: operator entry sums at most two such terms, so the map gives the operator
-#: of _lyapunov_operator(A) bit for bit wherever the rates are zero or their
-#: halves are normal numbers (that projection halves a smaller rate
-#: inexactly).
-_COLUMN_OPERATOR = (state_space_batch(EffectiveModel(*np.eye(8)[:, :6]))[0].reshape(6, 36)
-                    @ _COMPLEX[1] @ _LYAPUNOV_BASIS)
-
 
 def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     """(N, 9, 9) stack of the matrices of H -> M H + H M^dagger on the
     Hermitian coordinates, for the (N, 6, 6) stack of drifts A realifying M."""
     # reshape(N, 36), not (N, -1): a chunk with no stable point is (0, 6, 6)
     return (A.reshape(len(A), 36) @ _COMPLEX[1] @ _LYAPUNOV_BASIS).reshape(-1, 9, 9)
-
-
-def lyapunov_operator_batch(model: EffectiveModel) -> np.ndarray:
-    """(N, 9, 9) stack of the Lyapunov operators of the N models of a column
-    model, as steady_state_batch builds them from state_space_batch's drifts,
-    read straight off the columns.  A model with rates beyond double
-    precision gets non-finite entries, which its solve reports."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (model.columns()[:6].T @ _COLUMN_OPERATOR).reshape(-1, 9, 9)
 
 
 def _solve_lyapunov(op: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -203,17 +184,13 @@ def _solve_lyapunov(op: np.ndarray, D: np.ndarray) -> np.ndarray:
     return (h @ embed).reshape(-1, 6, 6)
 
 
-def steady_state_batch(A: np.ndarray, D: np.ndarray, op: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, list[str | None]]:
+def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     """Stationary covariances V[k] solving A[k] V + V A[k]^T = -D[k] for an
     (N, 6, 6) stack of strictly stable systems, with a per-system error.
 
     A and D must realify a complex drift M and a Hermitian diffusion D_c (see
     cfomech.entanglement), to STRUCTURE_RTOL relative, or ValueError is
-    raised naming the defect; every model's state space does.  Given op, the
-    systems' operators as lyapunov_operator_batch builds them from the model
-    columns that A and D came from, A and D are phase-insensitive by
-    construction and are not checked.  Each system
+    raised naming the defect; every model's state space does.  Each system
     is then solved as M H + H M^dagger = -D_c on the 9 real coordinates of
     the Hermitian H that V realifies, all N in one batched linear solve.  V
     is linear in D, so each D enters scaled by a power of 2 near 1/max|D|
@@ -227,11 +204,17 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray, op: np.ndarray | None = Non
     place of None, and one whose V overflows once scaled back gets a text
     naming the overflow; such a V is not meaningful.
     """
+    _check_phase_insensitive(A, _COMPLEX, "drift matrix")
+    _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
+    return _steady_state(A, D)
+
+
+def _steady_state(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """steady_state_batch without its structure checks, for the drifts and
+    diffusions that state_space_batch builds, phase-insensitive by
+    construction."""
     N = len(A)
-    if op is None:
-        _check_phase_insensitive(A, _COMPLEX, "drift matrix")
-        _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
-        op = _lyapunov_operator(A)
+    op = _lyapunov_operator(A)
     shift = np.frexp(np.abs(D).max(axis=(-2, -1)))[1][:, None, None]
     D = np.ldexp(D, -shift)
     singular = np.zeros(N, dtype=bool)

@@ -305,15 +305,15 @@ def _score(covs: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.n
 def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
     """Steady-state entanglement of the N models of a column model: one
     batched stability test and one batched Lyapunov solve over the stable
-    models, whose operators come straight from the columns, then scored.
+    models, with no structure check (their state spaces are
+    phase-insensitive by construction), then scored.
     Unstable, numerically failing, unphysical or unresolved points carry an
     error text instead of raising; only the unstable ones, and those whose
     drift has a non-finite entry (NONFINITE_DRIFT), read stable = False."""
     A, D = dynamics.state_space_batch(model)
     abscissa, stable = dynamics.stability_batch(A)
     idx = np.flatnonzero(stable)
-    V, solve_errors = dynamics.steady_state_batch(
-        A[idx], D[idx], dynamics.lyapunov_operator_batch(model)[idx])
+    V, solve_errors = dynamics._steady_state(A[idx], D[idx])
     covs = np.empty((len(A), 1) + V.shape[1:])
     covs[idx, 0] = V
     errors: list[str | None] = [NONFINITE_DRIFT if math.isnan(a) else "unstable"

@@ -200,17 +200,3 @@ def rwa_validity(
         return "valid"
     return "marginal" if ratio < 1.0 else "invalid"
 
-
-def effective_model(
-    G1: complex, G2: complex, kappa1: float, kappa2: float, rB: float, theta: float,
-    Delta: float, gamma1: float, gamma2: float, nbar1: float, nbar2: float,
-) -> EffectiveModel:
-    """The model of couplings G1, G2, given directly or derived from the
-    drive block, whose phases are dropped, with the cavity parameters
-    reshaped by the feedback loop."""
-    kappa_tilde, delta_tilde = effective_cavity_params(kappa1, kappa2, rB, theta, Delta)
-    return EffectiveModel(
-        G1=abs(G1), G2=abs(G2),
-        kappa_tilde=kappa_tilde, delta_tilde=delta_tilde,
-        gamma1=gamma1, gamma2=gamma2, nbar1=nbar1, nbar2=nbar2,
-    )

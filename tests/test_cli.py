@@ -424,11 +424,11 @@ class TestStabilityCommand:
         model, _ = resolve_point(build_config(cli._merge_sets({}, sets)))
         abscissa, stable = dynamics.stability_batch(dynamics.state_space_batch(model)[0])
         try:
-            analytic = cli._csv_cell(dynamics.stability_margin(model) > 0.0)
+            analytic = dynamics.stability_margin(model) > 0.0
         except UnsupportedRegimeError:
-            analytic = ""
+            analytic = None
         assert out.splitlines()[1].split(",")[:3] == \
-            [analytic, cli._csv_cell(bool(stable[0])), cli._csv_cell(float(abscissa[0]))]
+            cli._csv_cells([analytic, bool(stable[0]), float(abscissa[0])])
 
 
 class TestEvolveCommand:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from cfomech import dynamics
@@ -27,11 +27,11 @@ from cfomech.errors import StabilityError, UnsupportedRegimeError
 from cfomech.experiments import STEADY_CHUNK, preset_config, run_points, run_preset
 from cfomech.params import EffectiveModel, effective_cavity_params
 from reference import (
-    stack_models,
     PT_SIGNS,
     kron_steady_state,
     physicality_check,
     realify,
+    stack_models,
     symplectic_eigenvalues,
     vech_lyapunov_operator,
 )
@@ -314,20 +314,6 @@ class TestBatchedCore:
         assert stable > STEADY_CHUNK and [len(s) for s in shapes] == [3, 3]
         assert sum(s[0] for s in shapes) == stable
 
-    @settings(deadline=None, max_examples=30)
-    @given(draws=st.lists(_draw, min_size=1, max_size=20))
-    def test_column_operator_is_the_drift_operator(self, draws):
-        # read off the columns, the operator is the one steady_state_batch
-        # builds from the drift, bit for bit, for rates that are zero or
-        # whose halves are normal numbers (the drift's projection halves a
-        # smaller one inexactly)
-        models = _model_stack(draws)
-        rates = np.abs(models.columns()[:6])
-        assume(np.all((rates == 0.0) | (rates >= 2 * np.finfo(float).tiny)))
-        A, _ = state_space_batch(models)
-        assert np.array_equal(dynamics.lyapunov_operator_batch(models),
-                              dynamics._lyapunov_operator(A))
-
     def test_empty_stack_gives_empty_results(self):
         V, errors = steady_state_batch(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)))
         assert V.shape == (0, 6, 6) and errors == []
@@ -385,14 +371,14 @@ class TestBatchedCore:
     @pytest.mark.parametrize("preset", ["fig2a", "fig2c", "fig2d"])
     def test_preset_points_match_the_kron_reference(self, preset, monkeypatch):
         solved = []
-        original = dynamics.steady_state_batch
+        original = dynamics._steady_state
 
-        def recording(A, D, op=None):
-            V, errors = original(A, D, op)
+        def recording(A, D):
+            V, errors = original(A, D)
             solved.append((A, D, V, errors))
             return V, errors
 
-        monkeypatch.setattr(dynamics, "steady_state_batch", recording)
+        monkeypatch.setattr(dynamics, "_steady_state", recording)
         run_preset(preset)
         A, D, V = (np.concatenate([s[k] for s in solved]) for k in range(3))
         assert len(A) > 100 and all(e is None for s in solved for e in s[3])

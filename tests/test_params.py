@@ -6,11 +6,11 @@ from scipy.constants import hbar, k as k_B
 
 from cfomech import params
 from cfomech.errors import SingularityError
+from cfomech.experiments import RunConfig, resolve_chunk
 from cfomech.params import (
     drive_amplitude,
     effective_cavity_params,
     effective_couplings,
-    effective_model,
     rwa_validity,
     thermal_occupancy,
 )
@@ -174,21 +174,31 @@ class TestRwaValidity:
 
 
 class TestModelConstruction:
+    # models are built by resolve_chunk; each column is checked as a whole
     def test_feedback_bounds(self):
+        cfg = RunConfig(G1=1e4, G2=2e4)
         for rB in (-0.1, 1.1):
             with pytest.raises(ValueError, match=r"rB must lie in \[0, 1\]"):
-                effective_model(1e4, 2e4, 5e4, 5e4, rB, 0.0, 0.0, 10.0, 10.0, 0.0, 0.0)
+                resolve_chunk(cfg, ["rB"], [{"rB": 0.5}, {"rB": rB}])
         # the ideal lossless loop is allowed
-        m = effective_model(1e4, 2e4, 5e4, 5e4, 1.0, 0.0, 0.0, 10.0, 10.0, 0.0, 0.0)
-        assert m.kappa_tilde == 0.0
+        model, _ = resolve_chunk(cfg, ["rB"], [{"rB": 1.0}])
+        assert model.kappa_tilde.tolist() == [0.0]
 
     def test_direct_model_drops_phases(self):
-        m = effective_model(-1e4, 2e4, 5e4, 5e4, 0.0, 0.0, 0.0, 10.0, 10.0, 0.0, 0.0)
-        assert m.G1 == 1e4 and m.G2 == 2e4
-        assert m.kappa_tilde == 1e5
-        m = effective_model(3e4 - 4e4j, 2e4, 5e4, 5e4, 0.0, 0.0, 0.0, 10.0, 10.0, 0.0, 0.0)
-        assert m.G1 == 5e4
+        model, _ = resolve_chunk(RunConfig(G1=-1e4, G2=2e4), [], [{}])
+        assert (model.G1.tolist(), model.G2.tolist()) == ([1e4], [2e4])
+        assert model.kappa_tilde.tolist() == [1e5]
+        # the drive block's couplings are complex: the model keeps their moduli
+        drive = dict(g1=100.0, g2=100.0, P1=1e-6, P2=2e-6, omegaL1=1.77e15,
+                     omegaL2=1.77e15, omega1=1e8, omega2=2e8)
+        model, _ = resolve_chunk(RunConfig(**drive), ["kappa1"], [{"kappa1": 4e4}, {"kappa1": 5e4}])
+        for k, kappa1 in enumerate((4e4, 5e4)):
+            G1, G2 = effective_couplings(100.0, 100.0, drive_amplitude(1e-6, kappa1, 1.77e15),
+                                         drive_amplitude(2e-6, kappa1, 1.77e15),
+                                         1e8, 2e8, 0.0, kappa1, 5e4)
+            assert G1.imag != 0 and G2.imag != 0
+            assert (model.G1[k], model.G2[k]) == (abs(G1), abs(G2))
 
     def test_negative_occupancy_rejected(self):
-        with pytest.raises(ValueError):
-            effective_model(1e4, 2e4, 5e4, 5e4, 0.0, 0.0, 0.0, 10.0, 10.0, -1.0, 0.0)
+        with pytest.raises(ValueError, match="thermal occupancies must be nonnegative"):
+            resolve_chunk(RunConfig(G1=1e4, G2=2e4), ["nbar1"], [{"nbar1": 0.0}, {"nbar1": -1.0}])
