@@ -212,7 +212,7 @@ def _stability_table(cfg: RunConfig) -> ResultTable:
         "DeltaTilde": model.delta_tilde,
         "rwaVerdict": verdict,
     }
-    return ResultTable(list(row.keys()), [row], experiments.table_meta(cfg))
+    return ResultTable(list(row.keys()), [row], experiments.table_meta(cfg, row))
 
 
 def _emit(table: ResultTable, args) -> None:

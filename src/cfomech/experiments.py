@@ -305,11 +305,11 @@ def _score(covs: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.n
 def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
     """Steady-state entanglement of the N models of a column model: one
     batched stability test and one batched Lyapunov solve over the stable
-    models, with no structure check (their state spaces are
-    phase-insensitive by construction), then scored.
-    Unstable, numerically failing, unphysical or unresolved points carry an
-    error text instead of raising; only the unstable ones, and those whose
-    drift has a non-finite entry (NONFINITE_DRIFT), read stable = False."""
+    models, with no structure check (their state spaces are phase-insensitive
+    by construction), then scored.  Unstable, numerically failing, unphysical
+    or unresolved points carry an error text instead of raising; only the
+    unstable ones, and those whose drift has a non-finite entry
+    (NONFINITE_DRIFT), read stable = False."""
     A, D = dynamics.state_space_batch(model)
     abscissa, stable = dynamics.stability_batch(A)
     idx = np.flatnonzero(stable)
@@ -342,16 +342,18 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 
 
-def table_meta(cfg: RunConfig, base: tuple[params.EffectiveModel, list[str]] | None = None
-               ) -> dict:
+def table_meta(cfg: RunConfig, row: dict | None = None) -> dict:
     """Run metadata of a table: the configuration and the regime tags of its
-    base point, read off base, a resolved chunk of base points, if given."""
-    model, (verdict, *_) = base or resolve_chunk(cfg, [], [{}])
+    base point, copied from row, a result row of the base point, if given."""
+    if row is None:
+        model, verdict = resolve_point(cfg)
+        row = {"kappaTilde": model.kappa_tilde, "DeltaTilde": model.delta_tilde,
+               "rwaVerdict": verdict}
     return {
         "config": cfg.as_dict(),
-        "kappaTilde": float(model.kappa_tilde[0]),
-        "DeltaTilde": float(model.delta_tilde[0]),
-        "rwaVerdict": verdict,
+        "kappaTilde": row["kappaTilde"],
+        "DeltaTilde": row["DeltaTilde"],
+        "rwaVerdict": row["rwaVerdict"],
     }
 
 
@@ -372,12 +374,9 @@ def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
     columns = [*names, *(["t"] if curves else []), "EN", "nu_minus",
                "stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error"]
     rows: list[dict] = []
-    base = None  # with no axes every point is the base point, whose tags the meta reads
     values = iter(values)
     while chunk := list(itertools.islice(values, size)):
         model, verdicts = resolve_chunk(cfg, names, chunk)
-        if not names:
-            base = model, verdicts
         out = evaluate_evolve_batch(model, t_grid) if evolve else evaluate_steady_batch(model)
         peak_EN, low_nu = out.EN.max(axis=1).tolist(), out.nu_minus.min(axis=1).tolist()
         for k, (overrides, kt, dt, verdict, stable, error) in enumerate(
@@ -393,7 +392,8 @@ def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
                                                  out.nu_minus[k].tolist()))
             else:
                 rows.append({**overrides, "EN": peak_EN[k], "nu_minus": low_nu[k], **tags})
-    return ResultTable(columns, rows, table_meta(cfg, base))
+    # with no axes every point is the base point, whose tags the meta reads
+    return ResultTable(columns, rows, table_meta(cfg, rows[0] if rows and not names else None))
 
 
 def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:

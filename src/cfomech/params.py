@@ -199,4 +199,3 @@ def rwa_validity(
     if ratio < threshold:
         return "valid"
     return "marginal" if ratio < 1.0 else "invalid"
-

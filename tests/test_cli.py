@@ -383,6 +383,20 @@ class TestExitCodes:
 
 
 class TestStabilityCommand:
+    @pytest.mark.parametrize("command", ["steady", "stability", "evolve"])
+    def test_meta_tags_are_the_resolved_base_point(self, command, capsys):
+        # single-point tables copy their meta tags from their row: the same
+        # tags as a fresh resolution of the configuration
+        sets = ["G1=9e4", "G2=1e5", "rB=0.7", "theta=1.1", "Delta=5e3", "omega1=1e6",
+                "omega2=2e6", "tPoints=3"]
+        code, out, _ = run_cli([command, "--set", *sets, "--format", "json"], capsys)
+        assert code == 0
+        model, verdict = resolve_point(build_config(cli._merge_sets({}, sets)))
+        meta = json.loads(out)["meta"]
+        assert (meta["kappaTilde"], meta["DeltaTilde"], meta["rwaVerdict"]) == \
+            (model.kappa_tilde, model.delta_tilde, verdict)
+        assert verdict == "marginal" and model.delta_tilde != 5e3
+
     def test_reports_both_verdicts(self, config_file, capsys):
         code, out, _ = run_cli(["stability", "--config", config_file], capsys)
         assert code == 0
