@@ -133,7 +133,7 @@ def build_config(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     data = {k: v if v is None else _checked(k, v) for k, v in data.items()}
-    if "thetaPi" in data:
+    if data.get("thetaPi") is not None:
         if data.get("theta") is not None:
             raise ConfigError("give either theta or thetaPi, not both")
         data["theta"] = float(data.pop("thetaPi")) * math.pi

@@ -189,30 +189,20 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
     (N, 6, 6) stack of strictly stable systems, with a per-system error.
 
     A and D must realify a complex drift M and a Hermitian diffusion D_c (see
-    cfomech.entanglement), to STRUCTURE_RTOL relative, or ValueError is
-    raised naming the defect; every model's state space does.  Each system
-    is then solved as M H + H M^dagger = -D_c on the 9 real coordinates of
-    the Hermitian H that V realifies, all N in one batched linear solve.  V
-    is linear in D, so each D enters scaled by a power of 2 near 1/max|D|
-    and V is scaled back, both exactly: a hot bath overflows neither the
-    solve nor the norms.  The relative
-    residual ||A V + V A^T + D||_F / ||D||_F must come out below the
-    contract value, or below the double-precision floor
+    cfomech.entanglement), as state_space_batch builds them; this is not
+    checked here, steady_state_covariance checks it.  Each system is solved
+    as M H + H M^dagger = -D_c on the 9 real coordinates of the Hermitian H
+    that V realifies, all N in one batched linear solve.  V is linear in D,
+    so each D enters scaled by a power of 2 near 1/max|D| and V is scaled
+    back, both exactly: a hot bath overflows neither the solve nor the
+    norms.  The relative residual ||A V + V A^T + D||_F / ||D||_F must come
+    out below the contract value, or below the double-precision floor
     eps*||A||*||V||/||D|| for strongly amplifying systems.  A system that
     misses it, or whose linear system is singular, gets the text of a
     NumericalError carrying a condition estimate of its 9x9 operator in
     place of None, and one whose V overflows once scaled back gets a text
     naming the overflow; such a V is not meaningful.
     """
-    _check_phase_insensitive(A, _COMPLEX, "drift matrix")
-    _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
-    return _steady_state(A, D)
-
-
-def _steady_state(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
-    """steady_state_batch without its structure checks, for the drifts and
-    diffusions that state_space_batch builds, phase-insensitive by
-    construction."""
     N = len(A)
     op = _lyapunov_operator(A)
     shift = np.frexp(np.abs(D).max(axis=(-2, -1)))[1][:, None, None]
@@ -251,16 +241,20 @@ def _steady_state(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | 
 def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Stationary covariance V solving A V + V A^T = -D for one system.
 
-    Raises ValueError as steady_state_batch does, StabilityError unless A is
-    strictly stable, and NumericalError when the solve fails as
-    steady_state_batch reports it.
+    Raises ValueError unless A and D realify a complex drift and a Hermitian
+    diffusion to STRUCTURE_RTOL relative, naming the defect, then
+    StabilityError unless A is strictly stable, and NumericalError when the
+    solve fails as steady_state_batch reports it.
     """
-    V, errors = steady_state_batch(A[None], D[None])
-    abscissa, stable = stability_batch(A[None])
+    A, D = A[None], D[None]
+    _check_phase_insensitive(A, _COMPLEX, "drift matrix")
+    _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
+    abscissa, stable = stability_batch(A)
     if not stable[0]:
         raise StabilityError(
             "drift matrix is not strictly stable "
             f"(spectral abscissa {abscissa[0]:.6g})")
+    V, errors = steady_state_batch(A, D)
     if errors[0] is not None:
         raise NumericalError(errors[0])
     return V[0]
@@ -337,19 +331,19 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     from V0[k] at t = 0, and for each system the first grid index whose
     covariance is non-finite, or -1.
 
-    The grid must be strictly increasing and start at or after 0.  Each grid
-    point is reached exactly through the interval map; symmetry is re-enforced
-    after every application.  An interval that equals the previous maps'
-    interval within GRID_STEP_ULPS ulps of t, as the steps of a linspace grid
-    do, reuses those maps, so a uniform grid costs one matrix exponential call
-    for the whole stack.  Entries from a system's first non-finite index on
-    are not meaningful.
+    The grid must be finite, strictly increasing and start at or after 0.
+    Each grid point is reached exactly through the interval map; symmetry is
+    re-enforced after every application.  An interval that equals the
+    previous maps' interval within GRID_STEP_ULPS ulps of t, as the steps of a
+    linspace grid do, reuses those maps, so a uniform grid costs one matrix
+    exponential call for the whole stack.  Entries from a system's first
+    non-finite index on are not meaningful.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
-    if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing and start at >= 0")
+    if not np.isfinite(t_grid).all() or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be finite, strictly increasing and start at >= 0")
     V0 = np.asarray(V0, dtype=float)
     if V0.shape != A.shape:
         raise ValueError("V0 shape does not match the drift matrix")

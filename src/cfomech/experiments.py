@@ -133,8 +133,8 @@ class RunConfig:
                               "gamma1, gamma2, kappa1, kappa2 must be positive")
         if self.mode not in ("steady", "evolve"):
             raise ConfigError(f"mode must be 'steady' or 'evolve', got '{self.mode}'")
-        if self.tMax <= 0:
-            raise ConfigError("tMax must be positive")
+        if not 0 < self.tMax < math.inf:
+            raise ConfigError("tMax must be positive and finite")
         if self.tPoints < 2:
             raise ConfigError("tPoints must be >= 2")
         if self.rwaThreshold <= 0:
@@ -313,7 +313,7 @@ def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
     A, D = dynamics.state_space_batch(model)
     abscissa, stable = dynamics.stability_batch(A)
     idx = np.flatnonzero(stable)
-    V, solve_errors = dynamics._steady_state(A[idx], D[idx])
+    V, solve_errors = dynamics.steady_state_batch(A[idx], D[idx])
     covs = np.empty((len(A), 1) + V.shape[1:])
     covs[idx, 0] = V
     errors: list[str | None] = [NONFINITE_DRIFT if math.isnan(a) else "unstable"

@@ -65,6 +65,19 @@ class TestBuildConfig:
         theta = json_mod.loads(out)["meta"]["config"]["theta"]
         assert theta == pytest.approx(math.pi / 2)
 
+    def test_null_theta_pi_is_dropped(self, tmp_path, capsys):
+        # a null thetaPi falls back like every other null key, on the command
+        # line and in a file, beside a theta or alone
+        sets = ["G1=9e4", "G2=1e5"]
+        code, plain, _ = run_cli(["steady", "--set", *sets], capsys)
+        assert code == 0
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"thetaPi": None}))
+        for args in (["--set", *sets, "thetaPi=null"],
+                     ["--config", str(path), "--set", *sets],
+                     ["--config", str(path), "--set", *sets, "theta=0"]):
+            assert run_cli(["steady", *args], capsys)[:2] == (0, plain)
+
     def test_axes_parsed(self):
         cfg = build_config({**BASE, "axes": [
             {"name": "rB", "min": 0.0, "max": 0.9, "count": 5}]})

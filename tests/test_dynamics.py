@@ -23,7 +23,7 @@ from cfomech.entanglement import (
     min_symplectic_eigenvalue_pt,
     pt_spectrum_batch,
 )
-from cfomech.errors import StabilityError, UnsupportedRegimeError
+from cfomech.errors import NumericalError, StabilityError, UnsupportedRegimeError
 from cfomech.experiments import STEADY_CHUNK, preset_config, run_points, run_preset
 from cfomech.params import EffectiveModel, effective_cavity_params
 from reference import (
@@ -351,34 +351,37 @@ class TestBatchedCore:
         correlated[0, 1] = correlated[1, 0] = 1.0  # q1-p1 correlated noise
         drift = r"^drift matrix is not phase-insensitive within tolerance \(entry \(0, 0\) "
         diffusion = r"^diffusion matrix is not phase-insensitive within tolerance \(entry \(0, 1\) "
-        for solve in (steady_state_covariance,
-                      lambda A, D: steady_state_batch(A[None], D[None])):
-            with pytest.raises(ValueError, match=drift + r"is off by 0.5\)"):
-                solve(squeezing, D)
-            with pytest.raises(ValueError, match=diffusion + r"is off by 1\)"):
-                solve(A, correlated)
+        # only the single-system entry checks: the batched solve takes the
+        # state spaces that state_space_batch builds, phase-insensitive by
+        # construction
+        with pytest.raises(ValueError, match=drift + r"is off by 0.5\)"):
+            steady_state_covariance(squeezing, D)
+        with pytest.raises(ValueError, match=diffusion + r"is off by 1\)"):
+            steady_state_covariance(A, correlated)
         # the check comes before the stability verdict
         unstable = state_space(model(G1=2e5, G2=1e5, kt=1e3))[0]
         unstable[0, 0] -= 1.0
         with pytest.raises(ValueError, match="drift matrix"):
             steady_state_covariance(unstable, D)
-        # a defect within STRUCTURE_RTOL of max|A| (1e5) passes the check
+        # a defect within STRUCTURE_RTOL of max|A| (1e5) passes the check, and
+        # the 9-coordinate solve, which cannot hold its phase-sensitive part,
+        # misses the residual contract
         nearly = A.copy()
         nearly[0, 0] -= 1e-6
-        V, _ = steady_state_batch(nearly[None], D[None])
-        assert V.shape == (1, 6, 6)
+        with pytest.raises(NumericalError, match="^Lyapunov residual "):
+            steady_state_covariance(nearly, D)
 
     @pytest.mark.parametrize("preset", ["fig2a", "fig2c", "fig2d"])
     def test_preset_points_match_the_kron_reference(self, preset, monkeypatch):
         solved = []
-        original = dynamics._steady_state
+        original = dynamics.steady_state_batch
 
         def recording(A, D):
             V, errors = original(A, D)
             solved.append((A, D, V, errors))
             return V, errors
 
-        monkeypatch.setattr(dynamics, "_steady_state", recording)
+        monkeypatch.setattr(dynamics, "steady_state_batch", recording)
         run_preset(preset)
         A, D, V = (np.concatenate([s[k] for s in solved]) for k in range(3))
         assert len(A) > 100 and all(e is None for s in solved for e in s[3])
@@ -455,6 +458,11 @@ class TestPropagate:
             propagate(A, D, V0, [-1.0, 1.0])
         with pytest.raises(ValueError):
             propagate(A, D, V0, [1.0, 1.0])
+        # every comparison with NaN is false: a non-finite time must be
+        # rejected before the grid's steps are compared
+        for bad in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [0.0, 1.0, np.inf, np.inf]):
+            with pytest.raises(ValueError, match="^t_grid must be finite"):
+                propagate(A, D, V0, bad)
 
     def test_time_zero_returns_start(self):
         A, D = state_space(model(G1=1e4, G2=2e4))

@@ -91,6 +91,13 @@ class TestConfigValidation:
         # one frequency alone is not checked: nothing reads it
         assert base_config(omega1=-1e8).omega1 == -1e8
 
+    def test_time_span_positive_and_finite(self):
+        # a non-finite span would give rows at t = nan or inf that hold the
+        # start state, with no error
+        for tMax in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="^tMax must be positive and finite$"):
+                base_config(mode="evolve", tMax=tMax)
+
     def test_zero_dissipation_rejected(self):
         with pytest.raises(ConfigError):
             base_config(gamma1=0.0, gamma2=0.0, kappa1=0.0, kappa2=0.0)
@@ -526,7 +533,7 @@ class TestEvolveBatch:
 class TestRunPoints:
     def test_steady_chunks_make_no_structure_check(self, monkeypatch):
         # drifts and diffusions built from the columns are phase-insensitive
-        # by construction; only the public solve checks its inputs
+        # by construction; only the single-system entry checks its inputs
         checked = []
         original = dynamics._check_phase_insensitive
         monkeypatch.setattr(dynamics, "_check_phase_insensitive",
@@ -534,8 +541,8 @@ class TestRunPoints:
         cfg = base_config(axes=(SweepAxis("ratio", 0.8, 1.1, 30), SweepAxis("rB", 0.0, 0.9, 10)))
         rows = run_sweep(cfg).rows
         assert {r["stable"] for r in rows} == {True, False} and checked == []
-        model, _ = resolve_chunk(cfg, ["ratio", "rB"], [{"ratio": 0.9, "rB": 0.5}])
-        dynamics.steady_state_batch(*dynamics.state_space_batch(model))
+        model, _ = resolve_point(cfg, {"ratio": 0.9, "rB": 0.5})
+        dynamics.steady_state_covariance(*dynamics.state_space(model))
         assert checked == ["drift matrix", "diffusion matrix"]
 
     @pytest.mark.parametrize("mode", ["steady", "evolve"])
@@ -640,6 +647,17 @@ class TestFig3Curves:
         assert all(r["stable"] is False for r in table.rows)
 
 
+def _benchmark_tracer():
+    """perfbench/tracer.py, loaded by path, and the modules perfbench/run.py
+    traces."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer, {m: importlib.import_module(f"cfomech.{m}")
+                    for m in ("experiments", "dynamics", "entanglement", "cli")}
+
+
 class TestPackage:
     def test_all_names_no_module(self):
         for name in cfomech.__all__:
@@ -648,16 +666,22 @@ class TestPackage:
     def test_benchmark_tracer_assigns_every_public_function_a_layer(self):
         # perfbench/run.py traces these modules; a public function that no
         # layer rule matches would only fail there
-        path = ROOT / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        modules = {m: importlib.import_module(f"cfomech.{m}")
-                   for m in ("experiments", "dynamics", "entanglement", "cli")}
+        tracer, modules = _benchmark_tracer()
         targets = tracer.Tracer(modules, np.linalg).targets()
         for _, attr, short in targets:
             tracer.layer_of(short, attr)
         assert (dynamics, "steady_state_covariance", "dynamics") in targets
+
+    def test_benchmark_tracer_times_the_steady_solve(self):
+        # the pipeline's Lyapunov solve is a public dynamics function, so the
+        # tracer gives its time to the dynamics.lyapunov layer
+        tracer, modules = _benchmark_tracer()
+        with tracer.Tracer(modules, np.linalg) as traced:
+            traced.begin_pass()
+            run_preset("fig2c")
+            summary = traced.pass_summary()
+        assert summary["calls"]["dynamics.steady_state_batch"] >= 1
+        assert summary["self_s"]["dynamics.lyapunov"] > 0
 
     def test_steady_path_runs_without_scipy(self):
         # scipy is imported by the first matrix exponential, which only evolve
