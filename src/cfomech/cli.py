@@ -109,8 +109,11 @@ def _merge_sets(data: dict, set_items: list[str]) -> dict:
 
 def _number(key: str, value, integral: bool = False):
     """The value of a numeric config key, checked to be a finite number, not a
-    string or a boolean, and where integral a whole one, returned as an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    string or a boolean, and where integral a whole one, returned as an int.
+    The range is compared, not converted: an int beyond double precision is
+    not finite, and would overflow float()."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if integral and not float(value).is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -197,7 +200,8 @@ def _point_table(cfg: RunConfig) -> ResultTable:
 
 def _stability_table(cfg: RunConfig) -> ResultTable:
     model, verdict = experiments.resolve_point(cfg)
-    abscissa, stable = dynamics.stability_batch(dynamics.state_space_batch(model)[0])
+    A = dynamics.state_space_batch(model)[0]
+    abscissa = dynamics.spectral_abscissa(A)
     if math.isnan(abscissa[0]):
         raise NumericalError(experiments.NONFINITE_DRIFT)
     try:
@@ -206,7 +210,7 @@ def _stability_table(cfg: RunConfig) -> ResultTable:
         analytic = None
     row = {
         "stableAnalytic": analytic,
-        "stableEigen": bool(stable[0]),
+        "stableEigen": bool(dynamics.stability_from_abscissa(A, abscissa)[0]),
         "spectralAbscissa": float(abscissa[0]),
         "kappaTilde": model.kappa_tilde,
         "DeltaTilde": model.delta_tilde,

@@ -85,28 +85,121 @@ def _frobenius_norm(X: np.ndarray) -> np.ndarray:
     return norm
 
 
-def stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral abscissa and eigenvalue stability verdict of each matrix of an
-    (N, n, n) stack, from one eigenvalue call.
-
-    A matrix is stable iff its spectral abscissa is below -STABILITY_TOL
-    times ||A||_F; systems inside the band count as marginal, not stable.  A
-    matrix with a non-finite entry has a NaN abscissa and is not stable.
-    """
+def spectral_abscissa(A: np.ndarray) -> np.ndarray:
+    """(N,) spectral abscissae of an (N, n, n) stack from one eigenvalue
+    call; a matrix with a non-finite entry has a NaN abscissa."""
     try:
-        abscissa = np.linalg.eigvals(A).real.max(axis=-1)
+        return np.linalg.eigvals(A).real.max(axis=-1)
     except np.linalg.LinAlgError:
         # a non-finite entry fails the whole batched call: leave those out
         finite = np.isfinite(A).all(axis=(-2, -1))
         abscissa = np.full(len(A), np.nan)
         abscissa[finite] = np.linalg.eigvals(A[finite]).real.max(axis=-1)
-    return abscissa, abscissa < -STABILITY_TOL * _frobenius_norm(A)
+        return abscissa
+
+
+def stability_from_abscissa(A: np.ndarray, abscissa: np.ndarray) -> np.ndarray:
+    """(N,) eigenvalue stability verdicts of an (N, n, n) stack from its
+    spectral abscissae: stable iff below -STABILITY_TOL times ||A||_F, so
+    systems inside the band count as marginal, not stable, and a NaN
+    abscissa is not stable."""
+    return abscissa < -STABILITY_TOL * _frobenius_norm(A)
+
+
+#: Margin of the Routh-Hurwitz certificate, relative to ||A||_F: it certifies
+#: a drift only where its spectral abscissa lies below -(STABILITY_TOL +
+#: ROUTH_MARGIN)*||A||_F, and leaves the band edge to the eigenvalues.
+#: A real eigenvalue of M is a double root of p*conj(p), which the rounding
+#: of its coefficients moves by up to about sqrt(eps) of the scale: with no
+#: margin the certificate's edge wandered by up to 3 times
+#: STABILITY_TOL*||A||_F on gamma scans at kappa_tilde = 0 (it left drifts
+#: at 4 times the band edge unsettled; an error of the other sign would call
+#: marginal drifts stable).  2^-20 is about 300 times that error, and still
+#: certifies every fig2 point.
+ROUTH_MARGIN = 2.0 ** -20
+
+#: Stacks of at least this many drifts take the certificate first.  On a
+#: 2-vCPU x86-64 VM it costs 55-90 us at N = 1 against 20-25 us for eigvals,
+#: breaks even between N = 8 and 16, and takes 130-230 us against 1400-1800
+#: us at N = 256.  The evolve chunks (20 models at 51 samples), half of them
+#: unstable and so paying both, stay below it.
+CERTIFICATE_MIN_STACK = 64
+
+#: Coordinates of the real parts of the diagonal of M (see _COMPLEX).
+_DIAGONAL = [0, 4, 8]
+
+
+def _routh_certificate(A: np.ndarray) -> np.ndarray:
+    """(N,) stability certificates of an (N, 6, 6) stack of drifts realifying
+    complex 3x3 drifts M, from the Routh-Hurwitz test (Gantmacher, The
+    Theory of Matrices, vol. 2, ch. XV) without an eigenvalue call.
+
+    The eigenvalues of A are those of M and their conjugates, the roots of
+    the real sextic p*conj(p) for the characteristic cubic p(x) = det(xI -
+    M) = x^3 + a x^2 + b x + c.  M enters scaled by 2^-e, exactly, for the
+    exponent e of ||A||_F, so no coefficient overflows, and shifted by
+    (STABILITY_TOL + ROUTH_MARGIN) times the scaled norm.  A point is
+    certified only where all six first-column entries of the Routh array of
+    the shifted sextic are positive: a zero, a NaN or a non-finite drift
+    leaves it uncertified, not unstable.
+    """
+    N = len(A)
+    norm = _frobenius_norm(A)
+    exponent = np.frexp(norm)[1]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        m = np.ldexp(A.reshape(N, 36), -exponent[:, None]) @ _COMPLEX[1]
+        m[:, _DIAGONAL] += ((STABILITY_TOL + ROUTH_MARGIN) * np.ldexp(norm, -exponent))[:, None]
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (m[:, :9] + 1j * m[:, 9:]).T
+        # a = -tr M, b the sum of its principal 2x2 minors, c = -det M
+        minor0 = m11 * m22 - m12 * m21
+        minor1 = m10 * m22 - m12 * m20
+        minor2 = m10 * m21 - m11 * m20
+        a = -(m00 + m11 + m22)
+        b = minor0 + m00 * m22 - m02 * m20 + m00 * m11 - m01 * m10
+        c = m01 * minor1 - m00 * minor0 - m02 * minor2
+        # the real sextic p*conj(p) = x^6 + q5 x^5 + ... + q0
+        q5 = 2.0 * a.real
+        q4 = 2.0 * b.real + a.real * a.real + a.imag * a.imag
+        q3 = 2.0 * (c.real + a.real * b.real + a.imag * b.imag)
+        q2 = b.real * b.real + b.imag * b.imag + 2.0 * (a.real * c.real + a.imag * c.imag)
+        q1 = 2.0 * (b.real * c.real + b.imag * c.imag)
+        q0 = c.real * c.real + c.imag * c.imag
+        # the first column q5, r4, r3, r2, r1, q0 of the Routh array below its
+        # leading 1; s4 and s3 are the second entries of the rows of r4 and r3
+        r4 = q4 - q3 / q5
+        s4 = q2 - q1 / q5
+        r3 = q3 - q5 * s4 / r4
+        s3 = q1 - q5 * q0 / r4
+        r2 = s4 - r4 * s3 / r3
+        r1 = s3 - r3 * q0 / r2
+        return (np.isfinite(norm) & (q5 > 0.0) & (r4 > 0.0) & (r3 > 0.0) & (r2 > 0.0)
+                & (r1 > 0.0) & (q0 > 0.0))
+
+
+def stability_batch(A: np.ndarray) -> np.ndarray:
+    """(N,) stability verdicts of an (N, 6, 6) stack of drifts, as
+    stability_from_abscissa gives them: systems inside the band count as
+    marginal, not stable, and a drift with a non-finite entry is not stable.
+
+    A stack of at least CERTIFICATE_MIN_STACK drifts takes the verdicts of
+    the points that the Routh-Hurwitz certificate settles from it, and only
+    the others from one eigenvalue call; a smaller stack takes them all from
+    the eigenvalues.
+    """
+    if len(A) < CERTIFICATE_MIN_STACK:
+        return stability_from_abscissa(A, spectral_abscissa(A))
+    stable = _routh_certificate(A)
+    rest = ~stable
+    if rest.any():
+        stable[rest] = stability_from_abscissa(A[rest], spectral_abscissa(A[rest]))
+    return stable
 
 
 def stability_eigen(A: np.ndarray) -> bool:
-    """Eigenvalue stability test of one matrix, as stability_batch makes it:
-    systems inside the band count as marginal, not stable."""
-    return bool(stability_batch(A[None])[1][0])
+    """Eigenvalue stability test of one matrix, as stability_from_abscissa
+    makes it: systems inside the band count as marginal, not stable."""
+    A = A[None]
+    return bool(stability_from_abscissa(A, spectral_abscissa(A))[0])
 
 
 def stability_margin(m: EffectiveModel) -> float:
@@ -249,8 +342,8 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     A, D = A[None], D[None]
     _check_phase_insensitive(A, _COMPLEX, "drift matrix")
     _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
-    abscissa, stable = stability_batch(A)
-    if not stable[0]:
+    abscissa = spectral_abscissa(A)
+    if not stability_from_abscissa(A, abscissa)[0]:
         raise StabilityError(
             "drift matrix is not strictly stable "
             f"(spectral abscissa {abscissa[0]:.6g})")

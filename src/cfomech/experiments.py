@@ -137,7 +137,7 @@ class RunConfig:
             raise ConfigError("tMax must be positive and finite")
         if self.tPoints < 2:
             raise ConfigError("tPoints must be >= 2")
-        if self.rwaThreshold <= 0:
+        if not self.rwaThreshold > 0:  # a NaN threshold would read every point marginal
             raise ConfigError("rwaThreshold must be positive")
         if self.omega1 is not None and self.omega2 is not None:
             if self.omega1 <= 0 or self.omega2 <= 0:
@@ -311,13 +311,13 @@ def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
     unstable ones, and those whose drift has a non-finite entry
     (NONFINITE_DRIFT), read stable = False."""
     A, D = dynamics.state_space_batch(model)
-    abscissa, stable = dynamics.stability_batch(A)
+    stable = dynamics.stability_batch(A)
     idx = np.flatnonzero(stable)
     V, solve_errors = dynamics.steady_state_batch(A[idx], D[idx])
     covs = np.empty((len(A), 1) + V.shape[1:])
     covs[idx, 0] = V
-    errors: list[str | None] = [NONFINITE_DRIFT if math.isnan(a) else "unstable"
-                                for a in abscissa.tolist()]
+    errors: list[str | None] = ["unstable" if finite else NONFINITE_DRIFT
+                                for finite in np.isfinite(A).all(axis=(-2, -1)).tolist()]
     for k, error in zip(idx.tolist(), solve_errors):
         errors[k] = error
     return ChunkResult(*_score(covs, errors), stable, errors)
@@ -331,13 +331,14 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
     sample failing the physicality gate or with an unresolved spectrum,
     carries its error instead of raising, and reads stable = False."""
     A, D = dynamics.state_space_batch(model)
-    abscissa, stable = dynamics.stability_batch(A)
+    stable = dynamics.stability_batch(A)
     V0 = entanglement.initial_covariance(*model.columns()[6:])
     covs, first_bad = dynamics.propagate_batch(A, D, V0, t_grid)
     # a model whose covariance turned non-finite is not scored
-    errors = [NONFINITE_DRIFT if math.isnan(a) else None if step < 0
+    errors = [NONFINITE_DRIFT if not finite else None if step < 0
               else str(dynamics.propagation_failure(t_grid, step))
-              for a, step in zip(abscissa.tolist(), first_bad.tolist())]
+              for finite, step in zip(np.isfinite(A).all(axis=(-2, -1)).tolist(),
+                                      first_bad.tolist())]
     EN, nu_minus = _score(covs, errors)
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 

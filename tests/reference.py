@@ -20,13 +20,17 @@ matrix from the closed forms of its Hermitian 2x2 form
 eigenvalue route here, which reads the spectrum off numpy's eigenvalues of
 Omega V for a symmetric 2n x 2n matrix of any n, or an (N, 2n, 2n) stack, in
 the convention of cfomech.entanglement (vacuum variance 1/2).
+
+The library takes the stability verdicts of a large stack of drifts from a
+Routh-Hurwitz certificate first (cfomech.dynamics.stability_batch).  The
+tests hold it to the eigenvalue route here.
 """
 
 import math
 
 import numpy as np
 
-from cfomech import params
+from cfomech import dynamics, params
 from cfomech.entanglement import PHYSICALITY_TOL
 from cfomech.errors import ConfigError
 from cfomech.params import EffectiveModel
@@ -77,6 +81,17 @@ def vech_lyapunov_operator(A: np.ndarray) -> np.ndarray:
     duplication[ju * n + iu, np.arange(len(iu))] = 1.0
     duplication[iu * n + ju, np.arange(len(iu))] = 1.0
     return kron_lyapunov_operator(A)[:, ju * n + iu] @ duplication
+
+
+def certified_against_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(certified, stable): the Routh-Hurwitz certificate and the eigenvalue
+    verdict of each drift of the (N, 6, 6) stack A, checked to agree: the
+    certificate may leave a stable drift unsettled, but never certifies one
+    that the eigenvalues call marginal or unstable."""
+    certified = dynamics._routh_certificate(A)
+    stable = dynamics.stability_from_abscissa(A, dynamics.spectral_abscissa(A))
+    assert not (certified & ~stable).any(), np.flatnonzero(certified & ~stable)
+    return certified, stable
 
 
 def realify(Z) -> np.ndarray:

@@ -304,6 +304,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"config error: {key} must be ")
 
+    @pytest.mark.parametrize("key, literal", [("Delta", "1" + "0" * 400),
+                                              ("G1", "-1" + "0" * 400)])
+    def test_integer_beyond_double_precision_is_config_error(self, key, literal, capsys):
+        # the literal parses to an int that float() cannot hold
+        code, out, err = run_cli(["steady", "--set", "G1=9e4", "G2=1e5", f"{key}={literal}"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {key} must be a finite number, got {literal}\n"
+
     def test_wrongly_typed_file_value_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({**BASE, "kappa1": "5e4"}))
@@ -449,7 +458,8 @@ class TestStabilityCommand:
         assert out == "stableAnalytic,stableEigen,spectralAbscissa,kappaTilde," \
             f"DeltaTilde,rwaVerdict\n{expected}\n"
         model, _ = resolve_point(build_config(cli._merge_sets({}, sets)))
-        abscissa, stable = dynamics.stability_batch(dynamics.state_space_batch(model)[0])
+        A = dynamics.state_space_batch(model)[0]
+        abscissa, stable = dynamics.spectral_abscissa(A), dynamics.stability_batch(A)
         try:
             analytic = dynamics.stability_margin(model) > 0.0
         except UnsupportedRegimeError:

@@ -9,6 +9,7 @@ from cfomech import dynamics
 from cfomech.dynamics import (
     propagate,
     propagate_batch,
+    spectral_abscissa,
     stability_batch,
     stability_eigen,
     state_space,
@@ -24,10 +25,19 @@ from cfomech.entanglement import (
     pt_spectrum_batch,
 )
 from cfomech.errors import NumericalError, StabilityError, UnsupportedRegimeError
-from cfomech.experiments import STEADY_CHUNK, preset_config, run_points, run_preset
+from cfomech.experiments import (
+    STEADY_CHUNK,
+    RunConfig,
+    SweepAxis,
+    preset_config,
+    run_points,
+    run_preset,
+    run_sweep,
+)
 from cfomech.params import EffectiveModel, effective_cavity_params
 from reference import (
     PT_SIGNS,
+    certified_against_eigen,
     kron_steady_state,
     physicality_check,
     realify,
@@ -231,13 +241,17 @@ class TestBatchedCore:
     @given(draws=st.lists(_draw, min_size=1, max_size=20))
     def test_stacks_match_scipy_and_per_point_eigvals(self, draws):
         A, D = state_space_batch(_model_stack(draws))
-        abscissa, stable = stability_batch(A)
+        abscissa, stable = spectral_abscissa(A), stability_batch(A)
         for k in range(len(draws)):
             norm_A = np.linalg.norm(A[k])
             ref = np.linalg.eigvals(A[k]).real.max()
             assert abs(abscissa[k] - ref) <= 1e-12 * norm_A
             if abs(ref + dynamics.STABILITY_TOL * norm_A) > 1e-12 * norm_A:
                 assert stable[k] == (ref < -dynamics.STABILITY_TOL * norm_A)
+        # these stacks never reach CERTIFICATE_MIN_STACK: the certificate is
+        # called directly, also at 2^700, whose sextic unscaled would overflow
+        certified = certified_against_eigen(A)[0]
+        assert np.array_equal(certified_against_eigen(np.ldexp(A, 700))[0], certified)
         idx = np.flatnonzero(stable)
         V, errors = steady_state_batch(A[idx], D[idx])
         physical, nus = pt_spectrum_batch(V[:, :4, :4])
@@ -388,6 +402,82 @@ class TestBatchedCore:
         V_ref = kron_steady_state(A, D)
         rel = np.linalg.norm(V - V_ref, axis=(-2, -1)) / np.linalg.norm(V_ref, axis=(-2, -1))
         assert rel.max() <= KRON_REFERENCE_RTOL
+
+
+def _recorded_drifts(run, *args) -> np.ndarray:
+    """Every drift that run(*args) passes to dynamics.stability_batch, stacked."""
+    seen = []
+    original = dynamics.stability_batch
+
+    def recording(A):
+        seen.append(np.array(A))
+        return original(A)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "stability_batch", recording)
+        run(*args)
+    return np.concatenate(seen)
+
+
+class TestRouthCertificate:
+    """The private certificate, called directly, against the eigenvalue
+    route (also on the hypothesis stacks of TestBatchedCore)."""
+
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2c", "fig2d"])
+    def test_certifies_every_fig2_point(self, preset):
+        # so the steady presets take no eigenvalue call
+        certified, _ = certified_against_eigen(_recorded_drifts(run_preset, preset))
+        assert len(certified) > 100 and certified.all()
+
+    @pytest.mark.parametrize("Delta", [0.0, 1e3, 2e3])
+    def test_settles_the_evolve_sweep_grid(self, Delta):
+        # the benchmark's evolve sweep grid, about half unstable, with
+        # kappa_tilde = 0 at rB = 1; steady mode builds the same drifts
+        cfg = RunConfig(G1=1e4, G2=1e4, kappa1=5e4, kappa2=5e4, gamma1=10.0, gamma2=10.0,
+                        theta=0.0, Delta=Delta, axes=(SweepAxis("ratio", 0.9, 1.1, 15),
+                                                      SweepAxis("rB", 0.0, 1.0, 15)))
+        certified, stable = certified_against_eigen(_recorded_drifts(run_sweep, cfg))
+        assert len(stable) == 225 and 0 < stable.sum() < 225
+        assert np.array_equal(certified, stable)
+
+    def test_agrees_on_random_complex_drifts(self):
+        # general complex M, shifted so that about half are stable: on the
+        # model's own drifts some Routh entries never decide the verdict
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(2000, 3, 3)) + 1j * rng.normal(size=(2000, 3, 3))
+        M -= rng.uniform(0.0, 3.0, size=(2000, 1, 1)) * np.eye(3)
+        certified, stable = certified_against_eigen(realify(M))
+        assert 500 < stable.sum() < 1500 and certified.sum() > 0.99 * stable.sum()
+
+    def test_leaves_non_finite_drifts_unsettled(self):
+        A = state_space_batch(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)] * 4))[0]
+        A[1, 0, 0], A[2, 4, 5], A[3, 5, 4] = np.nan, np.inf, -np.inf
+        certified, stable = certified_against_eigen(A)
+        assert certified.tolist() == stable.tolist() == [True, False, False, False]
+
+    def test_large_stacks_take_eigenvalues_only_where_unsettled(self, monkeypatch):
+        # stable points of the fig2c family, unstable ones, and weakly damped
+        # ones inside and near the marginal band, which the certificate leaves
+        draws = [(r, 1e5, 1e5 * (1.0 - rB), 0.0, gamma, 0.0, 0.0)
+                 for r in (0.5, 0.9, 0.99, 1.05) for rB in (0.0, 0.5, 0.95)
+                 for gamma in (1e-4, 1e-3, 1e-2, 1.0, 10.0, 100.0, 1e3)]
+        A = state_space_batch(_model_stack(draws))[0]
+        assert len(A) >= dynamics.CERTIFICATE_MIN_STACK
+        certified, stable = certified_against_eigen(A)
+        assert 0 < certified.sum() < stable.sum()
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        assert np.array_equal(stability_batch(A), stable)
+        assert shapes == [((~certified).sum(), 6, 6)]
+        # a non-finite drift in the stack reads not stable, the rest as before
+        A[-1, 0, 0] = np.nan
+        assert np.array_equal(stability_batch(A), np.r_[stable[:-1], False])
 
 
 class TestTransitionAndNoise:

@@ -98,6 +98,12 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="^tMax must be positive and finite$"):
                 base_config(mode="evolve", tMax=tMax)
 
+    def test_rwa_threshold_positive(self):
+        # a NaN threshold passes "<= 0" and would read every point marginal
+        for threshold in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError, match="^rwaThreshold must be positive$"):
+                base_config(rwaThreshold=threshold)
+
     def test_zero_dissipation_rejected(self):
         with pytest.raises(ConfigError):
             base_config(gamma1=0.0, gamma2=0.0, kappa1=0.0, kappa2=0.0)
@@ -448,7 +454,7 @@ class TestSteadyBatch:
             return EffectiveModel(**{**fields, **kw})
         models = [m(), m(kappa_tilde=math.inf), m(delta_tilde=math.nan),
                   m(G1=2e5, kappa_tilde=1e3)]
-        abscissa, _ = dynamics.stability_batch(dynamics.state_space_batch(stack_models(models))[0])
+        abscissa = dynamics.spectral_abscissa(dynamics.state_space_batch(stack_models(models))[0])
         assert np.isnan(abscissa).tolist() == [False, True, True, False]
         t_grid = np.linspace(0.0, 1e-3, 3)
         evaluate = (evaluate_steady_batch, lambda ms: evaluate_evolve_batch(ms, t_grid))
@@ -682,6 +688,24 @@ class TestPackage:
             summary = traced.pass_summary()
         assert summary["calls"]["dynamics.steady_state_batch"] >= 1
         assert summary["self_s"]["dynamics.lyapunov"] > 0
+
+    def test_eigenvalue_calls_of_steady_chunks(self, monkeypatch, capsys):
+        # a large chunk takes its stability verdicts from the Routh-Hurwitz
+        # certificate, which settles every fig2c point; a single-point
+        # command takes one eigenvalue call, for its verdict and its abscissa
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        run_preset("fig2c")
+        assert shapes == []
+        for command in ("steady", "stability"):
+            assert cli.main([command, "--set", "G1=9e4", "G2=1e5"]) == 0
+            assert shapes.pop() == (1, 6, 6) and shapes == []
 
     def test_steady_path_runs_without_scipy(self):
         # scipy is imported by the first matrix exponential, which only evolve

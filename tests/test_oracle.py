@@ -26,7 +26,7 @@ import sympy
 from cfomech import dynamics, entanglement
 from cfomech.experiments import evaluate_steady_batch, preset_config, resolve_point, run_preset
 from cfomech.params import EffectiveModel
-from reference import stack_models
+from reference import certified_against_eigen, stack_models
 
 ORACLE_DPS = 50
 
@@ -165,7 +165,7 @@ def band_ratio(model: EffectiveModel) -> float:
     """Spectral abscissa in units of the marginal band's edge
     -STABILITY_TOL*||A||_F: a point is stable above 1."""
     A = dynamics.state_space(model)[0]
-    abscissa, _ = dynamics.stability_batch(A[None])
+    abscissa = dynamics.spectral_abscissa(A[None])
     return float(abscissa[0] / (-dynamics.STABILITY_TOL * np.linalg.norm(A)))
 
 
@@ -312,6 +312,27 @@ def test_stable_point_inside_the_band_is_reported_unstable():
     assert 0.0 < band_ratio(model) < 1.0
     assert evaluate_steady_batch(model).error == ["unstable"]
     assert abs(oracle_nu_minus(model) - mpmath.mpf("0.0475450922")) < 1e-10
+
+
+def test_certificate_agrees_on_the_sweep_and_marginal_models():
+    # the inside-band model, last, is marginal: the certificate leaves it
+    models = [m for _, m in sweep_models()] + [*MARGINAL_MODELS.values(), marginal_model(4e-4)]
+    certified, stable = certified_against_eigen(
+        dynamics.state_space_batch(stack_models(models))[0])
+    assert certified.sum() > 200 and not stable[-1]
+
+
+@pytest.mark.parametrize("fields", [{}, {"kappa_tilde": 0.0}], ids=["kappa_tilde", "zero_kappa"])
+def test_certificate_never_calls_a_marginal_model_stable(fields):
+    # a gamma scan from inside the marginal band (at kappa_tilde = 1e5 its
+    # edge is near gamma = 6e-4) to beyond the certificate's own margin
+    gammas = np.geomspace(1e-5, 10.0, 4000)
+    A = dynamics.state_space_batch(stack_models([marginal_model(g, **fields)
+                                                 for g in gammas]))[0]
+    certified, stable = certified_against_eigen(A)
+    marginal = ~stable & (dynamics.spectral_abscissa(A) < 0.0)
+    assert marginal.sum() > 1000 and certified.sum() > 500
+    assert not (certified & marginal).any()
 
 
 #: Relative distance allowed between the two 50-digit steady oracles, on the
