@@ -5,6 +5,11 @@ modes then the cavity.  The first moments obey du/dt = A u + n with drift A and
 a diagonal diffusion matrix D for the noise vector n.  The model is
 phase-insensitive: A and D realify a complex 3x3 drift M and a Hermitian D_c
 (see cfomech.entanglement), and the steady state is solved on that form.
+
+The model is homogeneous in its rates: scaling them all by 2^k scales A and D
+by 2^k and time by 2^-k and leaves every covariance unchanged.  Every kernel
+whose result depends on the size of the rates reads its matrices at unit size
+(_unit_size), so no result depends on the unit of time.
 """
 
 from __future__ import annotations
@@ -71,18 +76,12 @@ def state_space(m: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
     return A[0], D[0]
 
 
-def _frobenius_norm(X: np.ndarray) -> np.ndarray:
-    """Frobenius norms of an (N, n, n) stack.  Where the squares overflow the
-    norm is taken again on the matrix scaled by a power of 2 near 1/max|X|,
-    exactly; a matrix with an infinite entry has norm inf."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(X, axis=(-2, -1))
-        big = np.isinf(norm)
-        if big.any():
-            shift = np.frexp(np.abs(X[big]).max(axis=(-2, -1)))[1]
-            norm[big] = np.ldexp(np.linalg.norm(np.ldexp(X[big], -shift[:, None, None]),
-                                                axis=(-2, -1)), shift)
-    return norm
+def _unit_size(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X*2^-e and e for a matrix or each matrix of a stack, e the binary
+    exponent of its largest entry: exact, with the largest entry in [0.5, 1)
+    (e = 0 for a zero or non-finite matrix), so no square over- or underflows."""
+    e = np.frexp(np.abs(X).max(axis=(-2, -1)))[1]
+    return np.ldexp(X, -e[..., None, None]), e
 
 
 def spectral_abscissa(A: np.ndarray) -> np.ndarray:
@@ -100,10 +99,11 @@ def spectral_abscissa(A: np.ndarray) -> np.ndarray:
 
 def stability_from_abscissa(A: np.ndarray, abscissa: np.ndarray) -> np.ndarray:
     """(N,) eigenvalue stability verdicts of an (N, n, n) stack from its
-    spectral abscissae: stable iff below -STABILITY_TOL times ||A||_F, so
-    systems inside the band count as marginal, not stable, and a NaN
-    abscissa is not stable."""
-    return abscissa < -STABILITY_TOL * _frobenius_norm(A)
+    spectral abscissae: stable iff below -STABILITY_TOL times ||A||_F, both
+    taken at A's unit size, so systems inside the band count as marginal,
+    not stable, in any unit of time, and a NaN abscissa is not stable."""
+    A, e = _unit_size(A)
+    return np.ldexp(abscissa, -e) < -STABILITY_TOL * np.linalg.norm(A, axis=(-2, -1))
 
 
 #: Margin of the Routh-Hurwitz certificate, relative to ||A||_F: it certifies
@@ -136,19 +136,18 @@ def _routh_certificate(A: np.ndarray) -> np.ndarray:
 
     The eigenvalues of A are those of M and their conjugates, the roots of
     the real sextic p*conj(p) for the characteristic cubic p(x) = det(xI -
-    M) = x^3 + a x^2 + b x + c.  M enters scaled by 2^-e, exactly, for the
-    exponent e of ||A||_F, so no coefficient overflows, and shifted by
-    (STABILITY_TOL + ROUTH_MARGIN) times the scaled norm.  A point is
-    certified only where all six first-column entries of the Routh array of
-    the shifted sextic are positive: a zero, a NaN or a non-finite drift
-    leaves it uncertified, not unstable.
+    M) = x^3 + a x^2 + b x + c.  M enters at unit size (_unit_size), so no
+    coefficient over- or underflows, and shifted by (STABILITY_TOL +
+    ROUTH_MARGIN) times the scaled ||A||_F.  A point is certified only where
+    all six first-column entries of the Routh array of the shifted sextic
+    are positive: a zero, a NaN or a non-finite drift leaves it uncertified,
+    not unstable.
     """
-    N = len(A)
-    norm = _frobenius_norm(A)
-    exponent = np.frexp(norm)[1]
+    A = _unit_size(A)[0].reshape(len(A), 36)
+    norm = np.linalg.norm(A, axis=1)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        m = np.ldexp(A.reshape(N, 36), -exponent[:, None]) @ _COMPLEX[1]
-        m[:, _DIAGONAL] += ((STABILITY_TOL + ROUTH_MARGIN) * np.ldexp(norm, -exponent))[:, None]
+        m = A @ _COMPLEX[1]
+        m[:, _DIAGONAL] += ((STABILITY_TOL + ROUTH_MARGIN) * norm)[:, None]
         m00, m01, m02, m10, m11, m12, m20, m21, m22 = (m[:, :9] + 1j * m[:, 9:]).T
         # a = -tr M, b the sum of its principal 2x2 minors, c = -det M
         minor0 = m11 * m22 - m12 * m21
@@ -196,10 +195,9 @@ def stability_batch(A: np.ndarray) -> np.ndarray:
 
 
 def stability_eigen(A: np.ndarray) -> bool:
-    """Eigenvalue stability test of one matrix, as stability_from_abscissa
-    makes it: systems inside the band count as marginal, not stable."""
-    A = A[None]
-    return bool(stability_from_abscissa(A, spectral_abscissa(A))[0])
+    """Eigenvalue stability test of one matrix, stability_batch's verdict on a
+    stack of one: systems inside the band count as marginal, not stable."""
+    return bool(stability_batch(A[None])[0])
 
 
 def stability_margin(m: EffectiveModel) -> float:
@@ -211,7 +209,10 @@ def stability_margin(m: EffectiveModel) -> float:
 
     At gamma = 0 one Bogoliubov mode of the mechanics decouples from the
     cavity and keeps its undamped oscillation, so the system is at best
-    marginal and the gap is never positive.
+    marginal and the gap is never positive.  The gap is homogeneous of degree
+    2 in the rates: it is taken at unit size (as _unit_size takes matrices)
+    and scaled back exactly, so beyond double precision it reads inf of its
+    sign, and below it 0, so that stableAnalytic reads false there.
 
     Raises UnsupportedRegimeError for gamma1 != gamma2; use stability_eigen
     there.
@@ -220,16 +221,14 @@ def stability_margin(m: EffectiveModel) -> float:
         raise UnsupportedRegimeError(
             "closed-form stability assumes equal mechanical dampings; "
             "use stability_eigen instead")
-    # the gap is homogeneous of degree 2 in the rates: rates from 2^500 on are
-    # scaled down by a power of 2, exactly, so that no square overflows, and
-    # the gap is scaled back (an overflow there gives inf of the gap's sign)
     rates = (m.G1, m.G2, m.kappa_tilde, m.delta_tilde, m.gamma1)
-    scale = 2.0 ** max(0, math.frexp(max(map(abs, rates)))[1] - 500)
-    G1, G2, kt, dt, gamma = (x / scale for x in rates)
-    if gamma == 0.0:
-        return min(0.0, G2 ** 2 - G1 ** 2) * scale * scale
-    correction = 0.5 * kt * gamma * (1.0 + 4.0 * dt * dt / (gamma + 2.0 * kt) ** 2)
-    return (G2 ** 2 - G1 ** 2 + correction) * scale * scale
+    e = math.frexp(max(map(abs, rates)))[1]
+    G1, G2, kt, dt, gamma = (math.ldexp(x, -e) for x in rates)
+    s = gamma + 2.0 * kt  # kt/s and gamma/s are at most 1: no term is 0/0
+    gap = (min(0.0, G2 * G2 - G1 * G1) if gamma == 0.0 else
+           G2 * G2 - G1 * G1 + 0.5 * kt * gamma + 2.0 * dt * dt * (kt / s) * (gamma / s))
+    half = math.ldexp(1.0, e - 1)  # 4^e = 4*half^2, with half a double for any rate
+    return 4.0 * gap * half * half
 
 
 def _transpose(X: np.ndarray) -> np.ndarray:
@@ -285,21 +284,20 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
     cfomech.entanglement), as state_space_batch builds them; this is not
     checked here, steady_state_covariance checks it.  Each system is solved
     as M H + H M^dagger = -D_c on the 9 real coordinates of the Hermitian H
-    that V realifies, all N in one batched linear solve.  V is linear in D,
-    so each D enters scaled by a power of 2 near 1/max|D| and V is scaled
-    back, both exactly: a hot bath overflows neither the solve nor the
-    norms.  The relative residual ||A V + V A^T + D||_F / ||D||_F must come
-    out below the contract value, or below the double-precision floor
-    eps*||A||*||V||/||D|| for strongly amplifying systems.  A system that
-    misses it, or whose linear system is singular, gets the text of a
-    NumericalError carrying a condition estimate of its 9x9 operator in
-    place of None, and one whose V overflows once scaled back gets a text
-    naming the overflow; such a V is not meaningful.
+    that V realifies, all N in one batched linear solve, on A and D at unit
+    size (_unit_size), V scaled back exactly: neither the unit of time nor a
+    hot bath overflows the solve or the norms.  The relative residual ||A V
+    + V A^T + D||_F / ||D||_F must come out below the contract value, or
+    below the double-precision floor eps*||A||*||V||/||D|| for strongly
+    amplifying systems.  A system that misses it, or whose linear system is
+    singular, gets the text of a NumericalError carrying a condition
+    estimate of its 9x9 operator in place of None, and one whose V overflows
+    once scaled back gets a text naming the overflow; such a V is not
+    meaningful.
     """
     N = len(A)
+    (A, a), (D, d) = _unit_size(A), _unit_size(D)
     op = _lyapunov_operator(A)
-    shift = np.frexp(np.abs(D).max(axis=(-2, -1)))[1][:, None, None]
-    D = np.ldexp(D, -shift)
     singular = np.zeros(N, dtype=bool)
     try:
         V = _solve_lyapunov(op, D)
@@ -316,9 +314,9 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
     with np.errstate(over="ignore"):
         norm_D = np.linalg.norm(D, axis=(-2, -1))
         rel = np.linalg.norm(A @ V + V @ _transpose(A) + D, axis=(-2, -1)) / norm_D
-        floor = 100.0 * np.finfo(float).eps * _frobenius_norm(A) \
+        floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A, axis=(-2, -1)) \
             * np.linalg.norm(V, axis=(-2, -1)) / norm_D
-        V = np.ldexp(V, shift)
+        V = np.ldexp(V, (d - a)[:, None, None])
     overflow = ~np.isfinite(V).all(axis=(-2, -1))
     errors: list[str | None] = [None] * N
     for k in np.flatnonzero(singular | overflow | ~(rel < np.maximum(LYAPUNOV_RTOL, floor))):
@@ -372,16 +370,16 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
         [[-A, D], [0, A^T]] * dt
 
     whose top-right block, left-multiplied by M, is the noise integral.  Q is
-    linear in D, so D enters scaled by 2^-s to the size of A and Q is scaled
-    back exactly: a hot bath does not set expm's rounding.  Q is symmetrized
-    (positive semidefinite up to rounding); a stack takes one expm call.
+    linear in D, so a D larger than A enters scaled to A's size by a power of
+    2 (_unit_size) and Q is scaled back exactly: a hot bath does not set
+    expm's rounding.  Q is symmetrized (positive semidefinite up to
+    rounding); a stack takes one expm call.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt <= 0):
         raise ValueError("dt must be positive")
     n = A.shape[-1]
-    shift = np.maximum(0, np.frexp(np.abs(D).max(axis=(-2, -1)))[1]
-                       - np.frexp(np.abs(A).max(axis=(-2, -1)))[1])[..., None, None]
+    shift = np.maximum(0, _unit_size(D)[1] - _unit_size(A)[1])[..., None, None]
     block = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
     block[..., :n, :n] = -A
     block[..., :n, n:] = np.ldexp(D, -shift)
@@ -398,16 +396,18 @@ def _interval_maps(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray,
     obeys the norm cap.  Squaring is the exact semigroup composition, so the
     interval maps stay exact up to rounding.  Each system keeps its own
     doubling count; the squaring rounds skip systems that are done."""
-    norm_A = _frobenius_norm(A)
-    doublings = np.zeros(len(norm_A), dtype=int)
-    # a drift whose norm is not finite is not subdivided: its maps come out
-    # non-finite, which the caller reports
-    over = np.isfinite(norm_A) & (norm_A * dt > STEP_NORM_CAP)
-    doublings[over] = np.ceil(np.log2(norm_A[over] * dt / STEP_NORM_CAP))
+    # the least d with ||A||*dt*2^-d <= STEP_NORM_CAP, at unit size; a zero or
+    # non-finite drift is not subdivided (the caller reports the latter's maps)
+    (A_unit, a), (mantissa, t) = _unit_size(A), math.frexp(dt)
+    norm = np.linalg.norm(A_unit, axis=(-2, -1))
+    sub = np.isfinite(norm) & (norm > 0.0)
+    doublings = np.zeros(len(A), dtype=int)
+    doublings[sub] = np.maximum(0, np.ceil(np.log2(norm[sub] * mantissa / STEP_NORM_CAP))
+                                + a[sub] + t)
     # overflow here means the system diverges over this interval; the caller
     # reports the resulting non-finite entries
     with np.errstate(over="ignore", invalid="ignore"):
-        M, Q = transition_and_noise(A, D, dt / 2.0 ** doublings)
+        M, Q = transition_and_noise(A, D, np.ldexp(dt, -doublings))
         for r in range(doublings.max(initial=0)):
             k = doublings > r
             Mk, Qk = M[k], Q[k]

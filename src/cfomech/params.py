@@ -3,8 +3,8 @@ the raw parameters of a run configuration.
 
 All rates and frequencies are rates in s^-1.  Values quoted in the source
 literature as "Hz" are used literally, with no 2*pi conversion; the dynamics
-depend only on ratios of these quantities, so this choice fixes the time axis
-and nothing else.
+depend only on ratios of these quantities, and the kernels read them at unit
+size (cfomech.dynamics), so this choice fixes the time axis and nothing else.
 """
 
 from __future__ import annotations
@@ -137,10 +137,9 @@ def effective_cavity_params(kappa1, kappa2, rB, theta, Delta):
         raise ValueError("cavity decays must be nonnegative")
     # rates beyond double precision give inf or nan, as with Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        root = np.sqrt(kappa1 * kappa2)
-        big = root == math.inf  # the product overflows where the roots do not
-        if _any(big):
-            root = np.where(big, np.sqrt(kappa1) * np.sqrt(kappa2), root)
+        # sqrt(kappa1*kappa2) at unit size: no unit of time over- or underflows it
+        e = np.frexp(np.maximum(kappa1, kappa2))[1]
+        root = np.ldexp(np.sqrt(np.ldexp(kappa1, -e) * np.ldexp(kappa2, -e)), e)
         cos, sin = per_value(lambda t: (math.cos(t), math.sin(t)), theta)
         cross = 2.0 * (root * rB)
         kappa_tilde = kappa1 + kappa2 - cross * cos

@@ -83,6 +83,21 @@ def vech_lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return kron_lyapunov_operator(A)[:, ju * n + iu] @ duplication
 
 
+def marginal_model(gamma: float, **kw) -> EffectiveModel:
+    # the Bogoliubov mode that decouples from the cavity at G1 < G2 is damped
+    # by gamma/2 alone, so gamma sets the spectral abscissa
+    fields = dict(G1=0.9e5, G2=1e5, kappa_tilde=1e5, delta_tilde=0.0,
+                  gamma1=gamma, gamma2=gamma, nbar1=0.0, nbar2=0.0)
+    return EffectiveModel(**{**fields, **kw})
+
+
+#: Stable steady points within 10x of the marginal band's edge.
+MARGINAL_MODELS = {
+    "marginal_hot_detuned": marginal_model(1e-3, nbar1=100.0, nbar2=50.0, delta_tilde=2e4),
+    "marginal_kappa_tilde_zero": marginal_model(2e-3, kappa_tilde=0.0),
+}
+
+
 def certified_against_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(certified, stable): the Routh-Hurwitz certificate and the eigenvalue
     verdict of each drift of the (N, 6, 6) stack A, checked to agree: the
@@ -167,9 +182,8 @@ def scalar_cavity_params(kappa1, kappa2, rB, theta, Delta):
         raise ValueError("rB must lie in [0, 1]")
     if kappa1 < 0 or kappa2 < 0:
         raise ValueError("cavity decays must be nonnegative")
-    root = math.sqrt(kappa1 * kappa2)
-    if math.isinf(root):
-        root = math.sqrt(kappa1) * math.sqrt(kappa2)
+    e = math.frexp(max(kappa1, kappa2))[1]  # at unit size, as the library takes it
+    root = math.ldexp(math.sqrt(math.ldexp(kappa1, -e) * math.ldexp(kappa2, -e)), e)
     cross = 2.0 * (root * rB)
     kappa_tilde = kappa1 + kappa2 - cross * math.cos(theta)
     delta_tilde = Delta - cross * math.sin(theta)

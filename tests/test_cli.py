@@ -481,6 +481,91 @@ class TestEvolveCommand:
         assert float(rows[0][0]) == 0.0
 
 
+    @pytest.mark.parametrize("t_max", [1e302, 1e305, 1e307])
+    def test_long_horizon_reaches_the_steady_state(self, t_max, capsys):
+        # the doubling count and the substep are read at unit size, so no
+        # horizon up to the largest double overflows them; nu_minus at the
+        # last sample is within STEADY_HORIZON_ATOL of the steady solve
+        sets = ["G1=9e4", "G2=1e5"]
+        _, out, _ = run_cli(["steady", "--set", *sets], capsys)
+        steady = float(parse_csv(out)[1][0][1])
+        code, out, err = run_cli(["evolve", "--set", *sets, f"tMax={t_max!r}", "tPoints=3"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert abs(float(rows[-1][header.index("nu_minus")]) - steady) <= STEADY_HORIZON_ATOL
+
+
+#: Absolute distance allowed between the nu_minus of a stable system
+#: propagated over a long horizon and its steady value (0.0477); the largest
+#: seen at horizons from 1 to 1.7e308 s is 3.7e-12.
+STEADY_HORIZON_ATOL = 1e-11
+
+#: Binary exponents of the units of time of TestUnitOfTime, about 1e-200 and
+#: 1e+200 s: powers of 2, so that every rate and time scales exactly.
+UNIT_EXPONENTS = (-664, 664)
+
+#: Relative change allowed in spectralAbscissa between units.  numpy's
+#: eigvals scales a matrix this far from unit size by a factor that is not a
+#: power of 2, which moves the abscissa by about eps*||A||_F: at BASE that is
+#: 6.3e-11 s^-1, 1.3e-11 of its abscissa of -5 s^-1, the change seen at
+#: every unit from 2^-1000 to 2^1000 s.
+ABSCISSA_UNIT_RTOL = 1e-10
+
+#: BASE detuned (DeltaTilde about -7.5e3 s^-1), in s^-1, and its rates.
+UNIT_POINT = {**BASE, "Delta": 2e3, "theta": 0.1}
+_RATE_KEYS = ("G1", "G2", "Delta", "gamma1", "gamma2", "kappa1", "kappa2")
+
+
+class TestUnitOfTime:
+    """Only rate ratios matter: with UNIT_POINT's rates in units of 2^k s^-1,
+    and tMax = 2e-3 s in units of 2^-k s, each single-point command exits 0,
+    its unit-free columns match the run in s^-1 byte for byte, and its rates
+    and times scale exactly."""
+
+    @staticmethod
+    def run(command, k, capsys):
+        sets = [f"{key}={math.ldexp(value, k) if key in _RATE_KEYS else value!r}"
+                for key, value in UNIT_POINT.items()]
+        code, out, err = run_cli([command, "--set", *sets, f"tMax={math.ldexp(2e-3, -k)!r}",
+                                  "tPoints=5"], capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        return [dict(zip(header, row)) for row in rows]
+
+    @staticmethod
+    def pop_scaled(row, k):
+        """Check and drop the columns that are rates."""
+        model, _ = resolve_point(build_config(UNIT_POINT))
+        assert row.pop("kappaTilde") == "%.12g" % math.ldexp(model.kappa_tilde, k)
+        assert row.pop("DeltaTilde") == "%.12g" % math.ldexp(model.delta_tilde, k)
+
+    @pytest.mark.parametrize("k", UNIT_EXPONENTS)
+    @pytest.mark.parametrize("command", ["steady", "evolve"])
+    def test_steady_and_evolve(self, command, k, capsys):
+        rows, base = self.run(command, k, capsys), self.run(command, 0, capsys)
+        assert len(rows) == len(base) == (5 if command == "evolve" else 1)
+        grid = build_config({**UNIT_POINT, "tMax": 2e-3, "tPoints": 5}).time_grid()
+        for row, base_row, t in zip(rows, base, grid):
+            self.pop_scaled(row, k)
+            if command == "evolve":
+                assert row.pop("t") == "%.12g" % math.ldexp(t, -k)
+            assert set(row) == {"EN", "nu_minus", "stable", "rwaVerdict", "error"}
+            assert row == {key: base_row[key] for key in row}
+
+    @pytest.mark.parametrize("k", UNIT_EXPONENTS)
+    def test_stability(self, k, capsys):
+        (row,), (base,) = self.run("stability", k, capsys), self.run("stability", 0, capsys)
+        self.pop_scaled(row, k)
+        assert math.ldexp(float(row.pop("spectralAbscissa")), -k) == \
+            pytest.approx(float(base["spectralAbscissa"]), rel=ABSCISSA_UNIT_RTOL)
+        # the closed-form gap is of order rate^2, 2^-1328 s^-2 here: below
+        # double precision it reads 0, and stableAnalytic false
+        # (dynamics.stability_margin)
+        assert row.pop("stableAnalytic") == ("false" if k < 0 else base["stableAnalytic"])
+        assert base["stableAnalytic"] == base["stableEigen"] == "true"
+        assert row == {"stableEigen": "true", "rwaVerdict": "unknown"}
+
 class TestPresetCommand:
     def test_fig3a_json_has_five_series(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,19 +27,25 @@ from cfomech.entanglement import (
 )
 from cfomech.errors import NumericalError, StabilityError, UnsupportedRegimeError
 from cfomech.experiments import (
+    FIG3_RB_VALUES,
     STEADY_CHUNK,
     RunConfig,
     SweepAxis,
+    evaluate_evolve_batch,
+    evaluate_steady_batch,
     preset_config,
+    resolve_chunk,
     run_points,
     run_preset,
     run_sweep,
 )
 from cfomech.params import EffectiveModel, effective_cavity_params
 from reference import (
+    MARGINAL_MODELS,
     PT_SIGNS,
     certified_against_eigen,
     kron_steady_state,
+    marginal_model,
     physicality_check,
     realify,
     stack_models,
@@ -284,7 +291,8 @@ class TestBatchedCore:
                                                (0.8, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
                                                (0.7, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)]))
         clean, _ = steady_state_batch(A, D)
-        op = dynamics._lyapunov_operator(A)
+        # the solve reads each A at unit size: tell the systems apart there
+        op = dynamics._lyapunov_operator(dynamics._unit_size(A)[0])
         solve = dynamics._solve_lyapunov
 
         def flaky(op_k, D_k):
@@ -659,3 +667,50 @@ class TestPropagate:
         V = steady_state_covariance(*state_space(m))
         assert V[2, 2] < n0 + 0.5
         assert V[2, 2] == pytest.approx(0.5, abs=1e-9)
+
+
+#: Binary exponents k of the units of time of TestUnitOfTime: every rate
+#: scaled by 2^k and the time grid by 2^-k, exactly, the occupancies fixed.
+UNIT_EXPONENTS = (-900, -700, -500, 0, 500, 900)
+
+
+def _in_units(model: EffectiveModel, k: int) -> EffectiveModel:
+    columns = model.columns()
+    return EffectiveModel(*np.ldexp(columns[:6], k), *columns[6:])
+
+
+def _assert_same_outcomes(out, ref):
+    assert out.error == ref.error
+    assert np.array_equal(out.stable, ref.stable)
+    assert np.array_equal(out.EN, ref.EN, equal_nan=True)
+    assert np.array_equal(out.nu_minus, ref.nu_minus, equal_nan=True)
+
+
+class TestUnitOfTime:
+    """Only rate ratios matter: with every rate scaled by 2^k and time by
+    2^-k, every stability verdict, error, E_N and nu_minus is the same, bit
+    for bit, at any k."""
+
+    @pytest.mark.parametrize("k", UNIT_EXPONENTS)
+    def test_steady_outcomes(self, k):
+        cfg = preset_config("fig2c")
+        names = [ax.name for ax in cfg.axes]
+        points = [dict(zip(names, p))
+                  for p in itertools.product(*(ax.grid().tolist() for ax in cfg.axes))]
+        marginal = stack_models([*MARGINAL_MODELS.values(), marginal_model(4e-4)])
+        fig2c = resolve_chunk(cfg, names, points)[0]
+        # a stack of the fig2c points and the marginal models takes the
+        # Routh-Hurwitz certificate, the marginal models alone the eigenvalues
+        for models in (stack_models([fig2c, marginal]), marginal):
+            _assert_same_outcomes(evaluate_steady_batch(_in_units(models, k)),
+                                  evaluate_steady_batch(models))
+
+    @pytest.mark.parametrize("k", UNIT_EXPONENTS)
+    def test_transient_outcomes(self, k):
+        for name in ("fig3a", "fig3b"):
+            cfg = preset_config(name)
+            models = resolve_chunk(cfg, ["rB"], [{"rB": rB} for rB in FIG3_RB_VALUES])[0]
+            t_grid = cfg.time_grid()
+            _assert_same_outcomes(evaluate_evolve_batch(_in_units(models, k),
+                                                        np.ldexp(t_grid, -k)),
+                                  evaluate_evolve_batch(models, t_grid))

@@ -26,7 +26,7 @@ import sympy
 from cfomech import dynamics, entanglement
 from cfomech.experiments import evaluate_steady_batch, preset_config, resolve_point, run_preset
 from cfomech.params import EffectiveModel
-from reference import certified_against_eigen, stack_models
+from reference import MARGINAL_MODELS, certified_against_eigen, marginal_model, stack_models
 
 ORACLE_DPS = 50
 
@@ -153,27 +153,12 @@ def fig2_model(ratio: float, rB: float) -> EffectiveModel:
                           delta_tilde=0.0, gamma1=10.0, gamma2=10.0, nbar1=0.0, nbar2=0.0)
 
 
-def marginal_model(gamma: float, **kw) -> EffectiveModel:
-    # the Bogoliubov mode that decouples from the cavity at G1 < G2 is damped
-    # by gamma/2 alone, so gamma sets the spectral abscissa
-    fields = dict(G1=0.9e5, G2=1e5, kappa_tilde=1e5, delta_tilde=0.0,
-                  gamma1=gamma, gamma2=gamma, nbar1=0.0, nbar2=0.0)
-    return EffectiveModel(**{**fields, **kw})
-
-
 def band_ratio(model: EffectiveModel) -> float:
     """Spectral abscissa in units of the marginal band's edge
     -STABILITY_TOL*||A||_F: a point is stable above 1."""
     A = dynamics.state_space(model)[0]
     abscissa = dynamics.spectral_abscissa(A[None])
     return float(abscissa[0] / (-dynamics.STABILITY_TOL * np.linalg.norm(A)))
-
-
-#: Stable steady points within 10x of the marginal band's edge.
-MARGINAL_MODELS = {
-    "marginal_hot_detuned": marginal_model(1e-3, nbar1=100.0, nbar2=50.0, delta_tilde=2e4),
-    "marginal_kappa_tilde_zero": marginal_model(2e-3, kappa_tilde=0.0),
-}
 
 
 def relative_nu_error(model: EffectiveModel) -> float:

@@ -147,6 +147,15 @@ class TestEffectiveCavityParams:
         # the sum overflows: kappa_tilde is inf, which the model's solve reports
         assert effective_cavity_params(1e308, 1e308, 0.0, 0.0, 0.0) == (math.inf, 0.0)
 
+    @pytest.mark.parametrize("k", [-901, -700, 700, 901])
+    def test_decays_scale_exactly_with_the_unit_of_time(self, k):
+        # sqrt(kappa1*kappa2) is taken at unit size: at 2^-700 s^-1 and below
+        # the product of the decays would underflow, at 2^700 overflow
+        kt, dt = effective_cavity_params(5e4, 3e4, 0.95, 0.3, 1e3)
+        assert effective_cavity_params(math.ldexp(5e4, k), math.ldexp(3e4, k), 0.95, 0.3,
+                                       math.ldexp(1e3, k)) == (math.ldexp(kt, k),
+                                                               math.ldexp(dt, k))
+
     def test_reflectivity_checked_before_decays(self):
         with pytest.raises(ValueError, match="rB must lie"):
             effective_cavity_params(-5e4, 5e4, 1.1, 0.0, 0.0)
