@@ -24,7 +24,7 @@ def main() -> int:
         path.write_text(cli.serialize(table, "csv"), encoding="utf-8")
         elapsed = time.perf_counter() - start
         total += elapsed
-        print(f"{name}: {len(table.rows)} rows -> {path} ({1e3 * elapsed:.1f} ms)")
+        print(f"{name}: {len(table)} rows -> {path} ({1e3 * elapsed:.1f} ms)")
     print(f"total: {len(experiments.PRESET_NAMES)} presets in {1e3 * total:.1f} ms")
     return 0
 

@@ -7,13 +7,11 @@ Exit codes: 0 success, 2 configuration error, 3 instability in steady mode
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
-import itertools
 import json
 import math
+import re
 import sys
 
 from . import dynamics, experiments
@@ -35,53 +33,58 @@ _AXIS_KEYS = {"name", "min", "max", "count"}
 
 SIGNIFICANT_DIGITS = 12
 
-#: serialize formats CSV cells this many rows at a time, column by column:
-#: a whole table's columns at once would hold every cell string in memory.
-CSV_BLOCK = 1024
-
-
-def _round12(value: float) -> float:
-    return float(f"{value:.{SIGNIFICANT_DIGITS}g}")
-
-
 _CSV_FLOAT = f"%.{SIGNIFICANT_DIGITS}g"
 
-
-def _csv_cells(values) -> list[str]:
-    """CSV text of each value: a float to SIGNIFICANT_DIGITS, None empty, a
-    boolean true or false, anything else its str."""
-    return [_CSV_FLOAT % v if isinstance(v, float) else "" if v is None
-            else ("true" if v else "false") if isinstance(v, bool) else str(v)
-            for v in values]
+#: csv.writer's minimal quoting under a "\n" line terminator quotes a cell
+#: holding one of these, with its quotes doubled.
+_CSV_QUOTED = re.compile('[,"\n]')
 
 
-def _json_cell(value):
-    if isinstance(value, bool) or value is None:
-        return value
+def _csv_cell(value) -> str:
+    """CSV text of a value: a float to SIGNIFICANT_DIGITS, None empty, a
+    boolean true or false, anything else its str; quoted where needed."""
+    text = (_CSV_FLOAT % value if isinstance(value, float) else "" if value is None
+            else ("true" if value else "false") if isinstance(value, bool) else str(value))
+    return '"%s"' % text.replace('"', '""') if _CSV_QUOTED.search(text) else text
+
+
+def _csv_column(values: list) -> list[str]:
+    """The CSV cells of a column: each distinct text, boolean or None formatted
+    once, any other value one by one (1, 1.0 and True are one dict key)."""
+    if not set(map(type, values)) <= {str, bool, type(None)}:
+        return list(map(_csv_cell, values))
+    memo = {value: _csv_cell(value) for value in set(values)}
+    return list(map(memo.__getitem__, values))
+
+
+def _json_value(value, rounded: bool = True):
+    """A JSON value: a float rounded to SIGNIFICANT_DIGITS if asked, null if not finite."""
     if isinstance(value, float):
-        return _round12(value)
+        return (float(_CSV_FLOAT % value) if rounded else value) if math.isfinite(value) else None
     return value
 
 
 def serialize(table: ResultTable, fmt: str) -> str:
-    """Render a result table as CSV (header mandatory, 12 significant digits,
-    missing values empty) or JSON (rows plus a meta object)."""
+    """Render a result table column by column as CSV (header mandatory, 12
+    significant digits, missing values empty) or JSON (rows plus a meta
+    object, a non-finite float null)."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(table.columns)
-        for start in range(0, len(table.rows), CSV_BLOCK):
-            block = table.rows[start:start + CSV_BLOCK]
-            writer.writerows(zip(*(_csv_cells(map(dict.get, block, itertools.repeat(col)))
-                                   for col in table.columns)))
-        return buf.getvalue()
+        # a float column is formatted within its line, any other one first
+        floats = [set(map(type, values)) <= {float} for values in table.columns.values()]
+        line = ",".join([_CSV_FLOAT if f else "%s" for f in floats])
+        cells = [values if f else _csv_column(values)
+                 for values, f in zip(table.columns.values(), floats)]
+        quoted = _CSV_QUOTED.search("".join(table.columns))  # in a header, seldom
+        header = ",".join(map(_csv_cell, table.columns) if quoted else table.columns)
+        lines = [header, *map(line.__mod__, zip(*cells))]
+        if len(cells) == 1:  # a line of one empty field reads "", as csv.writer writes it
+            lines = ['""' if text == "" else text for text in lines]
+        return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "meta": table.meta,
-            "rows": [{col: _json_cell(row.get(col)) for col in table.columns}
-                     for row in table.rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        meta = {key: _json_value(value, False) for key, value in table.meta.items()}
+        cells = [list(map(_json_value, values)) for values in table.columns.values()]
+        rows = [dict(zip(table.columns, row)) for row in zip(*cells)]
+        return json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
     raise ConfigError(f"unknown format '{fmt}'")
 
 
@@ -188,13 +191,13 @@ def _point_table(cfg: RunConfig) -> ResultTable:
     """The one operating point of cfg, its curve in evolve mode, through the
     evaluation core.  A point the core reports as unstable (in steady mode)
     or failed raises instead of giving a row."""
-    table = experiments.run_points(cfg, [], [{}], curves=True)
-    row = table.rows[0]
-    if cfg.mode == "steady" and row["error"] == "unstable":
+    table = experiments.run_points(cfg, [], [], curves=True)
+    error = table.columns["error"][0]
+    if cfg.mode == "steady" and error == "unstable":
         raise StabilityError("steady mode on an unstable operating point; "
                              "use evolve mode or change parameters")
-    if row["error"] is not None:
-        raise NumericalError(row["error"])
+    if error is not None:
+        raise NumericalError(error)
     return table
 
 
@@ -208,15 +211,11 @@ def _stability_table(cfg: RunConfig) -> ResultTable:
         analytic = dynamics.stability_margin(model) > 0.0
     except UnsupportedRegimeError:
         analytic = None
-    row = {
-        "stableAnalytic": analytic,
-        "stableEigen": bool(dynamics.stability_from_abscissa(A, abscissa)[0]),
-        "spectralAbscissa": float(abscissa[0]),
-        "kappaTilde": model.kappa_tilde,
-        "DeltaTilde": model.delta_tilde,
-        "rwaVerdict": verdict,
-    }
-    return ResultTable(list(row.keys()), [row], experiments.table_meta(cfg, row))
+    columns = {"stableAnalytic": [analytic],
+               "stableEigen": dynamics.stability_from_abscissa(A, abscissa).tolist(),
+               "spectralAbscissa": abscissa.tolist(), "kappaTilde": [model.kappa_tilde],
+               "DeltaTilde": [model.delta_tilde], "rwaVerdict": [verdict]}
+    return ResultTable(columns, experiments.table_meta(cfg, columns))
 
 
 def _emit(table: ResultTable, args) -> None:
@@ -225,7 +224,7 @@ def _emit(table: ResultTable, args) -> None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         if not args.quiet:
-            print(f"wrote {len(table.rows)} row(s) to {args.out}", file=sys.stderr)
+            print(f"wrote {len(table)} row(s) to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 

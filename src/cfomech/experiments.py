@@ -7,10 +7,8 @@ numerics, so identical configurations produce bit-identical result rows.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
-import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,18 +164,25 @@ class RunConfig:
 
 @dataclass
 class ResultTable:
-    """Uniform tabular result: ordered columns, one dict per row, run metadata."""
+    """Uniform tabular result: one list of cells per column, in order; run metadata."""
 
-    columns: list[str]
-    rows: list[dict]
+    columns: dict[str, list]
     meta: dict = field(default_factory=dict)
 
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
-def resolve_chunk(cfg: RunConfig, names: Sequence[str], chunk: Sequence[dict]
+    @property
+    def rows(self) -> list[dict]:
+        """One dict per row, built on each read."""
+        return [dict(zip(self.columns, cells)) for cells in zip(*self.columns.values())]
+
+
+def resolve_chunk(cfg: RunConfig, names: Sequence[str], points: np.ndarray
                   ) -> tuple[params.EffectiveModel, list[str]]:
-    """Apply the axis values of each point of chunk, N override dicts keyed
-    by names, to the configuration: one model of (N,) columns and the N RWA
-    verdicts.
+    """Apply the axis values of N points, a (len(names), N) array with one
+    row of values per name, to the configuration: one model of (N,) columns
+    and the N RWA verdicts.
 
     The couplings are G1 and G2, with G1 = ratio*G2 on a ratio axis, or come
     from the drive block.  The detuning lock replaces Delta by
@@ -195,27 +200,20 @@ def resolve_chunk(cfg: RunConfig, names: Sequence[str], chunk: Sequence[dict]
     if cfg.temperatureK is not None and {"nbar1", "nbar2"} & set(names):
         raise ConfigError("occupancy axes conflict with temperatureK")
     try:
-        return _resolve_columns(cfg, names, chunk, drive)
+        return _resolve_columns(cfg, names, points, drive)
     except (ValueError, ArithmeticError):
-        if len(chunk) > 1:  # raise what the first failing point raises alone
-            for overrides in chunk:
-                resolve_chunk(cfg, names, [overrides])
+        if points.shape[1] > 1:  # raise what the first failing point raises alone
+            for k in range(points.shape[1]):
+                resolve_chunk(cfg, names, points[:, k:k + 1])
         raise
 
 
-def _resolve_columns(cfg: RunConfig, names: Sequence[str], chunk: Sequence[dict],
+def _resolve_columns(cfg: RunConfig, names: Sequence[str], points: np.ndarray,
                      drive: bool) -> tuple[params.EffectiveModel, list[str]]:
     """resolve_chunk on the columns, with any point's failure raised."""
-    values = {
-        "gamma1": cfg.gamma1, "gamma2": cfg.gamma2,
-        "kappa1": cfg.kappa1, "kappa2": cfg.kappa2,
-        "G1": cfg.G1, "G2": cfg.G2, "Delta": cfg.Delta,
-        "rB": cfg.rB, "theta": cfg.theta,
-        "nbar1": cfg.nbar1, "nbar2": cfg.nbar2,
-    }
+    values = {name: getattr(cfg, name) for name in AXIS_NAMES if name != "ratio"}
     # each value below is a float of the configuration or an (N,) column
-    values.update((name, np.fromiter(map(operator.itemgetter(name), chunk), float, len(chunk)))
-                  for name in names)
+    values.update(zip(names, points))
     kappa1, kappa2 = values["kappa1"], values["kappa2"]
     rB, theta, Delta = values["rB"], values["theta"], values["Delta"]
     if cfg.detuningLock:
@@ -242,13 +240,13 @@ def _resolve_columns(cfg: RunConfig, names: Sequence[str], chunk: Sequence[dict]
     else:
         G1, G2 = values["G1"], values["G2"]
     kappa_tilde, delta_tilde = params.effective_cavity_params(kappa1, kappa2, rB, theta, Delta)
-    columns = np.empty((8, len(chunk)))
+    columns = np.empty((8, points.shape[1]))
     for k, value in enumerate((np.abs(G1), np.abs(G2), kappa_tilde, delta_tilde,
                                values["gamma1"], values["gamma2"], nbar1, nbar2)):
         columns[k] = value
     model = params.EffectiveModel(*columns)
     if cfg.omega1 is None or cfg.omega2 is None:
-        return model, ["unknown"] * len(chunk)
+        return model, ["unknown"] * points.shape[1]
     verdicts = params.per_value(
         lambda G1, G2, kappa1, kappa2: params.rwa_validity(
             G1, G2, kappa1, kappa2, cfg.omega1, cfg.omega2, threshold=cfg.rwaThreshold),
@@ -261,7 +259,8 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None
     """The effective model of one point, in floats, and its RWA verdict: the
     N = 1 view of resolve_chunk."""
     overrides = overrides or {}
-    model, verdicts = resolve_chunk(cfg, list(overrides), [overrides])
+    model, verdicts = resolve_chunk(cfg, list(overrides),
+                                    np.array([*overrides.values()], float).reshape(-1, 1))
     return params.EffectiveModel(*model.columns()[:, 0].tolist()), verdicts[0]
 
 
@@ -343,25 +342,22 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 
 
-def table_meta(cfg: RunConfig, row: dict | None = None) -> dict:
-    """Run metadata of a table: the configuration and the regime tags of its
-    base point, copied from row, a result row of the base point, if given."""
-    if row is None:
+def table_meta(cfg: RunConfig, columns: dict[str, list] | None = None) -> dict:
+    """Run metadata: the configuration and the regime tags of its base point,
+    read from the first row of columns if given (a table's, led by that point)."""
+    if columns is None:
         model, verdict = resolve_point(cfg)
-        row = {"kappaTilde": model.kappa_tilde, "DeltaTilde": model.delta_tilde,
-               "rwaVerdict": verdict}
-    return {
-        "config": cfg.as_dict(),
-        "kappaTilde": row["kappaTilde"],
-        "DeltaTilde": row["DeltaTilde"],
-        "rwaVerdict": row["rwaVerdict"],
-    }
+        columns = {"kappaTilde": [model.kappa_tilde], "DeltaTilde": [model.delta_tilde],
+                   "rwaVerdict": [verdict]}
+    return {"config": cfg.as_dict(),
+            **{key: columns[key][0] for key in ("kappaTilde", "DeltaTilde", "rwaVerdict")}}
 
 
-def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
+def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]],
                curves: bool = False) -> ResultTable:
-    """Evaluate cfg at each point of values, override dicts keyed by names,
-    independently and in chunks drawn one at a time.
+    """Evaluate cfg independently at each point of the product of grids, one
+    sequence of values per name, the last varying fastest (with no names, at
+    cfg's own point), in chunks whose values are drawn one chunk at a time.
 
     Steady mode solves for the stationary state; evolve mode reports the peak
     E_N and the lowest nu_minus over the time grid, or one row per time sample
@@ -372,29 +368,41 @@ def run_points(cfg: RunConfig, names: list[str], values: Iterable[dict],
     curves = curves and evolve
     t_grid = cfg.time_grid() if evolve else None
     size = max(1, EVOLVE_SAMPLES // cfg.tPoints) if evolve else STEADY_CHUNK
-    columns = [*names, *(["t"] if curves else []), "EN", "nu_minus",
-               "stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error"]
-    rows: list[dict] = []
-    values = iter(values)
-    while chunk := list(itertools.islice(values, size)):
-        model, verdicts = resolve_chunk(cfg, names, chunk)
+    shape = tuple(map(len, grids))
+    columns = {name: [] for name in (*names, *(["t"] if curves else []), "EN", "nu_minus",
+                                     "stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error")}
+    for start in range(0, math.prod(shape), size):
+        # a trailing axis of length 1 changes no index, and lets shape be ()
+        index = np.unravel_index(np.arange(start, min(start + size, math.prod(shape))),
+                                 (*shape, 1))
+        points = np.array([np.asarray(grid, float)[i] for grid, i in zip(grids, index)]
+                          ).reshape(len(names), len(index[-1]))
+        model, verdicts = resolve_chunk(cfg, names, points)
         out = evaluate_evolve_batch(model, t_grid) if evolve else evaluate_steady_batch(model)
-        peak_EN, low_nu = out.EN.max(axis=1).tolist(), out.nu_minus.min(axis=1).tolist()
-        for k, (overrides, kt, dt, verdict, stable, error) in enumerate(
-                zip(chunk, model.kappa_tilde.tolist(), model.delta_tilde.tolist(), verdicts,
-                    out.stable.tolist(), out.error)):
-            tags = {"stable": stable, "kappaTilde": kt, "DeltaTilde": dt,
-                    "rwaVerdict": verdict, "error": error}
-            if error is not None:
-                rows.append({**overrides, "EN": None, "nu_minus": None, **tags})
-            elif curves:
-                rows.extend({**overrides, "t": t, "EN": en, "nu_minus": nu, **tags}
-                            for t, en, nu in zip(t_grid.tolist(), out.EN[k].tolist(),
-                                                 out.nu_minus[k].tolist()))
-            else:
-                rows.append({**overrides, "EN": peak_EN[k], "nu_minus": low_nu[k], **tags})
+        failed = [k for k, error in enumerate(out.error) if error is not None]
+        if curves:  # a scored model gives a row per sample, a failed one a single row
+            reps = np.full(len(out.error), cfg.tPoints)
+            reps[failed] = 1
+            keep = np.arange(cfg.tPoints) < reps[:, None]
+            samples = {"t": np.broadcast_to(t_grid, keep.shape), "EN": out.EN,
+                       "nu_minus": out.nu_minus}
+            rows = np.repeat(np.arange(len(reps)), reps)
+            failed = (np.cumsum(reps) - reps)[failed].tolist()
+        else:
+            keep = rows = slice(None)
+            samples = {"EN": out.EN.max(axis=1), "nu_minus": out.nu_minus.min(axis=1)}
+        for name, block in samples.items():
+            cells = block[keep].tolist()
+            for row in failed:
+                cells[row] = None
+            columns[name] += cells
+        for name, values in (*zip(names, points), ("stable", out.stable),
+                             ("kappaTilde", model.kappa_tilde), ("DeltaTilde", model.delta_tilde)):
+            columns[name] += values[rows].tolist()
+        for name, values in (("rwaVerdict", verdicts), ("error", out.error)):
+            columns[name] += np.asarray(values, dtype=object)[rows].tolist()
     # with no axes every point is the base point, whose tags the meta reads
-    return ResultTable(columns, rows, table_meta(cfg, rows[0] if rows and not names else None))
+    return ResultTable(columns, table_meta(cfg, columns if columns["EN"] and not names else None))
 
 
 def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:
@@ -405,8 +413,7 @@ def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:
     names = [ax.name for ax in cfg.axes]
     if len(set(names)) != len(names):
         raise ConfigError("sweep axes must be distinct")
-    grid = itertools.product(*(ax.grid().tolist() for ax in cfg.axes))
-    return run_points(cfg, names, (dict(zip(names, combo)) for combo in grid), curves)
+    return run_points(cfg, names, [ax.grid() for ax in cfg.axes], curves)
 
 
 def find_optimum(cfg: RunConfig, refine_levels: int = 3) -> ResultTable:
@@ -427,24 +434,18 @@ def find_optimum(cfg: RunConfig, refine_levels: int = 3) -> ResultTable:
     best: dict | None = None
     for _ in range(refine_levels + 1):
         table = run_sweep(cfg.replace(axes=axes))
-        feasible = [r for r in table.rows if r["EN"] is not None]
+        EN = table.columns["EN"]
+        feasible = [k for k, en in enumerate(EN) if en is not None]
         if not feasible:
             raise NoFeasiblePointError("every grid point is unstable or failed")
-        top = max(feasible, key=lambda r: r["EN"])
-        if best is None or top["EN"] > best["EN"]:
-            best = top
-        refined = []
-        for ax, ax0 in zip(axes, cfg.axes):
-            half = (ax.max - ax.min) / 4.0
-            center = best[ax.name]
-            refined.append(SweepAxis(
-                name=ax.name,
-                min=max(ax0.min, center - half),
-                max=min(ax0.max, center + half),
-                count=ax.count,
-            ))
-        axes = tuple(refined)
-    return ResultTable(columns=table.columns, rows=[best], meta=table_meta(cfg))
+        top = max(feasible, key=EN.__getitem__)  # the first maximum
+        if best is None or EN[top] > best["EN"]:
+            best = {name: cells[top] for name, cells in table.columns.items()}
+        # halve each window around the best point, within the first one
+        axes = tuple(SweepAxis(ax.name, max(ax0.min, best[ax.name] - (ax.max - ax.min) / 4.0),
+                               min(ax0.max, best[ax.name] + (ax.max - ax.min) / 4.0), ax.count)
+                     for ax, ax0 in zip(axes, cfg.axes))
+    return ResultTable({name: [value] for name, value in best.items()}, table_meta(cfg))
 
 
 PRESET_NAMES = ("fig2a", "fig2c", "fig2d", "fig3a", "fig3b")
@@ -493,5 +494,5 @@ def run_preset(name: str, cfg: RunConfig | None = None, curves: bool = False) ->
     FIG3_RB_VALUES, which sets rB, and emit full curves in evolve mode."""
     cfg = cfg if cfg is not None else preset_config(name)
     if name in ("fig3a", "fig3b"):
-        return run_points(cfg, ["rB"], ({"rB": rB} for rB in FIG3_RB_VALUES), curves=True)
+        return run_points(cfg, ["rB"], [FIG3_RB_VALUES], curves=True)
     return run_sweep(cfg, curves=curves)

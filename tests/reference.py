@@ -175,6 +175,13 @@ def stack_models(models) -> EffectiveModel:
     return EffectiveModel(*np.concatenate([m.columns() for m in models], axis=1))
 
 
+def point_columns(names, points) -> np.ndarray:
+    """The (len(names), N) axis values of N override dicts keyed by names:
+    the points as cfomech.experiments.resolve_chunk takes them."""
+    return np.array([[p[name] for p in points] for name in names],
+                    dtype=float).reshape(len(names), len(points))
+
+
 def scalar_cavity_params(kappa1, kappa2, rB, theta, Delta):
     """kappa_tilde and delta_tilde of one point in Python floats, with the
     checks and texts of cfomech.params.effective_cavity_params."""

@@ -389,13 +389,15 @@ class TestCriterion9Determinism:
     def test_preset_bytes_match_recorded_digests(self):
         # sha256 of each preset's default output; fig3 recorded when the
         # steady solve and the PT spectrum moved to the 3x3 Hermitian form,
-        # fig2 when the steady solve dropped its refinement pass
+        # fig2 when the steady solve dropped its refinement pass, fig2c's JSON
+        # before the JSON writer went column by column
         recorded = {
             ("fig2a", "csv"): "18f93890742dbe7496b7507fe5567a59178ceb7388b5af43b26250bf13c0c635",
             ("fig2c", "csv"): "5c23d1ca23cb3d9940fc0a33561f8d31a58d08d6e9f4a56c163329963813b293",
             ("fig2d", "csv"): "90184d34e11bffe252d282361b44aba5f87906c0256f3d0aecbc34d10c9927ef",
             ("fig3a", "csv"): "6e3cf0c5ccc04cf385bc15bdb28b302a35a958d2691cfbfa2cd32626f5df776d",
             ("fig3b", "csv"): "775ae53a26974eef7daf7c18a8140271fc32a1774b61674e0e519a9bfd0a47a7",
+            ("fig2c", "json"): "f228c459e3075be6fff857a18712efd366d9fb0d6b26cd526e1f4e5854ff8c4b",
             ("fig3a", "json"): "f87ffc67aec7797f953ac7b50be88da80505a01bd6f19ae0291b4f4460b28f1a",
             ("fig3b", "json"): "021efb0d325ce35510e90041d4c41bf08e7634d80ea9429b1e09f08d4826a1d1",
         }

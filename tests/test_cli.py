@@ -107,29 +107,47 @@ class TestBuildConfig:
 
 class TestSerialize:
     def test_empty_table_is_header_only(self):
-        text = serialize(ResultTable(["a", "b"], [], {}), "csv")
+        text = serialize(ResultTable({"a": [], "b": []}, {}), "csv")
         assert text == "a,b\n"
 
     def test_missing_value_renders_empty(self):
-        table = ResultTable(["EN", "stable"], [{"EN": None, "stable": False}], {})
+        table = ResultTable({"EN": [None], "stable": [False]}, {})
         header, rows = parse_csv(serialize(table, "csv"))
         assert rows == [["", "false"]]
 
     def test_twelve_significant_digits(self):
-        table = ResultTable(["x"], [{"x": math.pi}], {})
+        table = ResultTable({"x": [math.pi]}, {})
         _, rows = parse_csv(serialize(table, "csv"))
         assert rows[0][0] == "3.14159265359"
 
     def test_csv_json_values_identical(self):
-        table = ResultTable(["x", "ok"], [{"x": 1.23456789012345e-7, "ok": True}], {})
+        table = ResultTable({"x": [1.23456789012345e-7], "ok": [True]}, {})
         _, rows = parse_csv(serialize(table, "csv"))
         payload = json.loads(serialize(table, "json"))
         assert float(rows[0][0]) == payload["rows"][0]["x"]
         assert payload["rows"][0]["ok"] is True
 
+    def test_non_finite_floats_are_null_in_json(self, capsys):
+        # kappa1 + kappa2 overflows, so kappaTilde is inf at both points
+        sweep = ["sweep", "--set", "G1=9e4", "G2=1e5", "kappa1=1e308", "kappa2=1e308",
+                 'axes=[{"name":"rB","min":0,"max":0.5,"count":2}]']
+        code, out, err = run_cli([*sweep, "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["meta"]["kappaTilde"] is None
+        assert [row["kappaTilde"] for row in payload["rows"]] == [None, None]
+        # CSV keeps the text of the float
+        code, out, _ = run_cli(sweep, capsys)
+        header, rows = parse_csv(out)
+        assert code == 0 and [row[header.index("kappaTilde")] for row in rows] == ["inf"] * 2
+
 
 def _rowwise_csv(table: ResultTable) -> str:
-    """The CSV writer as it formatted rows one at a time, cell by cell."""
+    """csv.writer on the rows view, one row at a time, cell by cell."""
     def cell(value):
         if value is None:
             return ""
@@ -151,27 +169,47 @@ _CELLS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
                    st.text(max_size=8))
 
 
+def _columnar(names, rows) -> ResultTable:
+    """The table of rows in the given columns, a cell None where a row lacks it."""
+    return ResultTable({name: [row.get(name) for row in rows] for name in names})
+
+
 class TestBlockwiseCsv:
+    """serialize writes CSV column by column, with csv.writer's bytes."""
+
     @settings(deadline=None, max_examples=200)
     @given(columns=st.lists(st.sampled_from(["a", "b", "c,d", 'e"f', "g"]), min_size=1,
                             max_size=5, unique=True),
            rows=st.lists(st.dictionaries(st.sampled_from(["a", "b", "c,d", 'e"f', "g", "x"]),
-                                         _CELLS), max_size=12),
-           block=st.integers(1, 5))
-    def test_matches_the_rowwise_writer(self, columns, rows, block):
-        # rows may lack a column or carry an extra key; blocks of 1 to 5 rows
-        # leave a partial last block for most row counts
-        table = ResultTable(columns, rows)
-        original = cli.CSV_BLOCK
-        cli.CSV_BLOCK = block
-        try:
-            assert serialize(table, "csv") == _rowwise_csv(table)
-        finally:
-            cli.CSV_BLOCK = original
+                                         _CELLS), max_size=12))
+    def test_matches_the_rowwise_writer(self, columns, rows):
+        # rows may lack a column or carry an extra key
+        table = _columnar(columns, rows)
+        assert serialize(table, "csv") == _rowwise_csv(table)
+
+    @pytest.mark.parametrize("columns, rows", [
+        # csv.writer quotes a "\n" but not a "\r" under a "\n" line terminator
+        (["a", "b"], [{"a": "x\ry", "b": "p\nq"}, {"a": "\r", "b": 1.5}]),
+        # a line of one empty field reads ""
+        (["a"], [{"a": None}, {"a": 2.5}, {"a": ""}, {"a": "text"}]),
+        # an error row: no values, its tags and error text
+        (["ratio", "EN", "nu_minus", "stable", "kappaTilde", "error"],
+         [{"ratio": 0.9, "EN": 0.25, "nu_minus": 0.4, "stable": True, "kappaTilde": 1e5},
+          {"ratio": 1.2, "EN": None, "nu_minus": None, "stable": False, "kappaTilde": 1e5,
+           "error": "unstable"},
+          {"ratio": 1.3, "stable": False, "kappaTilde": math.inf,
+           "error": 'non-finite covariance at t = 1e-3, "x"'}]),
+        # floats and bools that compare equal keep their own text
+        (["a", "b"], [{"a": 1.0, "b": True}, {"a": True, "b": 1}, {"a": 1, "b": 1.0},
+                      {"a": -0.0, "b": 0.0}, {"a": 0.0, "b": -0.0}]),
+    ], ids=["carriage_return", "one_column_none", "error_row", "equal_values"])
+    def test_cases_match_the_rowwise_writer(self, columns, rows):
+        table = _columnar(columns, rows)
+        assert serialize(table, "csv") == _rowwise_csv(table)
 
     def test_preset_bytes_match_the_rowwise_writer(self):
         table = experiments.run_preset("fig2c")
-        assert len(table.rows) % cli.CSV_BLOCK != 0
+        assert len(table) == len(table.rows) == 122
         assert serialize(table, "csv") == _rowwise_csv(table)
 
 
@@ -464,8 +502,10 @@ class TestStabilityCommand:
             analytic = dynamics.stability_margin(model) > 0.0
         except UnsupportedRegimeError:
             analytic = None
+        one_row = ResultTable({"stableAnalytic": [analytic], "stableEigen": [bool(stable[0])],
+                               "spectralAbscissa": [float(abscissa[0])]})
         assert out.splitlines()[1].split(",")[:3] == \
-            cli._csv_cells([analytic, bool(stable[0]), float(abscissa[0])])
+            serialize(one_row, "csv").splitlines()[1].split(",")
 
 
 class TestEvolveCommand:

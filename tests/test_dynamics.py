@@ -47,6 +47,7 @@ from reference import (
     kron_steady_state,
     marginal_model,
     physicality_check,
+    point_columns,
     realify,
     stack_models,
     symplectic_eigenvalues,
@@ -330,8 +331,7 @@ class TestBatchedCore:
         # a sweep of STEADY_CHUNK + 44 points is two chunks
         shapes.clear()
         table = run_points(preset_config("fig2c"), ["ratio"],
-                           [{"ratio": r} for r in
-                            np.linspace(0.5, 0.99, STEADY_CHUNK + 44).tolist()])
+                           [np.linspace(0.5, 0.99, STEADY_CHUNK + 44)])
         stable = sum(row["stable"] for row in table.rows)
         assert stable > STEADY_CHUNK and [len(s) for s in shapes] == [3, 3]
         assert sum(s[0] for s in shapes) == stable
@@ -698,7 +698,7 @@ class TestUnitOfTime:
         points = [dict(zip(names, p))
                   for p in itertools.product(*(ax.grid().tolist() for ax in cfg.axes))]
         marginal = stack_models([*MARGINAL_MODELS.values(), marginal_model(4e-4)])
-        fig2c = resolve_chunk(cfg, names, points)[0]
+        fig2c = resolve_chunk(cfg, names, point_columns(names, points))[0]
         # a stack of the fig2c points and the marginal models takes the
         # Routh-Hurwitz certificate, the marginal models alone the eigenvalues
         for models in (stack_models([fig2c, marginal]), marginal):
@@ -709,7 +709,7 @@ class TestUnitOfTime:
     def test_transient_outcomes(self, k):
         for name in ("fig3a", "fig3b"):
             cfg = preset_config(name)
-            models = resolve_chunk(cfg, ["rB"], [{"rB": rB} for rB in FIG3_RB_VALUES])[0]
+            models = resolve_chunk(cfg, ["rB"], np.array([FIG3_RB_VALUES]))[0]
             t_grid = cfg.time_grid()
             _assert_same_outcomes(evaluate_evolve_batch(_in_units(models, k),
                                                         np.ldexp(t_grid, -k)),

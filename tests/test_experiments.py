@@ -40,7 +40,7 @@ from cfomech.params import (
     effective_couplings,
     thermal_occupancy,
 )
-from reference import scalar_resolve, stack_models
+from reference import point_columns, scalar_resolve, stack_models
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -201,7 +201,7 @@ class TestResolveChunk:
     def assert_matches_scalar(self, cfg, names, points):
         for start in range(0, len(points), STEADY_CHUNK):
             chunk = points[start:start + STEADY_CHUNK]
-            model, verdicts = resolve_chunk(cfg, names, chunk)
+            model, verdicts = resolve_chunk(cfg, names, point_columns(names, chunk))
             columns = model.columns()
             assert columns.shape == (8, len(chunk)) and len(verdicts) == len(chunk)
             for k, overrides in enumerate(chunk):
@@ -236,7 +236,8 @@ class TestResolveChunk:
         names, points = _grid(cfg)
         self.assert_matches_scalar(cfg, names, points)
         # the couplings vary over the chunk, with the locked or the swept Delta
-        assert len(set(resolve_chunk(cfg, names, points)[0].G1.tolist())) > 1
+        model = resolve_chunk(cfg, names, point_columns(names, points))[0]
+        assert len(set(model.G1.tolist())) > 1
 
     @pytest.mark.parametrize("kw, points", [
         ({}, [{"rB": 0.5}, {"rB": 1.2}, {"rB": 0.7}]),
@@ -259,7 +260,8 @@ class TestResolveChunk:
         cfg = base_config(**kw)
         first, expected = next((p, _scalar_failure(cfg, p)) for p in points
                                if _scalar_failure(cfg, p) is not None)
-        for run in (lambda: resolve_chunk(cfg, list(points[0]), points),
+        names = list(points[0])
+        for run in (lambda: resolve_chunk(cfg, names, point_columns(names, points)),
                     lambda: resolve_point(cfg, first)):
             with pytest.raises(ValueError) as got:
                 run()
@@ -268,7 +270,7 @@ class TestResolveChunk:
     def test_singular_denominator_is_a_singularity_error(self):
         cfg = base_config(kappa2=-5e4, nbar1=None, nbar2=None, **_DRIVE)
         with pytest.raises(SingularityError, match="coupling denominator vanishes"):
-            resolve_chunk(cfg, ["Delta"], [{"Delta": 1e8}, {"Delta": 2e8}])
+            resolve_chunk(cfg, ["Delta"], np.array([[1e8, 2e8]]))
 
     @pytest.mark.parametrize("field, text", [
         ("G2", "couplings must be nonnegative reals"),
@@ -555,14 +557,14 @@ class TestRunPoints:
     def test_points_are_drawn_one_chunk_at_a_time(self, mode, monkeypatch):
         cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, mode=mode, tPoints=51)
         size = max(1, EVOLVE_SAMPLES // cfg.tPoints) if mode == "evolve" else STEADY_CHUNK
-        values = [{"ratio": r} for r in np.linspace(0.8, 1.1, 2 * size + 5).tolist()]
+        grid = np.linspace(0.8, 1.1, 2 * size + 5)
         drawn = 0
+        resolve = experiments.resolve_chunk
 
-        def points():
+        def resolving(cfg, names, points):
             nonlocal drawn
-            for overrides in values:
-                drawn += 1
-                yield overrides
+            drawn += points.shape[1]
+            return resolve(cfg, names, points)
 
         name = f"evaluate_{mode}_batch"
         evaluate = getattr(experiments, name)
@@ -572,12 +574,38 @@ class TestRunPoints:
             drawn_at_call.append(drawn)
             return evaluate(models, *args)
 
+        monkeypatch.setattr(experiments, "resolve_chunk", resolving)
         monkeypatch.setattr(experiments, name, recording)
-        rows = experiments.run_points(cfg, ["ratio"], points()).rows
+        table = experiments.run_points(cfg, ["ratio"], [grid])
         assert len(drawn_at_call) == 3
         for k, count in enumerate(drawn_at_call, start=1):
             assert count <= k * size
-        assert rows == experiments.run_points(cfg, ["ratio"], values).rows
+        # the grid as Python floats gives the same table
+        assert table.rows == experiments.run_points(cfg, ["ratio"], [grid.tolist()]).rows
+        assert table.columns["ratio"] == grid.tolist()
+
+    def test_points_are_the_product_of_the_grids_last_fastest(self):
+        # 300 points: the second chunk starts inside a ratio's run of rB values
+        grids = [np.linspace(0.8, 1.1, 30), np.linspace(0.0, 0.9, 10)]
+        table = experiments.run_points(base_config(), ["ratio", "rB"], grids)
+        assert [table.columns["ratio"], table.columns["rB"]] == \
+            [list(axis) for axis in zip(*itertools.product(*(g.tolist() for g in grids)))]
+        assert table.rows == run_sweep(base_config(axes=(
+            SweepAxis("ratio", 0.8, 1.1, 30), SweepAxis("rB", 0.0, 0.9, 10)))).rows
+        # with no names, the one point is the configuration's own
+        alone = experiments.run_points(base_config(rB=0.5), [], [])
+        swept = experiments.run_points(base_config(), ["rB"], [[0.5]]).rows[0]
+        assert len(alone) == 1 and alone.rows == [{k: v for k, v in swept.items() if k != "rB"}]
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig3a"])
+    def test_presets_and_csv_never_build_the_rows_view(self, name, monkeypatch):
+        # the pass is columnar from the chunk results to the CSV text
+        def no_rows(table):
+            raise AssertionError("ResultTable.rows read")
+
+        monkeypatch.setattr(experiments.ResultTable, "rows", property(no_rows))
+        table = run_preset(name)
+        assert cli.serialize(table, "csv").count("\n") == len(table) + 1
 
 
 class TestFindOptimum:

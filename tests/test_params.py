@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar, k as k_B
@@ -188,19 +189,19 @@ class TestModelConstruction:
         cfg = RunConfig(G1=1e4, G2=2e4)
         for rB in (-0.1, 1.1):
             with pytest.raises(ValueError, match=r"rB must lie in \[0, 1\]"):
-                resolve_chunk(cfg, ["rB"], [{"rB": 0.5}, {"rB": rB}])
+                resolve_chunk(cfg, ["rB"], np.array([[0.5, rB]]))
         # the ideal lossless loop is allowed
-        model, _ = resolve_chunk(cfg, ["rB"], [{"rB": 1.0}])
+        model, _ = resolve_chunk(cfg, ["rB"], np.array([[1.0]]))
         assert model.kappa_tilde.tolist() == [0.0]
 
     def test_direct_model_drops_phases(self):
-        model, _ = resolve_chunk(RunConfig(G1=-1e4, G2=2e4), [], [{}])
+        model, _ = resolve_chunk(RunConfig(G1=-1e4, G2=2e4), [], np.empty((0, 1)))
         assert (model.G1.tolist(), model.G2.tolist()) == ([1e4], [2e4])
         assert model.kappa_tilde.tolist() == [1e5]
         # the drive block's couplings are complex: the model keeps their moduli
         drive = dict(g1=100.0, g2=100.0, P1=1e-6, P2=2e-6, omegaL1=1.77e15,
                      omegaL2=1.77e15, omega1=1e8, omega2=2e8)
-        model, _ = resolve_chunk(RunConfig(**drive), ["kappa1"], [{"kappa1": 4e4}, {"kappa1": 5e4}])
+        model, _ = resolve_chunk(RunConfig(**drive), ["kappa1"], np.array([[4e4, 5e4]]))
         for k, kappa1 in enumerate((4e4, 5e4)):
             G1, G2 = effective_couplings(100.0, 100.0, drive_amplitude(1e-6, kappa1, 1.77e15),
                                          drive_amplitude(2e-6, kappa1, 1.77e15),
@@ -210,4 +211,4 @@ class TestModelConstruction:
 
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ValueError, match="thermal occupancies must be nonnegative"):
-            resolve_chunk(RunConfig(G1=1e4, G2=2e4), ["nbar1"], [{"nbar1": 0.0}, {"nbar1": -1.0}])
+            resolve_chunk(RunConfig(G1=1e4, G2=2e4), ["nbar1"], np.array([[0.0, -1.0]]))
