@@ -26,8 +26,7 @@ from .errors import (
 from .experiments import ResultTable, RunConfig, SweepAxis
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} | {"thetaPi"}
-_NUMBER_KEYS = {f.name for f in dataclasses.fields(RunConfig)
-                if f.type.startswith(("float", "int"))} | {"thetaPi"}
+_NUMBER_KEYS = {*experiments.NUMBER_FIELDS, "thetaPi"}
 _BOOLEAN_KEYS = {f.name for f in dataclasses.fields(RunConfig) if f.type == "bool"}
 _AXIS_KEYS = {"name", "min", "max", "count"}
 

@@ -260,73 +260,65 @@ def _lyapunov_basis() -> np.ndarray:
 _LYAPUNOV_BASIS = _lyapunov_basis()
 
 
-def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
-    """(N, 9, 9) stack of the matrices of H -> M H + H M^dagger on the
-    Hermitian coordinates, for the (N, 6, 6) stack of drifts A realifying M."""
-    # reshape(N, 36), not (N, -1): a chunk with no stable point is (0, 6, 6)
-    return (A.reshape(len(A), 36) @ _COMPLEX[1] @ _LYAPUNOV_BASIS).reshape(-1, 9, 9)
+#: h * h @ _WEIGHTS is ||h @ _HERMITIAN[0]||_F^2: the embedding's rows have disjoint support.
+_WEIGHTS = (_HERMITIAN[0] ** 2).sum(axis=1)
 
 
-def _solve_lyapunov(op: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """(N, 6, 6) stack of the V solving op h = -d on the Hermitian coordinates
-    h of V and d of D, for the (N, 9, 9) operators op."""
-    embed, project, _ = _HERMITIAN
-    with np.errstate(invalid="ignore"):  # an infinite D solves to NaN, reported by the caller
-        h = np.linalg.solve(op, -(D.reshape(len(D), 36) @ project)[..., None])[..., 0]
-    return (h @ embed).reshape(-1, 6, 6)
+def _residual_error(rel: float, op: np.ndarray) -> str:
+    return f"Lyapunov residual {rel:.3g} above tolerance (cond ~ {np.linalg.cond(op):.3g})"
 
 
 def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
-    """Stationary covariances V[k] solving A[k] V + V A[k]^T = -D[k] for an
-    (N, 6, 6) stack of strictly stable systems, with a per-system error.
+    """(N, 9) Hermitian coordinates h of the stationary covariances V[k] =
+    h[k] @ _HERMITIAN[0] solving A[k] V + V A[k]^T = -D[k] for an (N, 6, 6)
+    stack of strictly stable systems, with a per-system error.
 
-    A and D must realify a complex drift M and a Hermitian diffusion D_c (see
-    cfomech.entanglement), as state_space_batch builds them; this is not
-    checked here, steady_state_covariance checks it.  Each system is solved
-    as M H + H M^dagger = -D_c on the 9 real coordinates of the Hermitian H
-    that V realifies, all N in one batched linear solve, on A and D at unit
-    size (_unit_size), V scaled back exactly: neither the unit of time nor a
-    hot bath overflows the solve or the norms.  The relative residual ||A V
-    + V A^T + D||_F / ||D||_F must come out below the contract value, or
-    below the double-precision floor eps*||A||*||V||/||D|| for strongly
-    amplifying systems.  A system that misses it, or whose linear system is
-    singular, gets the text of a NumericalError carrying a condition
-    estimate of its 9x9 operator in place of None, and one whose V overflows
-    once scaled back gets a text naming the overflow; such a V is not
-    meaningful.
+    A and D must realify a complex drift M and a Hermitian diffusion D_c, as
+    state_space_batch builds them (steady_state_covariance checks it).  The N
+    systems M H + H M^dagger = -D_c, op h = -d on the coordinates, take one
+    batched solve at A's and D's unit size (_unit_size), h scaled back
+    exactly, so no unit of time or hot bath overflows the solve or the norms.
+    The residual ||op h + d|| / ||d||, in the norms of the realifications
+    (_WEIGHTS), must fall below LYAPUNOV_RTOL or the floor
+    100*eps*||A||*||h||/||d||.  A system that misses it, or whose linear
+    system is singular, gets a NumericalError text with a condition estimate
+    of its 9x9 operator in place of None, and one whose h overflows once
+    scaled back a text naming it; such an h is not meaningful.
     """
     N = len(A)
-    (A, a), (D, d) = _unit_size(A), _unit_size(D)
-    op = _lyapunov_operator(A)
+    (A, a), (D, e) = _unit_size(A), _unit_size(D)
+    m = A.reshape(N, 36) @ _COMPLEX[1]  # not (N, -1): a chunk may be (0, 6, 6)
+    op = (m @ _LYAPUNOV_BASIS).reshape(N, 9, 9)
     singular = np.zeros(N, dtype=bool)
-    try:
-        V = _solve_lyapunov(op, D)
-    except np.linalg.LinAlgError:
-        # one singular system fails the whole batched solve: solve one by one
-        V = np.full_like(D, np.nan)
-        for k in range(N):
-            try:
-                V[k] = _solve_lyapunov(op[k:k + 1], D[k:k + 1])[0]
-            except np.linalg.LinAlgError:
-                singular[k] = True
-    # an infinite D (too hot a bath) solves to NaN and overflows the norms, and
-    # a V too large for double precision overflows here; both are reported below
+    with np.errstate(invalid="ignore"):  # an infinite D reads NaN here, reported below
+        d = D.reshape(N, 36) @ _HERMITIAN[1]
+        try:
+            h = np.linalg.solve(op, -d[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # one singular system fails the whole batched solve: solve one by one
+            h = np.full_like(d, np.nan)
+            for k in range(N):
+                try:
+                    h[k] = np.linalg.solve(op[k:k + 1], -d[k:k + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    singular[k] = True
+    # an h too large for double precision overflows here, reported below;
+    # ||A||_F^2 is 2*||m||^2, each coordinate of M filling 2 entries of A
     with np.errstate(over="ignore"):
-        norm_D = np.linalg.norm(D, axis=(-2, -1))
-        rel = np.linalg.norm(A @ V + V @ _transpose(A) + D, axis=(-2, -1)) / norm_D
-        floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A, axis=(-2, -1)) \
-            * np.linalg.norm(V, axis=(-2, -1)) / norm_D
-        V = np.ldexp(V, (d - a)[:, None, None])
-    overflow = ~np.isfinite(V).all(axis=(-2, -1))
+        r = (op @ h[..., None])[..., 0] + d
+        norm_r, norm_h, norm_d = np.sqrt(np.stack([r, h, d]) ** 2 @ _WEIGHTS)
+        rel = norm_r / norm_d
+        floor = 100.0 * np.finfo(float).eps * np.sqrt(2.0 * (m * m).sum(axis=1)) * norm_h / norm_d
+        h = np.ldexp(h, (e - a)[:, None])
+    overflow = ~np.isfinite(h).all(axis=1)
     errors: list[str | None] = [None] * N
     for k in np.flatnonzero(singular | overflow | ~(rel < np.maximum(LYAPUNOV_RTOL, floor))):
         if overflow[k] and not singular[k]:
             errors[k] = "stationary covariance overflows double precision"
-            continue
-        cond = np.linalg.cond(op[k])
-        errors[k] = (f"Lyapunov linear system is singular (cond ~ {cond:.3g})" if singular[k]
-                     else f"Lyapunov residual {rel[k]:.3g} above tolerance (cond ~ {cond:.3g})")
-    return V, errors
+        else:
+            errors[k] = (f"Lyapunov linear system is singular (cond ~ {np.linalg.cond(op[k]):.3g})"
+                         if singular[k] else _residual_error(rel[k], op[k]))
+    return h, errors
 
 
 def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -335,7 +327,8 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     Raises ValueError unless A and D realify a complex drift and a Hermitian
     diffusion to STRUCTURE_RTOL relative, naming the defect, then
     StabilityError unless A is strictly stable, and NumericalError when the
-    solve fails as steady_state_batch reports it.
+    solve fails as steady_state_batch reports it or V misses its contract on
+    A and D, whose phase-sensitive part the coordinates cannot see.
     """
     A, D = A[None], D[None]
     _check_phase_insensitive(A, _COMPLEX, "drift matrix")
@@ -345,10 +338,17 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise StabilityError(
             "drift matrix is not strictly stable "
             f"(spectral abscissa {abscissa[0]:.6g})")
-    V, errors = steady_state_batch(A, D)
+    h, errors = steady_state_batch(A, D)
     if errors[0] is not None:
         raise NumericalError(errors[0])
-    return V[0]
+    (A, a), (D, e) = _unit_size(A[0]), _unit_size(D[0])
+    V = (np.ldexp(h[0], a - e) @ _HERMITIAN[0]).reshape(6, 6)  # at A's and D's unit size
+    rel = np.linalg.norm(A @ V + V @ A.T + D) / np.linalg.norm(D)
+    floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A) * np.linalg.norm(V) / np.linalg.norm(D)
+    if not rel < max(LYAPUNOV_RTOL, floor):
+        op = (A.reshape(36) @ _COMPLEX[1] @ _LYAPUNOV_BASIS).reshape(9, 9)
+        raise NumericalError(_residual_error(rel, op))
+    return np.ldexp(V, e - a)
 
 
 def expm(X: np.ndarray) -> np.ndarray:

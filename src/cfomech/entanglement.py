@@ -12,7 +12,7 @@ structure of Simon, Mukunda and Dutta 1994, PRA 49:1567).  A two-mode block
 is then [[a I, C], [C^T, b I]] with C = [[Re c, -Im c], [-Im c, -Re c]],
 where (a, b, c) = (H11, H22, H12), and both of its symplectic spectra have
 closed forms (the two-mode squeezed thermal case of Adesso, Serafini and
-Illuminati 2004, PRA 70:022318).  pt_spectrum_batch scores the pipeline's
+Illuminati 2004, PRA 70:022318).  pt_spectrum scores the pipeline's
 two-mode states with them, with no eigen-solver; their only difference of
 large terms is delta = ab - |c|^2, taken from Dekker's exact products.
 Where delta is within UNRESOLVED_MARGIN * eps * (ab + |c|^2) of 0 the
@@ -44,7 +44,7 @@ STRUCTURE_RTOL = 1e-8
 UNPHYSICAL = "covariance matrix violates the uncertainty principle"
 
 #: A two-mode spectrum is unresolved where delta = ab - |c|^2 (see
-#: pt_spectrum_batch) is within this many eps*(ab + |c|^2) of 0.  One-ulp
+#: pt_spectrum) is within this many eps*(ab + |c|^2) of 0.  One-ulp
 #: changes of the entries move delta by up to 2.6 of those, and its own
 #: rounding is below 0.9 (measured on 2000 and 3000 locally rotated
 #: two-mode squeezed thermal states); the G1 = G2 weak-damping steady state
@@ -124,10 +124,6 @@ def _check_phase_insensitive(X: np.ndarray, maps: tuple[np.ndarray, ...], name: 
 #: The two-mode maps: coordinates (a, Re c, b, Im c) of H = [[a, c], [c*, b]].
 _TWO_MODE = _realification_maps(2, hermitian=True)
 
-#: V4.reshape(N, 16) @ _FACTORS reads (a, Re c, Im c, b, Re c, Im c): the
-#: factors of ab, (Re c)^2 and (Im c)^2.
-_FACTORS = _TWO_MODE[1][:, [0, 1, 3, 2, 1, 3]]
-
 
 def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x*y as p + e exactly, by Dekker's splitting (Numer. Math. 18:224, 1971)."""
@@ -145,19 +141,18 @@ def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (x - (s - z)) + (y - z)
 
 
-def pt_spectrum_batch(V4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Physicality gate and partially transposed spectrum of an (N, 4, 4)
-    stack of phase-insensitive two-mode covariance matrices, in closed form.
+def pt_spectrum(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Physicality gate and partially transposed spectrum of an (N, 4) stack
+    of the coordinates (a, Re c, Im c, b) of phase-insensitive two-mode
+    covariance matrices, in closed form.
 
-    Each matrix is read as (a, b, c), each the mean of its paired entries,
-    so the slight asymmetry and phase-sensitive part that propagation
-    leaves (below 4e-11 relative) is dropped.  With delta = ab - |c|^2 =
-    sqrt(det V), the smaller symplectic eigenvalue after the transposition
-    is nu_pt = 2 delta / ((a + b) + sqrt((a - b)^2 + 4|c|^2)) and before it
-    nu_full = 2 delta / (|a - b| + sqrt((a - b)^2 + 4 delta)).  delta is the
-    only difference of large terms; ab and |c|^2 enter it as exact products
-    and sums, so it is good to a few ulps of itself.  (a, b, c) are first
-    scaled by a power of 2, which is exact, so nothing overflows.
+    With delta = ab - |c|^2 = sqrt(det V), the smaller symplectic eigenvalue
+    after the transposition is nu_pt = 2 delta / ((a + b) + sqrt((a - b)^2 +
+    4|c|^2)) and before it nu_full = 2 delta / (|a - b| + sqrt((a - b)^2 + 4
+    delta)).  delta is the only difference of large terms; ab and |c|^2
+    enter it as exact products and sums, so it is good to a few ulps of
+    itself.  (a, b, c) are first scaled by a power of 2, which is exact, so
+    nothing overflows.
 
     Returns a boolean array, false where nu_full is below 1/2 -
     PHYSICALITY_TOL by more than rounding of the entries can explain
@@ -167,14 +162,13 @@ def pt_spectrum_batch(V4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below that, or a + b <= 0, belongs to a matrix that is not positive
     definite, which fails the gate.
     """
-    h = np.asarray(V4, dtype=float).reshape(-1, 16) @ _FACTORS
     # NaN and inf below belong to a matrix that is not positive definite
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        shift = np.frexp(np.abs(h).max(axis=1))[1]
-        h = np.ldexp(h.T, -shift)
+        shift = np.frexp(np.abs(coords).max(axis=1))[1]
+        h = np.ldexp(coords.T, -shift)
         a, b = h[0], h[3]
         # ab, (Re c)^2 and (Im c)^2 as exact sums p + e
-        p, e = _two_product(h[:3], h[3:])
+        p, e = _two_product(h[:3], h[[3, 1, 2]])
         c2, c2_err = _two_sum(p[1], p[2])
         delta = (p[0] - c2) + (((e[0] - e[1]) - e[2]) - c2_err)
         # delta in units of its rounding under one-ulp changes of the entries
@@ -186,6 +180,14 @@ def pt_spectrum_batch(V4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nu_full = np.ldexp(2.0 * delta / (amb + np.sqrt(amb * amb + 4.0 * delta)), shift)
         violates = nu_full * (1.0 + GATE_ROUNDING / margin) < 0.5 - PHYSICALITY_TOL
     return unresolved | (resolved & ~violates), np.where(resolved, nu_pt, np.nan)
+
+
+def two_mode_coordinates(V4: np.ndarray) -> np.ndarray:
+    """(..., 4) coordinates (a, Re c, Im c, b) of (..., 4, 4) two-mode blocks,
+    each the mean of its paired entries: the asymmetry and phase-sensitive
+    part that propagation leaves (below 4e-11 relative) drop out; NaN where non-finite."""
+    with np.errstate(invalid="ignore"):
+        return np.reshape(V4, np.shape(V4)[:-2] + (16,)) @ _TWO_MODE[1][:, [0, 1, 3, 2]]
 
 
 def min_symplectic_eigenvalue_pt(V4: np.ndarray):
@@ -206,7 +208,7 @@ def min_symplectic_eigenvalue_pt(V4: np.ndarray):
     if np.any(np.abs(V4 - np.swapaxes(V4, -1, -2)).max(axis=(-2, -1)) > STRUCTURE_RTOL * scale):
         raise ValueError("covariance matrix is not symmetric within tolerance")
     _check_phase_insensitive(V4.reshape(-1, 4, 4), _TWO_MODE, "covariance matrix")
-    physical, nu_pt = pt_spectrum_batch(V4.reshape(-1, 4, 4))
+    physical, nu_pt = pt_spectrum(two_mode_coordinates(V4.reshape(-1, 4, 4)))
     if not physical.all():
         raise PhysicalityError(UNPHYSICAL)
     if np.isnan(nu_pt).any():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -142,6 +143,10 @@ class RunConfig:
                 raise ConfigError("mechanical frequencies must be positive")
             if self.omega1 == self.omega2:
                 raise ConfigError("mechanical frequencies must differ")
+        for name in NUMBER_FIELDS:  # compared, not converted: an int may exceed a double
+            value = getattr(self, name)
+            if value is not None and not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
     @property
     def uses_drive_block(self) -> bool:
@@ -160,6 +165,11 @@ class RunConfig:
         out["axes"] = [{f.name: getattr(ax, f.name) for f in dataclasses.fields(ax)}
                        for ax in self.axes]
         return out
+
+
+#: The numeric fields of RunConfig, which __post_init__ checks to be finite.
+NUMBER_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                      if f.type.startswith(("float", "int")))
 
 
 @dataclass
@@ -282,15 +292,15 @@ class ChunkResult:
 NONFINITE_DRIFT = "drift matrix has a non-finite entry"
 
 
-def _score(covs: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, T) E_N and nu_minus of an (N, T, 6, 6) covariance stack from one
-    batched spectrum call over every sample of the models with no error yet.
-    Such a model with a sample failing the physicality gate, or with an
-    unresolved spectrum, gets that error in errors; errors already given
-    stay."""
-    N, T = covs.shape[:2]
-    ok = [k for k, error in enumerate(errors) if error is None]
-    physical, nus = entanglement.pt_spectrum_batch(covs[ok, :, :4, :4].reshape(-1, 4, 4))
+def _score(coords: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T) E_N and nu_minus of an (N, T, 4) stack of mechanical
+    coordinates (a, Re c, Im c, b) from one batched spectrum call over every
+    sample of the models with no error yet.  Such a model with a sample
+    failing the physicality gate, or with an unresolved spectrum, gets that
+    error in errors; errors already given stay."""
+    N, T = coords.shape[:2]
+    ok = np.flatnonzero([error is None for error in errors])
+    physical, nus = entanglement.pt_spectrum(coords[ok].reshape(-1, 4))
     physical, nus = physical.reshape(-1, T).all(axis=1), nus.reshape(-1, T)
     nu_minus = np.full((N, T), np.nan)
     nu_minus[ok] = nus
@@ -305,21 +315,21 @@ def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
     """Steady-state entanglement of the N models of a column model: one
     batched stability test and one batched Lyapunov solve over the stable
     models, with no structure check (their state spaces are phase-insensitive
-    by construction), then scored.  Unstable, numerically failing, unphysical
-    or unresolved points carry an error text instead of raising; only the
-    unstable ones, and those whose drift has a non-finite entry
-    (NONFINITE_DRIFT), read stable = False."""
+    by construction), then scored on the solved coordinates.  Unstable,
+    numerically failing, unphysical or unresolved points carry an error text
+    instead of raising; only the unstable ones, and those whose drift has a
+    non-finite entry (NONFINITE_DRIFT), read stable = False."""
     A, D = dynamics.state_space_batch(model)
     stable = dynamics.stability_batch(A)
     idx = np.flatnonzero(stable)
-    V, solve_errors = dynamics.steady_state_batch(A[idx], D[idx])
-    covs = np.empty((len(A), 1) + V.shape[1:])
-    covs[idx, 0] = V
+    h, solve_errors = dynamics.steady_state_batch(A[idx], D[idx])
+    coords = np.empty((len(A), 1, 4))
+    coords[idx, 0] = h[:, [0, 1, 6, 3]]  # (H11, Re H12, Im H12, H22)
     errors: list[str | None] = ["unstable" if finite else NONFINITE_DRIFT
                                 for finite in np.isfinite(A).all(axis=(-2, -1)).tolist()]
     for k, error in zip(idx.tolist(), solve_errors):
         errors[k] = error
-    return ChunkResult(*_score(covs, errors), stable, errors)
+    return ChunkResult(*_score(coords, errors), stable, errors)
 
 
 def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
@@ -338,7 +348,7 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
               else str(dynamics.propagation_failure(t_grid, step))
               for finite, step in zip(np.isfinite(A).all(axis=(-2, -1)).tolist(),
                                       first_bad.tolist())]
-    EN, nu_minus = _score(covs, errors)
+    EN, nu_minus = _score(entanglement.two_mode_coordinates(covs[:, :, :4, :4]), errors)
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 
 
@@ -461,21 +471,15 @@ def preset_config(name: str) -> RunConfig:
             axes=(SweepAxis("theta", -math.pi, math.pi, DEFAULT_AXIS_COUNT),
                   SweepAxis("rB", 0.0, 0.99, DEFAULT_AXIS_COUNT)),
         )
-    if name == "fig2c":
+    if name in ("fig2c", "fig2d"):
+        # coupling-ratio scans with and without feedback; fig2d with hot baths
+        hot = name == "fig2d"
         return RunConfig(
             G2=1e5, G1=0.9e5, kappa1=5e4, kappa2=5e4,
             gamma1=10.0, gamma2=10.0, Delta=0.0, theta=0.0,
-            nbar1=0.0, nbar2=0.0, mode="steady",
+            nbar1=200.0 if hot else 0.0, nbar2=100.0 if hot else 0.0, mode="steady",
             axes=(SweepAxis("ratio", 0.8, 0.999, DEFAULT_AXIS_COUNT),
-                  SweepAxis("rB", 0.0, 0.95, 2)),
-        )
-    if name == "fig2d":
-        return RunConfig(
-            G2=1e5, G1=0.9e5, kappa1=5e4, kappa2=5e4,
-            gamma1=10.0, gamma2=10.0, Delta=0.0, theta=0.0,
-            nbar1=200.0, nbar2=100.0, mode="steady",
-            axes=(SweepAxis("ratio", 0.8, 0.999, DEFAULT_AXIS_COUNT),
-                  SweepAxis("rB", 0.0, 0.7, 2)),
+                  SweepAxis("rB", 0.0, 0.7 if hot else 0.95, 2)),
         )
     if name in ("fig3a", "fig3b"):
         # equal couplings, Delta = 1e3; fig3b starts from hot baths

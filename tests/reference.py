@@ -16,7 +16,7 @@ resolution here, one point at a time in Python floats and math.
 
 The library takes the partially transposed spectrum of a two-mode covariance
 matrix from the closed forms of its Hermitian 2x2 form
-(cfomech.entanglement.pt_spectrum_batch).  The tests hold it to the
+(cfomech.entanglement.pt_spectrum).  The tests hold it to the
 eigenvalue route here, which reads the spectrum off numpy's eigenvalues of
 Omega V for a symmetric 2n x 2n matrix of any n, or an (N, 2n, 2n) stack, in
 the convention of cfomech.entanglement (vacuum variance 1/2).

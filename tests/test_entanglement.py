@@ -9,7 +9,8 @@ from cfomech.entanglement import (
     initial_covariance,
     log_negativity,
     min_symplectic_eigenvalue_pt,
-    pt_spectrum_batch,
+    pt_spectrum,
+    two_mode_coordinates,
 )
 from cfomech.errors import NumericalError, PhysicalityError
 from reference import (
@@ -108,11 +109,15 @@ class TestMechanicalSubmatrix:
     6x6 covariance matrix, which the scoring step slices out."""
 
     def test_diagonal_projection(self):
-        # a product state: the cavity's variances 5 and 6 must not be scored
+        # a product state: the cavity's variances 5 and 6 must not be scored,
+        # neither from the steady path's 9 Hermitian coordinates, of which
+        # (a, Re c, Im c, b) are 0, 1, 6 and 3, nor through the 4x4 reader
         V6 = np.diag([1.0, 1.0, 3.0, 3.0, 5.0, 6.0])
-        _, nu = experiments._score(V6[None, None], [None])
-        assert nu[0, 0] == min_symplectic_eigenvalue_pt(np.diag([1.0, 1.0, 3.0, 3.0]))
-        assert nu[0, 0] == pytest.approx(1.0)
+        h = V6.reshape(1, 36) @ dynamics._HERMITIAN[1]
+        for coords in (h[:, [0, 1, 6, 3]], two_mode_coordinates(V6[None, :4, :4])):
+            _, nu = experiments._score(coords[:, None], [None])
+            assert nu[0, 0] == min_symplectic_eigenvalue_pt(np.diag([1.0, 1.0, 3.0, 3.0]))
+            assert nu[0, 0] == pytest.approx(1.0)
 
     def test_driven_steady_state_carries_cross_correlations(self):
         from cfomech import dynamics
@@ -125,7 +130,7 @@ class TestMechanicalSubmatrix:
         assert np.allclose(Vm, Vm.T)
 
     def test_vacuum(self):
-        EN, nu = experiments._score((np.eye(6) / 2)[None, None], [None])
+        EN, nu = experiments._score(two_mode_coordinates((np.eye(4) / 2)[None, None]), [None])
         assert (EN[0, 0], nu[0, 0]) == (0.0, 0.5)
 
 
@@ -160,7 +165,8 @@ class TestMinSymplecticEigenvaluePT:
         # exact nu = exp(-20)/2 ~ 1e-9 lies below eps*||V||_F ~ 7.6e-8, where
         # eigvals cannot tell it from 0
         V = two_mode_squeezed_covariance(10.0)
-        physical, nu_pt = pt_spectrum_batch(np.stack([V, two_mode_squeezed_covariance(5.0)]))
+        physical, nu_pt = pt_spectrum(two_mode_coordinates(
+            np.stack([V, two_mode_squeezed_covariance(5.0)])))
         assert physical.all()
         assert np.isnan(nu_pt[0]) and nu_pt[1] == pytest.approx(math.exp(-10.0) / 2, rel=1e-6)
         with pytest.raises(NumericalError, match="unresolved"):
@@ -191,7 +197,7 @@ class TestMinSymplecticEigenvaluePT:
         stack = np.stack([two_mode_squeezed_covariance(0.5, nbar=1.0),
                           two_mode_squeezed_covariance(5.0), two_mode_squeezed_covariance(10.0),
                           0.4 * np.eye(4)])
-        physical, nu_pt = pt_spectrum_batch(stack)
+        physical, nu_pt = pt_spectrum(two_mode_coordinates(stack))
         assert physical.tolist() == [True, True, True, False]
         assert nu_pt[:2] == pytest.approx([1.5 * math.exp(-1.0), math.exp(-10.0) / 2], rel=1e-9)
         assert np.isnan(nu_pt[2])
@@ -255,7 +261,7 @@ class TestMinSymplecticEigenvaluePT:
         V4 = covs[first_bad < 0, :, :4, :4].reshape(-1, 4, 4)
         defect = np.abs(V4 - realify(hermitian_form(V4))).max(axis=(1, 2))
         assert np.all(defect <= 4e-11 * np.abs(V4).max(axis=(1, 2)))
-        physical, nu = pt_spectrum_batch(V4)
+        physical, nu = pt_spectrum(two_mode_coordinates(V4))
         ok = physical & ~np.isnan(nu)
         assert ok.sum() > len(V4) // 2
         assert np.array_equal(min_symplectic_eigenvalue_pt(V4[ok]), nu[ok])

@@ -104,6 +104,18 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="^rwaThreshold must be positive$"):
                 base_config(rwaThreshold=threshold)
 
+    @pytest.mark.parametrize("field, value", [("rwaThreshold", math.inf),
+                                              ("kappa1", math.inf), ("gamma1", math.nan)])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # as the CLI rejects them: an infinite rwaThreshold made the JSON of
+        # the run's meta raise, and an infinite kappa1 or a NaN gamma1 ran to
+        # rows with kappaTilde NaN and a non-finite drift
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite number, got {value}$"):
+            RunConfig(G1=9e4, G2=1e5, axes=(SweepAxis("rB", 0, 0.5, 2),), **{field: value})
+        # an int beyond double precision is compared, not converted
+        with pytest.raises(ConfigError, match="^tPoints must be a finite number"):
+            base_config(tPoints=10 ** 400)
+
     def test_zero_dissipation_rejected(self):
         with pytest.raises(ConfigError):
             base_config(gamma1=0.0, gamma2=0.0, kappa1=0.0, kappa2=0.0)

@@ -39,9 +39,9 @@ ORACLE_NU_RTOL = 1e-7
 #: measured error is 4.1e-6.
 ORACLE_NU_RTOL_EQUAL_COUPLINGS = 1e-4
 
-#: Relative error allowed in pt_spectrum_batch's nu against the oracle on
-#: the fig2d and fig3b samples.  delta = ab - |c|^2 is exact for the (a, b,
-#: c) read, so what is left is that a propagated sample is scored by the
+#: Relative error allowed in pt_spectrum's nu against the oracle on the
+#: fig2d and fig3b samples.  delta = ab - |c|^2 is exact for the (a, b, c)
+#: read, so what is left is that a propagated sample is scored by the
 #: means of its paired entries: the largest measured is 4.0e-10, on fig3b
 #: (2.3e-16 on fig2d; 3.9e-9 for the eigvals route of symplectic_eigenvalues).
 ORACLE_PT_RTOL = 2e-8
@@ -258,25 +258,39 @@ def test_equal_couplings_with_weak_damping_read_unresolved():
 
 
 def scored_covariances(preset: str) -> np.ndarray:
-    """Every 4x4 mechanical block that a preset run scores, in order."""
-    seen = []
-    original = entanglement.pt_spectrum_batch
+    """Every 4x4 mechanical block that a preset run scores, in order: the
+    propagated blocks as two_mode_coordinates reads them, and a steady
+    point's as the realification of the coordinates entanglement.pt_spectrum
+    takes from the solve."""
+    scored, read = [], []
+    core, reader = entanglement.pt_spectrum, entanglement.two_mode_coordinates
 
-    def recording(V4):
-        seen.append(np.array(V4))
-        return original(V4)
+    def scoring(coords):
+        scored.append(np.array(coords))
+        return core(coords)
+
+    def reading(V4):
+        read.append(np.array(V4).reshape(-1, 4, 4))
+        return reader(V4)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entanglement, "pt_spectrum_batch", recording)
+        patch.setattr(entanglement, "pt_spectrum", scoring)
+        patch.setattr(entanglement, "two_mode_coordinates", reading)
         run_preset(preset)
-    return np.concatenate(seen)
+    coords = np.concatenate(scored)
+    if read:  # every propagated model of the preset is scored
+        blocks = np.concatenate(read)
+        assert len(blocks) == len(coords)
+        return blocks
+    # (a, Re c, Im c, b) to the two-mode maps' (a, Re c, b, Im c)
+    return (coords[:, [0, 1, 3, 2]] @ entanglement._TWO_MODE[0]).reshape(-1, 4, 4)
 
 
 @pytest.mark.parametrize("preset", ["fig2d", "fig3b"])
 def test_pt_spectrum_matches_oracle(preset):
     # the 10 samples with the smallest nu and 10 spread evenly over the run
     V4 = scored_covariances(preset)
-    _, nu = entanglement.pt_spectrum_batch(V4)
+    _, nu = entanglement.pt_spectrum(entanglement.two_mode_coordinates(V4))
     picked = sorted({*np.argsort(nu)[:10].tolist(),
                      *np.linspace(0, len(V4) - 1, 10).astype(int).tolist()})
     for k in picked:
