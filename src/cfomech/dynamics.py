@@ -36,8 +36,8 @@ LYAPUNOV_RTOL = 1e-10
 #: Norm cap per elementary propagation substep, ||A||*h <= this.
 STEP_NORM_CAP = 0.1
 
-#: Grid intervals closer than this many ulps of t share one interval map;
-#: linspace rounding moves its steps by about one ulp.
+#: Intervals within this many ulps of t of their run's first share its maps
+#: (propagate_batch); linspace rounding moves its steps by about one ulp.
 GRID_STEP_ULPS = 4
 
 
@@ -232,7 +232,7 @@ def stability_margin(m: EffectiveModel) -> float:
 
 
 def _transpose(X: np.ndarray) -> np.ndarray:
-    return np.swapaxes(X, -1, -2)
+    return X.swapaxes(-1, -2)
 
 
 #: Maps to and from the coordinates of the realifications of the 3x3
@@ -390,6 +390,32 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
     return M, 0.5 * (Q + _transpose(Q))
 
 
+def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M V M^T of V (N, n, n) and M (N, n, n), or of V (N, m, n, n) and M (N, 1, n, n)."""
+    n, rows = M.shape[-1], math.prod(V.shape[1:-1])
+    # the right factor as one (m n, n) @ (n, n) product per system
+    X = (M @ V).reshape(len(V), rows, n) @ np.ascontiguousarray(_transpose(M)).reshape(-1, n, n)
+    return X.reshape(V.shape)
+
+
+def _apply(M: np.ndarray, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M V M^T + Q, symmetrized, for each system of a stack: the covariances V
+    carried over the interval of the maps (M, Q)."""
+    W = _product(M, V) + Q
+    if not np.isfinite(W).all():
+        # terms that cancel overflow early: redo those systems with M at unit
+        # size (_unit_size), scaled back exactly (no bit of a finite W changes)
+        redo = ~np.isfinite(W).reshape(len(W), -1).all(axis=1)
+        M, e = _unit_size(M[redo])
+        W[redo] = np.ldexp(_product(M, V[redo]), 2 * e[..., None, None]) + Q[redo]
+    return 0.5 * (W + _transpose(W))
+
+
+def _square(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M M, M Q M^T + Q): the maps over twice the interval of (M, Q), exactly."""
+    return M @ M, _apply(M, Q, Q)
+
+
 def _interval_maps(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Maps covering a full grid interval for each system of the stack,
     assembled by squaring the elementary map so each system's elementary step
@@ -410,10 +436,7 @@ def _interval_maps(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray,
         M, Q = transition_and_noise(A, D, np.ldexp(dt, -doublings))
         for r in range(doublings.max(initial=0)):
             k = doublings > r
-            Mk, Qk = M[k], Q[k]
-            Qk = Mk @ Qk @ _transpose(Mk) + Qk
-            Q[k] = 0.5 * (Qk + _transpose(Qk))
-            M[k] = Mk @ Mk
+            M[k], Q[k] = _square(M[k], Q[k])
     return M, Q
 
 
@@ -425,12 +448,16 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     covariance is non-finite, or -1.
 
     The grid must be finite, strictly increasing and start at or after 0.
-    Each grid point is reached exactly through the interval map; symmetry is
-    re-enforced after every application.  An interval that equals the
-    previous maps' interval within GRID_STEP_ULPS ulps of t, as the steps of a
-    linspace grid do, reuses those maps, so a uniform grid costs one matrix
-    exponential call for the whole stack.  Entries from a system's first
-    non-finite index on are not meaningful.
+    Its intervals, the first from t = 0, fall into runs: maximal stretches of
+    intervals within GRID_STEP_ULPS ulps of t of their run's first, as the
+    steps of a linspace grid are.  A run takes one _interval_maps call (P, S)
+    for the whole stack, so a uniform grid costs one matrix exponential call,
+    and fills its samples by doubling (Van Loan 1978, IEEE TAC 23:395): its
+    first is P V P^T + S of the sample before it, then while samples remain,
+    (P, S) over n intervals carry its first n samples n intervals on in one
+    batched step and are squared.  A run of L intervals takes 1 + ceil(log2
+    L) steps; each sample is exact up to rounding and exactly symmetric.
+    Entries from a system's first non-finite index on are not meaningful.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -441,23 +468,30 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     if V0.shape != A.shape:
         raise ValueError("V0 shape does not match the drift matrix")
 
-    out = np.empty((len(V0), t_grid.size) + V0.shape[1:])
-    t_prev = 0.0
-    step_map = None  # (interval, M, Q) of the maps in use
+    T = t_grid.size
+    out = np.empty((len(V0), T) + V0.shape[1:])
+    intervals = np.diff(t_grid, prepend=0.0)
+    tolerance = GRID_STEP_ULPS * np.spacing(t_grid)
     # a start or a map too hot for double precision overflows: the non-finite
     # entries are reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        V = 0.5 * (V0 + _transpose(V0))
-        for step, t in enumerate(t_grid):
-            dt = float(t - t_prev)
-            if dt > 0.0:
-                if step_map is None or abs(dt - step_map[0]) > GRID_STEP_ULPS * math.ulp(t):
-                    step_map = (dt, *_interval_maps(A, D, dt))
-                _, M, Q = step_map
-                V = M @ V @ _transpose(M) + Q
-                V = 0.5 * (V + _transpose(V))
-            out[:, step] = V
-            t_prev = float(t)
+        out[:, 0] = 0.5 * (V0 + _transpose(V0))  # the t = 0 sample, or a first run's start
+        start = int(t_grid[0] == 0.0)
+        while start < T:
+            dt = intervals[start]
+            off = np.abs(intervals[start:] - dt) > tolerance[start:]
+            run = int(off.argmax()) if off.any() else T - start
+            P, S = (X[:, None] for X in _interval_maps(A, D, float(dt)))
+            before = max(start, 1) - 1
+            out[:, start:start + 1] = _apply(P, S, out[:, before:before + 1])
+            n = 1  # (P, S) map n intervals on, and the run's first n samples are filled
+            while n < run:
+                if n > 1:
+                    P, S = _square(P, S)
+                m = min(n, run - n)
+                out[:, start + n:start + n + m] = _apply(P, S, out[:, start:start + m])
+                n += m
+            start += run
     finite = np.isfinite(out).all(axis=(-2, -1))
     return out, np.where(finite.all(axis=1), -1, finite.argmin(axis=1))
 

@@ -24,6 +24,11 @@ the convention of cfomech.entanglement (vacuum variance 1/2).
 The library takes the stability verdicts of a large stack of drifts from a
 Routh-Hurwitz certificate first (cfomech.dynamics.stability_batch).  The
 tests hold it to the eigenvalue route here.
+
+The library fills the samples of each run of equal grid intervals by
+doubling (cfomech.dynamics.propagate_batch).  The tests hold it to the
+sequential stepper here, which applies the interval maps once per grid
+interval.
 """
 
 import math
@@ -167,6 +172,33 @@ def two_mode_squeezed_covariance(r: float, nbar: float = 0.0) -> np.ndarray:
         [s, 0.0, c, 0.0],
         [0.0, -s, 0.0, c],
     ])
+
+
+def propagate_stepwise(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
+                       t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """propagate_batch's (covariances, first_bad) of an (N, n, n) stack by
+    sequential steps: the library's step V -> M V M^T + Q, symmetrized
+    (dynamics._apply), once per grid interval, with the interval maps of
+    dynamics._interval_maps built afresh whenever an interval leaves the one
+    in use by more than GRID_STEP_ULPS ulps of t.  The grid is taken as
+    valid."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    out = np.empty((len(V0), t_grid.size) + V0.shape[1:])
+    t_prev = 0.0
+    step_map = None  # (interval, M, Q) of the maps in use
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = 0.5 * (V0 + np.swapaxes(V0, -1, -2))
+        for step, t in enumerate(t_grid):
+            dt = float(t - t_prev)
+            if dt > 0.0:
+                if step_map is None or abs(dt - step_map[0]) > (
+                        dynamics.GRID_STEP_ULPS * math.ulp(t)):
+                    step_map = (dt, *dynamics._interval_maps(A, D, dt))
+                V = dynamics._apply(*step_map[1:], V)
+            out[:, step] = V
+            t_prev = float(t)
+    finite = np.isfinite(out).all(axis=(-2, -1))
+    return out, np.where(finite.all(axis=1), -1, finite.argmin(axis=1))
 
 
 def stack_models(models) -> EffectiveModel:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from cfomech import dynamics
@@ -50,6 +50,7 @@ from reference import (
     marginal_model,
     physicality_check,
     point_columns,
+    propagate_stepwise,
     realify,
     stack_models,
     symplectic_eigenvalues,
@@ -250,13 +251,18 @@ def _model_stack(draws):
                          for ratio, G2, kt, dt, gamma, n1, n2 in draws])
 
 
-_draw = st.tuples(
-    st.floats(0.0, 1.1),           # G1 / G2, so some points are unstable
+_RATES_AND_BATHS = (
     st.floats(1e4, 2e5),           # G2
     st.floats(1e3, 2e5),           # kappa_tilde
     st.floats(-1e5, 1e5),          # delta_tilde
     st.floats(1.0, 1e3),           # gamma
     st.floats(0.0, 50.0), st.floats(0.0, 50.0))
+
+#: G1 / G2 up to 1.1, so some points are unstable
+_draw = st.tuples(st.floats(0.0, 1.1), *_RATES_AND_BATHS)
+
+#: G1 > G2, so most points are unstable
+_unstable_draw = st.tuples(st.floats(1.01, 3.0), *_RATES_AND_BATHS)
 
 
 class TestBatchedCore:
@@ -355,6 +361,8 @@ class TestBatchedCore:
     def test_empty_stack_gives_empty_results(self):
         h, errors = steady_state_batch(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)))
         assert embed(h).shape == (0, 6, 6) and errors == []
+        covs, first_bad = propagate_batch(*np.zeros((3, 0, 6, 6)), [0.0, 1.0, 2.0])
+        assert covs.shape == (0, 3, 6, 6) and first_bad.shape == (0,)
 
     def test_operator_is_the_kron_form_on_symmetric_matrices(self):
         # on the symmetric matrices that realify a Hermitian H, the 9x9
@@ -645,6 +653,45 @@ class TestTransitionAndNoise:
             transition_and_noise(np.zeros((2, 2)), np.eye(2), 0.0)
 
 
+#: Largest difference allowed between propagate_batch and the sequential
+#: steps of reference.propagate_stepwise, relative to each sample's max|V|;
+#: the largest measured on TestPropagate's grids is 4.2e-12, over a run of 256
+#: intervals.
+STEPWISE_RTOL = 1e-10
+
+#: A stack of six stable models and a marginal one (kappa_tilde = 0) at
+#: doubling counts 2 to 5 over a 1e-5 interval, mostly from hot starts.
+_STEPWISE_MODELS = [model(G1=1e4, G2=1e4, kt=kt, dt=1e3, n1=20.0, n2=10.0)
+                    for kt in (0.0, 1e3, 2e4, 1e5, 2e5)] + [
+    model(G1=0.9e5, G2=1e5, kt=5e3, dt=2e3, n1=2.0), model(G1=1e3, G2=2e3, kt=3e4, dt=1e2)]
+
+#: Grids, each with its number of runs of equal intervals: runs of 1, 2, 2^k
+#: and 2^k + 1 intervals from t = 0, interleaved intervals, and grids that
+#: start after 0 (their first interval, from t = 0, joins the run that
+#: follows it or starts its own).
+_STEPWISE_GRIDS = {
+    **{f"run_{n}": (np.arange(n + 1) * 1e-5, 1) for n in (1, 2, 3, 16, 17, 256, 257)},
+    "interleaved": ([1e-5, 2e-5, 3e-5, 1e-4, 2e-4, 3e-4, 4e-4, 1e-3], 4),
+    "offset_joined": (np.linspace(0.0, 2e-3, 201)[1:], 1),
+    "offset": (np.linspace(0.0, 2e-3, 201)[60:], 2),
+}
+
+#: The divergence fixtures of TestPropagate: drift stacks with the grids they
+#: diverge on.
+_DIVERGING = {
+    "one_unstable": ([model(G1=2e5, G2=1e4, kt=1e3)], [0.1, 1.0, 10.0]),
+    "per_system": ([model(G1=2e5, G2=1e4, kt=1e3), model(G1=1e4, G2=2e4, kt=1e3)],
+                   [0.1, 1.0, 10.0]),
+    "mixed_chunk": ([model(G1=2e4, G2=1e4, kt=1e5, dt=1e3), model(G1=2e5, G2=1e4, kt=1e3),
+                     model(G1=0.9e4, G2=1e4, kt=1e5, dt=1e3)], np.linspace(0.0, 1.0, 301)),
+    # without the unit-size redo of dynamics._apply the doubling's
+    # 256-interval maps overflow at a sample of 1.5e307, one sample before
+    # the sequential steps do
+    "terms_cancel": ([model(G1=1.6e5, G2=1.54e5, kt=1.686e5, dt=2.975e4, gamma=659.0,
+                            n1=40.0, n2=26.0)], np.linspace(0.0, 0.0358, 322)),
+}
+
+
 class TestPropagate:
     def test_frozen_dynamics_keeps_state(self):
         V0 = initial_covariance(3.0, 1.0)
@@ -753,6 +800,74 @@ class TestPropagate:
                 Q1 = 0.5 * (Q1 + Q1.T)
                 M1 = M1 @ M1
             assert np.array_equal(M_int[k], M1) and np.array_equal(Q_int[k], Q1)
+
+    @pytest.mark.parametrize("grid", _STEPWISE_GRIDS.values(), ids=_STEPWISE_GRIDS.keys())
+    def test_matches_the_sequential_steps(self, grid, monkeypatch):
+        t_grid, runs = grid
+        calls = []
+        interval_maps = dynamics._interval_maps
+        monkeypatch.setattr(dynamics, "_interval_maps",
+                            lambda *args: calls.append(1) or interval_maps(*args))
+        A, D = state_space_batch(stack_models(_STEPWISE_MODELS))
+        V0 = np.stack([initial_covariance(m.nbar1, m.nbar2) for m in _STEPWISE_MODELS])
+        covs, first_bad = propagate_batch(A, D, V0, t_grid)
+        assert len(calls) == runs
+        ref, ref_bad = propagate_stepwise(A, D, V0, t_grid)
+        assert np.array_equal(first_bad, ref_bad) and np.all(first_bad == -1)
+        scale = np.abs(ref).max(axis=(-2, -1))
+        assert np.all(np.abs(covs - ref).max(axis=(-2, -1)) <= STEPWISE_RTOL * scale)
+
+    @pytest.mark.parametrize("fixture", _DIVERGING.values(), ids=_DIVERGING.keys())
+    def test_divergence_index_matches_the_sequential_steps(self, fixture):
+        models, t_grid = fixture
+        A, D = state_space_batch(stack_models(models))
+        V0 = initial_covariance(*stack_models(models).columns()[6:])
+        first_bad = propagate_batch(A, D, V0, t_grid)[1]
+        assert np.any(first_bad >= 0)
+        assert np.array_equal(first_bad, propagate_stepwise(A, D, V0, t_grid)[1])
+
+    @settings(deadline=None, max_examples=30)
+    @given(draws=st.lists(_unstable_draw, min_size=1, max_size=12),
+           horizon=st.floats(1e-3, 1.0), points=st.integers(2, 300))
+    def test_drawn_unstable_stacks_diverge_where_the_sequential_steps_do(self, draws, horizon,
+                                                                       points):
+        models = _model_stack(draws)
+        A, D = state_space_batch(models)
+        unstable = ~stability_batch(A)
+        assume(unstable.any())
+        A, D = A[unstable], D[unstable]
+        V0 = initial_covariance(*(x[unstable] for x in models.columns()[6:]))
+        t_grid = np.linspace(0.0, horizon, points)
+        first_bad = propagate_batch(A, D, V0, t_grid)[1]
+        assert np.array_equal(first_bad, propagate_stepwise(A, D, V0, t_grid)[1])
+
+    def test_uniform_grid_takes_logarithmically_many_rounds(self, monkeypatch):
+        # a round is one batched step that fills samples; the squarings of
+        # the maps step their own noise maps
+        calls, rounds = [], []
+        interval_maps, apply = dynamics._interval_maps, dynamics._apply
+        monkeypatch.setattr(dynamics, "_interval_maps",
+                            lambda *args: calls.append(1) or interval_maps(*args))
+        monkeypatch.setattr(dynamics, "_apply",
+                            lambda M, Q, V: rounds.append(V is not Q) or apply(M, Q, V))
+        A, D = state_space_batch(stack_models(_STEPWISE_MODELS))
+        V0 = np.stack([initial_covariance(m.nbar1, m.nbar2) for m in _STEPWISE_MODELS])
+        propagate_batch(A, D, V0, np.linspace(0.0, 2e-3, 201))
+        assert len(calls) == 1
+        assert sum(rounds) <= math.ceil(math.log2(200)) + 1
+
+    def test_step_overflows_only_where_its_result_does(self):
+        # M V M^T = 0 exactly for the first system, but its terms are 2^1200;
+        # the second's result overflows; the third stays as it is alone
+        a = 2.0 ** 600
+        M = np.array([[[a, a], [0.0, 0.0]], [[a, 0.0], [0.0, 1.0]], [[0.5, 0.25], [0.0, 2.0]]])
+        V = np.array([np.diag([1.0, -1.0]), np.eye(2), [[3.0, 1.0], [1.0, 2.0]]])
+        Q = np.stack([np.eye(2)] * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = dynamics._apply(M, Q, V)
+        assert np.array_equal(W[0], np.eye(2))
+        assert not np.isfinite(W[1]).all()
+        assert np.array_equal(W[2], dynamics._apply(M[2:], Q[2:], V[2:])[0])
 
     def test_divergence_is_reported_per_system(self):
         A, D = state_space_batch(stack_models([model(G1=2e5, G2=1e4, kt=1e3),

@@ -14,8 +14,10 @@ pre-registered draw of about 300 stable models (test_sweep_...).
 
 The propagator oracle is Van Loan's block exponential (Van Loan 1978, IEEE
 TAC 23:395) taken by mpmath.expm at the same precision; it checks the
-one-step maps M and Q of transition_and_noise and the interval maps that
-dynamics._interval_maps assembles from them by squaring.
+one-step maps M and Q of transition_and_noise, the interval maps that
+dynamics._interval_maps assembles from them by squaring, and the fig3
+samples that dynamics.propagate_batch fills by doubling, each against the
+exact map from t = 0 to its own t.
 """
 
 import mpmath
@@ -24,9 +26,11 @@ import pytest
 import sympy
 
 from cfomech import dynamics, entanglement
-from cfomech.experiments import evaluate_steady_batch, preset_config, resolve_point, run_preset
+from cfomech.experiments import (evaluate_evolve_batch, evaluate_steady_batch, preset_config,
+                                 resolve_point, run_preset)
 from cfomech.params import EffectiveModel
-from reference import MARGINAL_MODELS, certified_against_eigen, marginal_model, stack_models
+from reference import (MARGINAL_MODELS, certified_against_eigen, marginal_model,
+                       propagate_stepwise, stack_models)
 
 ORACLE_DPS = 50
 
@@ -52,6 +56,12 @@ ORACLE_PT_RTOL = 2e-8
 #: grid step, and 2.0e-15 for the interval maps, in M over 8 grid steps
 #: (2 to 6 doublings).
 VAN_LOAN_RTOL = 1e-14
+
+#: Relative nu_minus error allowed in the fig3 samples of
+#: test_propagation_matches_van_loan against the 50-digit propagation; the
+#: largest measured is 2.8e-9, at rB = 0.999 and t = 2e-3 on fig3b (1.1e-8
+#: for the sequential steps of reference.propagate_stepwise).
+PROPAGATION_NU_RTOL = 1e-8
 
 _N = 6
 _PT_SIGNS = (1, 1, 1, -1)
@@ -511,3 +521,30 @@ def test_interval_maps_match_van_loan(model, stable, dt, monkeypatch):
     M_ref, Q_ref = van_loan_maps(A[0], D[0], dt)
     assert relative_frobenius_error(M[0], M_ref) <= VAN_LOAN_RTOL
     assert relative_frobenius_error(Q[0], Q_ref) <= VAN_LOAN_RTOL
+
+
+@pytest.mark.parametrize("preset", ["fig3a", "fig3b"])
+def test_propagation_matches_van_loan(preset):
+    # each sample against the exact map over [0, t] at its own float t:
+    # V(t) = M V0 M^T + Q; the doubling's worst error is no larger than that
+    # of the sequential steps on the same samples
+    cfg = preset_config(preset)
+    t_grid = cfg.time_grid()
+    errors, stepwise_errors = [], []
+    for rB in (0.9, 0.999, 1.0):
+        model = resolve_point(cfg, {"rB": rB})[0]
+        A, D = dynamics.state_space(model)
+        V0 = entanglement.initial_covariance(model.nbar1, model.nbar2)
+        result = evaluate_evolve_batch(model, t_grid)
+        assert result.error == [None]
+        stepwise = propagate_stepwise(A[None], D[None], V0[None], t_grid)[0][0, :, :4, :4]
+        _, stepwise_nu = entanglement.pt_spectrum(entanglement.two_mode_coordinates(stepwise))
+        for k in (50, 120, 200):
+            M, Q = van_loan_maps(A, D, float(t_grid[k]))
+            with mpmath.workdps(ORACLE_DPS):
+                V = M * mpmath.matrix(V0.tolist()) * M.T + Q
+                nu = oracle_nu_pt([[V[i, j] for j in range(4)] for i in range(4)])
+                errors.append(float(abs(result.nu_minus[0, k] - nu) / nu))
+                stepwise_errors.append(float(abs(stepwise_nu[k] - nu) / nu))
+    assert max(errors) <= PROPAGATION_NU_RTOL
+    assert max(errors) <= max(stepwise_errors)
