@@ -23,7 +23,7 @@ from .errors import (
     StabilityError,
     UnsupportedRegimeError,
 )
-from .experiments import ResultTable, RunConfig, SweepAxis
+from .experiments import ResultTable, RunConfig, SweepAxis, _number
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} | {"thetaPi"}
 _NUMBER_KEYS = {*experiments.NUMBER_FIELDS, "thetaPi"}
@@ -107,19 +107,6 @@ def _merge_sets(data: dict, set_items: list[str]) -> dict:
             data.pop("theta", None)
         data[key] = _parse_set_value(raw)
     return data
-
-
-def _number(key: str, value, integral: bool = False):
-    """The value of a numeric config key, checked to be a finite number, not a
-    string or a boolean, and where integral a whole one, returned as an int.
-    The range is compared, not converted: an int beyond double precision is
-    not finite, and would overflow float()."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    if integral and not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value) if integral else value
 
 
 def _checked(key: str, value):

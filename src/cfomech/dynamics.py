@@ -352,42 +352,59 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def expm(X: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm of a matrix or of each matrix of a stack.  scipy is
-    imported on the first call: only propagation takes exponentials, so the
-    steady path runs without loading it."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(X)
+    """exp(X) of a matrix or of each matrix of a stack: its degree-16 Taylor
+    polynomial, summed over the whole stack by Horner's rule F = I + (X @ F)
+    / k, with no scaling.  Precondition: each X has 1-norm at most 0.45, where
+    the remainder is below 1e-20, or X @ X = 0, where the sum is I + X exactly;
+    transition_and_noise's blocks are one or the other."""
+    F = eye = np.eye(X.shape[-1])
+    for k in range(16, 0, -1):
+        F = eye + (X @ F) / k
+    return F
 
 
 def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
-    """Exact one-step map of the covariance recursion V -> M V M^T + Q, for
-    one system or for each system of an (N, n, n) stack, with one step dt or
-    an (N,) array of them.
+    """Exact maps (M, Q) of the covariance recursion V -> M V M^T + Q over
+    dt, for one system or each system of an (N, n, n) stack, with one dt or
+    an (N,) array of them: M = exp(A dt), Q = int_0^dt exp(A s) D exp(A^T s) ds.
 
-    M = exp(A dt) and Q = int_0^dt exp(A s) D exp(A^T s) ds are read off a
-    single exponential of the augmented block matrix
-
-        [[-A, D], [0, A^T]] * dt
-
-    whose top-right block, left-multiplied by M, is the noise integral.  Q is
-    linear in D, so a D larger than A enters scaled to A's size by a power of
-    2 (_unit_size) and Q is scaled back exactly: a hot bath does not set
-    expm's rounding.  Q is symmetrized (positive semidefinite up to
-    rounding); a stack takes one expm call.
+    Each system takes the least d with ||A||_F h <= STEP_NORM_CAP at A's unit
+    size (_unit_size), h = dt 2^-d; M(h) and Q(h) are read off one expm of
+    Van Loan's block [[-A, D'], [0, A^T]] h (Van Loan 1978, IEEE TAC 23:395),
+    whose top-right block left-multiplied by M(h) is the noise integral, and
+    squared d times (_square), skipping the systems that are done.  Q is
+    linear in D, so D enters as D', scaled to A's exponent by a power of 2 if
+    larger, and Q is scaled back exactly: a hot bath does not set expm's
+    rounding.  As max|D'| < 2 max|A| and a row or column of A sums to at most
+    sqrt(n) ||A||_F, each block has 1-norm at most (2 + sqrt(n)) STEP_NORM_CAP,
+    in expm's precondition for n = 6; a zero drift is not subdivided and its
+    block is nilpotent.  Q is symmetric; a non-finite drift, or a system
+    diverging over dt, gives non-finite maps for the caller to report.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt <= 0):
         raise ValueError("dt must be positive")
-    n = A.shape[-1]
-    shift = np.maximum(0, _unit_size(D)[1] - _unit_size(A)[1])[..., None, None]
-    block = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
-    block[..., :n, :n] = -A
-    block[..., :n, n:] = np.ldexp(D, -shift)
-    block[..., n:, n:] = _transpose(A)
-    F = expm(block * dt[..., None, None])
-    M = _transpose(F[..., n:, n:])
-    Q = np.ldexp(M @ F[..., :n, n:], shift)
-    return M, 0.5 * (Q + _transpose(Q))
+    shape, n = A.shape, A.shape[-1]
+    A, D = A.reshape(-1, n, n), D.reshape(-1, n, n)
+    steps = np.broadcast_to(dt, shape[:-2]).ravel()
+    (A_unit, a), (mantissa, t) = _unit_size(A), np.frexp(steps)
+    norm = np.linalg.norm(A_unit, axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.maximum(0, np.ceil(np.log2(norm * mantissa / STEP_NORM_CAP)) + a + t)
+        doublings = np.where(np.isfinite(norm) & (norm > 0.0), d, 0).astype(int)
+        shift = np.maximum(0, _unit_size(D)[1] - a)[:, None, None]
+        block = np.zeros((len(A), 2 * n, 2 * n))
+        block[:, :n, :n] = -A
+        block[:, :n, n:] = np.ldexp(D, -shift)
+        block[:, n:, n:] = _transpose(A)
+        F = expm(block * np.ldexp(steps, -doublings)[:, None, None])
+        M = _transpose(F[:, n:, n:])
+        Q = np.ldexp(M @ F[:, :n, n:], shift)
+        Q = 0.5 * (Q + _transpose(Q))
+        for r in range(doublings.max(initial=0)):
+            k = doublings > r
+            M[k], Q[k] = _square(M[k], Q[k])
+    return M.reshape(shape), Q.reshape(shape)
 
 
 def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -416,30 +433,6 @@ def _square(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M @ M, _apply(M, Q, Q)
 
 
-def _interval_maps(A: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Maps covering a full grid interval for each system of the stack,
-    assembled by squaring the elementary map so each system's elementary step
-    obeys the norm cap.  Squaring is the exact semigroup composition, so the
-    interval maps stay exact up to rounding.  Each system keeps its own
-    doubling count; the squaring rounds skip systems that are done."""
-    # the least d with ||A||*dt*2^-d <= STEP_NORM_CAP, at unit size; a zero or
-    # non-finite drift is not subdivided (the caller reports the latter's maps)
-    (A_unit, a), (mantissa, t) = _unit_size(A), math.frexp(dt)
-    norm = np.linalg.norm(A_unit, axis=(-2, -1))
-    sub = np.isfinite(norm) & (norm > 0.0)
-    doublings = np.zeros(len(A), dtype=int)
-    doublings[sub] = np.maximum(0, np.ceil(np.log2(norm[sub] * mantissa / STEP_NORM_CAP))
-                                + a[sub] + t)
-    # overflow here means the system diverges over this interval; the caller
-    # reports the resulting non-finite entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        M, Q = transition_and_noise(A, D, np.ldexp(dt, -doublings))
-        for r in range(doublings.max(initial=0)):
-            k = doublings > r
-            M[k], Q[k] = _square(M[k], Q[k])
-    return M, Q
-
-
 def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
                     t_grid) -> tuple[np.ndarray, np.ndarray]:
     """(N, T, n, n) stack of the covariance matrices of the N systems of the
@@ -450,9 +443,9 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     The grid must be finite, strictly increasing and start at or after 0.
     Its intervals, the first from t = 0, fall into runs: maximal stretches of
     intervals within GRID_STEP_ULPS ulps of t of their run's first, as the
-    steps of a linspace grid are.  A run takes one _interval_maps call (P, S)
-    for the whole stack, so a uniform grid costs one matrix exponential call,
-    and fills its samples by doubling (Van Loan 1978, IEEE TAC 23:395): its
+    steps of a linspace grid are.  A run takes one transition_and_noise call
+    (P, S) for the whole stack, so a uniform grid costs one expm call, and
+    fills its samples by doubling, as transition_and_noise squares: its
     first is P V P^T + S of the sample before it, then while samples remain,
     (P, S) over n intervals carry its first n samples n intervals on in one
     batched step and are squared.  A run of L intervals takes 1 + ceil(log2
@@ -481,7 +474,7 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
             dt = intervals[start]
             off = np.abs(intervals[start:] - dt) > tolerance[start:]
             run = int(off.argmax()) if off.any() else T - start
-            P, S = (X[:, None] for X in _interval_maps(A, D, float(dt)))
+            P, S = (X[:, None] for X in transition_and_noise(A, D, dt))
             before = max(start, 1) - 1
             out[:, start:start + 1] = _apply(P, S, out[:, before:before + 1])
             n = 1  # (P, S) map n intervals on, and the run's first n samples are filled

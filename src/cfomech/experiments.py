@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -47,6 +48,20 @@ STEADY_CHUNK = 256
 EVOLVE_SAMPLES = 1024
 
 
+def _number(key: str, value, integral: bool = False):
+    """The value of a numeric config key, checked to be a finite number, not a
+    string or a boolean, and where integral a whole one, returned as an int.
+    The range is compared, not converted: an int beyond double precision is
+    not finite, and would overflow float().  float and int are tested before
+    numbers.Real (numpy scalars), whose abstract-class test is 5 times slower."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) \
+            or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if integral and not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value) if integral else value
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     name: str
@@ -58,10 +73,11 @@ class SweepAxis:
         if self.name not in AXIS_NAMES:
             raise ConfigError(f"unknown sweep axis '{self.name}'; "
                               f"expected one of {', '.join(AXIS_NAMES)}")
+        for key in ("min", "max"):
+            _number(f"axis '{self.name}': {key}", getattr(self, key))
+        object.__setattr__(self, "count", _number(f"axis '{self.name}': count", self.count, True))
         if self.count < 1:
             raise ConfigError(f"axis '{self.name}': count must be >= 1")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ConfigError(f"axis '{self.name}': bounds must be finite")
         if self.min > self.max:
             raise ConfigError(f"axis '{self.name}': min exceeds max")
 
@@ -127,26 +143,29 @@ class RunConfig:
                 raise ConfigError("give either temperatureK or nbar1/nbar2, not both")
             if self.omega1 is None or self.omega2 is None:
                 raise ConfigError("temperatureK needs omega1 and omega2")
+        if self.mode not in ("steady", "evolve"):
+            raise ConfigError(f"mode must be 'steady' or 'evolve', got '{self.mode}'")
+        if not (isinstance(self.tMax, (float, int, numbers.Real)) and 0 < self.tMax < math.inf):
+            raise ConfigError("tMax must be positive and finite")
+        # a NaN threshold would read every point marginal
+        if not (isinstance(self.rwaThreshold, (float, int, numbers.Real))
+                and self.rwaThreshold > 0):
+            raise ConfigError("rwaThreshold must be positive")
+        for name in NUMBER_FIELDS:  # the checks below compare numbers only
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _number(name, value, name == "tPoints"))
+        if not isinstance(self.detuningLock, bool):
+            raise ConfigError(f"detuningLock must be true or false, got {self.detuningLock!r}")
         if self.gamma1 + self.gamma2 + self.kappa1 + self.kappa2 <= 0:
             raise ConfigError("zero dissipation: at least one of "
                               "gamma1, gamma2, kappa1, kappa2 must be positive")
-        if self.mode not in ("steady", "evolve"):
-            raise ConfigError(f"mode must be 'steady' or 'evolve', got '{self.mode}'")
-        if not 0 < self.tMax < math.inf:
-            raise ConfigError("tMax must be positive and finite")
         if self.tPoints < 2:
             raise ConfigError("tPoints must be >= 2")
-        if not self.rwaThreshold > 0:  # a NaN threshold would read every point marginal
-            raise ConfigError("rwaThreshold must be positive")
         if self.omega1 is not None and self.omega2 is not None:
             if self.omega1 <= 0 or self.omega2 <= 0:
                 raise ConfigError("mechanical frequencies must be positive")
             if self.omega1 == self.omega2:
                 raise ConfigError("mechanical frequencies must differ")
-        for name in NUMBER_FIELDS:  # compared, not converted: an int may exceed a double
-            value = getattr(self, name)
-            if value is not None and not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
     @property
     def uses_drive_block(self) -> bool:

@@ -28,11 +28,13 @@ tests hold it to the eigenvalue route here.
 The library fills the samples of each run of equal grid intervals by
 doubling (cfomech.dynamics.propagate_batch).  The tests hold it to the
 sequential stepper here, which applies the interval maps once per grid
-interval.
+interval, and both to the 50-digit maps here: Van Loan's block exponential
+(Van Loan 1978, IEEE TAC 23:395) taken by mpmath.expm (van_loan_maps).
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from cfomech import dynamics, params
@@ -179,9 +181,9 @@ def propagate_stepwise(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     """propagate_batch's (covariances, first_bad) of an (N, n, n) stack by
     sequential steps: the library's step V -> M V M^T + Q, symmetrized
     (dynamics._apply), once per grid interval, with the interval maps of
-    dynamics._interval_maps built afresh whenever an interval leaves the one
-    in use by more than GRID_STEP_ULPS ulps of t.  The grid is taken as
-    valid."""
+    dynamics.transition_and_noise built afresh whenever an interval leaves
+    the one in use by more than GRID_STEP_ULPS ulps of t.  The grid is taken
+    as valid."""
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty((len(V0), t_grid.size) + V0.shape[1:])
     t_prev = 0.0
@@ -193,12 +195,46 @@ def propagate_stepwise(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
             if dt > 0.0:
                 if step_map is None or abs(dt - step_map[0]) > (
                         dynamics.GRID_STEP_ULPS * math.ulp(t)):
-                    step_map = (dt, *dynamics._interval_maps(A, D, dt))
+                    step_map = (dt, *dynamics.transition_and_noise(A, D, dt))
                 V = dynamics._apply(*step_map[1:], V)
             out[:, step] = V
             t_prev = float(t)
     finite = np.isfinite(out).all(axis=(-2, -1))
     return out, np.where(finite.all(axis=1), -1, finite.argmin(axis=1))
+
+
+#: Working precision of the 50-digit references.
+ORACLE_DPS = 50
+
+_PT_SIGNS = (1, 1, 1, -1)
+_TWO_MODE_FORM = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+
+
+def oracle_nu_pt(V4) -> mpmath.mpf:
+    """Smallest symplectic eigenvalue of the 4x4 V4 with the second momentum
+    flipped, at ORACLE_DPS digits: the smallest |Im| of the eigenvalues of
+    Omega V_pt."""
+    with mpmath.workdps(ORACLE_DPS):
+        V_pt = mpmath.matrix([[mpmath.mpf(V4[i][j]) * _PT_SIGNS[i] * _PT_SIGNS[j]
+                               for j in range(4)] for i in range(4)])
+        vals = mpmath.eig(mpmath.matrix(_TWO_MODE_FORM) * V_pt, left=False, right=False)
+        return min(abs(mpmath.im(v)) for v in vals)
+
+
+def van_loan_maps(A, D, dt: float):
+    """M = exp(A dt) and Q = int_0^dt exp(A s) D exp(A^T s) ds at ORACLE_DPS
+    digits, read off mpmath.expm of [[-A, D], [0, A^T]] dt."""
+    n = len(A)
+    with mpmath.workdps(ORACLE_DPS):
+        block = mpmath.zeros(2 * n, 2 * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = -mpmath.mpf(float(A[i, j])) * dt
+                block[i, n + j] = mpmath.mpf(float(D[i, j])) * dt
+                block[n + i, n + j] = mpmath.mpf(float(A[j, i])) * dt
+        F = mpmath.expm(block)
+        M = F[n:, n:].T
+        return M, M * F[:n, n:]
 
 
 def stack_models(models) -> EffectiveModel:

@@ -387,23 +387,22 @@ class TestCriterion9Determinism:
         assert agree
 
     def test_preset_bytes_match_recorded_digests(self):
-        # sha256 of each preset's default output; fig3 recorded when
-        # propagation began filling each run of equal grid intervals by
-        # doubling (largest change against sequential steps: nu_minus 4.9e-9
-        # relative and E_N 4.9e-9 on fig3a, 1.3e-8 and 1.3e-8 on fig3b;
-        # against the 50-digit propagation of test_oracle the new route's
-        # worst error is the smaller), fig2 when the steady solve dropped
-        # its refinement pass,
+        # sha256 of each preset's default output; fig3 recorded when the
+        # maps' exponential became a degree-16 Taylor sum in numpy (largest
+        # change against scipy's expm: nu_minus 5.4e-9 relative and E_N
+        # 5.4e-9 on fig3a, 6.9e-9 and 6.9e-9 on fig3b; against the 50-digit
+        # propagation of test_oracle the worst error fell from 2.7e-9 to
+        # 1.7e-9), fig2 when the steady solve dropped its refinement pass,
         # fig2c's JSON before the JSON writer went column by column
         recorded = {
             ("fig2a", "csv"): "18f93890742dbe7496b7507fe5567a59178ceb7388b5af43b26250bf13c0c635",
             ("fig2c", "csv"): "5c23d1ca23cb3d9940fc0a33561f8d31a58d08d6e9f4a56c163329963813b293",
             ("fig2d", "csv"): "90184d34e11bffe252d282361b44aba5f87906c0256f3d0aecbc34d10c9927ef",
-            ("fig3a", "csv"): "ae8692f3176d10340b1c98d384595229e9bc4f2c9bc02bfeca8eed6509758ac9",
-            ("fig3b", "csv"): "28ee5c7d7c37f1a249cb2b53a20bc3521901b602c43affe2badc500916d6a234",
+            ("fig3a", "csv"): "dc71899fe582d788f16d49739deb781e519d4245a9652a5192bbe5c9feec8387",
+            ("fig3b", "csv"): "7454f48157163efc69e1a787442ed4932491e331e43412b7d097c56715bed23a",
             ("fig2c", "json"): "f228c459e3075be6fff857a18712efd366d9fb0d6b26cd526e1f4e5854ff8c4b",
-            ("fig3a", "json"): "29c57de09d6ccb3da7561d904f6e251bad04e4a2525890262ca978da2c8833db",
-            ("fig3b", "json"): "8fbbc812ff11321520ce82e5caa6ea0f9f7eb2bdfbdf1998a5815e619031d318",
+            ("fig3a", "json"): "b4ba17480df06d856009de65235a25d057a5867e83f787746bf0eeaa59ca601f",
+            ("fig3b", "json"): "3e9286ff2f2146c0cc2378f90d5ba9e97b69f983cafa6911c120b5971b06a6d7",
         }
         tables = {name: experiments.run_preset(name) for name in experiments.PRESET_NAMES}
         changed = [f"{name} {fmt}" for (name, fmt), digest in recorded.items()

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -44,16 +45,19 @@ from cfomech.experiments import (
 from cfomech.params import EffectiveModel, effective_cavity_params
 from reference import (
     MARGINAL_MODELS,
+    ORACLE_DPS,
     PT_SIGNS,
     certified_against_eigen,
     kron_steady_state,
     marginal_model,
+    oracle_nu_pt,
     physicality_check,
     point_columns,
     propagate_stepwise,
     realify,
     stack_models,
     symplectic_eigenvalues,
+    van_loan_maps,
     vech_lyapunov_operator,
 )
 
@@ -600,7 +604,61 @@ class TestRouthCertificate:
         assert np.array_equal(stability_batch(A), np.r_[stable[:-1], False])
 
 
+#: Bound on the 1-norm of every block with a nonzero drift that
+#: transition_and_noise hands to expm: max|D'| < 2 max|A|, and a row or column
+#: of a 6x6 A sums to at most sqrt(6) ||A||_F.  The largest measured over a
+#: Tier-1 run is 0.16.
+BLOCK_NORM_BOUND = (2.0 + math.sqrt(6.0)) * dynamics.STEP_NORM_CAP
+
+#: Relative Frobenius error allowed in expm against mpmath.expm on blocks
+#: scaled to 1-norm 0.45; the largest measured is 7.0e-17.
+EXPM_RTOL = 1e-15
+
+#: Drawn rates with baths up to nbar = 1e300, G1 / G2 up to 3.
+_hot_draw = st.tuples(st.floats(0.0, 3.0), *_RATES_AND_BATHS[:-2],
+                      st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+
+
+def _blocks(A, D, dt):
+    """transition_and_noise's M and the stack of blocks it hands to expm."""
+    blocks = []
+    expm = dynamics.expm
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "expm", lambda X: blocks.append(X) or expm(X))
+        M = transition_and_noise(A, D, dt)[0]
+    assert len(blocks) == 1
+    return M, blocks[0]
+
+
 class TestTransitionAndNoise:
+    @settings(deadline=None, max_examples=60)
+    @given(draws=st.lists(_hot_draw, min_size=1, max_size=8), dt=st.floats(1e-12, 1e6),
+           frozen=st.booleans())
+    def test_blocks_meet_the_exponential_precondition(self, draws, dt, frozen):
+        A, D = state_space_batch(_model_stack(draws))
+        if frozen:  # the zero drift is not subdivided: its block is nilpotent
+            A = np.zeros_like(A)
+        M, blocks = _blocks(A, D, dt)
+        for X, drift in zip(blocks, A):
+            if drift.any():
+                assert np.abs(X).sum(axis=0).max() <= BLOCK_NORM_BOUND
+            else:
+                assert not (X @ X).any()
+        if frozen:
+            assert np.array_equal(M, np.broadcast_to(np.eye(6), M.shape))
+
+    @settings(deadline=None, max_examples=20)
+    @given(draw=_hot_draw, dt=st.floats(1e-12, 1e6))
+    def test_taylor_sum_matches_mpmath_at_the_norm_bound(self, draw, dt):
+        A, D = state_space_batch(_model_stack([draw]))
+        X = _blocks(A, D, dt)[1][0]
+        X = X * (0.45 / np.abs(X).sum(axis=0).max())
+        F = dynamics.expm(X)
+        with mpmath.workdps(ORACLE_DPS):
+            ref = mpmath.expm(mpmath.matrix(X.tolist()))
+            error = mpmath.norm(mpmath.matrix(F.tolist()) - ref) / mpmath.norm(ref)
+        assert error <= EXPM_RTOL
+
     def test_frozen_generator(self):
         D = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         M, Q = transition_and_noise(np.zeros((6, 6)), D, 0.25)
@@ -655,7 +713,7 @@ class TestTransitionAndNoise:
 
 #: Largest difference allowed between propagate_batch and the sequential
 #: steps of reference.propagate_stepwise, relative to each sample's max|V|;
-#: the largest measured on TestPropagate's grids is 4.2e-12, over a run of 256
+#: the largest measured on TestPropagate's grids is 3.0e-12, over a run of 257
 #: intervals.
 STEPWISE_RTOL = 1e-10
 
@@ -738,16 +796,14 @@ class TestPropagate:
         V0 = initial_covariance(n1, n2)
         covs = propagate(A, D, V0, t_grid)
         assert len(calls) == 1
-        # reference: a fresh exact map for every interval, from its own dt
-        V, t_prev = V0, 0.0
-        for t, V_fast in zip(t_grid, covs):
-            if t > t_prev:
-                M, Q = transition_and_noise(A, D, t - t_prev)
-                V = M @ V @ M.T + Q
-                V = 0.5 * (V + V.T)
-            t_prev = t
-            en_ref = log_negativity_from_nu(min_symplectic_eigenvalue_pt(V[:4, :4]))
-            en = log_negativity_from_nu(min_symplectic_eigenvalue_pt(V_fast[:4, :4]))
+        # reference: the 50-digit exact map from t = 0 to each sample's own t
+        for k in (1, 100, 200):
+            M, Q = van_loan_maps(A, D, float(t_grid[k]))
+            with mpmath.workdps(ORACLE_DPS):
+                V = M * mpmath.matrix(V0.tolist()) * M.T + Q
+                nu = oracle_nu_pt([[V[i, j] for j in range(4)] for i in range(4)])
+            en_ref = log_negativity_from_nu(float(nu))
+            en = log_negativity_from_nu(min_symplectic_eigenvalue_pt(covs[k, :4, :4]))
             assert abs(en - en_ref) <= 1e-8
 
     def test_offset_grid_adds_one_map(self, monkeypatch):
@@ -791,7 +847,7 @@ class TestPropagate:
         assert len(set(doublings)) == len(models)
         steps = dt / 2.0 ** doublings
         M, Q = transition_and_noise(A, D, steps)
-        M_int, Q_int = dynamics._interval_maps(A, D, dt)
+        M_int, Q_int = transition_and_noise(A, D, dt)
         for k in range(len(models)):
             M1, Q1 = transition_and_noise(A[k], D[k], steps[k])
             assert np.array_equal(M[k], M1) and np.array_equal(Q[k], Q1)
@@ -805,9 +861,9 @@ class TestPropagate:
     def test_matches_the_sequential_steps(self, grid, monkeypatch):
         t_grid, runs = grid
         calls = []
-        interval_maps = dynamics._interval_maps
-        monkeypatch.setattr(dynamics, "_interval_maps",
-                            lambda *args: calls.append(1) or interval_maps(*args))
+        maps = dynamics.transition_and_noise
+        monkeypatch.setattr(dynamics, "transition_and_noise",
+                            lambda *args: calls.append(1) or maps(*args))
         A, D = state_space_batch(stack_models(_STEPWISE_MODELS))
         V0 = np.stack([initial_covariance(m.nbar1, m.nbar2) for m in _STEPWISE_MODELS])
         covs, first_bad = propagate_batch(A, D, V0, t_grid)
@@ -845,9 +901,9 @@ class TestPropagate:
         # a round is one batched step that fills samples; the squarings of
         # the maps step their own noise maps
         calls, rounds = [], []
-        interval_maps, apply = dynamics._interval_maps, dynamics._apply
-        monkeypatch.setattr(dynamics, "_interval_maps",
-                            lambda *args: calls.append(1) or interval_maps(*args))
+        maps, apply = dynamics.transition_and_noise, dynamics._apply
+        monkeypatch.setattr(dynamics, "transition_and_noise",
+                            lambda *args: calls.append(1) or maps(*args))
         monkeypatch.setattr(dynamics, "_apply",
                             lambda M, Q, V: rounds.append(V is not Q) or apply(M, Q, V))
         A, D = state_space_batch(stack_models(_STEPWISE_MODELS))

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -115,6 +116,38 @@ class TestConfigValidation:
         # an int beyond double precision is compared, not converted
         with pytest.raises(ConfigError, match="^tPoints must be a finite number"):
             base_config(tPoints=10 ** 400)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"detuningLock": "no"}, "detuningLock must be true or false, got 'no'"),
+        ({"detuningLock": 1}, "detuningLock must be true or false, got 1"),
+        ({"G1": "9e4"}, "G1 must be a finite number, got '9e4'"),
+        ({"gamma1": True}, "gamma1 must be a finite number, got True"),
+        ({"tPoints": 20.5}, "tPoints must be an integer, got 20.5"),
+        ({"tMax": "2e-3"}, "tMax must be positive and finite"),
+        ({"rwaThreshold": "10"}, "rwaThreshold must be positive"),
+    ], ids=["text_lock", "numeric_lock", "text_coupling", "boolean_rate", "fractional_tPoints",
+            "text_tMax", "text_threshold"])
+    def test_python_callers_get_the_cli_checks(self, kw, message):
+        # the CLI's number check runs in RunConfig itself: a wrongly typed
+        # value is a ConfigError, not a bare TypeError or a truthy lock
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{"G1": 9e4, "G2": 1e5, **kw})
+
+    @pytest.mark.parametrize("bounds, count, message", [
+        ((0.5, 1.0), True, "count must be a finite number, got True"),
+        ((0.5, 1.0), 2.5, "count must be an integer, got 2.5"),
+        ((0.5, 1.0), math.nan, "count must be a finite number, got nan"),
+        (("0.5", 1.0), 3, "min must be a finite number, got '0.5'"),
+        ((0.5, math.inf), 3, "max must be a finite number, got inf"),
+    ], ids=["boolean_count", "fractional_count", "nan_count", "text_bound", "infinite_bound"])
+    def test_axis_takes_the_number_check(self, bounds, count, message):
+        with pytest.raises(ConfigError, match=f"^axis 'ratio': {re.escape(message)}$"):
+            SweepAxis("ratio", *bounds, count)
+
+    def test_whole_float_counts_are_taken_as_ints(self):
+        assert SweepAxis("ratio", 0.5, 1.0, 3.0).grid().tolist() == [0.5, 0.75, 1.0]
+        assert base_config(mode="evolve", tPoints=np.int64(3)).time_grid().size == 3
+        assert base_config(mode="evolve", tPoints=3.0).tPoints == 3
 
     def test_zero_dissipation_rejected(self):
         with pytest.raises(ConfigError):
@@ -747,19 +780,19 @@ class TestPackage:
             assert cli.main([command, "--set", "G1=9e4", "G2=1e5"]) == 0
             assert shapes.pop() == (1, 6, 6) and shapes == []
 
-    def test_steady_path_runs_without_scipy(self):
-        # scipy is imported by the first matrix exponential, which only evolve
-        # mode takes
-        code = ("import sys, cfomech, cfomech.cli; print('scipy' in sys.modules); "
-                "cfomech.cli.main(['steady', '--set', 'G1=9e4', 'G2=1e5', '--quiet']); "
-                "print('scipy' in sys.modules); "
-                "cfomech.cli.main(['evolve', '--set', 'G1=1e4', 'G2=1e4', 'tPoints=3']); "
-                "print('scipy' in sys.modules)")
+    def test_package_runs_without_scipy(self):
+        # the exponentials are summed in numpy: no command loads scipy
+        commands = (["steady", "--set", "G1=9e4", "G2=1e5"],
+                    ["evolve", "--set", "G1=1e4", "G2=1e4", "tPoints=3"],
+                    ["preset", "fig3a", "--set", "tPoints=3"])
+        code = ("import sys, cfomech, cfomech.cli; seen = ['scipy' in sys.modules]\n"
+                f"for argv in {commands!r}:\n"
+                "    seen += [cfomech.cli.main([*argv, '--quiet']), 'scipy' in sys.modules]\n"
+                "print(seen)")
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        lines = done.stdout.splitlines()
-        assert [lines[0], lines[3], lines[-1]] == ["False", "False", "True"]
+        assert done.stdout.splitlines()[-1] == str([False] + [0, False] * len(commands))
 
     def test_reproduce_figures_script_writes_every_preset(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

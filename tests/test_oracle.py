@@ -13,11 +13,11 @@ to the kron-form oracle on the pinned points, then checks the library on a
 pre-registered draw of about 300 stable models (test_sweep_...).
 
 The propagator oracle is Van Loan's block exponential (Van Loan 1978, IEEE
-TAC 23:395) taken by mpmath.expm at the same precision; it checks the
-one-step maps M and Q of transition_and_noise, the interval maps that
-dynamics._interval_maps assembles from them by squaring, and the fig3
-samples that dynamics.propagate_batch fills by doubling, each against the
-exact map from t = 0 to its own t.
+TAC 23:395) taken by mpmath.expm at the same precision
+(reference.van_loan_maps); it checks the maps M and Q of
+transition_and_noise, which squares its elementary step's maps up to the
+interval, and the fig3 samples that dynamics.propagate_batch fills by
+doubling, each against the exact map from t = 0 to its own t.
 """
 
 import mpmath
@@ -29,10 +29,8 @@ from cfomech import dynamics, entanglement
 from cfomech.experiments import (evaluate_evolve_batch, evaluate_steady_batch, preset_config,
                                  resolve_point, run_preset)
 from cfomech.params import EffectiveModel
-from reference import (MARGINAL_MODELS, certified_against_eigen, marginal_model,
-                       propagate_stepwise, stack_models)
-
-ORACLE_DPS = 50
+from reference import (MARGINAL_MODELS, ORACLE_DPS, certified_against_eigen, marginal_model,
+                       oracle_nu_pt, propagate_stepwise, stack_models, van_loan_maps)
 
 #: Relative nu_minus error allowed against the oracle at the pinned points;
 #: the largest measured is 2.9e-9, at the 5b peak (2.3e-12 in the marginal
@@ -51,32 +49,18 @@ ORACLE_NU_RTOL_EQUAL_COUPLINGS = 1e-4
 ORACLE_PT_RTOL = 2e-8
 
 #: Relative Frobenius error allowed in the M and Q of transition_and_noise
-#: and of the squared interval maps against Van Loan's block exponential; the
-#: largest measured is 3.2e-16 for one exponential, in Q at an eighth of a fig3
-#: grid step, and 2.0e-15 for the interval maps, in M over 8 grid steps
-#: (2 to 6 doublings).
+#: against Van Loan's block exponential; the largest measured is 3.7e-16 over
+#: one fig3 grid step, in Q at kappa_tilde = 0, and 2.0e-15 over 8 grid steps,
+#: in M at rB = 0.99 (2 to 6 doublings).
 VAN_LOAN_RTOL = 1e-14
 
 #: Relative nu_minus error allowed in the fig3 samples of
 #: test_propagation_matches_van_loan against the 50-digit propagation; the
-#: largest measured is 2.8e-9, at rB = 0.999 and t = 2e-3 on fig3b (1.1e-8
-#: for the sequential steps of reference.propagate_stepwise).
+#: largest measured is 1.7e-9, at rB = 1 and t = 2e-3 on fig3b (8.6e-9 for
+#: the sequential steps of reference.propagate_stepwise).
 PROPAGATION_NU_RTOL = 1e-8
 
 _N = 6
-_PT_SIGNS = (1, 1, 1, -1)
-_TWO_MODE_FORM = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
-
-
-def oracle_nu_pt(V4) -> mpmath.mpf:
-    """Smallest symplectic eigenvalue of the 4x4 V4 with the second momentum
-    flipped, at ORACLE_DPS digits: the smallest |Im| of the eigenvalues of
-    Omega V_pt."""
-    with mpmath.workdps(ORACLE_DPS):
-        V_pt = mpmath.matrix([[mpmath.mpf(V4[i][j]) * _PT_SIGNS[i] * _PT_SIGNS[j]
-                               for j in range(4)] for i in range(4)])
-        vals = mpmath.eig(mpmath.matrix(_TWO_MODE_FORM) * V_pt, left=False, right=False)
-        return min(abs(mpmath.im(v)) for v in vals)
 
 
 def oracle_nu_minus(model: EffectiveModel) -> mpmath.mpf:
@@ -452,22 +436,6 @@ def test_sweep_matches_the_hermitian_oracle():
     assert unresolved <= SWEEP_UNRESOLVED_MAX
 
 
-def van_loan_maps(A, D, dt: float):
-    """M = exp(A dt) and Q = int_0^dt exp(A s) D exp(A^T s) ds at ORACLE_DPS
-    digits, read off mpmath.expm of [[-A, D], [0, A^T]] dt."""
-    n = len(A)
-    with mpmath.workdps(ORACLE_DPS):
-        block = mpmath.zeros(2 * n, 2 * n)
-        for i in range(n):
-            for j in range(n):
-                block[i, j] = -mpmath.mpf(float(A[i, j])) * dt
-                block[i, n + j] = mpmath.mpf(float(D[i, j])) * dt
-                block[n + i, n + j] = mpmath.mpf(float(A[j, i])) * dt
-        F = mpmath.expm(block)
-        M = F[n:, n:].T
-        return M, M * F[:n, n:]
-
-
 def relative_frobenius_error(X, ref) -> float:
     with mpmath.workdps(ORACLE_DPS):
         entries = [(mpmath.mpf(float(X[i, j])), ref[i, j])
@@ -504,19 +472,18 @@ def test_transition_and_noise_matches_van_loan(model, stable, dt):
 @_VAN_LOAN_MODELS
 def test_interval_maps_match_van_loan(model, stable, dt, monkeypatch):
     # the squaring composes the elementary maps exactly, so the interval maps
-    # meet the same bound as one exponential over the whole interval
-    steps = []
-    original = dynamics.transition_and_noise
-
-    def recording(A, D, step):
-        steps.append(float(np.asarray(step).item()))
-        return original(A, D, step)
-
-    monkeypatch.setattr(dynamics, "transition_and_noise", recording)
+    # meet the same bound as one exponential over the whole interval; the
+    # elementary step h = dt 2^-d is read off the A^T h block that expm gets
+    blocks = []
+    original = dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda X: blocks.append(X) or original(X))
     A, D = dynamics.state_space_batch(model)
-    M, Q = dynamics._interval_maps(A, D, dt)
-    doublings = round(np.log2(dt / steps[0]))
-    assert len(steps) == 1 and dt / 2.0 ** doublings == steps[0]
+    M, Q = dynamics.transition_and_noise(A, D, dt)
+    n = A.shape[-1]
+    i, j = np.unravel_index(np.abs(A[0]).argmax(), A[0].shape)
+    doublings = round(np.log2(dt * A[0, i, j] / blocks[0][0, n + j, n + i]))
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0][0, n:, n:], A[0].T * (dt / 2.0 ** doublings))
     assert doublings >= 2
     M_ref, Q_ref = van_loan_maps(A[0], D[0], dt)
     assert relative_frobenius_error(M[0], M_ref) <= VAN_LOAN_RTOL
