@@ -189,7 +189,7 @@ def _point_table(cfg: RunConfig) -> ResultTable:
 
 def _stability_table(cfg: RunConfig) -> ResultTable:
     model, verdict = experiments.resolve_point(cfg)
-    A = dynamics.state_space_batch(model)[0]
+    A = dynamics.state_space_realified(dynamics.state_space_coordinates(model)[0])
     abscissa = dynamics.spectral_abscissa(A)
     if math.isnan(abscissa[0]):
         raise NumericalError(experiments.NONFINITE_DRIFT)

@@ -4,11 +4,12 @@ The quadrature vector is ordered (dq1, dp1, dq2, dp2, dX, dY): two mechanical
 modes then the cavity.  The first moments obey du/dt = A u + n with drift A and
 a diagonal diffusion matrix D for the noise vector n.  The model is
 phase-insensitive: A and D realify a complex 3x3 drift M and a Hermitian D_c
-(see cfomech.entanglement), and the steady state is solved on that form.
+(see cfomech.entanglement), whose coordinates define the model: the steady path
+runs on them, the eigenvalue route and propagation on A and D.
 
 The model is homogeneous in its rates: scaling them all by 2^k scales A and D
 by 2^k and time by 2^-k and leaves every covariance unchanged.  Every kernel
-whose result depends on the size of the rates reads its matrices at unit size
+whose result depends on the size of the rates reads its arrays at unit size
 (_unit_size), so no result depends on the unit of time.
 """
 
@@ -41,47 +42,58 @@ STEP_NORM_CAP = 0.1
 GRID_STEP_ULPS = 4
 
 
-def state_space_batch(model: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 6, 6) drift and diffusion stacks (A, D) of the N models of a
-    column model (N = 1 for a model of floats), in the (dq1, dp1, dq2, dp2,
-    dX, dY) ordering.
+#: Maps to and from the coordinates of the realifications of the 3x3
+#: Hermitian matrices (9) and of all complex 3x3 matrices (18) on the
+#: quadratures: the drift A realifies a complex M, the diffusion D and every
+#: covariance V a Hermitian D_c and H.
+_HERMITIAN = _realification_maps(3, hermitian=True)
+_COMPLEX = _realification_maps(3, hermitian=False)
 
-    The diffusion matrix is diagonal: gamma_j*(nbar_j + 1/2) twice per
-    mechanical mode, kappa_tilde twice for the cavity.  A bath too hot for
-    double precision gives an infinite entry, which the solve or the
-    propagation reports for its point.
-    """
+
+def state_space_coordinates(model: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 18) coordinates m of the complex drifts M and (N, 9) coordinates d
+    of the Hermitian diffusions D_c of a column model's N models (N = 1 for
+    floats), in _COMPLEX's and _HERMITIAN's orders, with M = [[-gamma1/2, 0,
+    i G1], [0, -gamma2/2, -i G2], [-i G1, -i G2, -kappa_tilde - i
+    delta_tilde]] and D_c = diag(gamma1 (nbar1 + 1/2), gamma2 (nbar2 + 1/2),
+    kappa_tilde): the only place a rate enters the model.  A bath too hot
+    for double precision gives an infinite d, reported by solve or propagation."""
     G1, G2, kt, dt, g1, g2, n1, n2 = model.columns()
-    A = np.zeros((len(G1), 6, 6))
-    A[:, 0, 0] = A[:, 1, 1] = -(g1 / 2.0)
-    A[:, 2, 2] = A[:, 3, 3] = -(g2 / 2.0)
-    A[:, 4, 4] = A[:, 5, 5] = -kt
-    A[:, 0, 5] = A[:, 1, 4] = A[:, 4, 1] = A[:, 5, 0] = -G1
-    A[:, 2, 5] = A[:, 4, 3] = G2
-    A[:, 3, 4] = A[:, 5, 2] = -G2
-    A[:, 4, 5] = dt
-    A[:, 5, 4] = -dt
-    D = np.zeros_like(A)
+    m, d = np.zeros((len(G1), 18)), np.zeros((len(G1), 9))
+    # Re M[j, k] at 3 j + k and Im M[j, k] at 9 + 3 j + k; D_c[j, j] at 0, 3 and 5
+    m[:, 0], m[:, 4], m[:, 8] = -(g1 / 2.0), -(g2 / 2.0), -kt
+    m[:, 11], m[:, 14], m[:, 15], m[:, 16], m[:, 17] = G1, -G2, -G1, -G2, -dt
     with np.errstate(over="ignore"):
-        D[:, 0, 0] = D[:, 1, 1] = g1 * (n1 + 0.5)
-        D[:, 2, 2] = D[:, 3, 3] = g2 * (n2 + 0.5)
-    D[:, 4, 4] = D[:, 5, 5] = kt
-    return A, D
+        d[:, 0], d[:, 3], d[:, 5] = g1 * (n1 + 0.5), g2 * (n2 + 0.5), kt
+    return m, d
+
+
+def state_space_realified(x: np.ndarray) -> np.ndarray:
+    """Exact (N, 6, 6) realifications, ordered (dq1, dp1, dq2, dp2, dX, dY), of
+    (N, 18) drift or (N, 9) diffusion coordinates, as state_space_coordinates
+    gives them; a non-finite coordinate spreads to all 36 entries."""
+    with np.errstate(invalid="ignore"):  # inf * 0 reads NaN
+        return (x @ (_COMPLEX if x.shape[-1] == 18 else _HERMITIAN)[0]).reshape(-1, 6, 6)
+
+
+def state_space_batch(model: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 6, 6) drift and diffusion stacks (A, D) of a column model: the
+    realifications of its state_space_coordinates."""
+    return tuple(map(state_space_realified, state_space_coordinates(model)))
 
 
 def state_space(m: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
-    """6x6 drift and diffusion matrices (A, D) of one model, as
-    state_space_batch builds them."""
+    """6x6 drift and diffusion matrices (A, D) of one model, as state_space_batch builds them."""
     A, D = state_space_batch(m)
     return A[0], D[0]
 
 
-def _unit_size(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X*2^-e and e for a matrix or each matrix of a stack, e the binary
-    exponent of its largest entry: exact, with the largest entry in [0.5, 1)
-    (e = 0 for a zero or non-finite matrix), so no square over- or underflows."""
-    e = np.frexp(np.abs(X).max(axis=(-2, -1)))[1]
-    return np.ldexp(X, -e[..., None, None]), e
+def _unit_size(X: np.ndarray, axis=(-2, -1)) -> tuple[np.ndarray, np.ndarray]:
+    """X*2^-e and e for a matrix or each matrix of a stack (each vector with
+    axis = -1), e the binary exponent of its largest entry: exact, the largest
+    entry in [0.5, 1) (e = 0 if zero or non-finite), so no square over- or underflows."""
+    e = np.frexp(np.abs(X).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(X, -e), e.squeeze(axis)
 
 
 def spectral_abscissa(A: np.ndarray) -> np.ndarray:
@@ -125,29 +137,25 @@ ROUTH_MARGIN = 2.0 ** -20
 #: unstable and so paying both, stay below it.
 CERTIFICATE_MIN_STACK = 64
 
-#: Coordinates of the real parts of the diagonal of M (see _COMPLEX).
-_DIAGONAL = [0, 4, 8]
 
-
-def _routh_certificate(A: np.ndarray) -> np.ndarray:
-    """(N,) stability certificates of an (N, 6, 6) stack of drifts realifying
-    complex 3x3 drifts M, from the Routh-Hurwitz test (Gantmacher, The
+def _routh_certificate(m: np.ndarray) -> np.ndarray:
+    """(N,) stability certificates of the complex 3x3 drifts M of an (N, 18)
+    stack of coordinates, from the Routh-Hurwitz test (Gantmacher, The
     Theory of Matrices, vol. 2, ch. XV) without an eigenvalue call.
 
-    The eigenvalues of A are those of M and their conjugates, the roots of
-    the real sextic p*conj(p) for the characteristic cubic p(x) = det(xI -
-    M) = x^3 + a x^2 + b x + c.  M enters at unit size (_unit_size), so no
-    coefficient over- or underflows, and shifted by (STABILITY_TOL +
-    ROUTH_MARGIN) times the scaled ||A||_F.  A point is certified only where
-    all six first-column entries of the Routh array of the shifted sextic
-    are positive: a zero, a NaN or a non-finite drift leaves it uncertified,
-    not unstable.
+    The eigenvalues of M's realification A are those of M and their
+    conjugates, the roots of the real sextic p*conj(p) for the cubic p(x) =
+    det(xI - M) = x^3 + a x^2 + b x + c.  M enters at unit size (_unit_size),
+    so no coefficient over- or underflows, and shifted by (STABILITY_TOL +
+    ROUTH_MARGIN) times the scaled ||A||_F = sqrt(2)*||m||.  A point is
+    certified only where all six first-column entries of the Routh array of
+    the shifted sextic are positive: a zero, a NaN or a non-finite drift
+    leaves it uncertified, not unstable.
     """
-    A = _unit_size(A)[0].reshape(len(A), 36)
-    norm = np.linalg.norm(A, axis=1)
+    m = _unit_size(m, axis=-1)[0]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        m = A @ _COMPLEX[1]
-        m[:, _DIAGONAL] += ((STABILITY_TOL + ROUTH_MARGIN) * norm)[:, None]
+        norm = np.sqrt(2.0 * (m * m).sum(axis=1))
+        m[:, [0, 4, 8]] += ((STABILITY_TOL + ROUTH_MARGIN) * norm)[:, None]  # Re diag M
         m00, m01, m02, m10, m11, m12, m20, m21, m22 = (m[:, :9] + 1j * m[:, 9:]).T
         # a = -tr M, b the sum of its principal 2x2 minors, c = -det M
         minor0 = m11 * m22 - m12 * m21
@@ -175,29 +183,31 @@ def _routh_certificate(A: np.ndarray) -> np.ndarray:
                 & (r1 > 0.0) & (q0 > 0.0))
 
 
-def stability_batch(A: np.ndarray) -> np.ndarray:
-    """(N,) stability verdicts of an (N, 6, 6) stack of drifts, as
-    stability_from_abscissa gives them: systems inside the band count as
-    marginal, not stable, and a drift with a non-finite entry is not stable.
+def stability_batch(m: np.ndarray) -> np.ndarray:
+    """(N,) stability verdicts of the drifts of an (N, 18) stack of
+    coordinates, as stability_from_abscissa gives them on their
+    realifications: systems inside the band count as marginal, not stable,
+    and a drift with a non-finite entry is not stable.
 
     A stack of at least CERTIFICATE_MIN_STACK drifts takes the verdicts of
     the points that the Routh-Hurwitz certificate settles from it, and only
     the others from one eigenvalue call; a smaller stack takes them all from
     the eigenvalues.
     """
-    if len(A) < CERTIFICATE_MIN_STACK:
+    if len(m) < CERTIFICATE_MIN_STACK:
+        A = state_space_realified(m)
         return stability_from_abscissa(A, spectral_abscissa(A))
-    stable = _routh_certificate(A)
-    rest = ~stable
-    if rest.any():
-        stable[rest] = stability_from_abscissa(A[rest], spectral_abscissa(A[rest]))
+    stable = _routh_certificate(m)
+    if not stable.all():
+        A = state_space_realified(m[~stable])
+        stable[~stable] = stability_from_abscissa(A, spectral_abscissa(A))
     return stable
 
 
 def stability_eigen(A: np.ndarray) -> bool:
-    """Eigenvalue stability test of one matrix, stability_batch's verdict on a
-    stack of one: systems inside the band count as marginal, not stable."""
-    return bool(stability_batch(A[None])[0])
+    """Eigenvalue stability test of one matrix, as stability_from_abscissa
+    gives it: systems inside the band count as marginal, not stable."""
+    return bool(stability_from_abscissa(A[None], spectral_abscissa(A[None]))[0])
 
 
 def stability_margin(m: EffectiveModel) -> float:
@@ -235,14 +245,6 @@ def _transpose(X: np.ndarray) -> np.ndarray:
     return X.swapaxes(-1, -2)
 
 
-#: Maps to and from the coordinates of the realifications of the 3x3
-#: Hermitian matrices (9) and of all complex 3x3 matrices (18) on the
-#: quadratures: the drift A realifies a complex M, the diffusion D and every
-#: covariance V a Hermitian D_c and H.
-_HERMITIAN = _realification_maps(3, hermitian=True)
-_COMPLEX = _realification_maps(3, hermitian=False)
-
-
 def _lyapunov_basis() -> np.ndarray:
     """(18, 81) tensor T: m @ T stacks the 9x9 matrices of H -> M H + H
     M^dagger on the Hermitian coordinates, for the coordinates m of M, that
@@ -268,15 +270,14 @@ def _residual_error(rel: float, op: np.ndarray) -> str:
     return f"Lyapunov residual {rel:.3g} above tolerance (cond ~ {np.linalg.cond(op):.3g})"
 
 
-def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+def steady_state_batch(m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     """(N, 9) Hermitian coordinates h of the stationary covariances V[k] =
-    h[k] @ _HERMITIAN[0] solving A[k] V + V A[k]^T = -D[k] for an (N, 6, 6)
-    stack of strictly stable systems, with a per-system error.
+    h[k] @ _HERMITIAN[0] solving A[k] V + V A[k]^T = -D[k] for the (N, 18)
+    and (N, 9) coordinates (m, d) of strictly stable systems, as
+    state_space_coordinates gives them, with a per-system error.
 
-    A and D must realify a complex drift M and a Hermitian diffusion D_c, as
-    state_space_batch builds them (steady_state_covariance checks it).  The N
-    systems M H + H M^dagger = -D_c, op h = -d on the coordinates, take one
-    batched solve at A's and D's unit size (_unit_size), h scaled back
+    The N systems M H + H M^dagger = -D_c, op h = -d on the coordinates, take
+    one batched solve at m's and d's unit size (_unit_size), h scaled back
     exactly, so no unit of time or hot bath overflows the solve or the norms.
     The residual ||op h + d|| / ||d||, in the norms of the realifications
     (_WEIGHTS), must fall below LYAPUNOV_RTOL or the floor
@@ -285,26 +286,23 @@ def steady_state_batch(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, list[s
     of its 9x9 operator in place of None, and one whose h overflows once
     scaled back a text naming it; such an h is not meaningful.
     """
-    N = len(A)
-    (A, a), (D, e) = _unit_size(A), _unit_size(D)
-    m = A.reshape(N, 36) @ _COMPLEX[1]  # not (N, -1): a chunk may be (0, 6, 6)
+    N = len(m)
+    (m, a), (d, e) = _unit_size(m, axis=-1), _unit_size(d, axis=-1)
     op = (m @ _LYAPUNOV_BASIS).reshape(N, 9, 9)
     singular = np.zeros(N, dtype=bool)
-    with np.errstate(invalid="ignore"):  # an infinite D reads NaN here, reported below
-        d = D.reshape(N, 36) @ _HERMITIAN[1]
-        try:
-            h = np.linalg.solve(op, -d[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # one singular system fails the whole batched solve: solve one by one
-            h = np.full_like(d, np.nan)
-            for k in range(N):
-                try:
-                    h[k] = np.linalg.solve(op[k:k + 1], -d[k:k + 1, :, None])[0, :, 0]
-                except np.linalg.LinAlgError:
-                    singular[k] = True
-    # an h too large for double precision overflows here, reported below;
-    # ||A||_F^2 is 2*||m||^2, each coordinate of M filling 2 entries of A
-    with np.errstate(over="ignore"):
+    try:
+        h = np.linalg.solve(op, -d[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole batched solve: solve one by one
+        h = np.full_like(d, np.nan)
+        for k in range(N):
+            try:
+                h[k] = np.linalg.solve(op[k:k + 1], -d[k:k + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+    # an h too large for double precision, or one from an infinite d, is not
+    # finite: reported below; ||A||_F^2 is 2*||m||^2, each m filling 2 entries of A
+    with np.errstate(over="ignore", invalid="ignore"):
         r = (op @ h[..., None])[..., 0] + d
         norm_r, norm_h, norm_d = np.sqrt(np.stack([r, h, d]) ** 2 @ _WEIGHTS)
         rel = norm_r / norm_d
@@ -338,7 +336,9 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise StabilityError(
             "drift matrix is not strictly stable "
             f"(spectral abscissa {abscissa[0]:.6g})")
-    h, errors = steady_state_batch(A, D)
+    with np.errstate(invalid="ignore"):  # an infinite D reads NaN here, reported below
+        m, d = A.reshape(1, 36) @ _COMPLEX[1], D.reshape(1, 36) @ _HERMITIAN[1]
+    h, errors = steady_state_batch(m, d)
     if errors[0] is not None:
         raise NumericalError(errors[0])
     (A, a), (D, e) = _unit_size(A[0]), _unit_size(D[0])
@@ -382,8 +382,8 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
     diverging over dt, gives non-finite maps for the caller to report.
     """
     dt = np.asarray(dt, dtype=float)
-    if np.any(dt <= 0):
-        raise ValueError("dt must be positive")
+    if not np.all((dt > 0) & (dt < math.inf)):  # NaN fails both comparisons
+        raise ValueError("dt must be positive and finite")
     shape, n = A.shape, A.shape[-1]
     A, D = A.reshape(-1, n, n), D.reshape(-1, n, n)
     steps = np.broadcast_to(dt, shape[:-2]).ravel()

@@ -333,19 +333,19 @@ def _score(coords: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np
 def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
     """Steady-state entanglement of the N models of a column model: one
     batched stability test and one batched Lyapunov solve over the stable
-    models, with no structure check (their state spaces are phase-insensitive
-    by construction), then scored on the solved coordinates.  Unstable,
+    models, both on the coordinates of their complex drifts and Hermitian
+    diffusions, then scored on the solved coordinates.  Unstable,
     numerically failing, unphysical or unresolved points carry an error text
     instead of raising; only the unstable ones, and those whose drift has a
     non-finite entry (NONFINITE_DRIFT), read stable = False."""
-    A, D = dynamics.state_space_batch(model)
-    stable = dynamics.stability_batch(A)
+    m, d = dynamics.state_space_coordinates(model)
+    stable = dynamics.stability_batch(m)
     idx = np.flatnonzero(stable)
-    h, solve_errors = dynamics.steady_state_batch(A[idx], D[idx])
-    coords = np.empty((len(A), 1, 4))
+    h, solve_errors = dynamics.steady_state_batch(m[idx], d[idx])
+    coords = np.empty((len(m), 1, 4))
     coords[idx, 0] = h[:, [0, 1, 6, 3]]  # (H11, Re H12, Im H12, H22)
     errors: list[str | None] = ["unstable" if finite else NONFINITE_DRIFT
-                                for finite in np.isfinite(A).all(axis=(-2, -1)).tolist()]
+                                for finite in np.isfinite(m).all(axis=1).tolist()]
     for k, error in zip(idx.tolist(), solve_errors):
         errors[k] = error
     return ChunkResult(*_score(coords, errors), stable, errors)
@@ -358,15 +358,15 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
     batched propagation, then scored.  A model that diverges, or that has a
     sample failing the physicality gate or with an unresolved spectrum,
     carries its error instead of raising, and reads stable = False."""
-    A, D = dynamics.state_space_batch(model)
-    stable = dynamics.stability_batch(A)
+    m, d = dynamics.state_space_coordinates(model)
+    stable = dynamics.stability_batch(m)
     V0 = entanglement.initial_covariance(*model.columns()[6:])
-    covs, first_bad = dynamics.propagate_batch(A, D, V0, t_grid)
+    covs, first_bad = dynamics.propagate_batch(*map(dynamics.state_space_realified, (m, d)),
+                                               V0, t_grid)
     # a model whose covariance turned non-finite is not scored
     errors = [NONFINITE_DRIFT if not finite else None if step < 0
               else str(dynamics.propagation_failure(t_grid, step))
-              for finite, step in zip(np.isfinite(A).all(axis=(-2, -1)).tolist(),
-                                      first_bad.tolist())]
+              for finite, step in zip(np.isfinite(m).all(axis=1).tolist(), first_bad.tolist())]
     EN, nu_minus = _score(entanglement.two_mode_coordinates(covs[:, :, :4, :4]), errors)
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 

@@ -5,7 +5,11 @@ Every model the library builds is phase-insensitive: its drift A and
 diffusion D, and so every covariance V, are realifications of complex 3x3
 matrices (realify).  The library solves the Lyapunov equation A V + V A^T =
 -D on the 9 real coordinates of the Hermitian H that V realifies
-(cfomech.dynamics.steady_state_batch), in one solve.  The tests hold it to
+(cfomech.dynamics.steady_state_batch), in one solve, on the coordinates of
+the complex drift and Hermitian diffusion that define the model
+(cfomech.dynamics.state_space_coordinates).  coordinates reads them off a
+realified A and D here, and drifts_of realifies drift coordinates by
+realify.  The tests hold it to
 the kron form here, which solves for all n*n entries of vec(V) and keeps one
 refinement pass of its own, and to the vech form, the kron form restricted
 to the 21 entries of the upper triangle of a symmetric V.
@@ -105,12 +109,13 @@ MARGINAL_MODELS = {
 }
 
 
-def certified_against_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def certified_against_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(certified, stable): the Routh-Hurwitz certificate and the eigenvalue
-    verdict of each drift of the (N, 6, 6) stack A, checked to agree: the
-    certificate may leave a stable drift unsettled, but never certifies one
-    that the eigenvalues call marginal or unstable."""
-    certified = dynamics._routh_certificate(A)
+    verdict of each drift of the (N, 18) stack of coordinates m, checked to
+    agree: the certificate may leave a stable drift unsettled, but never
+    certifies one that the eigenvalues call marginal or unstable."""
+    certified = dynamics._routh_certificate(m)
+    A = drifts_of(m)
     stable = dynamics.stability_from_abscissa(A, dynamics.spectral_abscissa(A))
     assert not (certified & ~stable).any(), np.flatnonzero(certified & ~stable)
     return certified, stable
@@ -130,6 +135,31 @@ def realify(Z) -> np.ndarray:
     X[..., p[:, None], q] = Z.imag * sign[:, None]
     X[..., q[:, None], p] = -Z.imag * sign
     return X
+
+
+def complex_coordinates(M) -> np.ndarray:
+    """(N, 18) coordinates of an (N, 3, 3) stack of complex matrices, in the
+    order of cfomech.dynamics.state_space_coordinates: Re M[j, k] at 3 j + k,
+    Im M[j, k] at 9 + 3 j + k."""
+    M = np.asarray(M, dtype=complex)
+    return np.concatenate([M.real.reshape(-1, 9), M.imag.reshape(-1, 9)], axis=1)
+
+
+def drifts_of(m: np.ndarray) -> np.ndarray:
+    """(N, 6, 6) realifications (realify) of the complex 3x3 matrices whose
+    coordinates are the rows of m; an infinite coordinate stays in place."""
+    M = np.zeros((len(m), 3, 3), dtype=complex)
+    M.real, M.imag = m[:, :9].reshape(-1, 3, 3), m[:, 9:].reshape(-1, 3, 3)
+    return realify(M)
+
+
+def coordinates(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, d): the (N, 18) coordinates of the complex drifts and the (N, 9)
+    of the Hermitian diffusions that the (N, 6, 6) stacks A and D realify,
+    each the mean of its paired entries (cfomech.entanglement's maps)."""
+    with np.errstate(invalid="ignore"):  # an infinite entry reads NaN
+        return (A.reshape(len(A), 36) @ dynamics._COMPLEX[1],
+                D.reshape(len(D), 36) @ dynamics._HERMITIAN[1])
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

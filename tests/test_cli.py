@@ -497,7 +497,8 @@ class TestStabilityCommand:
             f"DeltaTilde,rwaVerdict\n{expected}\n"
         model, _ = resolve_point(build_config(cli._merge_sets({}, sets)))
         A = dynamics.state_space_batch(model)[0]
-        abscissa, stable = dynamics.spectral_abscissa(A), dynamics.stability_batch(A)
+        m = dynamics.state_space_coordinates(model)[0]
+        abscissa, stable = dynamics.spectral_abscissa(A), dynamics.stability_batch(m)
         try:
             analytic = dynamics.stability_margin(model) > 0.0
         except UnsupportedRegimeError:

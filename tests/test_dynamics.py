@@ -17,6 +17,7 @@ from cfomech.dynamics import (
     stability_eigen,
     state_space,
     state_space_batch,
+    state_space_coordinates,
     steady_state_batch,
     steady_state_covariance,
     transition_and_noise,
@@ -48,6 +49,9 @@ from reference import (
     ORACLE_DPS,
     PT_SIGNS,
     certified_against_eigen,
+    complex_coordinates,
+    coordinates,
+    drifts_of,
     kron_steady_state,
     marginal_model,
     oracle_nu_pt,
@@ -68,7 +72,32 @@ def model(G1=0.0, G2=0.0, kt=1e5, dt=0.0, gamma=10.0, gamma2=None, n1=0.0, n2=0.
                           nbar1=n1, nbar2=n2)
 
 
+#: Rates from 0 to beyond double precision: inf, and products
+#: gamma*(nbar + 1/2) that overflow.
+_rate = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.just(math.inf))
+_model_draw = st.tuples(_rate, _rate, _rate, st.one_of(_rate, _rate.map(lambda x: -x)),
+                        _rate, _rate, st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+
+
 class TestDriftMatrix:
+    @settings(deadline=None, max_examples=60)
+    @given(draws=st.lists(_model_draw, min_size=1, max_size=8))
+    def test_batch_realifies_the_model_as_written(self, draws):
+        # M and D_c written out as the README states the model, realified by
+        # the reference; a model with gamma = kappa_tilde = G1 = 0 is in every stack
+        draws = [*draws, (0.0, 1e5, 0.0, -2e3, 0.0, 0.0, 3.0, 4.0)]
+        M = np.array([[[-g1 / 2, 0, 1j * G1], [0, -g2 / 2, -1j * G2],
+                       [-1j * G1, -1j * G2, -kt - 1j * dt]]
+                      for G1, G2, kt, dt, g1, g2, _, _ in draws])
+        D_c = np.array([np.diag([g1 * (n1 + 0.5), g2 * (n2 + 0.5), kt])
+                        for _, _, kt, _, g1, g2, n1, n2 in draws])
+        for X, ref in zip(state_space_batch(stack_models([EffectiveModel(*x) for x in draws])),
+                          (realify(M), realify(D_c))):
+            finite = np.isfinite(ref).all(axis=(1, 2))
+            assert np.array_equal(np.isfinite(X).all(axis=(1, 2)), finite)
+            assert np.array_equal(X[finite], ref[finite])
+            assert finite[-1]
+
     def test_full_template(self):
         m = model(G1=3.0, G2=7.0, kt=11.0, dt=13.0, gamma=2.0, gamma2=4.0)
         expected = np.array([
@@ -243,11 +272,11 @@ def embed(h):
     return (h @ dynamics._HERMITIAN[0]).reshape(-1, 6, 6)
 
 
-def lyapunov_operator(A):
-    """(N, 9, 9) operators that steady_state_batch solves for the (N, 6, 6)
-    drifts A: H -> M H + H M^dagger on the Hermitian coordinates."""
-    return (A.reshape(len(A), 36) @ dynamics._COMPLEX[1] @ dynamics._LYAPUNOV_BASIS
-            ).reshape(-1, 9, 9)
+def lyapunov_operator(m):
+    """(N, 9, 9) operators that steady_state_batch solves for the (N, 18)
+    coordinates m of drifts M: H -> M H + H M^dagger on the Hermitian
+    coordinates."""
+    return (m @ dynamics._LYAPUNOV_BASIS).reshape(-1, 9, 9)
 
 
 def _model_stack(draws):
@@ -274,7 +303,8 @@ class TestBatchedCore:
     @given(draws=st.lists(_draw, min_size=1, max_size=20))
     def test_stacks_match_scipy_and_per_point_eigvals(self, draws):
         A, D = state_space_batch(_model_stack(draws))
-        abscissa, stable = spectral_abscissa(A), stability_batch(A)
+        m, d = state_space_coordinates(_model_stack(draws))
+        abscissa, stable = spectral_abscissa(A), stability_batch(m)
         for k in range(len(draws)):
             norm_A = np.linalg.norm(A[k])
             ref = np.linalg.eigvals(A[k]).real.max()
@@ -283,10 +313,10 @@ class TestBatchedCore:
                 assert stable[k] == (ref < -dynamics.STABILITY_TOL * norm_A)
         # these stacks never reach CERTIFICATE_MIN_STACK: the certificate is
         # called directly, also at 2^700, whose sextic unscaled would overflow
-        certified = certified_against_eigen(A)[0]
-        assert np.array_equal(certified_against_eigen(np.ldexp(A, 700))[0], certified)
+        certified = certified_against_eigen(m)[0]
+        assert np.array_equal(certified_against_eigen(np.ldexp(m, 700))[0], certified)
         idx = np.flatnonzero(stable)
-        h, errors = steady_state_batch(A[idx], D[idx])
+        h, errors = steady_state_batch(m[idx], d[idx])
         V = embed(h)
         physical, nus = pt_spectrum(two_mode_coordinates(V[:, :4, :4]))
         ens = log_negativity_from_nu(nus)
@@ -310,16 +340,17 @@ class TestBatchedCore:
             assert np.array_equal(state_space(m)[0], A[k])
             assert np.array_equal(state_space(m)[1], D[k])
         assert stability_eigen(A[0]) and not stability_eigen(A[1])
-        h, _ = steady_state_batch(A[:1], D[:1])
+        m, d = state_space_coordinates(stack_models(ms))
+        h, _ = steady_state_batch(m[:1], d[:1])
         assert np.array_equal(steady_state_covariance(*state_space(ms[0])), embed(h)[0])
 
     def test_failures_are_reported_per_system(self, monkeypatch):
-        A, D = state_space_batch(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
-                                               (0.8, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
-                                               (0.7, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)]))
-        clean, _ = steady_state_batch(A, D)
-        # the solve reads each A at unit size: tell the systems apart there
-        op = lyapunov_operator(dynamics._unit_size(A)[0])
+        m, d = state_space_coordinates(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
+                                                     (0.8, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
+                                                     (0.7, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)]))
+        clean, _ = steady_state_batch(m, d)
+        # the solve reads each m at unit size: tell the systems apart there
+        op = lyapunov_operator(dynamics._unit_size(m, axis=-1)[0])
         solve = np.linalg.solve
 
         def flaky(op_k, d_k):
@@ -331,7 +362,7 @@ class TestBatchedCore:
             return h
 
         monkeypatch.setattr(np.linalg, "solve", flaky)
-        h, errors = steady_state_batch(A, D)
+        h, errors = steady_state_batch(m, d)
         assert errors[0].startswith("Lyapunov linear system is singular (cond ~ ")
         assert errors[1].startswith("Lyapunov residual ")
         assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(op[1]))
@@ -341,8 +372,8 @@ class TestBatchedCore:
     def test_each_chunk_is_one_batched_solve(self, monkeypatch):
         # the 9-coordinate solve takes no refinement pass: one np.linalg.solve
         # call of its (N, 9, 9) systems per chunk
-        A, D = state_space_batch(_model_stack([(r, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)
-                                               for r in (0.5, 0.7, 0.9, 0.99)]))
+        m, d = state_space_coordinates(_model_stack([(r, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)
+                                                     for r in (0.5, 0.7, 0.9, 0.99)]))
         shapes = []
         solve = np.linalg.solve
 
@@ -351,7 +382,7 @@ class TestBatchedCore:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        _, errors = steady_state_batch(A, D)
+        _, errors = steady_state_batch(m, d)
         assert errors == [None] * 4
         assert shapes == [(4, 9, 9)]
         # a sweep of STEADY_CHUNK + 44 points is two chunks
@@ -363,7 +394,7 @@ class TestBatchedCore:
         assert sum(s[0] for s in shapes) == stable
 
     def test_empty_stack_gives_empty_results(self):
-        h, errors = steady_state_batch(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)))
+        h, errors = steady_state_batch(np.zeros((0, 18)), np.zeros((0, 9)))
         assert embed(h).shape == (0, 6, 6) and errors == []
         covs, first_bad = propagate_batch(*np.zeros((3, 0, 6, 6)), [0.0, 1.0, 2.0])
         assert covs.shape == (0, 3, 6, 6) and first_bad.shape == (0,)
@@ -374,7 +405,7 @@ class TestBatchedCore:
         rng = np.random.default_rng(5)
         M = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
         A = realify(M)
-        op = lyapunov_operator(A)
+        op = lyapunov_operator(complex_coordinates(M))
         embed, project, _ = dynamics._HERMITIAN
         iu, ju = np.triu_indices(6)
         to_vech = embed.reshape(9, 6, 6)[:, iu, ju].T
@@ -387,7 +418,7 @@ class TestBatchedCore:
             <= 1e-15 * np.abs(H).max()
         # and the solve is the kron reference's on stable such systems
         M = M - (np.linalg.eigvals(M).real.max(axis=-1) + 1.0)[:, None, None] * np.eye(3)
-        h, errors = steady_state_batch(realify(M), H)
+        h, errors = steady_state_batch(*coordinates(realify(M), H))
         V = (h @ embed).reshape(-1, 6, 6)
         V_ref = kron_steady_state(realify(M), H)
         assert errors == [None] * 20
@@ -427,9 +458,9 @@ class TestBatchedCore:
         solved = []
         original = dynamics.steady_state_batch
 
-        def recording(A, D):
-            h, errors = original(A, D)
-            solved.append((A, D, embed(h), errors))
+        def recording(m, d):
+            h, errors = original(m, d)
+            solved.append((drifts_of(m), embed(d), embed(h), errors))
             return h, errors
 
         monkeypatch.setattr(dynamics, "steady_state_batch", recording)
@@ -453,12 +484,13 @@ RESIDUAL_ROUNDING = 2.0
 _DIRECTION = np.cos(np.arange(1.0, 10.0))
 
 
-def _check_against_6x6(A, D, shifts):
-    """Solve the stable systems of (A, D) with each h moved off by
+def _check_against_6x6(models, shifts):
+    """Solve the stable systems of a column model with each h moved off by
     10^shifts[k] of its largest coordinate, and hold steady_state_batch's
     verdicts and reported residuals to the 6x6 forms of the same V."""
-    stable = stability_batch(A)
-    A, D = A[stable], D[stable]
+    m, d = state_space_coordinates(models)
+    stable = stability_batch(m)
+    (A, D), m, d = (X[stable] for X in state_space_batch(models)), m[stable], d[stable]
     solve = np.linalg.solve
 
     def moved(op, b):
@@ -468,7 +500,7 @@ def _check_against_6x6(A, D, shifts):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", moved)
-        h, errors = steady_state_batch(A, D)
+        h, errors = steady_state_batch(m, d)
     V = embed(h)
     norm_D = np.linalg.norm(D, axis=(1, 2))
     rel = np.linalg.norm(A @ V + V @ np.swapaxes(A, 1, 2) + D, axis=(1, 2)) / norm_D
@@ -492,7 +524,7 @@ class TestCoordinateResidual:
     @given(draws=st.lists(_draw, min_size=1, max_size=20),
            shifts=st.lists(st.floats(-16.0, -6.0), min_size=20, max_size=20))
     def test_verdicts_and_residuals_match_the_6x6_forms(self, draws, shifts):
-        _check_against_6x6(*state_space_batch(_model_stack(draws)), shifts)
+        _check_against_6x6(_model_stack(draws), shifts)
 
     def test_floor_matches_the_6x6_form(self):
         # near G1 = G2 the floor 100*eps*||A||*||V||/||D|| runs from 3e-6 to
@@ -501,8 +533,7 @@ class TestCoordinateResidual:
         ms = [model(G1=G1, G2=G2, kt=kt, gamma=gamma, n1=1.0, n2=3.0)
               for G1, G2, kt, gamma in ((0.999e5, 1e5, 5e3, 10.0), (0.9999e5, 1e5, 5e3, 10.0),
                                         (0.99999e5, 1e5, 1e3, 1.0), (197265.0, 197265.0, 1003.0, 2.0))]
-        A, D = state_space_batch(stack_models(ms + ms))
-        errors = _check_against_6x6(A, D, [-16.0] * 4 + [0.0] * 4)
+        errors = _check_against_6x6(stack_models(ms + ms), [-16.0] * 4 + [0.0] * 4)
         assert errors[:4] == [None] * 4 and all(e is not None for e in errors[4:])
 
     def test_weights_give_the_norms_of_the_realifications(self):
@@ -517,8 +548,8 @@ class TestCoordinateResidual:
         solved = []
         original = dynamics.steady_state_batch
 
-        def recording(A, D):
-            h, errors = original(A, D)
+        def recording(m, d):
+            h, errors = original(m, d)
             solved.append(h)
             return h, errors
 
@@ -529,13 +560,14 @@ class TestCoordinateResidual:
 
 
 def _recorded_drifts(run, *args) -> np.ndarray:
-    """Every drift that run(*args) passes to dynamics.stability_batch, stacked."""
+    """The coordinates of every drift that run(*args) passes to
+    dynamics.stability_batch, stacked."""
     seen = []
     original = dynamics.stability_batch
 
-    def recording(A):
-        seen.append(np.array(A))
-        return original(A)
+    def recording(m):
+        seen.append(np.array(m))
+        return original(m)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "stability_batch", recording)
@@ -570,13 +602,14 @@ class TestRouthCertificate:
         rng = np.random.default_rng(3)
         M = rng.normal(size=(2000, 3, 3)) + 1j * rng.normal(size=(2000, 3, 3))
         M -= rng.uniform(0.0, 3.0, size=(2000, 1, 1)) * np.eye(3)
-        certified, stable = certified_against_eigen(realify(M))
+        certified, stable = certified_against_eigen(complex_coordinates(M))
         assert 500 < stable.sum() < 1500 and certified.sum() > 0.99 * stable.sum()
 
     def test_leaves_non_finite_drifts_unsettled(self):
-        A = state_space_batch(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)] * 4))[0]
-        A[1, 0, 0], A[2, 4, 5], A[3, 5, 4] = np.nan, np.inf, -np.inf
-        certified, stable = certified_against_eigen(A)
+        m = state_space_coordinates(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)] * 4))[0]
+        # Re M00 = -gamma1/2, Im M22 = -delta_tilde and Re M22 = -kappa_tilde
+        m[1, 0], m[2, 17], m[3, 8] = np.nan, np.inf, -np.inf
+        certified, stable = certified_against_eigen(m)
         assert certified.tolist() == stable.tolist() == [True, False, False, False]
 
     def test_large_stacks_take_eigenvalues_only_where_unsettled(self, monkeypatch):
@@ -585,9 +618,9 @@ class TestRouthCertificate:
         draws = [(r, 1e5, 1e5 * (1.0 - rB), 0.0, gamma, 0.0, 0.0)
                  for r in (0.5, 0.9, 0.99, 1.05) for rB in (0.0, 0.5, 0.95)
                  for gamma in (1e-4, 1e-3, 1e-2, 1.0, 10.0, 100.0, 1e3)]
-        A = state_space_batch(_model_stack(draws))[0]
-        assert len(A) >= dynamics.CERTIFICATE_MIN_STACK
-        certified, stable = certified_against_eigen(A)
+        m = state_space_coordinates(_model_stack(draws))[0]
+        assert len(m) >= dynamics.CERTIFICATE_MIN_STACK
+        certified, stable = certified_against_eigen(m)
         assert 0 < certified.sum() < stable.sum()
         shapes = []
         eigvals = np.linalg.eigvals
@@ -597,11 +630,11 @@ class TestRouthCertificate:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        assert np.array_equal(stability_batch(A), stable)
+        assert np.array_equal(stability_batch(m), stable)
         assert shapes == [((~certified).sum(), 6, 6)]
         # a non-finite drift in the stack reads not stable, the rest as before
-        A[-1, 0, 0] = np.nan
-        assert np.array_equal(stability_batch(A), np.r_[stable[:-1], False])
+        m[-1, 0] = np.nan
+        assert np.array_equal(stability_batch(m), np.r_[stable[:-1], False])
 
 
 #: Bound on the 1-norm of every block with a nonzero drift that
@@ -709,6 +742,11 @@ class TestTransitionAndNoise:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             transition_and_noise(np.zeros((2, 2)), np.eye(2), 0.0)
+        # a NaN or infinite dt, alone or in a stack's array, would give
+        # all-NaN maps with no error
+        for dt in (np.inf, np.nan, [1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+                transition_and_noise(np.zeros((2, 2, 2)), np.stack([np.eye(2)] * 2), dt)
 
 
 #: Largest difference allowed between propagate_batch and the sequential
@@ -889,7 +927,7 @@ class TestPropagate:
                                                                        points):
         models = _model_stack(draws)
         A, D = state_space_batch(models)
-        unstable = ~stability_batch(A)
+        unstable = ~stability_batch(state_space_coordinates(models)[0])
         assume(unstable.any())
         A, D = A[unstable], D[unstable]
         V0 = initial_covariance(*(x[unstable] for x in models.columns()[6:]))

@@ -420,13 +420,15 @@ class TestRunSweep:
 
 
 class TestSteadyBatch:
-    def test_chunked_sweep_matches_points_evaluated_alone(self):
-        # 27 x 21 = 567 points: two full chunks and a partial one, with
-        # unstable points mixed in by the ratio axis
+    def test_chunked_sweep_matches_points_evaluated_alone(self, monkeypatch):
+        # 27 x 21 = 567 points: two full chunks of 256 and a partial one, with
+        # unstable points mixed in by the ratio axis; the chunk is set here,
+        # so the sweep stays multi-chunk whatever the module's constant
+        monkeypatch.setattr(experiments, "STEADY_CHUNK", 256)
         cfg = base_config(axes=(SweepAxis("ratio", 0.8, 1.1, 27),
                                 SweepAxis("rB", 0.0, 0.99, 21)))
         rows = run_sweep(cfg).rows
-        assert len(rows) > 2 * STEADY_CHUNK
+        assert len(rows) > 2 * experiments.STEADY_CHUNK
         assert {r["stable"] for r in rows} == {True, False}
         for row in rows:
             model, _ = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
@@ -516,15 +518,17 @@ class TestSteadyBatch:
 
 
 class TestEvolveBatch:
-    def test_chunked_sweep_matches_points_evaluated_alone(self):
+    def test_chunked_sweep_matches_points_evaluated_alone(self, monkeypatch):
         # 9 x 7 = 63 points at 51 samples: chunks of 20 points, so three full
-        # chunks and a partial one, with unstable points and kappa_tilde = 0
+        # chunks and a partial one, with unstable points and kappa_tilde = 0;
+        # the chunk is set here, as in the steady test
+        monkeypatch.setattr(experiments, "EVOLVE_SAMPLES", 1024)
         cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, nbar1=5.0, nbar2=2.0,
                           mode="evolve", tPoints=51,
                           axes=(SweepAxis("ratio", 0.9, 1.1, 9),
                                 SweepAxis("rB", 0.0, 1.0, 7)))
         rows = run_sweep(cfg).rows
-        assert len(rows) > 2 * (EVOLVE_SAMPLES // cfg.tPoints)
+        assert len(rows) > 2 * (experiments.EVOLVE_SAMPLES // cfg.tPoints)
         assert {r["stable"] for r in rows} == {True, False}
         assert any(r["kappaTilde"] == 0.0 for r in rows)
         t_grid = cfg.time_grid()
@@ -779,6 +783,21 @@ class TestPackage:
         for command in ("steady", "stability"):
             assert cli.main([command, "--set", "G1=9e4", "G2=1e5"]) == 0
             assert shapes.pop() == (1, 6, 6) and shapes == []
+
+    def test_steady_chunks_run_on_coordinates(self, monkeypatch):
+        # the certificate and the solve take the coordinates of M and D_c as
+        # the builder gives them: a steady preset forms no 6x6 stack
+        calls = []
+        for name in ("state_space_batch", "state_space_realified"):
+            original = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        run_preset("fig2c")
+        assert calls == []
+        # the hooks see an evolve chunk realify its drifts for eigvals, then
+        # its drifts and diffusions for propagation
+        run_preset("fig3a", preset_config("fig3a").replace(tPoints=3))
+        assert calls.count("state_space_realified") == 3
 
     def test_package_runs_without_scipy(self):
         # the exponentials are summed in numpy: no command loads scipy

@@ -311,7 +311,7 @@ def test_certificate_agrees_on_the_sweep_and_marginal_models():
     # the inside-band model, last, is marginal: the certificate leaves it
     models = [m for _, m in sweep_models()] + [*MARGINAL_MODELS.values(), marginal_model(4e-4)]
     certified, stable = certified_against_eigen(
-        dynamics.state_space_batch(stack_models(models))[0])
+        dynamics.state_space_coordinates(stack_models(models))[0])
     assert certified.sum() > 200 and not stable[-1]
 
 
@@ -320,9 +320,9 @@ def test_certificate_never_calls_a_marginal_model_stable(fields):
     # a gamma scan from inside the marginal band (at kappa_tilde = 1e5 its
     # edge is near gamma = 6e-4) to beyond the certificate's own margin
     gammas = np.geomspace(1e-5, 10.0, 4000)
-    A = dynamics.state_space_batch(stack_models([marginal_model(g, **fields)
-                                                 for g in gammas]))[0]
-    certified, stable = certified_against_eigen(A)
+    models = stack_models([marginal_model(g, **fields) for g in gammas])
+    A = dynamics.state_space_batch(models)[0]
+    certified, stable = certified_against_eigen(dynamics.state_space_coordinates(models)[0])
     marginal = ~stable & (dynamics.spectral_abscissa(A) < 0.0)
     assert marginal.sum() > 1000 and certified.sum() > 500
     assert not (certified & marginal).any()
