@@ -133,8 +133,11 @@ ROUTH_MARGIN = 2.0 ** -20
 #: Stacks of at least this many drifts take the certificate first.  On a
 #: 2-vCPU x86-64 VM it costs 55-90 us at N = 1 against 20-25 us for eigvals,
 #: breaks even between N = 8 and 16, and takes 130-230 us against 1400-1800
-#: us at N = 256.  The evolve chunks (20 models at 51 samples), half of them
-#: unstable and so paying both, stay below it.
+#: us at N = 256.  On the evolve_sweep grid's chunks of 80 models at 51
+#: samples it takes 51 us against 250 us for eigvals on one that it certifies
+#: whole; its unstable models it leaves to eigvals, so a chunk of 65 unstable
+#: ones pays both, 269 against 208 us.  The fig3 presets' chunk of 5 models
+#: stays below it.
 CERTIFICATE_MIN_STACK = 64
 
 
@@ -407,25 +410,33 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
     return M.reshape(shape), Q.reshape(shape)
 
 
-def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M V M^T of V (N, n, n) and M (N, n, n), or of V (N, m, n, n) and M (N, 1, n, n)."""
+def _product(M: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """M V M^T of V (N, n, n) and M (N, n, n), or of V (N, m, n, n) and M (N, 1,
+    n, n), with M V written to out if given."""
     n, rows = M.shape[-1], math.prod(V.shape[1:-1])
     # the right factor as one (m n, n) @ (n, n) product per system
-    X = (M @ V).reshape(len(V), rows, n) @ np.ascontiguousarray(_transpose(M)).reshape(-1, n, n)
+    X = (np.matmul(M, V, out=out).reshape(len(V), rows, n)
+         @ np.ascontiguousarray(_transpose(M)).reshape(-1, n, n))
     return X.reshape(V.shape)
 
 
-def _apply(M: np.ndarray, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _apply(M: np.ndarray, Q: np.ndarray, V: np.ndarray, out: np.ndarray | None = None
+           ) -> np.ndarray:
     """M V M^T + Q, symmetrized, for each system of a stack: the covariances V
-    carried over the interval of the maps (M, Q)."""
-    W = _product(M, V) + Q
+    carried over the interval of the maps (M, Q), written to out if given,
+    which must not overlap V: out holds M V first, and M V M^T + Q is the
+    only array of V's size that a step allocates."""
+    W = _product(M, V, out)
+    W += Q
     if not np.isfinite(W).all():
         # terms that cancel overflow early: redo those systems with M at unit
         # size (_unit_size), scaled back exactly (no bit of a finite W changes)
         redo = ~np.isfinite(W).reshape(len(W), -1).all(axis=1)
         M, e = _unit_size(M[redo])
         W[redo] = np.ldexp(_product(M, V[redo]), 2 * e[..., None, None]) + Q[redo]
-    return 0.5 * (W + _transpose(W))
+    out = np.add(W, _transpose(W), out=out)
+    out *= 0.5
+    return out
 
 
 def _square(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,21 +479,21 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     # a start or a map too hot for double precision overflows: the non-finite
     # entries are reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        out[:, 0] = 0.5 * (V0 + _transpose(V0))  # the t = 0 sample, or a first run's start
+        V = 0.5 * (V0 + _transpose(V0))[:, None]  # the start, at t = 0
+        out[:, :1] = V  # the t = 0 sample, if sampled
         start = int(t_grid[0] == 0.0)
         while start < T:
             dt = intervals[start]
             off = np.abs(intervals[start:] - dt) > tolerance[start:]
             run = int(off.argmax()) if off.any() else T - start
             P, S = (X[:, None] for X in transition_and_noise(A, D, dt))
-            before = max(start, 1) - 1
-            out[:, start:start + 1] = _apply(P, S, out[:, before:before + 1])
+            _apply(P, S, out[:, start - 1:start] if start else V, out[:, start:start + 1])
             n = 1  # (P, S) map n intervals on, and the run's first n samples are filled
             while n < run:
                 if n > 1:
                     P, S = _square(P, S)
                 m = min(n, run - n)
-                out[:, start + n:start + n + m] = _apply(P, S, out[:, start:start + m])
+                _apply(P, S, out[:, start:start + m], out[:, start + n:start + n + m])
                 n += m
             start += run
     finite = np.isfinite(out).all(axis=(-2, -1))

@@ -124,6 +124,12 @@ def _check_phase_insensitive(X: np.ndarray, maps: tuple[np.ndarray, ...], name: 
 #: The two-mode maps: coordinates (a, Re c, b, Im c) of H = [[a, c], [c*, b]].
 _TWO_MODE = _realification_maps(2, hermitian=True)
 
+#: two_mode_coordinates' projections onto (a, Re c, Im c, b) of the 16
+#: entries of a two-mode block, and of the 36 of a covariance of the
+#: mechanics and the cavity, whose cavity rows and columns they skip.
+_MECHANICAL = {4: _TWO_MODE[1][:, [0, 1, 3, 2]]}
+_MECHANICAL[6] = np.pad(_MECHANICAL[4].reshape(4, 4, 4), ((0, 2), (0, 2), (0, 0))).reshape(36, 4)
+
 
 def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x*y as p + e exactly, by Dekker's splitting (Numer. Math. 18:224, 1971)."""
@@ -182,12 +188,15 @@ def pt_spectrum(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unresolved | (resolved & ~violates), np.where(resolved, nu_pt, np.nan)
 
 
-def two_mode_coordinates(V4: np.ndarray) -> np.ndarray:
+def two_mode_coordinates(V: np.ndarray) -> np.ndarray:
     """(..., 4) coordinates (a, Re c, Im c, b) of (..., 4, 4) two-mode blocks,
+    or of the mechanical blocks of (..., 6, 6) covariances, read in place,
     each the mean of its paired entries: the asymmetry and phase-sensitive
-    part that propagation leaves (below 4e-11 relative) drop out; NaN where non-finite."""
+    part that propagation leaves (below 4e-11 relative) drop out; NaN where
+    an entry is non-finite."""
+    n = np.shape(V)[-1]
     with np.errstate(invalid="ignore"):
-        return np.reshape(V4, np.shape(V4)[:-2] + (16,)) @ _TWO_MODE[1][:, [0, 1, 3, 2]]
+        return np.reshape(V, np.shape(V)[:-2] + (n * n,)) @ _MECHANICAL[n]
 
 
 def min_symplectic_eigenvalue_pt(V4: np.ndarray):

@@ -37,15 +37,20 @@ DEFAULT_T_POINTS = 201
 FIG3_RB_VALUES = (0.0, 0.9, 0.99, 0.999, 1.0)
 
 #: Steady sweeps resolve, solve and emit this many points at a time.  Each
-#: chunk pays a fixed cost per numpy call, which 256 points spread thinly;
-#: much larger stacks save little more time but hold every point's Lyapunov
-#: operator and outcome at once, which raises peak memory.
-STEADY_CHUNK = 256
+#: chunk pays a fixed cost per numpy call: on a 2-vCPU x86-64 VM with one
+#: BLAS thread the fig2 presets with CSV took 16.7, 14.2 and 13.2 ms in
+#: chunks of 256, 1024 and 4096 (min of 9 in-process passes), and a fresh
+#: process peaked at 32.8, 33.0 and 37.1 MB: a chunk holds every point's
+#: Lyapunov operator and outcome at once.
+STEADY_CHUNK = 1024
 
 #: Evolve sweeps propagate and score at most this many covariance samples
-#: (points times tPoints, at least one point) at a time.  Peak memory grows
-#: with the chunk while the time per sample stops falling well below it.
-EVOLVE_SAMPLES = 1024
+#: (points times tPoints, at least one point) at a time: 80 points at 51
+#: samples.  On the same VM the 15 x 15 evolve_sweep grid took 13.1, 9.5,
+#: 7.6 and 6.3 ms at 1024, 2048, 4096 and 16384 samples, peaking at 37.4,
+#: 37.8, 38.7 and 41.7 MB: a chunk holds its covariance samples and one
+#: fill step's product of them at once.
+EVOLVE_SAMPLES = 4096
 
 
 def _number(key: str, value, integral: bool = False):
@@ -368,7 +373,9 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
     errors = [NONFINITE_DRIFT if not finite else None if step < 0
               else str(dynamics.propagation_failure(t_grid, step))
               for finite, step in zip(np.isfinite(m).all(axis=1).tolist(), first_bad.tolist())]
-    EN, nu_minus = _score(entanglement.two_mode_coordinates(covs[:, :, :4, :4]), errors)
+    coords = entanglement.two_mode_coordinates(covs)
+    del covs  # the (N, T, 6, 6) stack, the chunk's largest array, is not held while scoring
+    EN, nu_minus = _score(coords, errors)
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 
 

@@ -943,7 +943,8 @@ class TestPropagate:
         monkeypatch.setattr(dynamics, "transition_and_noise",
                             lambda *args: calls.append(1) or maps(*args))
         monkeypatch.setattr(dynamics, "_apply",
-                            lambda M, Q, V: rounds.append(V is not Q) or apply(M, Q, V))
+                            lambda M, Q, V, out=None: rounds.append(V is not Q)
+                            or apply(M, Q, V, out))
         A, D = state_space_batch(stack_models(_STEPWISE_MODELS))
         V0 = np.stack([initial_covariance(m.nbar1, m.nbar2) for m in _STEPWISE_MODELS])
         propagate_batch(A, D, V0, np.linspace(0.0, 2e-3, 201))

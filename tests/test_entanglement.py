@@ -111,10 +111,12 @@ class TestMechanicalSubmatrix:
     def test_diagonal_projection(self):
         # a product state: the cavity's variances 5 and 6 must not be scored,
         # neither from the steady path's 9 Hermitian coordinates, of which
-        # (a, Re c, Im c, b) are 0, 1, 6 and 3, nor through the 4x4 reader
+        # (a, Re c, Im c, b) are 0, 1, 6 and 3, nor through the reader of
+        # the 4x4 block or of the whole 6x6 matrix
         V6 = np.diag([1.0, 1.0, 3.0, 3.0, 5.0, 6.0])
         h = V6.reshape(1, 36) @ dynamics._HERMITIAN[1]
-        for coords in (h[:, [0, 1, 6, 3]], two_mode_coordinates(V6[None, :4, :4])):
+        for coords in (h[:, [0, 1, 6, 3]], two_mode_coordinates(V6[None, :4, :4]),
+                       two_mode_coordinates(V6[None])):
             _, nu = experiments._score(coords[:, None], [None])
             assert nu[0, 0] == min_symplectic_eigenvalue_pt(np.diag([1.0, 1.0, 3.0, 3.0]))
             assert nu[0, 0] == pytest.approx(1.0)

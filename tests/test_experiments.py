@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -517,6 +518,19 @@ class TestSteadyBatch:
             assert peak_values(out, 3) == peak_values(run(models[3]))
 
 
+def evolve_rows_checked_alone(cfg):
+    """The rows of cfg's evolve sweep over ratio and rB, each checked against
+    its point evaluated alone."""
+    rows = run_sweep(cfg).rows
+    t_grid = cfg.time_grid()
+    for row in rows:
+        model, _ = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
+        alone = evaluate_evolve_batch(model, t_grid)
+        assert row["error"] is None
+        assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == peak_values(alone)
+    return rows
+
+
 class TestEvolveBatch:
     def test_chunked_sweep_matches_points_evaluated_alone(self, monkeypatch):
         # 9 x 7 = 63 points at 51 samples: chunks of 20 points, so three full
@@ -527,17 +541,50 @@ class TestEvolveBatch:
                           mode="evolve", tPoints=51,
                           axes=(SweepAxis("ratio", 0.9, 1.1, 9),
                                 SweepAxis("rB", 0.0, 1.0, 7)))
-        rows = run_sweep(cfg).rows
+        rows = evolve_rows_checked_alone(cfg)
         assert len(rows) > 2 * (experiments.EVOLVE_SAMPLES // cfg.tPoints)
         assert {r["stable"] for r in rows} == {True, False}
         assert any(r["kappaTilde"] == 0.0 for r in rows)
+
+    def test_certified_chunks_match_points_evaluated_alone(self, monkeypatch):
+        # the 15 x 15 grid at 51 samples: chunks of 80, 80 and 65 points, each
+        # of at least CERTIFICATE_MIN_STACK, so the sweep's verdicts come from
+        # the Routh-Hurwitz certificate and a point's alone from eigenvalues
+        monkeypatch.setattr(experiments, "EVOLVE_SAMPLES", 4096)
+        certified = []
+        certificate = dynamics._routh_certificate
+        monkeypatch.setattr(dynamics, "_routh_certificate",
+                            lambda m: certified.append(len(m)) or certificate(m))
+        cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, nbar1=5.0, nbar2=2.0,
+                          mode="evolve", tPoints=51,
+                          axes=(SweepAxis("ratio", 0.9, 1.1, 15),
+                                SweepAxis("rB", 0.0, 1.0, 15)))
+        rows = evolve_rows_checked_alone(cfg)
+        assert certified == [80, 80, 65]
+        assert {r["stable"] for r in rows} == {True, False}
+        assert any(r["kappaTilde"] == 0.0 for r in rows)
+
+    def test_chunk_memory_stays_within_its_covariance_stack(self):
+        # the traced peak of an 80-model, 51-sample chunk of the grid above,
+        # in units of the bytes of its (N, T, 6, 6) covariance stack: 1.60 on
+        # x86-64 with numpy 2.4; a chunk that holds the stack while scoring,
+        # copies its 4x4 blocks or allocates four arrays per fill step
+        # reaches 2.30
+        cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, nbar1=5.0, nbar2=2.0,
+                          mode="evolve", tPoints=51)
+        ratio, rB = np.meshgrid(np.linspace(0.9, 1.1, 15), np.linspace(0.0, 1.0, 15),
+                                indexing="ij")
+        model, _ = resolve_chunk(cfg, ["ratio", "rB"],
+                                 np.array([ratio.ravel()[:80], rB.ravel()[:80]]))
         t_grid = cfg.time_grid()
-        for row in rows:
-            model, _ = resolve_point(cfg, {"ratio": row["ratio"], "rB": row["rB"]})
-            alone = evaluate_evolve_batch(model, t_grid)
-            assert row["error"] is None
-            assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
-                peak_values(alone)
+        evaluate_evolve_batch(model, t_grid)  # nothing set up on first use is counted
+        tracemalloc.start()
+        try:
+            evaluate_evolve_batch(model, t_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (80 * 51 * 36 * 8)
 
     def test_mixed_chunk_gives_per_point_outcomes(self):
         def m(**kw):

@@ -263,9 +263,9 @@ def scored_covariances(preset: str) -> np.ndarray:
         scored.append(np.array(coords))
         return core(coords)
 
-    def reading(V4):
-        read.append(np.array(V4).reshape(-1, 4, 4))
-        return reader(V4)
+    def reading(V):  # 4x4 blocks, or covariances whose mechanical blocks are read
+        read.append(np.array(V)[..., :4, :4].reshape(-1, 4, 4))
+        return reader(V)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entanglement, "pt_spectrum", scoring)
