@@ -14,14 +14,13 @@ import math
 import re
 import sys
 
-from . import dynamics, experiments
+from . import experiments
 from .errors import (
     ConfigError,
     DivergenceError,
     NoFeasiblePointError,
     NumericalError,
     StabilityError,
-    UnsupportedRegimeError,
 )
 from .experiments import ResultTable, RunConfig, SweepAxis, _number
 
@@ -173,23 +172,6 @@ def _point_table(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _stability_table(cfg: RunConfig) -> ResultTable:
-    model, verdict = experiments.resolve_point(cfg)
-    A = dynamics.state_space_realified(dynamics.state_space_coordinates(model)[0])
-    abscissa = dynamics.spectral_abscissa(A)
-    if math.isnan(abscissa[0]):
-        raise NumericalError(experiments.NONFINITE_DRIFT)
-    try:
-        analytic = dynamics.stability_margin(model) > 0.0
-    except UnsupportedRegimeError:
-        analytic = None
-    columns = {"stableAnalytic": [analytic],
-               "stableEigen": dynamics.stability_from_abscissa(A, abscissa).tolist(),
-               "spectralAbscissa": abscissa.tolist(), "kappaTilde": [model.kappa_tilde],
-               "DeltaTilde": [model.delta_tilde], "rwaVerdict": [verdict]}
-    return ResultTable(columns, experiments.table_meta(cfg, columns))
-
-
 def _emit(table: ResultTable, args) -> None:
     text = serialize(table, args.format)
     if args.out:
@@ -261,7 +243,7 @@ def main(argv=None) -> int:
             elif args.command == "optimize":
                 table = experiments.find_optimum(cfg, refine_levels=args.refine)
             elif args.command == "stability":
-                table = _stability_table(cfg)
+                table = experiments.stability_table(cfg)
             else:  # pragma: no cover
                 raise ConfigError(f"unknown command {args.command}")
         _emit(table, args)

@@ -76,15 +76,9 @@ def state_space_realified(x: np.ndarray) -> np.ndarray:
         return (x @ (_COMPLEX if x.shape[-1] == 18 else _HERMITIAN)[0]).reshape(-1, 6, 6)
 
 
-def state_space_batch(model: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 6, 6) drift and diffusion stacks (A, D) of a column model: the
-    realifications of its state_space_coordinates."""
-    return tuple(map(state_space_realified, state_space_coordinates(model)))
-
-
 def state_space(m: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
-    """6x6 drift and diffusion matrices (A, D) of one model, as state_space_batch builds them."""
-    A, D = state_space_batch(m)
+    """6x6 drift and diffusion matrices (A, D) of one model: its coordinates realified."""
+    A, D = map(state_space_realified, state_space_coordinates(m))
     return A[0], D[0]
 
 
@@ -96,26 +90,21 @@ def _unit_size(X: np.ndarray, axis=(-2, -1)) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(X, -e), e.squeeze(axis)
 
 
-def spectral_abscissa(A: np.ndarray) -> np.ndarray:
-    """(N,) spectral abscissae of an (N, n, n) stack from one eigenvalue
-    call; a matrix with a non-finite entry has a NaN abscissa."""
+def spectral_abscissa(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) spectral abscissae of an (N, n, n) stack from one eigenvalue call,
+    and the (N,) eigenvalue stability verdicts read from them: stable iff
+    below -STABILITY_TOL times ||A||_F, both taken at A's unit size, so
+    systems inside the band count as marginal, not stable, in any unit of
+    time.  A matrix with a non-finite entry has a NaN abscissa, not stable."""
     try:
-        return np.linalg.eigvals(A).real.max(axis=-1)
+        abscissa = np.linalg.eigvals(A).real.max(axis=-1)
     except np.linalg.LinAlgError:
         # a non-finite entry fails the whole batched call: leave those out
         finite = np.isfinite(A).all(axis=(-2, -1))
         abscissa = np.full(len(A), np.nan)
         abscissa[finite] = np.linalg.eigvals(A[finite]).real.max(axis=-1)
-        return abscissa
-
-
-def stability_from_abscissa(A: np.ndarray, abscissa: np.ndarray) -> np.ndarray:
-    """(N,) eigenvalue stability verdicts of an (N, n, n) stack from its
-    spectral abscissae: stable iff below -STABILITY_TOL times ||A||_F, both
-    taken at A's unit size, so systems inside the band count as marginal,
-    not stable, in any unit of time, and a NaN abscissa is not stable."""
     A, e = _unit_size(A)
-    return np.ldexp(abscissa, -e) < -STABILITY_TOL * np.linalg.norm(A, axis=(-2, -1))
+    return abscissa, np.ldexp(abscissa, -e) < -STABILITY_TOL * np.linalg.norm(A, axis=(-2, -1))
 
 
 #: Margin of the Routh-Hurwitz certificate, relative to ||A||_F: it certifies
@@ -188,9 +177,9 @@ def _routh_certificate(m: np.ndarray) -> np.ndarray:
 
 def stability_batch(m: np.ndarray) -> np.ndarray:
     """(N,) stability verdicts of the drifts of an (N, 18) stack of
-    coordinates, as stability_from_abscissa gives them on their
-    realifications: systems inside the band count as marginal, not stable,
-    and a drift with a non-finite entry is not stable.
+    coordinates, as spectral_abscissa gives them on their realifications:
+    systems inside the band count as marginal, not stable, and a drift with
+    a non-finite entry is not stable.
 
     A stack of at least CERTIFICATE_MIN_STACK drifts takes the verdicts of
     the points that the Routh-Hurwitz certificate settles from it, and only
@@ -198,19 +187,17 @@ def stability_batch(m: np.ndarray) -> np.ndarray:
     the eigenvalues.
     """
     if len(m) < CERTIFICATE_MIN_STACK:
-        A = state_space_realified(m)
-        return stability_from_abscissa(A, spectral_abscissa(A))
+        return spectral_abscissa(state_space_realified(m))[1]
     stable = _routh_certificate(m)
     if not stable.all():
-        A = state_space_realified(m[~stable])
-        stable[~stable] = stability_from_abscissa(A, spectral_abscissa(A))
+        stable[~stable] = spectral_abscissa(state_space_realified(m[~stable]))[1]
     return stable
 
 
 def stability_eigen(A: np.ndarray) -> bool:
-    """Eigenvalue stability test of one matrix, as stability_from_abscissa
-    gives it: systems inside the band count as marginal, not stable."""
-    return bool(stability_from_abscissa(A[None], spectral_abscissa(A[None]))[0])
+    """Eigenvalue stability test of one matrix, as spectral_abscissa gives
+    it: systems inside the band count as marginal, not stable."""
+    return bool(spectral_abscissa(A[None])[1][0])
 
 
 def stability_margin(m: EffectiveModel) -> float:
@@ -334,8 +321,8 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     A, D = A[None], D[None]
     _check_phase_insensitive(A, _COMPLEX, "drift matrix")
     _check_phase_insensitive(D, _HERMITIAN, "diffusion matrix")
-    abscissa = spectral_abscissa(A)
-    if not stability_from_abscissa(A, abscissa)[0]:
+    abscissa, stable = spectral_abscissa(A)
+    if not stable[0]:
         raise StabilityError(
             "drift matrix is not strictly stable "
             f"(spectral abscissa {abscissa[0]:.6g})")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, entanglement, params
-from .errors import ConfigError, NoFeasiblePointError
+from .errors import ConfigError, NoFeasiblePointError, NumericalError, UnsupportedRegimeError
 
 #: Parameters that a sweep axis may address.
 AXIS_NAMES = (
@@ -89,7 +89,10 @@ class SweepAxis:
     def grid(self) -> np.ndarray:
         if self.count == 1:
             return np.array([self.min])
-        return np.linspace(self.min, self.max, self.count)
+        if self.max - self.min < math.inf:
+            return np.linspace(self.min, self.max, self.count)
+        # a span beyond double precision: the grid at half scale, doubled exactly
+        return 2.0 * np.linspace(self.min / 2.0, self.max / 2.0, self.count)
 
 
 @dataclass(frozen=True)
@@ -379,7 +382,7 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
     return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
 
 
-def table_meta(cfg: RunConfig, columns: dict[str, list] | None = None) -> dict:
+def _table_meta(cfg: RunConfig, columns: dict[str, list] | None = None) -> dict:
     """Run metadata: the configuration and the regime tags of its base point,
     read from the first row of columns if given (a table's, led by that point)."""
     if columns is None:
@@ -394,7 +397,7 @@ def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]
                curves: bool = False) -> ResultTable:
     """Evaluate cfg independently at each point of the product of grids, one
     sequence of values per name, the last varying fastest (with no names, at
-    cfg's own point), in chunks whose values are drawn one chunk at a time.
+    cfg's own point), in chunks sliced from one array of all the points.
 
     Steady mode solves for the stationary state; evolve mode reports the peak
     E_N and the lowest nu_minus over the time grid, or one row per time sample
@@ -405,15 +408,13 @@ def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]
     curves = curves and evolve
     t_grid = cfg.time_grid() if evolve else None
     size = max(1, EVOLVE_SAMPLES // cfg.tPoints) if evolve else STEADY_CHUNK
-    shape = tuple(map(len, grids))
+    # with no names, meshgrid gives no rows and the array holds the one point
+    all_points = np.array(np.meshgrid(*grids, indexing="ij"), float).reshape(
+        len(names), math.prod(map(len, grids)))
     columns = {name: [] for name in (*names, *(["t"] if curves else []), "EN", "nu_minus",
                                      "stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error")}
-    for start in range(0, math.prod(shape), size):
-        # a trailing axis of length 1 changes no index, and lets shape be ()
-        index = np.unravel_index(np.arange(start, min(start + size, math.prod(shape))),
-                                 (*shape, 1))
-        points = np.array([np.asarray(grid, float)[i] for grid, i in zip(grids, index)]
-                          ).reshape(len(names), len(index[-1]))
+    for start in range(0, all_points.shape[1], size):
+        points = all_points[:, start:start + size]
         model, verdicts = resolve_chunk(cfg, names, points)
         out = evaluate_evolve_batch(model, t_grid) if evolve else evaluate_steady_batch(model)
         failed = [k for k, error in enumerate(out.error) if error is not None]
@@ -439,7 +440,25 @@ def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]
         for name, values in (("rwaVerdict", verdicts), ("error", out.error)):
             columns[name] += np.asarray(values, dtype=object)[rows].tolist()
     # with no axes every point is the base point, whose tags the meta reads
-    return ResultTable(columns, table_meta(cfg, columns if columns["EN"] and not names else None))
+    return ResultTable(columns, _table_meta(cfg, columns if columns["EN"] and not names else None))
+
+
+def stability_table(cfg: RunConfig) -> ResultTable:
+    """Both stability verdicts (the closed form's None for unequal dampings) and the
+    spectral abscissa of cfg's own point; a non-finite drift raises NONFINITE_DRIFT."""
+    model, verdict = resolve_point(cfg)
+    A = dynamics.state_space_realified(dynamics.state_space_coordinates(model)[0])
+    abscissa, stable = dynamics.spectral_abscissa(A)
+    if math.isnan(abscissa[0]):
+        raise NumericalError(NONFINITE_DRIFT)
+    try:
+        analytic = dynamics.stability_margin(model) > 0.0
+    except UnsupportedRegimeError:
+        analytic = None
+    columns = {"stableAnalytic": [analytic], "stableEigen": stable.tolist(),
+               "spectralAbscissa": abscissa.tolist(), "kappaTilde": [model.kappa_tilde],
+               "DeltaTilde": [model.delta_tilde], "rwaVerdict": [verdict]}
+    return ResultTable(columns, _table_meta(cfg, columns))
 
 
 def run_sweep(cfg: RunConfig, curves: bool = False) -> ResultTable:
@@ -482,7 +501,7 @@ def find_optimum(cfg: RunConfig, refine_levels: int = 3) -> ResultTable:
         axes = tuple(SweepAxis(ax.name, max(ax0.min, best[ax.name] - (ax.max - ax.min) / 4.0),
                                min(ax0.max, best[ax.name] + (ax.max - ax.min) / 4.0), ax.count)
                      for ax, ax0 in zip(axes, cfg.axes))
-    return ResultTable({name: [value] for name, value in best.items()}, table_meta(cfg))
+    return ResultTable({name: [value] for name, value in best.items()}, _table_meta(cfg))
 
 
 PRESET_NAMES = ("fig2a", "fig2c", "fig2d", "fig3a", "fig3b")

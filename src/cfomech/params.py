@@ -144,11 +144,10 @@ def effective_cavity_params(kappa1, kappa2, rB, theta, Delta):
         cross = 2.0 * (root * rB)
         kappa_tilde = kappa1 + kappa2 - cross * cos
         delta_tilde = Delta - cross * sin
-        negative = kappa_tilde < 0.0
-        if _any(negative):
+        if _any(kappa_tilde < 0.0):
             if _any(kappa_tilde < -8 * np.spacing(kappa1 + kappa2)):
                 raise ValueError("negative effective cavity decay")
-            kappa_tilde = np.where(negative, 0.0, kappa_tilde)
+            kappa_tilde = np.where(kappa_tilde < 0.0, 0.0, kappa_tilde)[()]  # floats stay floats
     return kappa_tilde, delta_tilde
 
 

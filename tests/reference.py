@@ -115,8 +115,7 @@ def certified_against_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     agree: the certificate may leave a stable drift unsettled, but never
     certifies one that the eigenvalues call marginal or unstable."""
     certified = dynamics._routh_certificate(m)
-    A = drifts_of(m)
-    stable = dynamics.stability_from_abscissa(A, dynamics.spectral_abscissa(A))
+    stable = dynamics.spectral_abscissa(drifts_of(m))[1]
     assert not (certified & ~stable).any(), np.flatnonzero(certified & ~stable)
     return certified, stable
 
@@ -271,6 +270,14 @@ def stack_models(models) -> EffectiveModel:
     """The column model of a list of models: one EffectiveModel whose fields
     are (N,) arrays, the form the batched stages take."""
     return EffectiveModel(*np.concatenate([m.columns() for m in models], axis=1))
+
+
+def state_space_batch(model: EffectiveModel) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 6, 6) drift and diffusion stacks (A, D) of a column model: the
+    library's realifications of its coordinates (state_space_realified of
+    state_space_coordinates), which the library itself forms only for the
+    eigenvalue route and propagation."""
+    return tuple(map(dynamics.state_space_realified, dynamics.state_space_coordinates(model)))
 
 
 def point_columns(names, points) -> np.ndarray:

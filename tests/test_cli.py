@@ -1,8 +1,10 @@
+import ast
 import csv
 import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +13,7 @@ from cfomech import cli, dynamics, experiments
 from cfomech.cli import build_config, main, serialize
 from cfomech.errors import ConfigError, UnsupportedRegimeError
 from cfomech.experiments import ResultTable, RunConfig, resolve_point
+from reference import state_space_batch
 
 
 def run_cli(args, capsys):
@@ -138,6 +141,10 @@ class TestBuildConfig:
 
 
 class TestSerialize:
+    def test_unknown_format_is_config_error(self):
+        with pytest.raises(ConfigError, match="^unknown format 'xml'$"):
+            serialize(ResultTable({"a": [1.0]}, {}), "xml")
+
     def test_empty_table_is_header_only(self):
         text = serialize(ResultTable({"a": [], "b": []}, {}), "csv")
         assert text == "a,b\n"
@@ -176,6 +183,16 @@ class TestSerialize:
         code, out, _ = run_cli(sweep, capsys)
         header, rows = parse_csv(out)
         assert code == 0 and [row[header.index("kappaTilde")] for row in rows] == ["inf"] * 2
+
+    def test_axis_span_beyond_double_precision_gives_finite_points(self, capsys):
+        # max - min overflows, yet every point is finite, and no row reads a
+        # non-finite drift
+        code, out, err = run_cli(["sweep", "--set", "G1=9e4", "G2=1e5", 'axes=[{"name":"Delta",'
+                                  '"min":-1.7e308,"max":1.7e308,"count":3}]'], capsys)
+        header, rows = parse_csv(out)
+        assert (code, err) == (0, "")
+        assert [row[0] for row in rows] == ["-1.7e+308", "0", "1.7e+308"]
+        assert [row[header.index("error")] for row in rows] == ["unstable", "", "unstable"]
 
 
 def _rowwise_csv(table: ResultTable) -> str:
@@ -322,7 +339,39 @@ class TestParserReuse:
         assert "unrecognized arguments: --no-such-flag" in err
 
 
+def test_cli_imports_only_experiments_and_errors_from_the_package():
+    # every table the CLI prints, the stability command's included, is built
+    # in experiments: the CLI reaches no model layer itself
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "cfomech", node.module
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "cfomech" for alias in node.names)
+    assert package == {"experiments", "errors"}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", [
+        (["steady", "--set", "G1"], "--set expects key=value, got 'G1'"),
+        (["sweep", "--set", "G1=9e4", "G2=1e5", 'axes=[{"name":"rB","min":0}]'],
+         "axes[0]: name, min and max are required"),
+        (["sweep", "--set", "G1=9e4", "G2=1e5",
+          'axes=[{"name":"rB","min":0,"max":0.5},{"name":"rB","min":0,"max":0.9}]'],
+         "sweep axes must be distinct"),
+        (["optimize", "--set", "G1=9e4", "G2=1e5", "mode=evolve",
+          'axes=[{"name":"rB","min":0,"max":0.5}]'], "optimization runs in steady mode"),
+        (["optimize", "--set", "G1=9e4", "G2=1e5"], "optimization needs one or two axes"),
+        (["optimize", "--refine", "-1", "--set", "G1=9e4", "G2=1e5",
+          'axes=[{"name":"rB","min":0,"max":0.5}]'], "refine_levels must be nonnegative"),
+    ], ids=["bare_set", "axis_without_max", "repeated_axis", "evolve_optimize",
+            "optimize_without_axes", "negative_refine"])
+    def test_config_errors_exit_two(self, argv, message, capsys):
+        assert run_cli(argv, capsys) == (2, "", f"config error: {message}\n")
+
     def test_zero_dissipation_is_config_error(self, capsys):
         code, _, err = run_cli(
             ["stability", "--set", "G1=1", "G2=2", "kappa1=0", "kappa2=0",
@@ -409,7 +458,8 @@ class TestExitCodes:
         ({"meta": "config"}, "unknown config key(s): meta"),
         ({"meta": ["config"]}, "unknown config key(s): meta"),
         ({"meta": {"config": 5}}, "meta.config must be a JSON object, got 5"),
-    ], ids=["text_meta", "list_meta", "scalar_meta_config"])
+        ([BASE], "config file must hold a JSON object"),
+    ], ids=["text_meta", "list_meta", "scalar_meta_config", "list_file"])
     def test_malformed_meta_is_config_error(self, loaded, message, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(loaded))
@@ -542,9 +592,9 @@ class TestStabilityCommand:
         assert out == "stableAnalytic,stableEigen,spectralAbscissa,kappaTilde," \
             f"DeltaTilde,rwaVerdict\n{expected}\n"
         model, _ = resolve_point(build_config(cli._merge_sets({}, sets)))
-        A = dynamics.state_space_batch(model)[0]
+        A = state_space_batch(model)[0]
         m = dynamics.state_space_coordinates(model)[0]
-        abscissa, stable = dynamics.spectral_abscissa(A), dynamics.stability_batch(m)
+        abscissa, stable = dynamics.spectral_abscissa(A)[0], dynamics.stability_batch(m)
         try:
             analytic = dynamics.stability_margin(model) > 0.0
         except UnsupportedRegimeError:

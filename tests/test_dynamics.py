@@ -16,7 +16,6 @@ from cfomech.dynamics import (
     stability_batch,
     stability_eigen,
     state_space,
-    state_space_batch,
     state_space_coordinates,
     steady_state_batch,
     steady_state_covariance,
@@ -60,6 +59,7 @@ from reference import (
     propagate_stepwise,
     realify,
     stack_models,
+    state_space_batch,
     symplectic_eigenvalues,
     van_loan_maps,
     vech_lyapunov_operator,
@@ -229,6 +229,14 @@ class TestSteadyState:
             res = np.linalg.norm(A @ V + V @ A.T + D)
             assert res / np.linalg.norm(D) < 1e-10
 
+    def test_overflowing_covariance_raises_the_batch_error(self):
+        # a bath this hot gives a finite D but a V beyond double precision
+        A, D = state_space(model(G1=0.9e5, G2=1e5, kt=5e3, n1=1e307))
+        assert np.isfinite(D).all()
+        with pytest.raises(NumericalError,
+                           match="^stationary covariance overflows double precision$"):
+            steady_state_covariance(A, D)
+
     def test_unstable_raises(self):
         with pytest.raises(StabilityError):
             steady_state_covariance(*state_space(model(G1=2e5, G2=1e5, kt=1e3)))
@@ -304,7 +312,7 @@ class TestBatchedCore:
     def test_stacks_match_scipy_and_per_point_eigvals(self, draws):
         A, D = state_space_batch(_model_stack(draws))
         m, d = state_space_coordinates(_model_stack(draws))
-        abscissa, stable = spectral_abscissa(A), stability_batch(m)
+        abscissa, stable = spectral_abscissa(A)[0], stability_batch(m)
         for k in range(len(draws)):
             norm_A = np.linalg.norm(A[k])
             ref = np.linalg.eigvals(A[k]).real.max()
@@ -808,6 +816,8 @@ class TestPropagate:
         for bad in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [0.0, 1.0, np.inf, np.inf]):
             with pytest.raises(ValueError, match="^t_grid must be finite"):
                 propagate(A, D, V0, bad)
+        with pytest.raises(ValueError, match="^V0 shape does not match the drift matrix$"):
+            propagate(A, D, V0[:4, :4], [0.0, 1.0])
 
     def test_time_zero_returns_start(self):
         A, D = state_space(model(G1=1e4, G2=2e4))

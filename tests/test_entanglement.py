@@ -15,6 +15,7 @@ from cfomech.entanglement import (
 from cfomech.errors import NumericalError, PhysicalityError
 from reference import (
     stack_models,
+    state_space_batch,
     MOMENTUM_FLIP,
     physicality_check,
     realify,
@@ -257,7 +258,7 @@ class TestMinSymplecticEigenvaluePT:
                                     mode="evolve", tMax=2e-3, tPoints=51)
         models = [experiments.resolve_point(cfg, {"ratio": ratio, "rB": rB})[0]
                   for ratio in np.linspace(0.9, 1.1, 9) for rB in np.linspace(0.0, 1.0, 9)]
-        A, D = dynamics.state_space_batch(stack_models(models))
+        A, D = state_space_batch(stack_models(models))
         V0 = np.stack([initial_covariance(m.nbar1, m.nbar2) for m in models])
         covs, first_bad = dynamics.propagate_batch(A, D, V0, cfg.time_grid())
         V4 = covs[first_bad < 0, :, :4, :4].reshape(-1, 4, 4)

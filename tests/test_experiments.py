@@ -42,7 +42,7 @@ from cfomech.params import (
     effective_couplings,
     thermal_occupancy,
 )
-from reference import point_columns, scalar_resolve, stack_models
+from reference import point_columns, scalar_resolve, stack_models, state_space_batch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -126,8 +126,11 @@ class TestConfigValidation:
         ({"tPoints": 20.5}, "tPoints must be an integer, got 20.5"),
         ({"tMax": "2e-3"}, "tMax must be positive and finite"),
         ({"rwaThreshold": "10"}, "rwaThreshold must be positive"),
+        ({"tPoints": 1}, "tPoints must be >= 2"),
+        ({"G1": None, "G2": None, "g1": 1.0, "g2": 1.0, "P1": 1e-3, "P2": 1e-3,
+          "omegaL1": 1e15, "omegaL2": 1e15}, "the drive block needs omega1 and omega2"),
     ], ids=["text_lock", "numeric_lock", "text_coupling", "boolean_rate", "fractional_tPoints",
-            "text_tMax", "text_threshold"])
+            "text_tMax", "text_threshold", "one_tPoint", "drive_without_omegas"])
     def test_python_callers_get_the_cli_checks(self, kw, message):
         # the CLI's number check runs in RunConfig itself: a wrongly typed
         # value is a ConfigError, not a bare TypeError or a truthy lock
@@ -149,6 +152,15 @@ class TestConfigValidation:
         assert SweepAxis("ratio", 0.5, 1.0, 3.0).grid().tolist() == [0.5, 0.75, 1.0]
         assert base_config(mode="evolve", tPoints=np.int64(3)).time_grid().size == 3
         assert base_config(mode="evolve", tPoints=3.0).tPoints == 3
+
+    def test_axis_span_beyond_double_precision(self):
+        # max - min overflows: the grid is linspace's at half scale, doubled
+        # exactly, with no nan or inf point (a RuntimeWarning fails the test)
+        assert SweepAxis("Delta", -1.7e308, 1.7e308, 3).grid().tolist() == [-1.7e308, 0.0,
+                                                                             1.7e308]
+        grid = SweepAxis("Delta", -1.7e308, 1.7e308, 61).grid()
+        assert (grid[0], grid[30], grid[-1]) == (-1.7e308, 0.0, 1.7e308)
+        assert (np.diff(grid) > 0).all()
 
     def test_zero_dissipation_rejected(self):
         with pytest.raises(ConfigError):
@@ -504,7 +516,7 @@ class TestSteadyBatch:
             return EffectiveModel(**{**fields, **kw})
         models = [m(), m(kappa_tilde=math.inf), m(delta_tilde=math.nan),
                   m(G1=2e5, kappa_tilde=1e3)]
-        abscissa = dynamics.spectral_abscissa(dynamics.state_space_batch(stack_models(models))[0])
+        abscissa = dynamics.spectral_abscissa(state_space_batch(stack_models(models))[0])[0]
         assert np.isnan(abscissa).tolist() == [False, True, True, False]
         t_grid = np.linspace(0.0, 1e-3, 3)
         evaluate = (evaluate_steady_batch, lambda ms: evaluate_evolve_batch(ms, t_grid))
@@ -835,10 +847,9 @@ class TestPackage:
         # the certificate and the solve take the coordinates of M and D_c as
         # the builder gives them: a steady preset forms no 6x6 stack
         calls = []
-        for name in ("state_space_batch", "state_space_realified"):
-            original = getattr(dynamics, name)
-            monkeypatch.setattr(dynamics, name, lambda *args, name=name, original=original:
-                                calls.append(name) or original(*args))
+        original = dynamics.state_space_realified
+        monkeypatch.setattr(dynamics, "state_space_realified",
+                            lambda x: calls.append("state_space_realified") or original(x))
         run_preset("fig2c")
         assert calls == []
         # the hooks see an evolve chunk realify its drifts for eigvals, then

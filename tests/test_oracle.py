@@ -30,7 +30,8 @@ from cfomech.experiments import (evaluate_evolve_batch, evaluate_steady_batch, p
                                  resolve_point, run_preset)
 from cfomech.params import EffectiveModel
 from reference import (MARGINAL_MODELS, ORACLE_DPS, certified_against_eigen, marginal_model,
-                       oracle_nu_pt, propagate_stepwise, stack_models, van_loan_maps)
+                       oracle_nu_pt, propagate_stepwise, stack_models, state_space_batch,
+                       van_loan_maps)
 
 #: Relative nu_minus error allowed against the oracle at the pinned points;
 #: the largest measured is 2.9e-9, at the 5b peak (2.3e-12 in the marginal
@@ -151,7 +152,7 @@ def band_ratio(model: EffectiveModel) -> float:
     """Spectral abscissa in units of the marginal band's edge
     -STABILITY_TOL*||A||_F: a point is stable above 1."""
     A = dynamics.state_space(model)[0]
-    abscissa = dynamics.spectral_abscissa(A[None])
+    abscissa = dynamics.spectral_abscissa(A[None])[0]
     return float(abscissa[0] / (-dynamics.STABILITY_TOL * np.linalg.norm(A)))
 
 
@@ -321,9 +322,9 @@ def test_certificate_never_calls_a_marginal_model_stable(fields):
     # edge is near gamma = 6e-4) to beyond the certificate's own margin
     gammas = np.geomspace(1e-5, 10.0, 4000)
     models = stack_models([marginal_model(g, **fields) for g in gammas])
-    A = dynamics.state_space_batch(models)[0]
+    A = state_space_batch(models)[0]
     certified, stable = certified_against_eigen(dynamics.state_space_coordinates(models)[0])
-    marginal = ~stable & (dynamics.spectral_abscissa(A) < 0.0)
+    marginal = ~stable & (dynamics.spectral_abscissa(A)[0] < 0.0)
     assert marginal.sum() > 1000 and certified.sum() > 500
     assert not (certified & marginal).any()
 
@@ -477,7 +478,7 @@ def test_interval_maps_match_van_loan(model, stable, dt, monkeypatch):
     blocks = []
     original = dynamics.expm
     monkeypatch.setattr(dynamics, "expm", lambda X: blocks.append(X) or original(X))
-    A, D = dynamics.state_space_batch(model)
+    A, D = state_space_batch(model)
     M, Q = dynamics.transition_and_noise(A, D, dt)
     n = A.shape[-1]
     i, j = np.unravel_index(np.abs(A[0]).argmax(), A[0].shape)

@@ -157,6 +157,20 @@ class TestEffectiveCavityParams:
                                        math.ldexp(1e3, k)) == (math.ldexp(kt, k),
                                                                math.ldexp(dt, k))
 
+    def test_rounding_dust_is_clamped_to_a_float(self):
+        # decays one ulp apart at rB = 1, theta = 0 leave kappa_tilde 7e-12
+        # below zero, which is clamped: a float input still gives a float, and
+        # in a column each point keeps the bits it has alone, -0.0 included
+        k1, k2 = 18391.481657983793, 18391.481657983797
+        kt, dt = effective_cavity_params(k1, k2, 1.0, 0.0, 0.0)
+        assert isinstance(kt, float)
+        assert (kt, math.copysign(1.0, kt), dt) == (0.0, 1.0, 0.0)
+        pairs = [(k1, k2), (-0.0, -0.0), (5e4, 3e4)]
+        column = effective_cavity_params(*np.array(pairs).T, 1.0, 0.0, 0.0)[0]
+        alone = np.array([effective_cavity_params(a, b, 1.0, 0.0, 0.0)[0] for a, b in pairs])
+        assert column.view(np.int64).tolist() == alone.view(np.int64).tolist()
+        assert math.copysign(1.0, column[1]) == -1.0
+
     def test_reflectivity_checked_before_decays(self):
         with pytest.raises(ValueError, match="rB must lie"):
             effective_cavity_params(-5e4, 5e4, 1.1, 0.0, 0.0)
