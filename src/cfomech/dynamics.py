@@ -344,12 +344,18 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
 def expm(X: np.ndarray) -> np.ndarray:
     """exp(X) of a matrix or of each matrix of a stack: its degree-16 Taylor
     polynomial, summed over the whole stack by Horner's rule F = I + (X @ F)
-    / k, with no scaling.  Precondition: each X has 1-norm at most 0.45, where
-    the remainder is below 1e-20, or X @ X = 0, where the sum is I + X exactly;
+    / k, with no scaling, each term written in place into one of two buffers
+    of X's shape.  Precondition: each X has 1-norm at most 0.45, where the
+    remainder is below 1e-20, or X @ X = 0, where the sum is I + X exactly;
     transition_and_noise's blocks are one or the other."""
-    F = eye = np.eye(X.shape[-1])
+    eye = np.eye(X.shape[-1])
+    F, term = np.empty(X.shape), np.empty(X.shape)
+    F[...] = eye
     for k in range(16, 0, -1):
-        F = eye + (X @ F) / k
+        np.matmul(X, F, out=term)
+        term /= k
+        term += eye
+        F, term = term, F
     return F
 
 
@@ -362,14 +368,16 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
     size (_unit_size), h = dt 2^-d; M(h) and Q(h) are read off one expm of
     Van Loan's block [[-A, D'], [0, A^T]] h (Van Loan 1978, IEEE TAC 23:395),
     whose top-right block left-multiplied by M(h) is the noise integral, and
-    squared d times (_square), skipping the systems that are done.  Q is
-    linear in D, so D enters as D', scaled to A's exponent by a power of 2 if
-    larger, and Q is scaled back exactly: a hot bath does not set expm's
-    rounding.  As max|D'| < 2 max|A| and a row or column of A sums to at most
-    sqrt(n) ||A||_F, each block has 1-norm at most (2 + sqrt(n)) STEP_NORM_CAP,
-    in expm's precondition for n = 6; a zero drift is not subdivided and its
-    block is nilpotent.  Q is symmetric; a non-finite drift, or a system
-    diverging over dt, gives non-finite maps for the caller to report.
+    squared d times (_square): sorted once by d, largest first, each round
+    squares a leading slice of the systems, which are put back in their
+    order at the end.  Q is linear in D, so D enters as D', scaled to A's
+    exponent by a power of 2 if larger, and Q is scaled back exactly: a hot
+    bath does not set expm's rounding.  As max|D'| < 2 max|A| and a row or
+    column of A sums to at most sqrt(n) ||A||_F, each block has 1-norm at
+    most (2 + sqrt(n)) STEP_NORM_CAP, in expm's precondition for n = 6; a
+    zero drift is not subdivided and its block is nilpotent.  Q is
+    symmetric; a non-finite drift, or a system diverging over dt, gives
+    non-finite maps for the caller to report.
     """
     dt = np.asarray(dt, dtype=float)
     if not np.all((dt > 0) & (dt < math.inf)):  # NaN fails both comparisons
@@ -391,9 +399,12 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
         M = _transpose(F[:, n:, n:])
         Q = np.ldexp(M @ F[:, :n, n:], shift)
         Q = 0.5 * (Q + _transpose(Q))
+        order = np.argsort(-doublings, kind="stable")
+        M_sorted, Q_sorted = M[order], Q[order]
         for r in range(doublings.max(initial=0)):
-            k = doublings > r
-            M[k], Q[k] = _square(M[k], Q[k])
+            k = np.count_nonzero(doublings > r)  # the leading k systems, once sorted
+            M_sorted[:k], Q_sorted[:k] = _square(M_sorted[:k], Q_sorted[:k])
+        M[order], Q[order] = M_sorted, Q_sorted
     return M.reshape(shape), Q.reshape(shape)
 
 
@@ -448,7 +459,9 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     (P, S) over n intervals carry its first n samples n intervals on in one
     batched step and are squared.  A run of L intervals takes 1 + ceil(log2
     L) steps; each sample is exact up to rounding and exactly symmetric.
-    Entries from a system's first non-finite index on are not meaningful.
+    A sample counts as non-finite where one weighted sum of its entries is:
+    one product with the whole stack.  Entries from a system's first
+    non-finite index on are not meaningful.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -483,7 +496,11 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
                 _apply(P, S, out[:, start:start + m], out[:, start + n:start + n + m])
                 n += m
             start += run
-    finite = np.isfinite(out).all(axis=(-2, -1))
+        # one sum per sample, each entry weighted by a power of 2 of at most
+        # 1/size: finite entries cannot overflow it, an inf or NaN spreads to it
+        size = math.prod(V0.shape[1:])
+        weight = np.full(size, 2.0 ** -(size - 1).bit_length())
+        finite = np.isfinite(out.reshape(len(out), T, size) @ weight)
     return out, np.where(finite.all(axis=1), -1, finite.argmin(axis=1))
 
 

@@ -157,8 +157,9 @@ def pt_spectrum(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     4|c|^2)) and before it nu_full = 2 delta / (|a - b| + sqrt((a - b)^2 + 4
     delta)).  delta is the only difference of large terms; ab and |c|^2
     enter it as exact products and sums, so it is good to a few ulps of
-    itself.  (a, b, c) are first scaled by a power of 2, which is exact, so
-    nothing overflows.
+    itself.  (a, b, c) are first copied into contiguous rows, one per
+    coordinate, and scaled by a power of 2, which is exact, so nothing
+    overflows; the input's memory order does not change a bit.
 
     Returns a boolean array, false where nu_full is below 1/2 -
     PHYSICALITY_TOL by more than rounding of the entries can explain
@@ -170,8 +171,9 @@ def pt_spectrum(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     # NaN and inf below belong to a matrix that is not positive definite
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        shift = np.frexp(np.abs(coords).max(axis=1))[1]
-        h = np.ldexp(coords.T, -shift)
+        h = np.array(np.transpose(coords), dtype=float, order="C")
+        shift = np.frexp(np.abs(h).max(axis=0))[1]
+        np.ldexp(h, -shift, out=h)
         a, b = h[0], h[3]
         # ab, (Re c)^2 and (Im c)^2 as exact sums p + e
         p, e = _two_product(h[:3], h[[3, 1, 2]])

@@ -497,10 +497,12 @@ def find_optimum(cfg: RunConfig, refine_levels: int = 3) -> ResultTable:
         top = max(feasible, key=EN.__getitem__)  # the first maximum
         if best is None or EN[top] > best["EN"]:
             best = {name: cells[top] for name, cells in table.columns.items()}
-        # halve each window around the best point, within the first one
-        axes = tuple(SweepAxis(ax.name, max(ax0.min, best[ax.name] - (ax.max - ax.min) / 4.0),
-                               min(ax0.max, best[ax.name] + (ax.max - ax.min) / 4.0), ax.count)
-                     for ax, ax0 in zip(axes, cfg.axes))
+        # halve each window around the best point, within the first one; a
+        # quarter-span taken end by end stays finite where the span overflows
+        quarters = [ax.max / 4.0 - ax.min / 4.0 for ax in axes]
+        axes = tuple(SweepAxis(ax.name, max(ax0.min, best[ax.name] - q),
+                               min(ax0.max, best[ax.name] + q), ax.count)
+                     for ax, ax0, q in zip(axes, cfg.axes, quarters))
     return ResultTable({name: [value] for name, value in best.items()}, _table_meta(cfg))
 
 

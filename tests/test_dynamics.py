@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -905,6 +906,26 @@ class TestPropagate:
                 M1 = M1 @ M1
             assert np.array_equal(M_int[k], M1) and np.array_equal(Q_int[k], Q1)
 
+    def test_unsorted_doubling_counts_give_each_system_its_maps_alone(self):
+        # the squaring rounds run on the systems sorted by doubling count; in
+        # a stack of counts 3, 0, 5, 0, 1, 0 and 3, with a zero drift and a
+        # non-finite one among the 0s, each system gets its maps alone, bit for bit
+        models = [model(G1=1e3, G2=2e3, kt=kt, dt=1e2, n1=1.0)
+                  for kt in (3e4, 3e4, 2e5, 3e4, 1e4, 1e2, 4e4)]
+        A, D = state_space_batch(stack_models(models))
+        A[1] = 0.0
+        A[3, 4, 0] = np.inf
+        dt = 1e-5
+        norms = np.linalg.norm(A[[0, 2, 4, 5, 6]], axis=(-2, -1))
+        doublings = np.maximum(0, np.ceil(np.log2(norms * dt / dynamics.STEP_NORM_CAP)))
+        assert doublings.tolist() == [3, 5, 1, 0, 3]
+        M, Q = transition_and_noise(A, D, dt)
+        assert np.array_equal(M[1], np.eye(6))
+        assert not np.isfinite(M[3]).all() and not np.isfinite(Q[3]).all()
+        for k in range(len(A)):
+            M1, Q1 = transition_and_noise(A[k], D[k], dt)
+            assert M[k].tobytes() == M1.tobytes() and Q[k].tobytes() == Q1.tobytes()
+
     @pytest.mark.parametrize("grid", _STEPWISE_GRIDS.values(), ids=_STEPWISE_GRIDS.keys())
     def test_matches_the_sequential_steps(self, grid, monkeypatch):
         t_grid, runs = grid
@@ -973,6 +994,53 @@ class TestPropagate:
         assert np.array_equal(W[0], np.eye(2))
         assert not np.isfinite(W[1]).all()
         assert np.array_equal(W[2], dynamics._apply(M[2:], Q[2:], V[2:])[0])
+
+    def test_largest_symmetric_samples_read_finite(self):
+        # half the largest double is the most a symmetrized sample holds; a
+        # frozen system keeps it, and its plain sum of entries overflows
+        big = np.finfo(float).max / 2.0
+        V0 = big * np.array([np.ones((6, 6)), np.where(np.eye(6) > 0, 1.0, -1.0)])
+        covs, first_bad = propagate_batch(np.zeros((2, 6, 6)), np.zeros((2, 6, 6)), V0,
+                                          [0.0, 1.0, 2.0])
+        with np.errstate(over="ignore"):
+            assert np.isinf(V0[0].sum())
+        assert np.array_equal(first_bad, [-1, -1])
+        assert np.array_equal(covs, np.repeat(V0[:, None], 3, axis=1))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_first_non_finite_index_sees_every_entry(self, monkeypatch, bad):
+        # one non-finite entry written into one sample of the second system,
+        # as a run's fill writes it (samples 1, 2, 3-4 and 5-8 of a
+        # 9-sample grid), is reported at that sample, at each of the 36
+        # positions; the later samples it spreads to, with inf - inf in
+        # their sums, raise no warning
+        apply = dynamics._apply
+        A, D = state_space_batch(stack_models([model(G1=1e4, G2=1e4, kt=1e5, dt=1e3)] * 2))
+        V0 = np.stack([initial_covariance(1.0, 2.0)] * 2)
+        t_grid = np.linspace(0.0, 1e-4, 9)
+        for target, position in itertools.product(range(1, 9), range(36)):
+            filled = [1]  # the samples up to the next one the fill writes
+
+            def spoiling(M, Q, V, out=None):
+                W = apply(M, Q, V, out)
+                if out is not None:
+                    first = filled[0]
+                    filled[0] += W.shape[1]
+                    if first <= target < filled[0]:
+                        W[1, target - first].flat[position] = bad
+                return W
+
+            monkeypatch.setattr(dynamics, "_apply", spoiling)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                first_bad = propagate_batch(A, D, V0, t_grid)[1]
+            assert filled[0] == 9
+            assert first_bad.tolist() == [-1, target]
+
+    def test_empty_stack(self):
+        covs, first_bad = propagate_batch(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)),
+                                          np.zeros((0, 6, 6)), [0.0, 1.0, 3.0])
+        assert covs.shape == (0, 3, 6, 6) and first_bad.shape == (0,)
 
     def test_divergence_is_reported_per_system(self):
         A, D = state_space_batch(stack_models([model(G1=2e5, G2=1e4, kt=1e3),

@@ -205,6 +205,29 @@ class TestMinSymplecticEigenvaluePT:
         assert nu_pt[:2] == pytest.approx([1.5 * math.exp(-1.0), math.exp(-10.0) / 2], rel=1e-9)
         assert np.isnan(nu_pt[2])
 
+    def test_memory_order_of_the_coordinates_changes_no_bit(self):
+        # pt_spectrum copies its (N, 4) input into contiguous rows: C-ordered,
+        # Fortran-ordered and strided stacks give the same bits, as does each
+        # row alone, none is written to, and an empty stack gives empty arrays
+        states = [local_rotation(0.4 * k, -0.9 * k) @ thermal_squeezed(0.3 * k, 0.5 * k, k, 2.0)
+                  @ local_rotation(0.4 * k, -0.9 * k).T for k in range(6)]
+        states += [two_mode_squeezed_covariance(10.0), 0.4 * np.eye(4)]
+        coords = np.vstack([two_mode_coordinates(np.stack(states)), [np.nan, 0.0, 0.0, 1.0],
+                            [0.0, 0.0, 0.0, 0.0], [1e300, 0.0, 0.0, 1e300]])
+        ref = [x.tobytes() for x in pt_spectrum(np.ascontiguousarray(coords))]
+        wide = np.zeros((2 * len(coords), 9))
+        wide[::2, 1::2] = coords
+        for stack in (np.asfortranarray(coords), wide[::2, 1::2]):
+            before = stack.copy()
+            assert [x.tobytes() for x in pt_spectrum(stack)] == ref
+            assert np.array_equal(stack, before, equal_nan=True)
+        for k in range(len(coords)):
+            physical, nu = pt_spectrum(coords[k:k + 1])
+            assert physical.shape == nu.shape == (1,)
+            assert physical.tobytes() == ref[0][k:k + 1] and nu.tobytes() == ref[1][8 * k:8 * k + 8]
+        physical, nu = pt_spectrum(np.empty((0, 4)))
+        assert physical.shape == nu.shape == (0,)
+
     def test_one_unphysical_matrix_fails_the_stack(self):
         stack = np.stack([two_mode_squeezed_covariance(0.5), 0.4 * np.eye(4)])
         with pytest.raises(PhysicalityError):

@@ -768,6 +768,20 @@ class TestFindOptimum:
         fine = find_optimum(cfg, refine_levels=3).rows[0]["EN"]
         assert fine >= coarse
 
+    def test_window_whose_span_overflows_is_refined(self, monkeypatch):
+        # max - min is inf: the window must still halve at every level
+        windows = []
+        sweep = experiments.run_sweep
+
+        def recording_sweep(cfg, curves=False):
+            windows.append((cfg.axes[0].min, cfg.axes[0].max))
+            return sweep(cfg, curves)
+
+        monkeypatch.setattr(experiments, "run_sweep", recording_sweep)
+        find_optimum(RunConfig(G1=9e4, G2=1e5,
+                               axes=(SweepAxis("Delta", -1.7e308, 1.7e308, 5),)), 2)
+        assert windows == [(-1.7e308, 1.7e308), (-8.5e307, 8.5e307), (-4.25e307, 4.25e307)]
+
 
 class TestFig3Curves:
     def test_row_layout(self):
