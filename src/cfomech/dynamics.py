@@ -255,6 +255,15 @@ _LYAPUNOV_BASIS = _lyapunov_basis()
 #: h * h @ _WEIGHTS is ||h @ _HERMITIAN[0]||_F^2: the embedding's rows have disjoint support.
 _WEIGHTS = (_HERMITIAN[0] ** 2).sum(axis=1)
 
+#: Where M's and D_c's coordinates _PHASES vanish, as at delta_tilde = 0, S^dagger M S and
+#: S^dagger D_c S are real for S = diag(1, 1, i), so S^dagger H S is too: H's coordinates 2, 4
+#: and 6 vanish.  _FORMS: (basis, weights, coordinates) of the solve on all 9, and on _KEPT.
+_PHASES = np.array([2, 5, 6, 7, 9, 10, 12, 13, 17]), np.array([2, 4, 6])
+_KEPT = np.array([0, 1, 3, 5, 7, 8])
+_FORMS = ((_LYAPUNOV_BASIS, _WEIGHTS, slice(None)),
+          (np.ascontiguousarray(_LYAPUNOV_BASIS.reshape(18, 9, 9)[:, _KEPT[:, None], _KEPT]
+                                .reshape(18, 36)), _WEIGHTS[_KEPT], _KEPT))
+
 
 def _residual_error(rel: float, op: np.ndarray) -> str:
     return f"Lyapunov residual {rel:.3g} above tolerance (cond ~ {np.linalg.cond(op):.3g})"
@@ -269,16 +278,20 @@ def steady_state_batch(m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, list[s
     The N systems M H + H M^dagger = -D_c, op h = -d on the coordinates, take
     one batched solve at m's and d's unit size (_unit_size), h scaled back
     exactly, so no unit of time or hot bath overflows the solve or the norms.
-    The residual ||op h + d|| / ||d||, in the norms of the realifications
-    (_WEIGHTS), must fall below LYAPUNOV_RTOL or the floor
-    100*eps*||A||*||h||/||d||.  A system that misses it, or whose linear
-    system is singular, gets a NumericalError text with a condition estimate
-    of its 9x9 operator in place of None, and one whose h overflows once
-    scaled back a text naming it; such an h is not meaningful.
+    Where every m and d is zero at _PHASES (a NaN is not), as at delta_tilde =
+    0, the solve, the residual and the norms take the 6 coordinates _KEPT and
+    h's other 3 are exact zeros.  The residual ||op h + d|| / ||d||, in the
+    norms of the realifications (_WEIGHTS), must fall below LYAPUNOV_RTOL or
+    the floor 100*eps*||A||*||h||/||d||.  A system that misses it, or whose
+    linear system is singular, gets a NumericalError text with a condition
+    estimate of the operator solved in place of None, and one whose h
+    overflows once scaled back a text naming it; such an h is not meaningful.
     """
     N = len(m)
-    (m, a), (d, e) = _unit_size(m, axis=-1), _unit_size(d, axis=-1)
-    op = (m @ _LYAPUNOV_BASIS).reshape(N, 9, 9)
+    real = not (np.count_nonzero(m[:, _PHASES[0]]) or np.count_nonzero(d[:, _PHASES[1]]))
+    basis, weights, kept = _FORMS[real]
+    (m, a), (d, e) = _unit_size(m, axis=-1), _unit_size(d[:, kept], axis=-1)
+    op = (m @ basis).reshape(N, len(weights), len(weights))
     singular = np.zeros(N, dtype=bool)
     try:
         h = np.linalg.solve(op, -d[..., None])[..., 0]
@@ -294,7 +307,7 @@ def steady_state_batch(m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, list[s
     # finite: reported below; ||A||_F^2 is 2*||m||^2, each m filling 2 entries of A
     with np.errstate(over="ignore", invalid="ignore"):
         r = (op @ h[..., None])[..., 0] + d
-        norm_r, norm_h, norm_d = np.sqrt(np.stack([r, h, d]) ** 2 @ _WEIGHTS)
+        norm_r, norm_h, norm_d = np.sqrt(np.stack([r, h, d]) ** 2 @ weights)
         rel = norm_r / norm_d
         floor = 100.0 * np.finfo(float).eps * np.sqrt(2.0 * (m * m).sum(axis=1)) * norm_h / norm_d
         h = np.ldexp(h, (e - a)[:, None])
@@ -306,7 +319,9 @@ def steady_state_batch(m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, list[s
         else:
             errors[k] = (f"Lyapunov linear system is singular (cond ~ {np.linalg.cond(op[k]):.3g})"
                          if singular[k] else _residual_error(rel[k], op[k]))
-    return h, errors
+    coordinates = np.zeros((N, 9))
+    coordinates[:, kept] = h
+    return coordinates, errors
 
 
 def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -397,8 +412,8 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
         block[:, n:, n:] = _transpose(A)
         F = expm(block * np.ldexp(steps, -doublings)[:, None, None])
         M = _transpose(F[:, n:, n:])
-        Q = np.ldexp(M @ F[:, :n, n:], shift)
-        Q = 0.5 * (Q + _transpose(Q))
+        Q = np.ldexp(M @ F[:, :n, n:], shift - 1)  # halved before it symmetrizes, as in _apply
+        Q = Q + _transpose(Q)
         order = np.argsort(-doublings, kind="stable")
         M_sorted, Q_sorted = M[order], Q[order]
         for r in range(doublings.max(initial=0)):
@@ -432,9 +447,8 @@ def _apply(M: np.ndarray, Q: np.ndarray, V: np.ndarray, out: np.ndarray | None =
         redo = ~np.isfinite(W).reshape(len(W), -1).all(axis=1)
         M, e = _unit_size(M[redo])
         W[redo] = np.ldexp(_product(M, V[redo]), 2 * e[..., None, None]) + Q[redo]
-    out = np.add(W, _transpose(W), out=out)
-    out *= 0.5
-    return out
+    W *= 0.5  # each term halved first: no finite W overflows its sum
+    return np.add(W, _transpose(W), out=out)
 
 
 def _square(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -479,7 +493,8 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     # a start or a map too hot for double precision overflows: the non-finite
     # entries are reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        V = 0.5 * (V0 + _transpose(V0))[:, None]  # the start, at t = 0
+        V = 0.5 * V0[:, None]
+        V = V + _transpose(V)  # the start, at t = 0, halved first as _apply does
         out[:, :1] = V  # the t = 0 sample, if sampled
         start = int(t_grid[0] == 0.0)
         while start < T:

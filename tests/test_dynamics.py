@@ -52,6 +52,7 @@ from reference import (
     complex_coordinates,
     coordinates,
     drifts_of,
+    hermitian_steady_state,
     kron_steady_state,
     marginal_model,
     oracle_nu_pt,
@@ -288,6 +289,17 @@ def lyapunov_operator(m):
     return (m @ dynamics._LYAPUNOV_BASIS).reshape(-1, 9, 9)
 
 
+#: The Hermitian coordinates that steady_state_batch solves for, by the
+#: detuning delta_tilde of the stack: 6 at 0, all 9 otherwise.
+SOLVED = {0.0: [0, 1, 3, 5, 7, 8], 3e3: list(range(9))}
+
+
+def solved_operator(m, kept):
+    """The rows and columns kept of lyapunov_operator(m) at m's unit size:
+    the systems steady_state_batch solves on those coordinates."""
+    return lyapunov_operator(dynamics._unit_size(m, axis=-1)[0])[:, kept][:, :, kept]
+
+
 def _model_stack(draws):
     return stack_models([model(G1=ratio * G2, G2=G2, kt=kt, dt=dt, gamma=gamma, n1=n1, n2=n2)
                          for ratio, G2, kt, dt, gamma, n1, n2 in draws])
@@ -354,35 +366,37 @@ class TestBatchedCore:
         assert np.array_equal(steady_state_covariance(*state_space(ms[0])), embed(h)[0])
 
     def test_failures_are_reported_per_system(self, monkeypatch):
-        m, d = state_space_coordinates(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
-                                                     (0.8, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0),
-                                                     (0.7, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)]))
-        clean, _ = steady_state_batch(m, d)
-        # the solve reads each m at unit size: tell the systems apart there
-        op = lyapunov_operator(dynamics._unit_size(m, axis=-1)[0])
+        # the same failures on each path: 6 coordinates at delta_tilde = 0, 9 otherwise
         solve = np.linalg.solve
+        for dt, kept in SOLVED.items():
+            m, d = state_space_coordinates(_model_stack([(r, 1e5, 5e3, dt, 10.0, 1.0, 2.0)
+                                                         for r in (0.9, 0.8, 0.7)]))
+            clean, _ = steady_state_batch(m, d)
+            # the solve reads each m at unit size: tell the systems apart there
+            op = solved_operator(m, kept)
 
-        def flaky(op_k, d_k):
-            # system 0 has a singular solve, system 1 misses the residual
-            if any(np.array_equal(o, op[0]) for o in op_k):
-                raise np.linalg.LinAlgError("Singular matrix")
-            h = solve(op_k, d_k)
-            h[[np.array_equal(o, op[1]) for o in op_k]] += 1.0
-            return h
+            def flaky(op_k, d_k):
+                # system 0 has a singular solve, system 1 misses the residual
+                assert op_k.shape[1:] == op.shape[1:]
+                if any(np.array_equal(o, op[0]) for o in op_k):
+                    raise np.linalg.LinAlgError("Singular matrix")
+                h = solve(op_k, d_k)
+                h[[np.array_equal(o, op[1]) for o in op_k]] += 1.0
+                return h
 
-        monkeypatch.setattr(np.linalg, "solve", flaky)
-        h, errors = steady_state_batch(m, d)
-        assert errors[0].startswith("Lyapunov linear system is singular (cond ~ ")
-        assert errors[1].startswith("Lyapunov residual ")
-        assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(op[1]))
-        assert errors[2] is None
-        assert np.array_equal(h[2], clean[2])
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", flaky)
+                h, errors = steady_state_batch(m, d)
+            assert errors[0].startswith("Lyapunov linear system is singular (cond ~ ")
+            assert errors[1].startswith("Lyapunov residual ")
+            assert errors[1].endswith(" above tolerance (cond ~ %.3g)" % np.linalg.cond(op[1]))
+            assert errors[2] is None
+            assert np.array_equal(h[2], clean[2])
 
     def test_each_chunk_is_one_batched_solve(self, monkeypatch):
-        # the 9-coordinate solve takes no refinement pass: one np.linalg.solve
-        # call of its (N, 9, 9) systems per chunk
-        m, d = state_space_coordinates(_model_stack([(r, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)
-                                                     for r in (0.5, 0.7, 0.9, 0.99)]))
+        # the coordinate solve takes no refinement pass: one np.linalg.solve
+        # call of its (N, 6, 6) systems per chunk at delta_tilde = 0, and of
+        # its (N, 9, 9) systems otherwise
         shapes = []
         solve = np.linalg.solve
 
@@ -391,16 +405,23 @@ class TestBatchedCore:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        _, errors = steady_state_batch(m, d)
-        assert errors == [None] * 4
-        assert shapes == [(4, 9, 9)]
-        # a sweep of STEADY_CHUNK + 44 points is two chunks
-        shapes.clear()
-        table = run_points(preset_config("fig2c"), ["ratio"],
-                           [np.linspace(0.5, 0.99, STEADY_CHUNK + 44)])
-        stable = sum(row["stable"] for row in table.rows)
-        assert stable > STEADY_CHUNK and [len(s) for s in shapes] == [3, 3]
-        assert sum(s[0] for s in shapes) == stable
+        for dt, kept in SOLVED.items():
+            m, d = state_space_coordinates(_model_stack([(r, 1e5, 5e3, dt, 10.0, 1.0, 2.0)
+                                                         for r in (0.5, 0.7, 0.9, 0.99)]))
+            shapes.clear()
+            _, errors = steady_state_batch(m, d)
+            assert errors == [None] * 4
+            assert shapes == [(4, len(kept), len(kept))]
+        # a sweep of STEADY_CHUNK + 44 points is two chunks, at fig2c's
+        # delta_tilde = 0 and at Delta = 2e3
+        for Delta, kept in zip((0.0, 2e3), SOLVED.values()):
+            shapes.clear()
+            table = run_points(preset_config("fig2c").replace(Delta=Delta), ["ratio"],
+                               [np.linspace(0.5, 0.99, STEADY_CHUNK + 44)])
+            stable = sum(row["stable"] for row in table.rows)
+            assert stable > STEADY_CHUNK and [len(s) for s in shapes] == [3, 3]
+            assert sum(s[0] for s in shapes) == stable
+            assert {s[1:] for s in shapes} == {(len(kept), len(kept))}
 
     def test_empty_stack_gives_empty_results(self):
         h, errors = steady_state_batch(np.zeros((0, 18)), np.zeros((0, 9)))
@@ -502,14 +523,19 @@ def _check_against_6x6(models, shifts):
     (A, D), m, d = (X[stable] for X in state_space_batch(models)), m[stable], d[stable]
     solve = np.linalg.solve
 
+    widths = set()
+
     def moved(op, b):
         h = solve(op, b)
+        widths.add(h.shape[1])
         step = 10.0 ** np.asarray(shifts[:len(h)])[:, None, None]
-        return h + step * np.abs(h).max(axis=1, keepdims=True) * _DIRECTION[:, None]
+        return h + step * np.abs(h).max(axis=1, keepdims=True) * _DIRECTION[:h.shape[1], None]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", moved)
         h, errors = steady_state_batch(m, d)
+    # the solve took 6 coordinates where the whole stack has delta_tilde = 0, else 9
+    assert widths <= {6 if np.all(models.delta_tilde[stable] == 0.0) else 9}
     V = embed(h)
     norm_D = np.linalg.norm(D, axis=(1, 2))
     rel = np.linalg.norm(A @ V + V @ np.swapaxes(A, 1, 2) + D, axis=(1, 2)) / norm_D
@@ -533,17 +559,21 @@ class TestCoordinateResidual:
     @given(draws=st.lists(_draw, min_size=1, max_size=20),
            shifts=st.lists(st.floats(-16.0, -6.0), min_size=20, max_size=20))
     def test_verdicts_and_residuals_match_the_6x6_forms(self, draws, shifts):
+        # on the drawn detunings, and on the same draws at delta_tilde = 0
         _check_against_6x6(_model_stack(draws), shifts)
+        _check_against_6x6(_model_stack([(*x[:3], 0.0, *x[4:]) for x in draws]), shifts)
 
     def test_floor_matches_the_6x6_form(self):
         # near G1 = G2 the floor 100*eps*||A||*||V||/||D|| runs from 3e-6 to
         # 9e4, far above LYAPUNOV_RTOL: a residual moved past it fails, one
-        # left below it passes
-        ms = [model(G1=G1, G2=G2, kt=kt, gamma=gamma, n1=1.0, n2=3.0)
-              for G1, G2, kt, gamma in ((0.999e5, 1e5, 5e3, 10.0), (0.9999e5, 1e5, 5e3, 10.0),
-                                        (0.99999e5, 1e5, 1e3, 1.0), (197265.0, 197265.0, 1003.0, 2.0))]
-        errors = _check_against_6x6(stack_models(ms + ms), [-16.0] * 4 + [0.0] * 4)
-        assert errors[:4] == [None] * 4 and all(e is not None for e in errors[4:])
+        # left below it passes; at delta_tilde = 0 (6 coordinates) and not (9)
+        for dt in SOLVED:
+            ms = [model(G1=G1, G2=G2, kt=kt, dt=dt, gamma=gamma, n1=1.0, n2=3.0)
+                  for G1, G2, kt, gamma in ((0.999e5, 1e5, 5e3, 10.0), (0.9999e5, 1e5, 5e3, 10.0),
+                                            (0.99999e5, 1e5, 1e3, 1.0),
+                                            (197265.0, 197265.0, 1003.0, 2.0))]
+            errors = _check_against_6x6(stack_models(ms + ms), [-16.0] * 4 + [0.0] * 4)
+            assert errors[:4] == [None] * 4 and all(e is not None for e in errors[4:])
 
     def test_weights_give_the_norms_of_the_realifications(self):
         h = np.random.default_rng(3).normal(size=(50, 9))
@@ -566,6 +596,83 @@ class TestCoordinateResidual:
         nu_minus = run_preset(preset).columns["nu_minus"]
         _, nus = pt_spectrum(two_mode_coordinates(embed(np.concatenate(solved))[:, :4, :4]))
         assert None not in nu_minus and np.array_equal(nus, nu_minus)
+
+
+class TestRealForm:
+    """The solve on 6 coordinates, where S = diag(1, 1, i) makes the drift
+    and the diffusion real (delta_tilde = 0), against the 9x9 solve."""
+
+    def test_fig2_points_match_the_full_solve_bit_for_bit(self, monkeypatch):
+        solved, shapes = [], []
+        original, solve = dynamics.steady_state_batch, np.linalg.solve
+
+        def recording(m, d):
+            h, errors = original(m, d)
+            solved.append((m, d, h, errors))
+            return h, errors
+
+        def counting(a, b):
+            shapes.append(np.shape(a)[1:])
+            return solve(a, b)
+
+        monkeypatch.setattr(dynamics, "steady_state_batch", recording)
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        for preset in ("fig2a", "fig2c", "fig2d"):
+            run_preset(preset)
+        assert set(shapes) == {(6, 6)}
+        m, d, h = (np.concatenate([s[k] for s in solved]) for k in range(3))
+        assert len(h) == 3965 and all(e is None for s in solved for e in s[3])
+        assert not h[:, [2, 4, 6]].any()
+        assert np.array_equal(h, hermitian_steady_state(m, d))
+
+    def test_structural_coordinates_are_those_of_the_real_form(self):
+        # derived from S: M = S K S^dagger for real K, and Hermitian H = S K
+        # S^dagger for real symmetric K, read by the realification maps
+        rng = np.random.default_rng(11)
+        S = np.diag([1.0, 1.0, 1j])
+        K = rng.normal(size=(40, 3, 3))
+        m, h = coordinates(realify(S @ K @ S.conj().T),
+                           realify(S @ (K + np.swapaxes(K, 1, 2)) @ S.conj().T))
+        # each coordinate vanishes on every draw or on none
+        for x in (m, h):
+            assert np.array_equal((x == 0.0).all(axis=0), (x == 0.0).any(axis=0))
+        phases = np.flatnonzero(m[0] == 0.0), np.flatnonzero(h[0] == 0.0)
+        assert phases[0].tolist() == dynamics._PHASES[0].tolist() == [2, 5, 6, 7, 9, 10, 12,
+                                                                     13, 17]
+        assert phases[1].tolist() == dynamics._PHASES[1].tolist() == [2, 4, 6]
+        assert np.flatnonzero(h[0]).tolist() == dynamics._KEPT.tolist() == SOLVED[0.0]
+        # the model's diffusion always vanishes there, its drift at delta_tilde = 0 only
+        for dt in SOLVED:
+            m, d = state_space_coordinates(model(G1=0.9e5, G2=1e5, kt=5e3, dt=dt, n1=1.0))
+            assert (m[0, phases[0]] == 0.0).all() == (dt == 0.0)
+            assert (d[0, phases[1]] == 0.0).all()
+
+    @pytest.mark.parametrize("diffusion", [False, True], ids=["drift", "diffusion"])
+    def test_any_structural_coordinate_takes_the_full_solve(self, monkeypatch, diffusion):
+        # steady_state_covariance feeds any phase-insensitive drift through
+        # the batched solve: one nonzero structural coordinate of m, or of d,
+        # takes the 9x9 solve, whose V holds to the kron reference
+        m, d = state_space_coordinates(model(G1=0.9e5, G2=1e5, kt=5e3, n1=1.0, n2=2.0))
+        shapes = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        steady_state_covariance(drifts_of(m)[0], embed(d)[0])
+        assert shapes == [(1, 6, 6)]
+        for k in dynamics._PHASES[diffusion]:
+            x, y = m.copy(), d.copy()
+            (y if diffusion else x)[0, k] = 1.0
+            A, D = drifts_of(x), embed(y)
+            assert stability_eigen(A[0])
+            shapes.clear()
+            V = steady_state_covariance(A[0], D[0])
+            assert shapes == [(1, 9, 9)]
+            V_ref = kron_steady_state(A, D)[0]
+            assert np.linalg.norm(V - V_ref) <= KRON_REFERENCE_RTOL * np.linalg.norm(V_ref)
 
 
 def _recorded_drifts(run, *args) -> np.ndarray:
@@ -996,8 +1103,8 @@ class TestPropagate:
         assert np.array_equal(W[2], dynamics._apply(M[2:], Q[2:], V[2:])[0])
 
     def test_largest_symmetric_samples_read_finite(self):
-        # half the largest double is the most a symmetrized sample holds; a
-        # frozen system keeps it, and its plain sum of entries overflows
+        # a frozen system keeps samples of half the largest double, whose
+        # plain sum of entries overflows
         big = np.finfo(float).max / 2.0
         V0 = big * np.array([np.ones((6, 6)), np.where(np.eye(6) > 0, 1.0, -1.0)])
         covs, first_bad = propagate_batch(np.zeros((2, 6, 6)), np.zeros((2, 6, 6)), V0,
@@ -1006,6 +1113,23 @@ class TestPropagate:
             assert np.isinf(V0[0].sum())
         assert np.array_equal(first_bad, [-1, -1])
         assert np.array_equal(covs, np.repeat(V0[:, None], 3, axis=1))
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0], [1.0, 2.0]])
+    def test_start_beyond_half_the_largest_double_reads_finite(self, grid):
+        # the start and each step halve before they symmetrize, so finite
+        # entries up to the largest double stay finite: a frozen system keeps them
+        V0 = np.full((1, 6, 6), 1.7e308)
+        covs, first_bad = propagate_batch(np.zeros((1, 6, 6)), np.zeros((1, 6, 6)), V0, grid)
+        assert np.array_equal(first_bad, [-1])
+        assert np.array_equal(covs, np.repeat(V0[:, None], 2, axis=1))
+
+    def test_noise_beyond_half_the_largest_double_reads_finite(self):
+        # the noise map halves before it symmetrizes too: a frozen drift with
+        # a diffusion of 1.7e308 carries 0 to exactly D over one unit of time
+        D = np.diag(np.full(6, 1.7e308))[None]
+        covs, first_bad = propagate_batch(np.zeros((1, 6, 6)), D, np.zeros((1, 6, 6)),
+                                          [0.0, 1.0])
+        assert np.array_equal(first_bad, [-1]) and np.array_equal(covs[0, 1], D[0])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_first_non_finite_index_sees_every_entry(self, monkeypatch, bad):

@@ -449,6 +449,32 @@ class TestSteadyBatch:
             assert (row["EN"], row["nu_minus"], row["stable"], row["error"]) == \
                 peak_values(alone)
 
+    def test_one_detuned_point_takes_its_chunk_to_the_full_solve(self, monkeypatch):
+        # 60 points at delta_tilde = 0 and one at Delta = 2e3: the chunk's
+        # solve takes all 9 coordinates, each point alone at delta_tilde = 0
+        # takes 6, and every outcome in the chunk is its point's alone, bit for bit
+        cfg = base_config(rB=0.5)
+        points = [{"ratio": r, "Delta": 2e3 if k == 17 else 0.0}
+                  for k, r in enumerate(np.linspace(0.8, 1.05, 61))]
+        models = [resolve_point(cfg, point)[0] for point in points]
+        shapes = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        out = evaluate_steady_batch(stack_models(models))
+        stable = int(out.stable.sum())
+        assert out.stable[17] and models[17].delta_tilde != 0.0 and 20 < stable < len(models)
+        assert shapes == [(stable, 9, 9)]
+        for k, model in enumerate(models):
+            shapes.clear()
+            assert peak_values(out, k) == peak_values(evaluate_steady_batch(model))
+            n = 9 if k == 17 else 6
+            assert shapes == [(int(out.stable[k]), n, n)]
+
     def test_mixed_chunk_gives_per_point_outcomes(self):
         def m(**kw):
             fields = dict(G1=0.9e5, G2=1e5, kappa_tilde=1e5, delta_tilde=0.0,

@@ -10,7 +10,9 @@ The Hermitian oracle solves the same equation at the same precision on the
 9 real coordinates of the 3x3 Hermitian matrix whose realification is V
 (every model here is phase-insensitive), about 6 ms per point.  It is held
 to the kron-form oracle on the pinned points, then checks the library on a
-pre-registered draw of about 300 stable models (test_sweep_...).
+pre-registered draw of about 300 stable models (test_sweep_...), and on
+the same draw at delta_tilde = 0, which the library solves on 6 of the 9
+coordinates (test_locked_sweep_...).
 
 The propagator oracle is Van Loan's block exponential (Van Loan 1978, IEEE
 TAC 23:395) taken by mpmath.expm at the same precision
@@ -19,6 +21,8 @@ transition_and_noise, which squares its elementary step's maps up to the
 interval, and the fig3 samples that dynamics.propagate_batch fills by
 doubling, each against the exact map from t = 0 to its own t.
 """
+
+import dataclasses
 
 import mpmath
 import numpy as np
@@ -432,6 +436,40 @@ def test_sweep_matches_the_hermitian_oracle():
         if error is not None or not abs(mpmath.mpf(nu) - ref) <= SWEEP_RTOL[family] * ref:
             misses.append((family, model, error, nu, float(ref)))
     print(f"oracle sweep: {checked} stable draws of {len(drawn)}, {unresolved} unresolved")
+    assert checked >= 250
+    assert not misses
+    assert unresolved <= SWEEP_UNRESOLVED_MAX
+
+
+def test_locked_sweep_matches_the_hermitian_oracle(monkeypatch):
+    # the pre-registered draw with delta_tilde set to 0, not re-drawn: the
+    # whole stack is real up to diag(1, 1, i), so the solve takes 6 coordinates
+    drawn = [(family, dataclasses.replace(model, delta_tilde=0.0))
+             for family, model in sweep_models()]
+    shapes = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        shapes.append(np.shape(a)[1:])
+        return solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recording)
+        out = evaluate_steady_batch(stack_models([model for _, model in drawn]))
+    assert shapes == [(6, 6)]
+    misses, unresolved, checked = [], 0, 0
+    for (family, model), stable, error, nu in zip(drawn, out.stable, out.error,
+                                                 out.nu_minus[:, 0].tolist()):
+        if not stable:
+            continue
+        checked += 1
+        if error == entanglement.UNRESOLVED:
+            unresolved += 1
+            continue
+        ref = hermitian_oracle_nu_minus(model)
+        if error is not None or not abs(mpmath.mpf(nu) - ref) <= SWEEP_RTOL[family] * ref:
+            misses.append((family, model, error, nu, float(ref)))
+    print(f"locked oracle sweep: {checked} stable draws of {len(drawn)}, {unresolved} unresolved")
     assert checked >= 250
     assert not misses
     assert unresolved <= SWEEP_UNRESOLVED_MAX
