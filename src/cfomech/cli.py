@@ -155,6 +155,10 @@ def _load_config(args) -> RunConfig:
                 raise ConfigError(f"meta.config must be a JSON object, got {loaded!r}")
         data.update(loaded)
     _merge_sets(data, args.set or [])
+    # the steady and evolve commands run in their own mode, one RunConfig built
+    # per call; an invalid mode in the input stays, for RunConfig to reject
+    if args.command in ("steady", "evolve") and data.get("mode") in ("steady", "evolve", None):
+        data["mode"] = args.command
     return build_config(data)
 
 
@@ -234,10 +238,8 @@ def main(argv=None) -> int:
             table = experiments.run_preset(args.name, cfg, curves=args.curves)
         else:
             cfg = _load_config(args)
-            if args.command == "steady":
-                table = _point_table(cfg.replace(mode="steady"))
-            elif args.command == "evolve":
-                table = _point_table(cfg.replace(mode="evolve"))
+            if args.command in ("steady", "evolve"):
+                table = _point_table(cfg)
             elif args.command == "sweep":
                 table = experiments.run_sweep(cfg, curves=args.curves)
             elif args.command == "optimize":

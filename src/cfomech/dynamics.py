@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .entanglement import _check_phase_insensitive, _realification_maps
+from .entanglement import _EPS, _check_phase_insensitive, _realification_maps
 from .errors import (
     DivergenceError,
     NumericalError,
@@ -103,8 +103,8 @@ def spectral_abscissa(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         finite = np.isfinite(A).all(axis=(-2, -1))
         abscissa = np.full(len(A), np.nan)
         abscissa[finite] = np.linalg.eigvals(A[finite]).real.max(axis=-1)
-    A, e = _unit_size(A)
-    return abscissa, np.ldexp(abscissa, -e) < -STABILITY_TOL * np.linalg.norm(A, axis=(-2, -1))
+    A, e = _unit_size(A)  # ||A||_F below as np.linalg.norm takes it on real input
+    return abscissa, np.ldexp(abscissa, -e) < -STABILITY_TOL * np.sqrt((A * A).sum(axis=(-2, -1)))
 
 
 #: Margin of the Routh-Hurwitz certificate, relative to ||A||_F: it certifies
@@ -257,12 +257,12 @@ _WEIGHTS = (_HERMITIAN[0] ** 2).sum(axis=1)
 
 #: Where M's and D_c's coordinates _PHASES vanish, as at delta_tilde = 0, S^dagger M S and
 #: S^dagger D_c S are real for S = diag(1, 1, i), so S^dagger H S is too: H's coordinates 2, 4
-#: and 6 vanish.  _FORMS: (basis, weights, coordinates) of the solve on all 9, and on _KEPT.
+#: and 6 vanish.  _FORMS: (basis, weights) of the solve on all 9, and on _KEPT.
 _PHASES = np.array([2, 5, 6, 7, 9, 10, 12, 13, 17]), np.array([2, 4, 6])
 _KEPT = np.array([0, 1, 3, 5, 7, 8])
-_FORMS = ((_LYAPUNOV_BASIS, _WEIGHTS, slice(None)),
+_FORMS = ((_LYAPUNOV_BASIS, _WEIGHTS),
           (np.ascontiguousarray(_LYAPUNOV_BASIS.reshape(18, 9, 9)[:, _KEPT[:, None], _KEPT]
-                                .reshape(18, 36)), _WEIGHTS[_KEPT], _KEPT))
+                                .reshape(18, 36)), _WEIGHTS[_KEPT]))
 
 
 def _residual_error(rel: float, op: np.ndarray) -> str:
@@ -289,10 +289,11 @@ def steady_state_batch(m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, list[s
     """
     N = len(m)
     real = not (np.count_nonzero(m[:, _PHASES[0]]) or np.count_nonzero(d[:, _PHASES[1]]))
-    basis, weights, kept = _FORMS[real]
-    (m, a), (d, e) = _unit_size(m, axis=-1), _unit_size(d[:, kept], axis=-1)
+    basis, weights = _FORMS[real]
+    m, a = _unit_size(m, axis=-1)
+    d, e = _unit_size(d[:, _KEPT] if real else d, axis=-1)
     op = (m @ basis).reshape(N, len(weights), len(weights))
-    singular = np.zeros(N, dtype=bool)
+    singular = set()  # a singular system's h stays NaN, so its residual fails too
     try:
         h = np.linalg.solve(op, -d[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -302,25 +303,25 @@ def steady_state_batch(m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, list[s
             try:
                 h[k] = np.linalg.solve(op[k:k + 1], -d[k:k + 1, :, None])[0, :, 0]
             except np.linalg.LinAlgError:
-                singular[k] = True
+                singular.add(k)
     # an h too large for double precision, or one from an infinite d, is not
     # finite: reported below; ||A||_F^2 is 2*||m||^2, each m filling 2 entries of A
     with np.errstate(over="ignore", invalid="ignore"):
         r = (op @ h[..., None])[..., 0] + d
-        norm_r, norm_h, norm_d = np.sqrt(np.stack([r, h, d]) ** 2 @ weights)
+        norm_r, norm_h, norm_d = np.sqrt(np.array([r, h, d]) ** 2 @ weights)
         rel = norm_r / norm_d
-        floor = 100.0 * np.finfo(float).eps * np.sqrt(2.0 * (m * m).sum(axis=1)) * norm_h / norm_d
+        floor = 100.0 * _EPS * np.sqrt(2.0 * (m * m).sum(axis=1)) * norm_h / norm_d
         h = np.ldexp(h, (e - a)[:, None])
-    overflow = ~np.isfinite(h).all(axis=1)
+    finite = np.isfinite(h).all(axis=1)
     errors: list[str | None] = [None] * N
-    for k in np.flatnonzero(singular | overflow | ~(rel < np.maximum(LYAPUNOV_RTOL, floor))):
-        if overflow[k] and not singular[k]:
-            errors[k] = "stationary covariance overflows double precision"
-        else:
-            errors[k] = (f"Lyapunov linear system is singular (cond ~ {np.linalg.cond(op[k]):.3g})"
-                         if singular[k] else _residual_error(rel[k], op[k]))
-    coordinates = np.zeros((N, 9))
-    coordinates[:, kept] = h
+    for k in (~(finite & (rel < np.maximum(LYAPUNOV_RTOL, floor)))).nonzero()[0].tolist():
+        errors[k] = (f"Lyapunov linear system is singular (cond ~ {np.linalg.cond(op[k]):.3g})"
+                     if k in singular else _residual_error(rel[k], op[k]) if finite[k]
+                     else "stationary covariance overflows double precision")
+    if not real:
+        return h, errors
+    coordinates = np.zeros((N, 9))  # the other 3 are exact zeros
+    coordinates[:, _KEPT] = h
     return coordinates, errors
 
 
@@ -349,7 +350,7 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     (A, a), (D, e) = _unit_size(A[0]), _unit_size(D[0])
     V = (np.ldexp(h[0], a - e) @ _HERMITIAN[0]).reshape(6, 6)  # at A's and D's unit size
     rel = np.linalg.norm(A @ V + V @ A.T + D) / np.linalg.norm(D)
-    floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A) * np.linalg.norm(V) / np.linalg.norm(D)
+    floor = 100.0 * _EPS * np.linalg.norm(A) * np.linalg.norm(V) / np.linalg.norm(D)
     if not rel < max(LYAPUNOV_RTOL, floor):
         op = (A.reshape(36) @ _COMPLEX[1] @ _LYAPUNOV_BASIS).reshape(9, 9)
         raise NumericalError(_residual_error(rel, op))

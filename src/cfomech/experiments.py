@@ -189,15 +189,15 @@ class RunConfig:
     def as_dict(self) -> dict:
         """Fields by name, the axes as a list of field dicts: what
         dataclasses.asdict gives, without its deep copy of every value."""
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out = {f.name: getattr(self, f.name) for f in _FIELDS}
         out["axes"] = [{f.name: getattr(ax, f.name) for f in dataclasses.fields(ax)}
                        for ax in self.axes]
         return out
 
 
-#: The numeric fields of RunConfig, which __post_init__ checks to be finite.
-NUMBER_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
-                      if f.type.startswith(("float", "int")))
+#: The fields of RunConfig, and the numeric ones, which __post_init__ checks to be finite.
+_FIELDS = dataclasses.fields(RunConfig)
+NUMBER_FIELDS = tuple(f.name for f in _FIELDS if f.type.startswith(("float", "int")))
 
 
 @dataclass
@@ -327,12 +327,12 @@ def _score(coords: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np
     failing the physicality gate, or with an unresolved spectrum, gets that
     error in errors; errors already given stay."""
     N, T = coords.shape[:2]
-    ok = np.flatnonzero([error is None for error in errors])
-    physical, nus = entanglement.pt_spectrum(coords[ok].reshape(-1, 4))
+    ok = np.array([error is None for error in errors]).nonzero()[0]
+    physical, nus = entanglement.pt_spectrum(coords.take(ok, axis=0).reshape(-1, 4))
     physical, nus = physical.reshape(-1, T).all(axis=1), nus.reshape(-1, T)
     nu_minus = np.full((N, T), np.nan)
     nu_minus[ok] = nus
-    for j in np.flatnonzero(~physical | np.isnan(nus).any(axis=1)).tolist():
+    for j in (~physical | np.isnan(nus).any(axis=1)).nonzero()[0].tolist():
         errors[ok[j]] = entanglement.UNRESOLVED if physical[j] else entanglement.UNPHYSICAL
         nu_minus[ok[j]] = np.nan
     with np.errstate(divide="ignore"):  # nu = 0 (diverged, or an unphysical V): E_N is dropped
@@ -349,14 +349,13 @@ def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
     non-finite entry (NONFINITE_DRIFT), read stable = False."""
     m, d = dynamics.state_space_coordinates(model)
     stable = dynamics.stability_batch(m)
-    idx = np.flatnonzero(stable)
-    h, solve_errors = dynamics.steady_state_batch(m[idx], d[idx])
+    idx = stable.nonzero()[0]
+    h, solve_errors = dynamics.steady_state_batch(m.take(idx, axis=0), d.take(idx, axis=0))
     coords = np.empty((len(m), 1, 4))
     coords[idx, 0] = h[:, [0, 1, 6, 3]]  # (H11, Re H12, Im H12, H22)
-    errors: list[str | None] = ["unstable" if finite else NONFINITE_DRIFT
-                                for finite in np.isfinite(m).all(axis=1).tolist()]
-    for k, error in zip(idx.tolist(), solve_errors):
-        errors[k] = error
+    solved = iter(solve_errors)
+    errors = [next(solved) if ok else "unstable" if finite else NONFINITE_DRIFT
+              for ok, finite in zip(stable.tolist(), np.isfinite(m).all(axis=1).tolist())]
     return ChunkResult(*_score(coords, errors), stable, errors)
 
 
@@ -408,9 +407,9 @@ def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]
     curves = curves and evolve
     t_grid = cfg.time_grid() if evolve else None
     size = max(1, EVOLVE_SAMPLES // cfg.tPoints) if evolve else STEADY_CHUNK
-    # with no names, meshgrid gives no rows and the array holds the one point
+    # with no names, the array has no rows and holds the one point
     all_points = np.array(np.meshgrid(*grids, indexing="ij"), float).reshape(
-        len(names), math.prod(map(len, grids)))
+        len(names), math.prod(map(len, grids))) if names else np.empty((0, 1))
     columns = {name: [] for name in (*names, *(["t"] if curves else []), "EN", "nu_minus",
                                      "stable", "kappaTilde", "DeltaTilde", "rwaVerdict", "error")}
     for start in range(0, all_points.shape[1], size):
@@ -438,7 +437,7 @@ def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]
                              ("kappaTilde", model.kappa_tilde), ("DeltaTilde", model.delta_tilde)):
             columns[name] += values[rows].tolist()
         for name, values in (("rwaVerdict", verdicts), ("error", out.error)):
-            columns[name] += np.asarray(values, dtype=object)[rows].tolist()
+            columns[name] += np.asarray(values, dtype=object)[rows].tolist() if curves else values
     # with no axes every point is the base point, whose tags the meta reads
     return ResultTable(columns, _table_meta(cfg, columns if columns["EN"] and not names else None))
 

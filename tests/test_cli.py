@@ -251,7 +251,11 @@ class TestBlockwiseCsv:
         # floats and bools that compare equal keep their own text
         (["a", "b"], [{"a": 1.0, "b": True}, {"a": True, "b": 1}, {"a": 1, "b": 1.0},
                       {"a": -0.0, "b": 0.0}, {"a": 0.0, "b": -0.0}]),
-    ], ids=["carriage_return", "one_column_none", "error_row", "equal_values"])
+        # float-only columns, as fig2a's DeltaTilde: 0.0 == -0.0, yet "-0" stays
+        (["a", "b"], [{"a": 0.0, "b": -0.0}, {"a": -0.0, "b": math.nan},
+                      {"a": math.nan, "b": math.inf}, {"a": -math.inf, "b": 0.0},
+                      {"a": -0.0, "b": -0.0}, {"a": math.inf, "b": 2.5}]),
+    ], ids=["carriage_return", "one_column_none", "error_row", "equal_values", "signed_zeros"])
     def test_cases_match_the_rowwise_writer(self, columns, rows):
         table = _columnar(columns, rows)
         assert serialize(table, "csv") == _rowwise_csv(table)
@@ -305,6 +309,39 @@ class TestSteadyCommand:
              "--set", "G1=2e5", "kappa1=1e3", "kappa2=1e3"], capsys)
         assert code == 3
         assert "stability" in err
+
+
+class TestCommandMode:
+    """steady and evolve build one RunConfig in their own mode, and still
+    reject an invalid mode in their input as RunConfig does."""
+
+    BOGUS = "config error: mode must be 'steady' or 'evolve', got 'bogus'\n"
+
+    @pytest.mark.parametrize("command", ["steady", "evolve"])
+    def test_bogus_mode_exits_two(self, command, tmp_path, capsys):
+        assert run_cli([command, "--set", "G1=9e4", "G2=1e5", "mode=bogus"],
+                       capsys) == (2, "", self.BOGUS)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"G1": 9e4, "G2": 1e5, "mode": "bogus"}))
+        assert run_cli([command, "--config", str(path)], capsys) == (2, "", self.BOGUS)
+
+    @pytest.mark.parametrize("command", ["steady", "evolve"])
+    def test_unknown_key_errors_before_the_mode(self, command, capsys):
+        assert run_cli([command, "--set", "G1=9e4", "G2=1e5", "mode=bogus", "kappa3=1"],
+                       capsys) == (2, "", "config error: unknown config key(s): kappa3\n")
+
+    def test_evolve_runs_in_its_own_mode(self, capsys):
+        code, out, _ = run_cli(["evolve", "--set", "G1=9e4", "G2=1e5", "tPoints=3",
+                                "mode=steady", "--format", "json"], capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["meta"]["config"]["mode"] == "evolve"
+        assert [row["t"] for row in payload["rows"]] == [0.0, 0.001, 0.002]
+
+    def test_null_mode_runs(self, capsys):
+        sets = ["steady", "--set", "G1=9e4", "G2=1e5"]
+        code, out, _ = run_cli([*sets, "mode=null"], capsys)
+        assert code == 0 and out == run_cli(sets, capsys)[1]
+        assert parse_csv(out)[0][0] == "EN"
 
 
 class TestParserReuse:
