@@ -107,48 +107,61 @@ def spectral_abscissa(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return abscissa, np.ldexp(abscissa, -e) < -STABILITY_TOL * np.sqrt((A * A).sum(axis=(-2, -1)))
 
 
-#: Margin of the Routh-Hurwitz certificate, relative to ||A||_F: it certifies
-#: a drift only where its spectral abscissa lies below -(STABILITY_TOL +
-#: ROUTH_MARGIN)*||A||_F, and leaves the band edge to the eigenvalues.
-#: A real eigenvalue of M is a double root of p*conj(p), which the rounding
-#: of its coefficients moves by up to about sqrt(eps) of the scale: with no
-#: margin the certificate's edge wandered by up to 3 times
-#: STABILITY_TOL*||A||_F on gamma scans at kappa_tilde = 0 (it left drifts
-#: at 4 times the band edge unsettled; an error of the other sign would call
-#: marginal drifts stable).  2^-20 is about 300 times that error, and still
-#: certifies every fig2 point.
+#: Margin of the Routh-Hurwitz verdicts, relative to ||A||_F: the
+#: certificate calls a drift stable only where its spectral abscissa lies
+#: below -(STABILITY_TOL + ROUTH_MARGIN)*||A||_F, and its mirror calls one
+#: not stable only where it lies above (ROUTH_MARGIN - STABILITY_TOL)*||A||_F;
+#: the band edge between them is left to the eigenvalues.  A real
+#: eigenvalue of M is a double root of p*conj(p), which the rounding of its
+#: coefficients moves by up to about sqrt(eps) of the scale: with no margin
+#: the certificate's edge wandered by up to 3 times STABILITY_TOL*||A||_F on
+#: gamma scans at kappa_tilde = 0 (it left drifts at 4 times the band edge
+#: unsettled; an error of the other sign would call marginal drifts stable).
+#: 2^-20 is about 300 times that error, and still certifies every fig2 point.
 ROUTH_MARGIN = 2.0 ** -20
 
-#: Stacks of at least this many drifts take the certificate first.  On a
-#: 2-vCPU x86-64 VM it costs 55-90 us at N = 1 against 20-25 us for eigvals,
-#: breaks even between N = 8 and 16, and takes 130-230 us against 1400-1800
-#: us at N = 256.  On the evolve_sweep grid's chunks of 80 models at 51
-#: samples it takes 51 us against 250 us for eigvals on one that it certifies
-#: whole; its unstable models it leaves to eigvals, so a chunk of 65 unstable
-#: ones pays both, 269 against 208 us.  The fig3 presets' chunk of 5 models
-#: stays below it.
+#: Stacks of at least this many drifts take the Routh-Hurwitz verdicts
+#: first.  On a 2-vCPU x86-64 VM the certificate costs 55-90 us at N = 1
+#: against 20-25 us for eigvals, breaks even between N = 8 and 16, and takes
+#: 130-230 us against 1400-1800 us at N = 256.  On the evolve_sweep grid's
+#: chunks of 80 models at 51 samples it takes 80 us against 388 us for
+#: eigvals on one that it certifies whole, and its mirror settles the
+#: unstable ones: the last chunk, 65 unstable models, takes 157 us against
+#: 312 us for eigvals alone (one process, min of 15 x 300 calls), and only
+#: the band edge (1 drift in 225) reaches eigvals.  The fig3 presets' chunk of 5 models stays below it.
 CERTIFICATE_MIN_STACK = 64
 
+#: Where M's coordinates _PHASES[0] vanish, as at delta_tilde = 0, S^dagger M S
+#: is real for S = diag(1, 1, i): the real 3x3 matrix m[:, _REAL_DRIFT[0]] *
+#: _REAL_DRIFT[1], row by row.  The steady solve reads the diffusion's
+#: _PHASES[1] too (steady_state_batch).
+_PHASES = np.array([2, 5, 6, 7, 9, 10, 12, 13, 17]), np.array([2, 4, 6])
+_REAL_DRIFT = np.array([0, 1, 11, 3, 4, 14, 15, 16, 8]), np.array([1, 1, -1, 1, 1, -1, 1, 1, 1.0])
 
-def _routh_certificate(m: np.ndarray) -> np.ndarray:
-    """(N,) stability certificates of the complex 3x3 drifts M of an (N, 18)
-    stack of coordinates, from the Routh-Hurwitz test (Gantmacher, The
-    Theory of Matrices, vol. 2, ch. XV) without an eigenvalue call.
 
-    The eigenvalues of M's realification A are those of M and their
-    conjugates, the roots of the real sextic p*conj(p) for the cubic p(x) =
-    det(xI - M) = x^3 + a x^2 + b x + c.  M enters at unit size (_unit_size),
-    so no coefficient over- or underflows, and shifted by (STABILITY_TOL +
-    ROUTH_MARGIN) times the scaled ||A||_F = sqrt(2)*||m||.  A point is
-    certified only where all six first-column entries of the Routh array of
-    the shifted sextic are positive: a zero, a NaN or a non-finite drift
-    leaves it uncertified, not unstable.
+def _routh_column(m: np.ndarray, shift: float, real: bool) -> np.ndarray:
+    """(k, N) first column, below its leading 1, of the Routh array
+    (Gantmacher, The Theory of Matrices, vol. 2, ch. XV) of the
+    characteristic polynomial of each complex 3x3 drift M of an (N, 18)
+    stack of coordinates, shifted by shift times ||A||_F for its
+    realification A, with no eigenvalue call.
+
+    The eigenvalues of A are those of M and their conjugates, the roots of
+    the real sextic p*conj(p) for the cubic p(x) = det(xI - M) = x^3 + a x^2
+    + b x + c: k = 6 entries.  Where every drift of the stack is real up to
+    S (real, see _REAL_DRIFT), so are a, b and c, A's eigenvalues are p's
+    roots each taken twice, and the column is p's own, a, (ab - c)/a and c:
+    k = 3, with simple roots where p*conj(p) has double ones.  M enters at
+    unit size (_unit_size), so no coefficient over- or underflows, and
+    shifted by shift times the scaled ||A||_F = sqrt(2)*||m||.  A
+    non-finite drift spreads NaN or inf to the column.
     """
     m = _unit_size(m, axis=-1)[0]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         norm = np.sqrt(2.0 * (m * m).sum(axis=1))
-        m[:, [0, 4, 8]] += ((STABILITY_TOL + ROUTH_MARGIN) * norm)[:, None]  # Re diag M
-        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (m[:, :9] + 1j * m[:, 9:]).T
+        M = m[:, _REAL_DRIFT[0]] * _REAL_DRIFT[1] if real else m[:, :9] + 1j * m[:, 9:]
+        M[:, [0, 4, 8]] += (shift * norm)[:, None]  # Re diag M
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = M.T
         # a = -tr M, b the sum of its principal 2x2 minors, c = -det M
         minor0 = m11 * m22 - m12 * m21
         minor1 = m10 * m22 - m12 * m20
@@ -156,6 +169,8 @@ def _routh_certificate(m: np.ndarray) -> np.ndarray:
         a = -(m00 + m11 + m22)
         b = minor0 + m00 * m22 - m02 * m20 + m00 * m11 - m01 * m10
         c = m01 * minor1 - m00 * minor0 - m02 * minor2
+        if real:
+            return np.array([a, (a * b - c) / a, c])
         # the real sextic p*conj(p) = x^6 + q5 x^5 + ... + q0
         q5 = 2.0 * a.real
         q4 = 2.0 * b.real + a.real * a.real + a.imag * a.imag
@@ -163,16 +178,34 @@ def _routh_certificate(m: np.ndarray) -> np.ndarray:
         q2 = b.real * b.real + b.imag * b.imag + 2.0 * (a.real * c.real + a.imag * c.imag)
         q1 = 2.0 * (b.real * c.real + b.imag * c.imag)
         q0 = c.real * c.real + c.imag * c.imag
-        # the first column q5, r4, r3, r2, r1, q0 of the Routh array below its
-        # leading 1; s4 and s3 are the second entries of the rows of r4 and r3
+        # the first column q5, r4, r3, r2, r1, q0; s4 and s3 are the second
+        # entries of the rows of r4 and r3
         r4 = q4 - q3 / q5
         s4 = q2 - q1 / q5
         r3 = q3 - q5 * s4 / r4
         s3 = q1 - q5 * q0 / r4
         r2 = s4 - r4 * s3 / r3
         r1 = s3 - r3 * q0 / r2
-        return (np.isfinite(norm) & (q5 > 0.0) & (r4 > 0.0) & (r3 > 0.0) & (r2 > 0.0)
-                & (r1 > 0.0) & (q0 > 0.0))
+        return np.array([q5, r4, r3, r2, r1, q0])
+
+
+def _routh_certificate(m: np.ndarray, real: bool) -> np.ndarray:
+    """(N,) stability certificates of an (N, 18) stack of drift coordinates
+    (real as _routh_column takes it): all Routh entries of the polynomial
+    shifted right by (STABILITY_TOL + ROUTH_MARGIN)*||A||_F positive.  A
+    zero or NaN entry, or a non-finite drift, leaves a drift uncertified,
+    not unstable."""
+    return (_routh_column(m, STABILITY_TOL + ROUTH_MARGIN, real) > 0.0).all(axis=0)
+
+
+def _routh_instability(m: np.ndarray, real: bool) -> np.ndarray:
+    """(N,) instability certificates, the certificate's mirror: the Routh
+    entries of the polynomial shifted left by (ROUTH_MARGIN -
+    STABILITY_TOL)*||A||_F all finite and nonzero, with a sign change, so a
+    root lies right of that shift.  A zero or non-finite entry leaves a
+    drift unsettled."""
+    column = _routh_column(m, STABILITY_TOL - ROUTH_MARGIN, real)
+    return np.isfinite(column).all(axis=0) & (column != 0.0).all(axis=0) & (column < 0.0).any(axis=0)
 
 
 def stability_batch(m: np.ndarray) -> np.ndarray:
@@ -182,15 +215,22 @@ def stability_batch(m: np.ndarray) -> np.ndarray:
     a non-finite entry is not stable.
 
     A stack of at least CERTIFICATE_MIN_STACK drifts takes the verdicts of
-    the points that the Routh-Hurwitz certificate settles from it, and only
-    the others from one eigenvalue call; a smaller stack takes them all from
-    the eigenvalues.
+    the drifts that the Routh-Hurwitz certificate settles from it, then
+    those of the others that its mirror settles as not stable, both on the
+    real cubic where the whole stack is real up to S (_REAL_DRIFT); only the
+    band edge and non-finite drifts take one eigenvalue call.  A smaller
+    stack takes them all from the eigenvalues.
     """
     if len(m) < CERTIFICATE_MIN_STACK:
         return spectral_abscissa(state_space_realified(m))[1]
-    stable = _routh_certificate(m)
+    real = not np.count_nonzero(m[:, _PHASES[0]])
+    stable = _routh_certificate(m, real)
     if not stable.all():
-        stable[~stable] = spectral_abscissa(state_space_realified(m[~stable]))[1]
+        unsettled = (~stable).nonzero()[0]
+        unsettled = unsettled[~_routh_instability(m.take(unsettled, axis=0), real)]
+        if len(unsettled):
+            stable[unsettled] = spectral_abscissa(
+                state_space_realified(m.take(unsettled, axis=0)))[1]
     return stable
 
 
@@ -255,10 +295,9 @@ _LYAPUNOV_BASIS = _lyapunov_basis()
 #: h * h @ _WEIGHTS is ||h @ _HERMITIAN[0]||_F^2: the embedding's rows have disjoint support.
 _WEIGHTS = (_HERMITIAN[0] ** 2).sum(axis=1)
 
-#: Where M's and D_c's coordinates _PHASES vanish, as at delta_tilde = 0, S^dagger M S and
-#: S^dagger D_c S are real for S = diag(1, 1, i), so S^dagger H S is too: H's coordinates 2, 4
-#: and 6 vanish.  _FORMS: (basis, weights) of the solve on all 9, and on _KEPT.
-_PHASES = np.array([2, 5, 6, 7, 9, 10, 12, 13, 17]), np.array([2, 4, 6])
+#: Where M's and D_c's coordinates _PHASES vanish, S^dagger M S and S^dagger D_c S are
+#: real, so S^dagger H S is too: H's coordinates 2, 4 and 6 vanish.  _FORMS: (basis,
+#: weights) of the solve on all 9, and on _KEPT.
 _KEPT = np.array([0, 1, 3, 5, 7, 8])
 _FORMS = ((_LYAPUNOV_BASIS, _WEIGHTS),
           (np.ascontiguousarray(_LYAPUNOV_BASIS.reshape(18, 9, 9)[:, _KEPT[:, None], _KEPT]
@@ -402,7 +441,7 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
     A, D = A.reshape(-1, n, n), D.reshape(-1, n, n)
     steps = np.broadcast_to(dt, shape[:-2]).ravel()
     (A_unit, a), (mantissa, t) = _unit_size(A), np.frexp(steps)
-    norm = np.linalg.norm(A_unit, axis=(-2, -1))
+    norm = np.sqrt((A_unit * A_unit).sum(axis=(-2, -1)))  # ||A||_F as spectral_abscissa takes it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.maximum(0, np.ceil(np.log2(norm * mantissa / STEP_NORM_CAP)) + a + t)
         doublings = np.where(np.isfinite(norm) & (norm > 0.0), d, 0).astype(int)

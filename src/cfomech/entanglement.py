@@ -245,8 +245,9 @@ def initial_covariance(nbar1, nbar2) -> np.ndarray:
     (N, 6, 6) stack for (N,) arrays of occupancies."""
     if np.any(nbar1 < 0) or np.any(nbar2 < 0):
         raise ValueError("thermal occupancies must be nonnegative")
-    diagonal = np.stack(np.broadcast_arrays(nbar1, nbar1, nbar2, nbar2, 0.0, 0.0), axis=-1)
-    V = np.zeros(diagonal.shape + (6,))
-    V[..., range(6), range(6)] = diagonal + 0.5
+    V = np.zeros(np.broadcast_shapes(np.shape(nbar1), np.shape(nbar2)) + (6, 6))
+    V[..., 0, 0] = V[..., 1, 1] = nbar1 + 0.5
+    V[..., 2, 2] = V[..., 3, 3] = nbar2 + 0.5
+    V[..., 4, 4] = V[..., 5, 5] = 0.5
     return V
 

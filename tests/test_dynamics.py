@@ -48,7 +48,7 @@ from reference import (
     MARGINAL_MODELS,
     ORACLE_DPS,
     PT_SIGNS,
-    certified_against_eigen,
+    band_edge,
     complex_coordinates,
     coordinates,
     drifts_of,
@@ -60,6 +60,7 @@ from reference import (
     point_columns,
     propagate_stepwise,
     realify,
+    routh_against_eigen,
     stack_models,
     state_space_batch,
     symplectic_eigenvalues,
@@ -332,10 +333,10 @@ class TestBatchedCore:
             assert abs(abscissa[k] - ref) <= 1e-12 * norm_A
             if abs(ref + dynamics.STABILITY_TOL * norm_A) > 1e-12 * norm_A:
                 assert stable[k] == (ref < -dynamics.STABILITY_TOL * norm_A)
-        # these stacks never reach CERTIFICATE_MIN_STACK: the certificate is
-        # called directly, also at 2^700, whose sextic unscaled would overflow
-        certified = certified_against_eigen(m)[0]
-        assert np.array_equal(certified_against_eigen(np.ldexp(m, 700))[0], certified)
+        # these stacks never reach CERTIFICATE_MIN_STACK: the Routh verdicts
+        # are taken directly, also at 2^700, whose sextic unscaled would overflow
+        settled = routh_against_eigen(m)[:2]
+        assert np.array_equal(routh_against_eigen(np.ldexp(m, 700))[:2], settled)
         idx = np.flatnonzero(stable)
         h, errors = steady_state_batch(m[idx], d[idx])
         V = embed(h)
@@ -691,26 +692,50 @@ def _recorded_drifts(run, *args) -> np.ndarray:
     return np.concatenate(seen)
 
 
+def _near_the_band_edge(rng, n: int, real: bool) -> np.ndarray:
+    """Coordinates of n random complex drifts M, or of drifts real up to S =
+    diag(1, 1, i), each shifted so that its spectral abscissa lies within
+    1e-10 to 1e-4 times ||A||_F of 0, on either side, log-uniformly: about a
+    sixth stable beyond the certificate's margin (ROUTH_MARGIN is about
+    1e-6) and a sixth unstable beyond it."""
+    M = rng.normal(size=(n, 3, 3)) + (0.0 if real else 1j * rng.normal(size=(n, 3, 3)))
+    if real:
+        M = M * np.outer([1, 1, 1j], [1, 1, -1j])  # S M S^dagger for a real M
+    A = drifts_of(complex_coordinates(M))
+    abscissa = np.linalg.eigvals(A).real.max(axis=-1)
+    offset = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-10.0, -4.0, n)
+    shift = abscissa + offset * np.linalg.norm(A, axis=(-2, -1))
+    return complex_coordinates(M - shift[:, None, None] * np.eye(3))
+
+
 class TestRouthCertificate:
-    """The private certificate, called directly, against the eigenvalue
-    route (also on the hypothesis stacks of TestBatchedCore)."""
+    """The private Routh-Hurwitz verdicts, called directly, against the
+    eigenvalue route and, on real stacks, the sextic (also on the hypothesis
+    stacks of TestBatchedCore)."""
 
     @pytest.mark.parametrize("preset", ["fig2a", "fig2c", "fig2d"])
     def test_certifies_every_fig2_point(self, preset):
-        # so the steady presets take no eigenvalue call
-        certified, _ = certified_against_eigen(_recorded_drifts(run_preset, preset))
-        assert len(certified) > 100 and certified.all()
+        # so the steady presets take no eigenvalue call; their drifts are
+        # real up to S, so they take the cubic
+        m = _recorded_drifts(run_preset, preset)
+        assert not np.count_nonzero(m[:, dynamics._PHASES[0]])
+        certified, refuted, _ = routh_against_eigen(m)
+        assert len(certified) > 100 and certified.all() and not refuted.any()
 
     @pytest.mark.parametrize("Delta", [0.0, 1e3, 2e3])
     def test_settles_the_evolve_sweep_grid(self, Delta):
         # the benchmark's evolve sweep grid, about half unstable, with
-        # kappa_tilde = 0 at rB = 1; steady mode builds the same drifts
+        # kappa_tilde = 0 at rB = 1; steady mode builds the same drifts, real
+        # up to S at Delta = 0; only the band edge is left unsettled
         cfg = RunConfig(G1=1e4, G2=1e4, kappa1=5e4, kappa2=5e4, gamma1=10.0, gamma2=10.0,
                         theta=0.0, Delta=Delta, axes=(SweepAxis("ratio", 0.9, 1.1, 15),
                                                       SweepAxis("rB", 0.0, 1.0, 15)))
-        certified, stable = certified_against_eigen(_recorded_drifts(run_sweep, cfg))
+        m = _recorded_drifts(run_sweep, cfg)
+        certified, refuted, stable = routh_against_eigen(m)
         assert len(stable) == 225 and 0 < stable.sum() < 225
         assert np.array_equal(certified, stable)
+        unsettled = ~(certified | refuted)
+        assert 0 < unsettled.sum() <= 2 and band_edge(m)[unsettled].all()
 
     def test_agrees_on_random_complex_drifts(self):
         # general complex M, shifted so that about half are stable: on the
@@ -718,26 +743,42 @@ class TestRouthCertificate:
         rng = np.random.default_rng(3)
         M = rng.normal(size=(2000, 3, 3)) + 1j * rng.normal(size=(2000, 3, 3))
         M -= rng.uniform(0.0, 3.0, size=(2000, 1, 1)) * np.eye(3)
-        certified, stable = certified_against_eigen(complex_coordinates(M))
+        certified, refuted, stable = routh_against_eigen(complex_coordinates(M))
         assert 500 < stable.sum() < 1500 and certified.sum() > 0.99 * stable.sum()
+        assert refuted.sum() > 0.99 * (~stable).sum()
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_settles_all_but_the_band_edge(self, real):
+        # drifts within 1e-10 to 1e-4 of ||A||_F of the imaginary axis: the
+        # real ones take the cubic, checked against the sextic
+        m = _near_the_band_edge(np.random.default_rng(5), 2048, real)
+        assert bool(np.count_nonzero(m[:, dynamics._PHASES[0]])) != real
+        certified, refuted, stable = routh_against_eigen(m)
+        unsettled = ~(certified | refuted)
+        assert certified.sum() > 250 and refuted.sum() > 250 and unsettled.sum() > 1000
+        assert band_edge(m)[unsettled].all()
 
     def test_leaves_non_finite_drifts_unsettled(self):
         m = state_space_coordinates(_model_stack([(0.9, 1e5, 5e3, 0.0, 10.0, 1.0, 2.0)] * 4))[0]
         # Re M00 = -gamma1/2, Im M22 = -delta_tilde and Re M22 = -kappa_tilde
         m[1, 0], m[2, 17], m[3, 8] = np.nan, np.inf, -np.inf
-        certified, stable = certified_against_eigen(m)
+        certified, refuted, stable = routh_against_eigen(m)
         assert certified.tolist() == stable.tolist() == [True, False, False, False]
+        assert not refuted.any()
 
-    def test_large_stacks_take_eigenvalues_only_where_unsettled(self, monkeypatch):
+    @staticmethod
+    def _check_routing(monkeypatch, delta_tilde):
         # stable points of the fig2c family, unstable ones, and weakly damped
-        # ones inside and near the marginal band, which the certificate leaves
-        draws = [(r, 1e5, 1e5 * (1.0 - rB), 0.0, gamma, 0.0, 0.0)
+        # ones inside and near the marginal band, which neither verdict settles
+        draws = [(r, 1e5, 1e5 * (1.0 - rB), delta_tilde, gamma, 0.0, 0.0)
                  for r in (0.5, 0.9, 0.99, 1.05) for rB in (0.0, 0.5, 0.95)
                  for gamma in (1e-4, 1e-3, 1e-2, 1.0, 10.0, 100.0, 1e3)]
         m = state_space_coordinates(_model_stack(draws))[0]
         assert len(m) >= dynamics.CERTIFICATE_MIN_STACK
-        certified, stable = certified_against_eigen(m)
-        assert 0 < certified.sum() < stable.sum()
+        assert bool(np.count_nonzero(m[:, dynamics._PHASES[0]])) == (delta_tilde != 0.0)
+        certified, refuted, stable = routh_against_eigen(m)
+        unsettled = ~(certified | refuted)
+        assert 0 < certified.sum() < stable.sum() and 0 < refuted.sum() < (~stable).sum()
         shapes = []
         eigvals = np.linalg.eigvals
 
@@ -747,10 +788,18 @@ class TestRouthCertificate:
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         assert np.array_equal(stability_batch(m), stable)
-        assert shapes == [((~certified).sum(), 6, 6)]
+        assert shapes == [(unsettled.sum(), 6, 6)]
         # a non-finite drift in the stack reads not stable, the rest as before
         m[-1, 0] = np.nan
         assert np.array_equal(stability_batch(m), np.r_[stable[:-1], False])
+
+    def test_large_stacks_take_eigenvalues_only_where_unsettled(self, monkeypatch):
+        # at delta_tilde = 0 the stack is real up to S: the cubic's verdicts
+        self._check_routing(monkeypatch, 0.0)
+
+    def test_detuned_large_stacks_take_eigenvalues_only_where_unsettled(self, monkeypatch):
+        # the sextic's verdicts
+        self._check_routing(monkeypatch, 2e4)
 
 
 #: Bound on the 1-norm of every block with a nonzero drift that

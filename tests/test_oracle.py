@@ -33,7 +33,7 @@ from cfomech import dynamics, entanglement
 from cfomech.experiments import (evaluate_evolve_batch, evaluate_steady_batch, preset_config,
                                  resolve_point, run_preset)
 from cfomech.params import EffectiveModel
-from reference import (MARGINAL_MODELS, ORACLE_DPS, certified_against_eigen, marginal_model,
+from reference import (MARGINAL_MODELS, ORACLE_DPS, marginal_model, routh_against_eigen,
                        oracle_nu_pt, propagate_stepwise, stack_models, state_space_batch,
                        van_loan_maps)
 
@@ -315,9 +315,10 @@ def test_stable_point_inside_the_band_is_reported_unstable():
 def test_certificate_agrees_on_the_sweep_and_marginal_models():
     # the inside-band model, last, is marginal: the certificate leaves it
     models = [m for _, m in sweep_models()] + [*MARGINAL_MODELS.values(), marginal_model(4e-4)]
-    certified, stable = certified_against_eigen(
+    certified, refuted, stable = routh_against_eigen(
         dynamics.state_space_coordinates(stack_models(models))[0])
-    assert certified.sum() > 200 and not stable[-1]
+    assert certified.sum() > 200 and refuted.sum() > 0 and not stable[-1]
+    assert not certified[-1] and not refuted[-1]
 
 
 @pytest.mark.parametrize("fields", [{}, {"kappa_tilde": 0.0}], ids=["kappa_tilde", "zero_kappa"])
@@ -327,10 +328,11 @@ def test_certificate_never_calls_a_marginal_model_stable(fields):
     gammas = np.geomspace(1e-5, 10.0, 4000)
     models = stack_models([marginal_model(g, **fields) for g in gammas])
     A = state_space_batch(models)[0]
-    certified, stable = certified_against_eigen(dynamics.state_space_coordinates(models)[0])
+    certified, refuted, stable = routh_against_eigen(dynamics.state_space_coordinates(models)[0])
     marginal = ~stable & (dynamics.spectral_abscissa(A)[0] < 0.0)
     assert marginal.sum() > 1000 and certified.sum() > 500
-    assert not (certified & marginal).any()
+    # every abscissa of the scan is negative: the mirror settles none
+    assert not (certified & marginal).any() and not refuted.any()
 
 
 #: Relative distance allowed between the two 50-digit steady oracles, on the
