@@ -128,40 +128,28 @@ ROUTH_MARGIN = 2.0 ** -20
 #: eigvals on one that it certifies whole, and its mirror settles the
 #: unstable ones: the last chunk, 65 unstable models, takes 157 us against
 #: 312 us for eigvals alone (one process, min of 15 x 300 calls), and only
-#: the band edge (1 drift in 225) reaches eigvals.  The fig3 presets' chunk of 5 models stays below it.
+#: the band edge (1 drift in 225) reaches eigvals.  The fig3 presets' chunk
+#: of 5 models stays below it.
 CERTIFICATE_MIN_STACK = 64
 
-#: Where M's coordinates _PHASES[0] vanish, as at delta_tilde = 0, S^dagger M S
-#: is real for S = diag(1, 1, i): the real 3x3 matrix m[:, _REAL_DRIFT[0]] *
-#: _REAL_DRIFT[1], row by row.  The steady solve reads the diffusion's
-#: _PHASES[1] too (steady_state_batch).
-_PHASES = np.array([2, 5, 6, 7, 9, 10, 12, 13, 17]), np.array([2, 4, 6])
-_REAL_DRIFT = np.array([0, 1, 11, 3, 4, 14, 15, 16, 8]), np.array([1, 1, -1, 1, 1, -1, 1, 1, 1.0])
-
-
-def _routh_column(m: np.ndarray, shift: float, real: bool) -> np.ndarray:
-    """(k, N) first column, below its leading 1, of the Routh array
+def _routh_column(m: np.ndarray, shift: float) -> np.ndarray:
+    """(6, N) first column, below its leading 1, of the Routh array
     (Gantmacher, The Theory of Matrices, vol. 2, ch. XV) of the
-    characteristic polynomial of each complex 3x3 drift M of an (N, 18)
-    stack of coordinates, shifted by shift times ||A||_F for its
-    realification A, with no eigenvalue call.
+    characteristic polynomial of the realification A of each complex 3x3
+    drift M of an (N, 18) stack of coordinates, shifted by shift times
+    ||A||_F, with no eigenvalue call.
 
     The eigenvalues of A are those of M and their conjugates, the roots of
     the real sextic p*conj(p) for the cubic p(x) = det(xI - M) = x^3 + a x^2
-    + b x + c: k = 6 entries.  Where every drift of the stack is real up to
-    S (real, see _REAL_DRIFT), so are a, b and c, A's eigenvalues are p's
-    roots each taken twice, and the column is p's own, a, (ab - c)/a and c:
-    k = 3, with simple roots where p*conj(p) has double ones.  M enters at
-    unit size (_unit_size), so no coefficient over- or underflows, and
-    shifted by shift times the scaled ||A||_F = sqrt(2)*||m||.  A
-    non-finite drift spreads NaN or inf to the column.
+    + b x + c.  M enters at unit size (_unit_size), so no coefficient over-
+    or underflows, and shifted by shift times the scaled ||A||_F =
+    sqrt(2)*||m||.  A non-finite drift spreads NaN or inf to the column.
     """
     m = _unit_size(m, axis=-1)[0]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         norm = np.sqrt(2.0 * (m * m).sum(axis=1))
-        M = m[:, _REAL_DRIFT[0]] * _REAL_DRIFT[1] if real else m[:, :9] + 1j * m[:, 9:]
-        M[:, [0, 4, 8]] += (shift * norm)[:, None]  # Re diag M
-        m00, m01, m02, m10, m11, m12, m20, m21, m22 = M.T
+        m[:, [0, 4, 8]] += (shift * norm)[:, None]  # Re diag M
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (m[:, :9] + 1j * m[:, 9:]).T
         # a = -tr M, b the sum of its principal 2x2 minors, c = -det M
         minor0 = m11 * m22 - m12 * m21
         minor1 = m10 * m22 - m12 * m20
@@ -169,8 +157,6 @@ def _routh_column(m: np.ndarray, shift: float, real: bool) -> np.ndarray:
         a = -(m00 + m11 + m22)
         b = minor0 + m00 * m22 - m02 * m20 + m00 * m11 - m01 * m10
         c = m01 * minor1 - m00 * minor0 - m02 * minor2
-        if real:
-            return np.array([a, (a * b - c) / a, c])
         # the real sextic p*conj(p) = x^6 + q5 x^5 + ... + q0
         q5 = 2.0 * a.real
         q4 = 2.0 * b.real + a.real * a.real + a.imag * a.imag
@@ -189,22 +175,21 @@ def _routh_column(m: np.ndarray, shift: float, real: bool) -> np.ndarray:
         return np.array([q5, r4, r3, r2, r1, q0])
 
 
-def _routh_certificate(m: np.ndarray, real: bool) -> np.ndarray:
-    """(N,) stability certificates of an (N, 18) stack of drift coordinates
-    (real as _routh_column takes it): all Routh entries of the polynomial
-    shifted right by (STABILITY_TOL + ROUTH_MARGIN)*||A||_F positive.  A
-    zero or NaN entry, or a non-finite drift, leaves a drift uncertified,
-    not unstable."""
-    return (_routh_column(m, STABILITY_TOL + ROUTH_MARGIN, real) > 0.0).all(axis=0)
+def _routh_certificate(m: np.ndarray) -> np.ndarray:
+    """(N,) stability certificates of an (N, 18) stack of drift coordinates:
+    all six Routh entries of the sextic shifted right by (STABILITY_TOL +
+    ROUTH_MARGIN)*||A||_F positive.  A zero or NaN entry, or a non-finite
+    drift, leaves a drift uncertified, not unstable."""
+    return (_routh_column(m, STABILITY_TOL + ROUTH_MARGIN) > 0.0).all(axis=0)
 
 
-def _routh_instability(m: np.ndarray, real: bool) -> np.ndarray:
-    """(N,) instability certificates, the certificate's mirror: the Routh
-    entries of the polynomial shifted left by (ROUTH_MARGIN -
+def _routh_instability(m: np.ndarray) -> np.ndarray:
+    """(N,) instability certificates, the certificate's mirror: the six
+    Routh entries of the sextic shifted left by (ROUTH_MARGIN -
     STABILITY_TOL)*||A||_F all finite and nonzero, with a sign change, so a
     root lies right of that shift.  A zero or non-finite entry leaves a
     drift unsettled."""
-    column = _routh_column(m, STABILITY_TOL - ROUTH_MARGIN, real)
+    column = _routh_column(m, STABILITY_TOL - ROUTH_MARGIN)
     return np.isfinite(column).all(axis=0) & (column != 0.0).all(axis=0) & (column < 0.0).any(axis=0)
 
 
@@ -216,18 +201,16 @@ def stability_batch(m: np.ndarray) -> np.ndarray:
 
     A stack of at least CERTIFICATE_MIN_STACK drifts takes the verdicts of
     the drifts that the Routh-Hurwitz certificate settles from it, then
-    those of the others that its mirror settles as not stable, both on the
-    real cubic where the whole stack is real up to S (_REAL_DRIFT); only the
+    those of the others that its mirror settles as not stable; only the
     band edge and non-finite drifts take one eigenvalue call.  A smaller
     stack takes them all from the eigenvalues.
     """
     if len(m) < CERTIFICATE_MIN_STACK:
         return spectral_abscissa(state_space_realified(m))[1]
-    real = not np.count_nonzero(m[:, _PHASES[0]])
-    stable = _routh_certificate(m, real)
+    stable = _routh_certificate(m)
     if not stable.all():
         unsettled = (~stable).nonzero()[0]
-        unsettled = unsettled[~_routh_instability(m.take(unsettled, axis=0), real)]
+        unsettled = unsettled[~_routh_instability(m.take(unsettled, axis=0))]
         if len(unsettled):
             stable[unsettled] = spectral_abscissa(
                 state_space_realified(m.take(unsettled, axis=0)))[1]
@@ -295,9 +278,10 @@ _LYAPUNOV_BASIS = _lyapunov_basis()
 #: h * h @ _WEIGHTS is ||h @ _HERMITIAN[0]||_F^2: the embedding's rows have disjoint support.
 _WEIGHTS = (_HERMITIAN[0] ** 2).sum(axis=1)
 
-#: Where M's and D_c's coordinates _PHASES vanish, S^dagger M S and S^dagger D_c S are
-#: real, so S^dagger H S is too: H's coordinates 2, 4 and 6 vanish.  _FORMS: (basis,
-#: weights) of the solve on all 9, and on _KEPT.
+#: Where M's and D_c's coordinates _PHASES vanish, as at delta_tilde = 0, S^dagger M S and
+#: S^dagger D_c S are real for S = diag(1, 1, i), so S^dagger H S is too: H's coordinates 2, 4
+#: and 6 vanish.  _FORMS: (basis, weights) of the solve on all 9, and on _KEPT.
+_PHASES = np.array([2, 5, 6, 7, 9, 10, 12, 13, 17]), np.array([2, 4, 6])
 _KEPT = np.array([0, 1, 3, 5, 7, 8])
 _FORMS = ((_LYAPUNOV_BASIS, _WEIGHTS),
           (np.ascontiguousarray(_LYAPUNOV_BASIS.reshape(18, 9, 9)[:, _KEPT[:, None], _KEPT]

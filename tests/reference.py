@@ -29,10 +29,9 @@ Omega V for a symmetric 2n x 2n matrix of any n, or an (N, 2n, 2n) stack, in
 the convention of cfomech.entanglement (vacuum variance 1/2).
 
 The library takes the stability verdicts of a large stack of drifts from a
-Routh-Hurwitz certificate and its mirror first, on a real cubic where the
-drifts allow it (cfomech.dynamics.stability_batch).  The tests hold both,
-and the cubic, to the eigenvalue route and the complex sextic here
-(routh_against_eigen).
+Routh-Hurwitz certificate and its mirror first
+(cfomech.dynamics.stability_batch).  The tests hold both to the eigenvalue
+route here (routh_against_eigen).
 
 The library fills the samples of each run of equal grid intervals by
 doubling (cfomech.dynamics.propagate_batch).  The tests hold it to the
@@ -128,23 +127,17 @@ MARGINAL_MODELS = {
 
 
 def routh_against_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(certified, refuted, stable): the Routh-Hurwitz certificate and its
-    mirror, on the route cfomech.dynamics.stability_batch takes (the real
-    cubic where the whole stack is real up to diag(1, 1, i)), and the
-    eigenvalue verdict of each drift of the (N, 18) stack of coordinates m,
-    checked: the certificate may leave a stable drift unsettled, but never
-    certifies one that the eigenvalues call marginal or unstable; the mirror
-    never calls not stable one that they call stable; and on a real stack
-    the cubic certifies no drift that the sextic does not."""
-    real = not np.count_nonzero(m[:, dynamics._PHASES[0]])
-    certified = dynamics._routh_certificate(m, real)
-    refuted = dynamics._routh_instability(m, real)
+    """(certified, refuted, stable): the Routh-Hurwitz certificate, its
+    mirror and the eigenvalue verdict of each drift of the (N, 18) stack of
+    coordinates m, checked: the certificate may leave a stable drift
+    unsettled, but never certifies one that the eigenvalues call marginal or
+    unstable, and the mirror never calls not stable one that they call
+    stable."""
+    certified = dynamics._routh_certificate(m)
+    refuted = dynamics._routh_instability(m)
     stable = dynamics.spectral_abscissa(drifts_of(m))[1]
     assert not (certified & ~stable).any(), np.flatnonzero(certified & ~stable)
     assert not (refuted & stable).any(), np.flatnonzero(refuted & stable)
-    if real:
-        beyond = certified & ~dynamics._routh_certificate(m, False)
-        assert not beyond.any(), np.flatnonzero(beyond)
     return certified, refuted, stable
 
 

@@ -5,9 +5,7 @@ with every row held to the stored reference in perfbench/reference by
 perfbench/oracle.row_matches, as perfbench/run.py checks each timed pass
 (Tally.check): a row-count mismatch fails.  perfbench/run.py itself is not
 imported, since it pins the BLAS thread count in the environment on import.
-About 2.5 s for all eight passes on a 2-vCPU machine.  The evolve sweep's
-stability verdicts are also held to the eigenvalues at seeds 0 to 2, with
-only its band edge taking an eigenvalue call.
+About 2.5 s for all eight passes on a 2-vCPU machine.
 """
 
 import importlib.util
@@ -15,11 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-
-from cfomech import dynamics
-from reference import band_edge, routh_against_eigen
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -56,21 +50,3 @@ def test_one_pass_matches_the_stored_reference(bench, name, seed):
         bad = [f"row {i}: {r} vs {e}" for i, (r, e) in enumerate(zip(got, expected))
                if not oracle.row_matches(r, e)]
         assert not bad, f"call {key}: {len(bad)} rows differ, first {bad[0]}"
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_evolve_sweep_takes_eigenvalues_only_at_the_band_edge(bench, seed, monkeypatch):
-    # the Routh verdicts settle every drift of the 15 x 15 grid, half of it
-    # unstable, but those at the band edge
-    workloads, _ = bench
-    drifts, sizes = [], []
-    batch, eigvals = dynamics.stability_batch, np.linalg.eigvals
-    monkeypatch.setattr(dynamics, "stability_batch", lambda m: drifts.append(m) or batch(m))
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: sizes.append(len(a)) or eigvals(a))
-    workloads.make("evolve_sweep", seed).call("sweep")
-    monkeypatch.undo()
-    m = np.concatenate(drifts)
-    certified, refuted, stable = routh_against_eigen(m)
-    unsettled = ~(certified | refuted)
-    assert len(m) == 225 and 0 < stable.sum() < 225
-    assert sum(sizes) == unsettled.sum() <= 2 and band_edge(m)[unsettled].all()

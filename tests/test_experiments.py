@@ -592,7 +592,7 @@ class TestEvolveBatch:
         certified = []
         certificate = dynamics._routh_certificate
         monkeypatch.setattr(dynamics, "_routh_certificate",
-                            lambda m, real: certified.append(len(m)) or certificate(m, real))
+                            lambda m: certified.append(len(m)) or certificate(m))
         cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, nbar1=5.0, nbar2=2.0,
                           mode="evolve", tPoints=51,
                           axes=(SweepAxis("ratio", 0.9, 1.1, 15),
