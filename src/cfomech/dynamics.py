@@ -190,7 +190,8 @@ def _routh_instability(m: np.ndarray) -> np.ndarray:
     root lies right of that shift.  A zero or non-finite entry leaves a
     drift unsettled."""
     column = _routh_column(m, STABILITY_TOL - ROUTH_MARGIN)
-    return np.isfinite(column).all(axis=0) & (column != 0.0).all(axis=0) & (column < 0.0).any(axis=0)
+    return (np.isfinite(column).all(axis=0) & (column != 0.0).all(axis=0)
+            & (column < 0.0).any(axis=0))
 
 
 def stability_batch(m: np.ndarray) -> np.ndarray:
