@@ -58,8 +58,8 @@ def state_space_coordinates(model: EffectiveModel) -> tuple[np.ndarray, np.ndarr
     delta_tilde]] and D_c = diag(gamma1 (nbar1 + 1/2), gamma2 (nbar2 + 1/2),
     kappa_tilde): the only place a rate enters the model.  A bath too hot
     for double precision gives an infinite d, reported by solve or propagation."""
-    G1, G2, kt, dt, g1, g2, n1, n2 = model.columns()
-    m, d = np.zeros((len(G1), 18)), np.zeros((len(G1), 9))
+    G1, G2, kt, dt, g1, g2, n1, n2 = vars(model).values()  # floats, or (N,) columns
+    m, d = np.zeros((np.size(G1), 18)), np.zeros((np.size(G1), 9))
     # Re M[j, k] at 3 j + k and Im M[j, k] at 9 + 3 j + k; D_c[j, j] at 0, 3 and 5
     m[:, 0], m[:, 4], m[:, 8] = -(g1 / 2.0), -(g2 / 2.0), -kt
     m[:, 11], m[:, 14], m[:, 15], m[:, 16], m[:, 17] = G1, -G2, -G1, -G2, -dt

@@ -15,7 +15,7 @@ closed forms (the two-mode squeezed thermal case of Adesso, Serafini and
 Illuminati 2004, PRA 70:022318).  pt_spectrum scores the pipeline's
 two-mode states with them, with no eigen-solver; their only difference of
 large terms is delta = ab - |c|^2, taken from Dekker's exact products.
-Where delta is within UNRESOLVED_MARGIN * eps * (ab + |c|^2) of 0 the
+Where delta is within UNRESOLVED_MARGIN * eps * (|ab| + |c|^2) of 0 the
 matrix is singular to rounding: its spectra are unresolved (UNRESOLVED),
 neither a number nor a violation of the uncertainty principle.  The
 physicality gate likewise counts only a violation that rounding of V's
@@ -44,7 +44,7 @@ STRUCTURE_RTOL = 1e-8
 UNPHYSICAL = "covariance matrix violates the uncertainty principle"
 
 #: A two-mode spectrum is unresolved where delta = ab - |c|^2 (see
-#: pt_spectrum) is within this many eps*(ab + |c|^2) of 0.  One-ulp
+#: pt_spectrum) is within this many eps*(|ab| + |c|^2) of 0.  One-ulp
 #: changes of the entries move delta by up to 2.6 of those, and its own
 #: rounding is below 0.9 (measured on 2000 and 3000 locally rotated
 #: two-mode squeezed thermal states); the G1 = G2 weak-damping steady state
@@ -55,8 +55,8 @@ UNRESOLVED_MARGIN = 100.0
 
 #: The physicality gate fails only where nu_full is below 1/2 -
 #: PHYSICALITY_TOL by more than this many times its relative shift under
-#: one-ulp changes of V's entries, 1/margin with margin = delta / (eps*(ab +
-#: |c|^2)).  Measured: one-ulp changes move nu_full by up to 2.4/margin, and
+#: one-ulp changes of V's entries, 1/margin with margin = delta / (eps*(|ab|
+#: + |c|^2)).  Measured: one-ulp changes move nu_full by up to 2.4/margin, and
 #: two-mode squeezed vacua stored as doubles fall up to 1.5/margin short of
 #: 1/2; the undamped transient of `cfomech evolve --set G1=1e4 G2=1e4
 #: gamma1=0 gamma2=0 Delta=1e3 tMax=10` falls 170/margin short at t = 10.
@@ -164,10 +164,10 @@ def pt_spectrum(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns a boolean array, false where nu_full is below 1/2 -
     PHYSICALITY_TOL by more than rounding of the entries can explain
     (GATE_ROUNDING), and nu_pt of each matrix.  Where delta is within
-    UNRESOLVED_MARGIN * eps * (ab + |c|^2) of 0 neither spectrum is
-    resolved: the gate passes and nu_pt is NaN (see UNRESOLVED).  A delta
-    below that, or a + b <= 0, belongs to a matrix that is not positive
-    definite, which fails the gate.
+    UNRESOLVED_MARGIN * eps * (|ab| + |c|^2) of 0 neither spectrum is
+    resolved: the gate passes and nu_pt is NaN (see UNRESOLVED).  A lower
+    delta (the scale's |ab| is positive where ab < 0), or a + b <= 0, is
+    that of a matrix that is not positive definite, which fails the gate.
     """
     # NaN and inf below belong to a matrix that is not positive definite
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -180,7 +180,7 @@ def pt_spectrum(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c2, c2_err = _two_sum(p[1], p[2])
         delta = (p[0] - c2) + (((e[0] - e[1]) - e[2]) - c2_err)
         # delta in units of its rounding under one-ulp changes of the entries
-        margin = delta / (_EPS * (p[0] + c2))
+        margin = delta / (_EPS * (np.abs(p[0]) + c2))
         apb, amb = a + b, np.abs(a - b)
         unresolved = (apb > 0.0) & (np.abs(margin) <= UNRESOLVED_MARGIN)
         resolved = (apb > 0.0) & (margin > UNRESOLVED_MARGIN)

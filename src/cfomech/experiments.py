@@ -305,11 +305,10 @@ def resolve_point(cfg: RunConfig, overrides: dict[str, float] | None = None
 @dataclass
 class ChunkResult:
     """Entanglement of a chunk of N models at T samples each (T = 1 for a
-    steady point): E_N and nu_minus as (N, T) arrays, NaN for a model with an
-    error; each model's stability verdict; and each model's error text, or
-    None."""
+    steady point): nu_minus as an (N, T) array, NaN for a model with an
+    error, from which E_N follows (entanglement.log_negativity_from_nu);
+    each model's stability verdict; and each model's error text, or None."""
 
-    EN: np.ndarray
     nu_minus: np.ndarray
     stable: np.ndarray
     error: list[str | None]
@@ -320,8 +319,8 @@ class ChunkResult:
 NONFINITE_DRIFT = "drift matrix has a non-finite entry"
 
 
-def _score(coords: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, T) E_N and nu_minus of an (N, T, 4) stack of mechanical
+def _score(coords: np.ndarray, errors: list[str | None]) -> np.ndarray:
+    """(N, T) nu_minus of an (N, T, 4) stack of mechanical
     coordinates (a, Re c, Im c, b) from one batched spectrum call over every
     sample of the models with no error yet.  Such a model with a sample
     failing the physicality gate, or with an unresolved spectrum, gets that
@@ -335,12 +334,11 @@ def _score(coords: np.ndarray, errors: list[str | None]) -> tuple[np.ndarray, np
     for j in (~physical | np.isnan(nus).any(axis=1)).nonzero()[0].tolist():
         errors[ok[j]] = entanglement.UNRESOLVED if physical[j] else entanglement.UNPHYSICAL
         nu_minus[ok[j]] = np.nan
-    with np.errstate(divide="ignore"):  # nu = 0 (diverged, or an unphysical V): E_N is dropped
-        return entanglement.log_negativity_from_nu(nu_minus), nu_minus
+    return nu_minus
 
 
 def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
-    """Steady-state entanglement of the N models of a column model: one
+    """Steady-state nu_minus of the N models of a column model: one
     batched stability test and one batched Lyapunov solve over the stable
     models, both on the coordinates of their complex drifts and Hermitian
     diffusions, then scored on the solved coordinates.  Unstable,
@@ -356,11 +354,11 @@ def evaluate_steady_batch(model: params.EffectiveModel) -> ChunkResult:
     solved = iter(solve_errors)
     errors = [next(solved) if ok else "unstable" if finite else NONFINITE_DRIFT
               for ok, finite in zip(stable.tolist(), np.isfinite(m).all(axis=1).tolist())]
-    return ChunkResult(*_score(coords, errors), stable, errors)
+    return ChunkResult(_score(coords, errors), stable, errors)
 
 
 def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
-    """Time-resolved entanglement of the N models of a column model, each
+    """Time-resolved nu_minus of the N models of a column model, each
     starting from the separable thermal-vacuum state at its bath occupancies
     (entanglement.initial_covariance): one batched stability test and one
     batched propagation, then scored.  A model that diverges, or that has a
@@ -377,8 +375,8 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
               for finite, step in zip(np.isfinite(m).all(axis=1).tolist(), first_bad.tolist())]
     coords = entanglement.two_mode_coordinates(covs)
     del covs  # the (N, T, 6, 6) stack, the chunk's largest array, is not held while scoring
-    EN, nu_minus = _score(coords, errors)
-    return ChunkResult(EN, nu_minus, stable & np.array([e is None for e in errors]), errors)
+    nu_minus = _score(coords, errors)  # after which errors holds every model's error
+    return ChunkResult(nu_minus, stable & np.array([e is None for e in errors]), errors)
 
 
 def _table_meta(cfg: RunConfig, columns: dict[str, list] | None = None) -> dict:
@@ -417,17 +415,18 @@ def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]
         model, verdicts = resolve_chunk(cfg, names, points)
         out = evaluate_evolve_batch(model, t_grid) if evolve else evaluate_steady_batch(model)
         failed = [k for k, error in enumerate(out.error) if error is not None]
+        # E_N does not increase with nu: a peak row's E_N is that of its lowest nu
+        nu_minus = out.nu_minus if curves else out.nu_minus.min(axis=1)
+        samples = {"EN": entanglement.log_negativity_from_nu(nu_minus), "nu_minus": nu_minus}
         if curves:  # a scored model gives a row per sample, a failed one a single row
             reps = np.full(len(out.error), cfg.tPoints)
             reps[failed] = 1
             keep = np.arange(cfg.tPoints) < reps[:, None]
-            samples = {"t": np.broadcast_to(t_grid, keep.shape), "EN": out.EN,
-                       "nu_minus": out.nu_minus}
+            samples["t"] = np.broadcast_to(t_grid, keep.shape)
             rows = np.repeat(np.arange(len(reps)), reps)
             failed = (np.cumsum(reps) - reps)[failed].tolist()
         else:
             keep = rows = slice(None)
-            samples = {"EN": out.EN.max(axis=1), "nu_minus": out.nu_minus.min(axis=1)}
         for name, block in samples.items():
             cells = block[keep].tolist()
             for row in failed:

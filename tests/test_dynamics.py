@@ -1242,7 +1242,6 @@ def _in_units(model: EffectiveModel, k: int) -> EffectiveModel:
 def _assert_same_outcomes(out, ref):
     assert out.error == ref.error
     assert np.array_equal(out.stable, ref.stable)
-    assert np.array_equal(out.EN, ref.EN, equal_nan=True)
     assert np.array_equal(out.nu_minus, ref.nu_minus, equal_nan=True)
 
 

@@ -8,6 +8,7 @@ from cfomech import dynamics, experiments
 from cfomech.entanglement import (
     initial_covariance,
     log_negativity,
+    log_negativity_from_nu,
     min_symplectic_eigenvalue_pt,
     pt_spectrum,
     two_mode_coordinates,
@@ -118,7 +119,7 @@ class TestMechanicalSubmatrix:
         h = V6.reshape(1, 36) @ dynamics._HERMITIAN[1]
         for coords in (h[:, [0, 1, 6, 3]], two_mode_coordinates(V6[None, :4, :4]),
                        two_mode_coordinates(V6[None])):
-            _, nu = experiments._score(coords[:, None], [None])
+            nu = experiments._score(coords[:, None], [None])
             assert nu[0, 0] == min_symplectic_eigenvalue_pt(np.diag([1.0, 1.0, 3.0, 3.0]))
             assert nu[0, 0] == pytest.approx(1.0)
 
@@ -133,8 +134,8 @@ class TestMechanicalSubmatrix:
         assert np.allclose(Vm, Vm.T)
 
     def test_vacuum(self):
-        EN, nu = experiments._score(two_mode_coordinates((np.eye(4) / 2)[None, None]), [None])
-        assert (EN[0, 0], nu[0, 0]) == (0.0, 0.5)
+        nu = experiments._score(two_mode_coordinates((np.eye(4) / 2)[None, None]), [None])
+        assert (log_negativity_from_nu(nu)[0, 0], nu[0, 0]) == (0.0, 0.5)
 
 
 class TestMinSymplecticEigenvaluePT:
@@ -153,6 +154,29 @@ class TestMinSymplecticEigenvaluePT:
     def test_rejects_unphysical(self):
         with pytest.raises(PhysicalityError):
             min_symplectic_eigenvalue_pt(0.4 * np.eye(4))
+
+    def test_rejects_indefinite(self):
+        # ab < 0 and 4|c|^2 > (a + b)^2: delta = ab - |c|^2 and ab + |c|^2
+        # are both negative, so on that scale the margin is positive and the
+        # gate passes nu_pt = -1.30 (nu_full is NaN)
+        V4 = realify([[-1.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(PhysicalityError):
+            min_symplectic_eigenvalue_pt(V4)
+        with pytest.raises(PhysicalityError):
+            log_negativity(V4)
+
+    @settings(deadline=None, max_examples=200)
+    @given(coords=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4), min_size=1, max_size=50),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_a_passed_and_resolved_matrix_is_positive_definite(self, coords, scale):
+        coords = scale * np.array(coords)
+        physical, nu = pt_spectrum(coords)
+        a, re_c, im_c, b = coords.T
+        c = re_c + 1j * im_c
+        V4 = realify(np.moveaxis(np.array([[a, c], [c.conj(), b]]), -1, 0))
+        ok = physical & ~np.isnan(nu)
+        assert np.all(np.linalg.eigvalsh(V4[ok])[:, 0] > 0.0)
+        assert np.all(nu[ok] > 0.0)
 
     def test_rejects_asymmetric(self):
         V4 = np.eye(4)

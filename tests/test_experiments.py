@@ -52,7 +52,8 @@ def peak_values(out, k=0):
     peak row gives them."""
     if out.error[k] is not None:
         return None, None, bool(out.stable[k]), out.error[k]
-    return float(out.EN[k].max()), float(out.nu_minus[k].min()), bool(out.stable[k]), None
+    EN = entanglement.log_negativity_from_nu(out.nu_minus[k])
+    return float(EN.max()), float(out.nu_minus[k].min()), bool(out.stable[k]), None
 
 
 def base_config(**kw):
@@ -503,7 +504,7 @@ class TestSteadyBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warns nothing
             out = evaluate_steady_batch(stack_models(models))
-        assert out.EN.shape == out.nu_minus.shape == (len(models), 1)
+        assert out.nu_minus.shape == (len(models), 1)
         assert out.stable.tolist() == [True, False, False, True, True, True, False, True, True,
                                        True, True, True, True]
         for k in overflowing:
@@ -519,9 +520,10 @@ class TestSteadyBatch:
             elif k not in overflowing:
                 assert error == entanglement.UNRESOLVED and EN is None
             if error is not None:
-                assert np.isnan(out.EN[k]).all() and np.isnan(out.nu_minus[k]).all()
+                assert np.isnan(out.nu_minus[k]).all()
         assert all(e is None for e, s in zip(out.error[:10], out.stable[:10]) if s)
-        assert out.EN[4, 0] == out.EN[5, 0] == out.EN[8, 0] == out.EN[9, 0] == 0.0
+        EN = entanglement.log_negativity_from_nu(out.nu_minus)
+        assert EN[4, 0] == EN[5, 0] == EN[8, 0] == EN[9, 0] == 0.0
         # V is linear in D, and the bath term dominates D at these occupancies
         assert out.nu_minus[8, 0] / out.nu_minus[5, 0] == pytest.approx(1e3, rel=1e-9)
         assert out.nu_minus[9, 0] / out.nu_minus[5, 0] == pytest.approx(1e6, rel=1e-9)
@@ -532,8 +534,8 @@ class TestSteadyBatch:
         out = evaluate_steady_batch(stack_models(models))
         assert out.error == ["unstable", "unstable"]
         assert out.stable.tolist() == [False, False]
-        assert out.EN.shape == out.nu_minus.shape == (2, 1)
-        assert np.isnan(out.EN).all() and np.isnan(out.nu_minus).all()
+        assert out.nu_minus.shape == (2, 1)
+        assert np.isnan(out.nu_minus).all()
 
     def test_non_finite_drift_is_a_per_point_error(self):
         def m(**kw):
@@ -602,6 +604,34 @@ class TestEvolveBatch:
         assert {r["stable"] for r in rows} == {True, False}
         assert any(r["kappaTilde"] == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_peak_EN_is_EN_of_the_lowest_nu(self, seed):
+        # a peak row's E_N is taken from its lowest nu_minus: E_N does not
+        # increase with nu, so that is the largest E_N of its samples, bit for
+        # bit.  Checked on the benchmark's evolve sweep (perfbench/workloads.py,
+        # EvolveSweep: Delta, nbar1 and nbar2 are each seed's first draws) and
+        # on random rows on both sides of the clamp.  A row with a NaN (a
+        # model with an error, whose row reads None) gives NaN both ways, but
+        # max may clear the sign bit of -ln(NaN)
+        rng = np.random.default_rng(seed)
+        Delta, nbar1, nbar2 = (float(rng.uniform(0.0, top)) for top in (2e3, 20.0, 20.0))
+        cfg = base_config(G1=1e4, G2=1e4, Delta=Delta, nbar1=nbar1, nbar2=nbar2,
+                          mode="evolve", tPoints=51)
+        points = np.array(np.meshgrid(np.linspace(0.9, 1.1, 15), np.linspace(0.0, 1.0, 15),
+                                      indexing="ij")).reshape(2, -1)
+        nu = evaluate_evolve_batch(resolve_chunk(cfg, ["ratio", "rB"], points)[0],
+                                   cfg.time_grid()).nu_minus
+        assert not np.isnan(nu).any()  # every model of the grid is scored
+        clamp = entanglement.NEGATIVITY_CLAMP
+        near_clamp = 0.5 * np.exp(clamp * rng.uniform(-4.0, 4.0, (200, 51)))
+        spread = rng.uniform(0.0, 2.0, (200, 51))
+        for nu in (nu, np.vstack([near_clamp, spread, np.full(51, np.nan)])):
+            peak = entanglement.log_negativity_from_nu(nu).max(axis=1)
+            lowest = entanglement.log_negativity_from_nu(nu.min(axis=1))
+            scored = ~np.isnan(nu).any(axis=1)
+            assert np.array_equal(np.isnan(peak), ~scored) and np.isnan(lowest[~scored]).all()
+            assert peak[scored].tobytes() == lowest[scored].tobytes()
+
     def test_chunk_memory_stays_within_its_covariance_stack(self):
         # the traced peak of an 80-model, 51-sample chunk of the grid above,
         # in units of the bytes of its (N, T, 6, 6) covariance stack: 1.60 on
@@ -642,7 +672,7 @@ class TestEvolveBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warns nothing
             out = evaluate_evolve_batch(stack_models(models), t_grid)
-        assert out.EN.shape == out.nu_minus.shape == (len(models), len(t_grid))
+        assert out.nu_minus.shape == (len(models), len(t_grid))
         with pytest.raises(DivergenceError) as excinfo:
             dynamics.propagate(*dynamics.state_space(models[0]),
                                entanglement.initial_covariance(0.0, 0.0), t_grid)
@@ -656,12 +686,11 @@ class TestEvolveBatch:
             alone = evaluate_evolve_batch(model, t_grid)
             assert (out.stable[k], out.error[k]) == (alone.stable[0], alone.error[0])
             if out.error[k] is not None:
-                assert np.isnan(out.EN[k]).all() and np.isnan(out.nu_minus[k]).all()
+                assert np.isnan(out.nu_minus[k]).all()
                 continue
-            assert np.array_equal(out.EN[k], alone.EN[0])
             assert np.array_equal(out.nu_minus[k], alone.nu_minus[0])
-            assert np.all(np.isfinite(out.EN[k]))
-        assert np.all(out.EN[3] == 0.0)
+            assert np.all(np.isfinite(entanglement.log_negativity_from_nu(out.nu_minus[k])))
+        assert np.all(entanglement.log_negativity_from_nu(out.nu_minus[3]) == 0.0)
 
     def test_unresolved_spectrum_fails_the_model(self):
         # unstable: by t = 2 ms ||V4||_F ~ 1e48 and nu_minus sinks below the
@@ -669,7 +698,7 @@ class TestEvolveBatch:
         model, _ = resolve_point(base_config(G1=3e4, G2=1e4, Delta=1e3, rB=0.99))
         out = evaluate_evolve_batch(model, [0.0, 1e-3, 2e-3])
         assert out.error == [entanglement.UNRESOLVED]
-        assert np.isnan(out.EN).all() and out.stable.tolist() == [False]
+        assert np.isnan(out.nu_minus).all() and out.stable.tolist() == [False]
 
 
 class TestRunPoints:
