@@ -44,10 +44,11 @@ def _csv_cell(value) -> str:
     return '"%s"' % text.replace('"', '""') if _CSV_QUOTED.search(text) else text
 
 
-def _csv_column(values: list) -> list[str]:
-    """The CSV cells of a column: each distinct text, boolean or None formatted
-    once, any other value one by one (1, 1.0 and True are one dict key)."""
-    if not set(map(type, values)) <= {str, bool, type(None)}:
+def _csv_column(values: list, types: set) -> list[str]:
+    """The CSV cells of a column whose values are of the given types: each
+    distinct text, boolean or None formatted once, any other value one by one
+    (1, 1.0 and True are one dict key)."""
+    if not types <= {str, bool, type(None)}:
         return list(map(_csv_cell, values))
     memo = {value: _csv_cell(value) for value in set(values)}
     return list(map(memo.__getitem__, values))
@@ -65,11 +66,12 @@ def serialize(table: ResultTable, fmt: str) -> str:
     significant digits, missing values empty) or JSON (rows plus a meta
     object, a non-finite float null)."""
     if fmt == "csv":
-        # a float column is formatted within its line, any other one first
-        floats = [set(map(type, values)) <= {float} for values in table.columns.values()]
-        line = ",".join([_CSV_FLOAT if f else "%s" for f in floats])
-        cells = [values if f else _csv_column(values)
-                 for values, f in zip(table.columns.values(), floats)]
+        # a float column is formatted within its line, any other one first;
+        # each column's types are taken once
+        types = [set(map(type, values)) for values in table.columns.values()]
+        line = ",".join([_CSV_FLOAT if t <= {float} else "%s" for t in types])
+        cells = [values if t <= {float} else _csv_column(values, t)
+                 for values, t in zip(table.columns.values(), types)]
         quoted = _CSV_QUOTED.search("".join(table.columns))  # in a header, seldom
         header = ",".join(map(_csv_cell, table.columns) if quoted else table.columns)
         lines = [header, *map(line.__mod__, zip(*cells))]

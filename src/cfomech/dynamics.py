@@ -143,13 +143,17 @@ def _routh_column(m: np.ndarray, shift: float) -> np.ndarray:
     the real sextic p*conj(p) for the cubic p(x) = det(xI - M) = x^3 + a x^2
     + b x + c.  M enters at unit size (_unit_size), so no coefficient over-
     or underflows, and shifted by shift times the scaled ||A||_F =
-    sqrt(2)*||m||.  A non-finite drift spreads NaN or inf to the column.
+    sqrt(2)*||m||.  M's entries are written into one contiguous (9, N)
+    complex array, a row per entry, as the real and imaginary parts of its
+    coordinates.  A non-finite drift spreads NaN or inf to the column.
     """
     m = _unit_size(m, axis=-1)[0]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         norm = np.sqrt(2.0 * (m * m).sum(axis=1))
         m[:, [0, 4, 8]] += (shift * norm)[:, None]  # Re diag M
-        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (m[:, :9] + 1j * m[:, 9:]).T
+        entries = np.empty((9, len(m)), dtype=complex)
+        entries.real, entries.imag = m[:, :9].T, m[:, 9:].T
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = entries
         # a = -tr M, b the sum of its principal 2x2 minors, c = -det M
         minor0 = m11 * m22 - m12 * m21
         minor1 = m10 * m22 - m12 * m20
@@ -381,20 +385,25 @@ def steady_state_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.ldexp(V, e - a)
 
 
-def expm(X: np.ndarray) -> np.ndarray:
-    """exp(X) of a matrix or of each matrix of a stack: its degree-16 Taylor
-    polynomial, summed over the whole stack by Horner's rule F = I + (X @ F)
-    / k, with no scaling, each term written in place into one of two buffers
-    of X's shape.  Precondition: each X has 1-norm at most 0.45, where the
-    remainder is below 1e-20, or X @ X = 0, where the sum is I + X exactly;
-    transition_and_noise's blocks are one or the other."""
-    eye = np.eye(X.shape[-1])
-    F, term = np.empty(X.shape), np.empty(X.shape)
-    F[...] = eye
+def expm(X: np.ndarray, E: np.ndarray | None = None) -> np.ndarray:
+    """exp(X) E of a matrix or of each matrix of a stack, E the identity if
+    not given: the degree-16 Taylor polynomial of exp(X) times E, summed over
+    the whole stack by Horner's rule F = E + (X @ F) / k, with no scaling,
+    each term written in place into one of two buffers of X @ E's shape.  A
+    column of F sees only its own column of E, so for E a block of the
+    identity's columns F is that block of exp(X), to the bit.  Precondition:
+    each X has 1-norm at most 0.45, where the remainder is below 1e-20, or X
+    @ X = 0, where the sum is E + X E exactly; transition_and_noise's blocks
+    are one or the other."""
+    if E is None:
+        E = np.eye(X.shape[-1])
+    shape = X.shape[:-1] + E.shape[-1:]
+    F, term = np.empty(shape), np.empty(shape)
+    F[...] = E
     for k in range(16, 0, -1):
         np.matmul(X, F, out=term)
         term /= k
-        term += eye
+        term += E
         F, term = term, F
     return F
 
@@ -405,12 +414,14 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
     an (N,) array of them: M = exp(A dt), Q = int_0^dt exp(A s) D exp(A^T s) ds.
 
     Each system takes the least d with ||A||_F h <= STEP_NORM_CAP at A's unit
-    size (_unit_size), h = dt 2^-d; M(h) and Q(h) are read off one expm of
-    Van Loan's block [[-A, D'], [0, A^T]] h (Van Loan 1978, IEEE TAC 23:395),
-    whose top-right block left-multiplied by M(h) is the noise integral, and
-    squared d times (_square): sorted once by d, largest first, each round
-    squares a leading slice of the systems, which are put back in their
-    order at the end.  Q is linear in D, so D enters as D', scaled to A's
+    size (_unit_size), h = dt 2^-d; M(h) and Q(h) are read off the right
+    half of the exponential of Van Loan's block [[-A, D'], [0, A^T]] h (Van
+    Loan 1978, IEEE TAC 23:395), whose top-right block left-multiplied by
+    M(h) is the noise integral: expm's action on the identity's last n
+    columns, which halves each Horner product and gives that half's bits.
+    The maps are then squared d times (_square): sorted once by d, largest
+    first, each round squares a leading slice of the systems, which are put
+    back in their order at the end.  Q is linear in D, so D enters as D', scaled to A's
     exponent by a power of 2 if larger, and Q is scaled back exactly: a hot
     bath does not set expm's rounding.  As max|D'| < 2 max|A| and a row or
     column of A sums to at most sqrt(n) ||A||_F, each block has 1-norm at
@@ -435,9 +446,10 @@ def transition_and_noise(A: np.ndarray, D: np.ndarray, dt) -> tuple[np.ndarray, 
         block[:, :n, :n] = -A
         block[:, :n, n:] = np.ldexp(D, -shift)
         block[:, n:, n:] = _transpose(A)
-        F = expm(block * np.ldexp(steps, -doublings)[:, None, None])
-        M = _transpose(F[:, n:, n:])
-        Q = np.ldexp(M @ F[:, :n, n:], shift - 1)  # halved before it symmetrizes, as in _apply
+        block *= np.ldexp(steps, -doublings)[:, None, None]
+        F = expm(block, np.eye(2 * n, n, -n))  # the right half of exp(block)
+        M = _transpose(F[:, n:])
+        Q = np.ldexp(M @ F[:, :n], shift - 1)  # halved before it symmetrizes, as in _apply
         Q = Q + _transpose(Q)
         order = np.argsort(-doublings, kind="stable")
         M_sorted, Q_sorted = M[order], Q[order]
@@ -463,7 +475,9 @@ def _apply(M: np.ndarray, Q: np.ndarray, V: np.ndarray, out: np.ndarray | None =
     """M V M^T + Q, symmetrized, for each system of a stack: the covariances V
     carried over the interval of the maps (M, Q), written to out if given,
     which must not overlap V: out holds M V first, and M V M^T + Q is the
-    only array of V's size that a step allocates."""
+    only array of V's size that a step allocates.  The halved W = M V M^T +
+    Q is symmetrized as W^T + W, one transposed copy into out and one
+    contiguous add: the sums of W + W^T, commuted."""
     W = _product(M, V, out)
     W += Q
     if not np.isfinite(W).all():
@@ -473,7 +487,11 @@ def _apply(M: np.ndarray, Q: np.ndarray, V: np.ndarray, out: np.ndarray | None =
         M, e = _unit_size(M[redo])
         W[redo] = np.ldexp(_product(M, V[redo]), 2 * e[..., None, None]) + Q[redo]
     W *= 0.5  # each term halved first: no finite W overflows its sum
-    return np.add(W, _transpose(W), out=out)
+    if out is None:
+        out = np.empty_like(W)
+    out[...] = _transpose(W)
+    out += W
+    return out
 
 
 def _square(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -132,12 +132,26 @@ _MECHANICAL[6] = np.pad(_MECHANICAL[4].reshape(4, 4, 4), ((0, 2), (0, 2), (0, 0)
 
 
 def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x*y as p + e exactly, by Dekker's splitting (Numer. Math. 18:224, 1971)."""
+    """x*y as p + e exactly, by Dekker's splitting (Numer. Math. 18:224, 1971):
+    each of x and y split into halves xh + xl in two buffers, xh = s - (s - x)
+    for s = _SPLITTER*x, and e = ((xh yh - p) + xh yl + xl yh) + xl yl summed
+    into a third, the split halves reused for the products."""
     p = x * y
-    xs, ys = _SPLITTER * x, _SPLITTER * y
-    xh, yh = xs - (xs - x), ys - (ys - y)
-    xl, yl = x - xh, y - yh
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    xh, yh = _SPLITTER * x, _SPLITTER * y
+    xl, yl = xh - x, yh - y
+    xh -= xl
+    yh -= yl
+    np.subtract(x, xh, out=xl)
+    np.subtract(y, yh, out=yl)
+    e = xh * yh
+    e -= p
+    xh *= yl
+    e += xh
+    yh *= xl
+    e += yh
+    xl *= yl
+    e += xl
+    return p, e
 
 
 def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -230,13 +230,20 @@ def resolve_chunk(cfg: RunConfig, names: Sequence[str], points: np.ndarray
     and sqrt run on the columns in the scalar formulas' order, and math's
     sin and cos, the drive block's complex arithmetic and the verdict run
     once per distinct value (params.per_value).  An invalid chunk raises
-    what its first failing point raises alone.
+    what its first failing point raises alone.  An axis that the
+    configuration overrides is a ConfigError: a coupling axis with the drive
+    block, a G1 axis beside a ratio axis, an occupancy axis with temperatureK
+    and a Delta axis under the detuning lock.
     """
     drive = cfg.uses_drive_block
     if drive and {"ratio", "G1", "G2"} & set(names):
         raise ConfigError("coupling axes need the direct G1/G2 entry path")
+    if "ratio" in names and "G1" in names:
+        raise ConfigError("a G1 axis conflicts with a ratio axis, which sets G1")
     if cfg.temperatureK is not None and {"nbar1", "nbar2"} & set(names):
         raise ConfigError("occupancy axes conflict with temperatureK")
+    if cfg.detuningLock and "Delta" in names:
+        raise ConfigError("a Delta axis conflicts with detuningLock, which sets Delta")
     try:
         return _resolve_columns(cfg, names, points, drive)
     except (ValueError, ArithmeticError):

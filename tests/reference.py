@@ -33,6 +33,15 @@ Routh-Hurwitz certificate and its mirror first
 (cfomech.dynamics.stability_batch).  The tests hold both to the eigenvalue
 route here (routh_against_eigen).
 
+Four batched kernels of the library take lean forms of plain ones: the
+interval maps sum the Taylor polynomial on the right half of Van Loan's
+block only (cfomech.dynamics.expm with the identity's last columns), the
+Routh column writes M's entries into one contiguous complex array, a
+propagation step symmetrizes by a transposed copy and an add, and Dekker's
+split runs in reused buffers.  The tests hold each to its plain form here
+bit for bit: horner_expm, routh_column_1j, apply_add and
+two_product_allocating.
+
 The library fills the samples of each run of equal grid intervals by
 doubling (cfomech.dynamics.propagate_batch).  The tests hold it to the
 sequential stepper here, which applies the interval maps once per grid
@@ -46,7 +55,7 @@ import mpmath
 import numpy as np
 
 from cfomech import dynamics, params
-from cfomech.entanglement import PHYSICALITY_TOL
+from cfomech.entanglement import _SPLITTER as SPLITTER, PHYSICALITY_TOL
 from cfomech.errors import ConfigError
 from cfomech.params import EffectiveModel
 
@@ -148,6 +157,69 @@ def band_edge(m: np.ndarray) -> np.ndarray:
     A = drifts_of(m)
     abscissa = dynamics.spectral_abscissa(A)[0]
     return np.abs(abscissa) <= 2.0 * dynamics.ROUTH_MARGIN * np.linalg.norm(A, axis=(-2, -1))
+
+
+def horner_expm(X: np.ndarray) -> np.ndarray:
+    """exp(X) of each matrix of a stack by the degree-16 Horner sum F = I +
+    (X @ F) / k on the whole matrix: cfomech.dynamics.expm's sum with no
+    E, whose right half transition_and_noise reads."""
+    eye = np.eye(X.shape[-1])
+    F = np.broadcast_to(eye, X.shape).copy()
+    for k in range(16, 0, -1):
+        F = (X @ F) / k + eye
+    return F
+
+
+def routh_column_1j(m: np.ndarray, shift: float) -> np.ndarray:
+    """cfomech.dynamics._routh_column with M's entries formed as m[:, :9] +
+    1j*m[:, 9:] and transposed, a strided (9, N) view."""
+    m = dynamics._unit_size(m, axis=-1)[0]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        norm = np.sqrt(2.0 * (m * m).sum(axis=1))
+        m[:, [0, 4, 8]] += (shift * norm)[:, None]
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (m[:, :9] + 1j * m[:, 9:]).T
+        minor0 = m11 * m22 - m12 * m21
+        minor1 = m10 * m22 - m12 * m20
+        minor2 = m10 * m21 - m11 * m20
+        a = -(m00 + m11 + m22)
+        b = minor0 + m00 * m22 - m02 * m20 + m00 * m11 - m01 * m10
+        c = m01 * minor1 - m00 * minor0 - m02 * minor2
+        q5 = 2.0 * a.real
+        q4 = 2.0 * b.real + a.real * a.real + a.imag * a.imag
+        q3 = 2.0 * (c.real + a.real * b.real + a.imag * b.imag)
+        q2 = b.real * b.real + b.imag * b.imag + 2.0 * (a.real * c.real + a.imag * c.imag)
+        q1 = 2.0 * (b.real * c.real + b.imag * c.imag)
+        q0 = c.real * c.real + c.imag * c.imag
+        r4 = q4 - q3 / q5
+        s4 = q2 - q1 / q5
+        r3 = q3 - q5 * s4 / r4
+        s3 = q1 - q5 * q0 / r4
+        r2 = s4 - r4 * s3 / r3
+        r1 = s3 - r3 * q0 / r2
+        return np.array([q5, r4, r3, r2, r1, q0])
+
+
+def apply_add(M: np.ndarray, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """cfomech.dynamics._apply into a new array, symmetrized as np.add(W,
+    W^T): M V M^T + Q, with the same overflow redo and halving."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = dynamics._product(M, V)
+        W += Q
+        redo = ~np.isfinite(W).reshape(len(W), -1).all(axis=1)
+        if redo.any():
+            M, e = dynamics._unit_size(M[redo])
+            W[redo] = np.ldexp(dynamics._product(M, V[redo]), 2 * e[..., None, None]) + Q[redo]
+        W *= 0.5
+        return np.add(W, np.swapaxes(W, -1, -2))
+
+
+def two_product_allocating(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cfomech.entanglement._two_product with a new array for each step."""
+    p = x * y
+    xs, ys = SPLITTER * x, SPLITTER * y
+    xh, yh = xs - (xs - x), ys - (ys - y)
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
 def realify(Z) -> np.ndarray:
@@ -343,8 +415,12 @@ def scalar_resolve(cfg, overrides: dict) -> tuple[tuple[float, ...], str]:
     drive = cfg.uses_drive_block
     if drive and ("ratio" in overrides or "G1" in overrides or "G2" in overrides):
         raise ConfigError("coupling axes need the direct G1/G2 entry path")
+    if "ratio" in overrides and "G1" in overrides:
+        raise ConfigError("a G1 axis conflicts with a ratio axis, which sets G1")
     if cfg.temperatureK is not None and ("nbar1" in overrides or "nbar2" in overrides):
         raise ConfigError("occupancy axes conflict with temperatureK")
+    if cfg.detuningLock and "Delta" in overrides:
+        raise ConfigError("a Delta axis conflicts with detuningLock, which sets Delta")
     values = {"gamma1": cfg.gamma1, "gamma2": cfg.gamma2, "kappa1": cfg.kappa1,
               "kappa2": cfg.kappa2, "G1": cfg.G1, "G2": cfg.G2, "Delta": cfg.Delta,
               "rB": cfg.rB, "theta": cfg.theta, "nbar1": cfg.nbar1, "nbar2": cfg.nbar2}

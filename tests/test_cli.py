@@ -404,8 +404,17 @@ class TestExitCodes:
         (["optimize", "--set", "G1=9e4", "G2=1e5"], "optimization needs one or two axes"),
         (["optimize", "--refine", "-1", "--set", "G1=9e4", "G2=1e5",
           'axes=[{"name":"rB","min":0,"max":0.5}]'], "refine_levels must be nonnegative"),
+        # axes that the configuration overrides
+        (["sweep", "--set", "G1=9e4", "G2=1e5", "rB=0.5", "theta=0.3", "detuningLock=true",
+          'axes=[{"name":"Delta","min":-1e4,"max":1e4,"count":3}]'],
+         "a Delta axis conflicts with detuningLock, which sets Delta"),
+        (["sweep", "--set", "G1=9e4", "G2=1e5",
+          'axes=[{"name":"ratio","min":0.5,"max":0.9,"count":2},'
+          '{"name":"G1","min":1e4,"max":9e4,"count":2}]'],
+         "a G1 axis conflicts with a ratio axis, which sets G1"),
     ], ids=["bare_set", "axis_without_max", "repeated_axis", "evolve_optimize",
-            "optimize_without_axes", "negative_refine"])
+            "optimize_without_axes", "negative_refine", "delta_axis_under_lock",
+            "g1_axis_beside_ratio"])
     def test_config_errors_exit_two(self, argv, message, capsys):
         assert run_cli(argv, capsys) == (2, "", f"config error: {message}\n")
 

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import itertools
 import math
 import re
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
-from cfomech import dynamics
+from cfomech import dynamics, entanglement
 from cfomech.dynamics import (
     propagate,
     propagate_batch,
@@ -48,11 +50,13 @@ from reference import (
     MARGINAL_MODELS,
     ORACLE_DPS,
     PT_SIGNS,
+    apply_add,
     band_edge,
     complex_coordinates,
     coordinates,
     drifts_of,
     hermitian_steady_state,
+    horner_expm,
     kron_steady_state,
     marginal_model,
     oracle_nu_pt,
@@ -61,9 +65,11 @@ from reference import (
     propagate_stepwise,
     realify,
     routh_against_eigen,
+    routh_column_1j,
     stack_models,
     state_space_batch,
     symplectic_eigenvalues,
+    two_product_allocating,
     van_loan_maps,
     vech_lyapunov_operator,
 )
@@ -817,7 +823,7 @@ def _blocks(A, D, dt):
     blocks = []
     expm = dynamics.expm
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "expm", lambda X: blocks.append(X) or expm(X))
+        patch.setattr(dynamics, "expm", lambda X, E=None: blocks.append(X) or expm(X, E))
         M = transition_and_noise(A, D, dt)[0]
     assert len(blocks) == 1
     return M, blocks[0]
@@ -988,7 +994,7 @@ class TestPropagate:
     def test_uniform_grid_reuses_one_interval_map(self, monkeypatch, rB, n1, n2):
         calls = []
         expm = dynamics.expm
-        monkeypatch.setattr(dynamics, "expm", lambda X: calls.append(1) or expm(X))
+        monkeypatch.setattr(dynamics, "expm", lambda X, E=None: calls.append(1) or expm(X, E))
         # the fig3 setting: G1 = G2 = 1e4, kappa1 = kappa2 = 5e4, Delta = 1e3
         A, D = state_space(model(G1=1e4, G2=1e4, kt=1e5 * (1.0 - rB), dt=1e3,
                                n1=n1, n2=n2))
@@ -1009,7 +1015,7 @@ class TestPropagate:
     def test_offset_grid_adds_one_map(self, monkeypatch):
         calls = []
         expm = dynamics.expm
-        monkeypatch.setattr(dynamics, "expm", lambda X: calls.append(1) or expm(X))
+        monkeypatch.setattr(dynamics, "expm", lambda X, E=None: calls.append(1) or expm(X, E))
         A, D = state_space(model(G1=1e4, G2=1e4, kt=1e3, dt=1e3))
         propagate(A, D, initial_covariance(0.0, 0.0), np.linspace(1e-5, 2e-3, 40))
         assert len(calls) == 2
@@ -1024,7 +1030,7 @@ class TestPropagate:
     def test_stack_on_a_uniform_grid_takes_one_expm_call(self, monkeypatch):
         calls = []
         expm = dynamics.expm
-        monkeypatch.setattr(dynamics, "expm", lambda X: calls.append(len(X)) or expm(X))
+        monkeypatch.setattr(dynamics, "expm", lambda X, E=None: calls.append(len(X)) or expm(X, E))
         # norms from 2e4 to 3e5: doubling counts 2 to 5 over one interval
         models = [model(G1=1e4, G2=1e4, kt=kt, dt=1e3, n1=20.0, n2=10.0)
                   for kt in (0.0, 1e3, 2e4, 1e5, 2e5)]
@@ -1273,3 +1279,135 @@ class TestUnitOfTime:
             _assert_same_outcomes(evaluate_evolve_batch(_in_units(models, k),
                                                         np.ldexp(t_grid, -k)),
                                   evaluate_evolve_batch(models, t_grid))
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@contextlib.contextmanager
+def _pinned_kernels():
+    """Check the library's four lean kernels against their plain forms in
+    tests/reference.py on every input that the pipeline hands them inside
+    the block: the same bits, or an AssertionError.  Yields a Counter of
+    the calls checked per kernel."""
+    calls = collections.Counter()
+    expm, routh, apply, two_product = (dynamics.expm, dynamics._routh_column,
+                                       dynamics._apply, entanglement._two_product)
+
+    def expm_pinned(X, E=None):
+        full = horner_expm(X)
+        F = expm(X, E)
+        if E is not None:  # transition_and_noise's E: the identity's last columns
+            assert np.array_equal(E, np.eye(X.shape[-1])[:, -E.shape[-1]:])
+            full = full[..., -E.shape[-1]:]
+        assert _same_bits(F, full)
+        calls["expm"] += 1
+        return F
+
+    def routh_pinned(m, shift):
+        column = routh(m, shift)
+        assert _same_bits(column, routh_column_1j(m, shift))
+        calls["routh"] += 1
+        return column
+
+    def apply_pinned(M, Q, V, out=None):
+        ref = apply_add(M, Q, V)  # before out is written: V may lie beside it
+        W = apply(M, Q, V, out)
+        assert _same_bits(W, ref)
+        calls["apply"] += 1
+        return W
+
+    def two_product_pinned(x, y):
+        p, e = two_product(x, y)
+        assert all(map(_same_bits, (p, e), two_product_allocating(x, y)))
+        calls["two_product"] += 1
+        return p, e
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "expm", expm_pinned)
+        patch.setattr(dynamics, "_routh_column", routh_pinned)
+        patch.setattr(dynamics, "_apply", apply_pinned)
+        patch.setattr(entanglement, "_two_product", two_product_pinned)
+        yield calls
+
+
+#: Models pinned beside the benchmark's grid: the marginal steady points,
+#: the fig3 setting at kappa_tilde = 0 and the undamped transient that
+#: exits 4 (`cfomech evolve --set G1=1e4 G2=1e4 gamma1=0 gamma2=0 Delta=1e3`).
+_PINNED_MODELS = {
+    **MARGINAL_MODELS,
+    "fig3_kappa_tilde_zero": model(G1=1e4, G2=1e4, kt=0.0, dt=1e3, n1=20.0, n2=10.0),
+    "undamped": model(G1=1e4, G2=1e4, kt=1e5, dt=1e3, gamma=0.0),
+}
+
+
+class TestLeanKernels:
+    """The Van Loan maps from the right half of the Horner sum, the Routh
+    column from one contiguous complex array, the step's copy-and-add
+    symmetrization and the in-place Dekker split give the bits of their
+    plain forms (tests/reference.py)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evolve_sweep_grid(self, seed):
+        # the benchmark's evolve sweep at seeds 0-2: Delta, nbar1 and nbar2
+        # are each seed's first draws (perfbench/workloads.py, EvolveSweep)
+        rng = np.random.default_rng(seed)
+        Delta, nbar1, nbar2 = rng.uniform(0.0, 2e3), rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)
+        cfg = RunConfig(G1=1e4, G2=1e4, kappa1=5e4, kappa2=5e4, gamma1=10.0, gamma2=10.0,
+                        theta=0.0, mode="evolve", tMax=2e-3, tPoints=51, Delta=Delta,
+                        nbar1=nbar1, nbar2=nbar2,
+                        axes=(SweepAxis("ratio", 0.9, 1.1, 15), SweepAxis("rB", 0.0, 1.0, 15)))
+        with _pinned_kernels() as calls:
+            run_sweep(cfg)
+        # 3 chunks: one expm each, both Routh verdicts on the 65-model chunk
+        assert calls["expm"] == 3 and calls["routh"] >= 4
+        assert calls["apply"] > 3 * 6 and calls["two_product"] == 3
+
+    @pytest.mark.parametrize("name", list(_PINNED_MODELS))
+    def test_pinned_models(self, name):
+        # a stack that takes the Routh verdicts, and the model alone over the
+        # exit-4 row's grid
+        models = stack_models([_PINNED_MODELS[name]] * dynamics.CERTIFICATE_MIN_STACK)
+        with _pinned_kernels() as calls:
+            evaluate_steady_batch(models)
+            evaluate_evolve_batch(models, np.linspace(0.0, 2e-3, 51))
+            evaluate_evolve_batch(stack_models([_PINNED_MODELS[name]]), np.linspace(0.0, 10.0, 3))
+        assert min(calls[k] for k in ("expm", "routh", "apply", "two_product")) > 0
+
+    @settings(deadline=None, max_examples=30)
+    @given(draws=st.lists(st.one_of(_draw, _hot_draw), min_size=1, max_size=12),
+           tMax=st.floats(1e-6, 1e2))
+    def test_hypothesis_draws(self, draws, tMax):
+        # hot baths and long horizons, so some maps and samples are not finite
+        models = _model_stack(draws)
+        m = state_space_coordinates(models)[0]
+        with _pinned_kernels() as calls:
+            dynamics._routh_certificate(m)
+            dynamics._routh_instability(m)
+            evaluate_evolve_batch(models, np.linspace(0.0, tMax, 9))
+        assert calls["routh"] == 2 and calls["expm"] == 1 and calls["two_product"] == 1
+
+    @settings(deadline=None, max_examples=60)
+    @given(draws=st.lists(_model_draw, min_size=1, max_size=8))
+    def test_routh_verdicts_on_non_finite_drifts(self, draws):
+        # rates from 0 to inf; and the first drift with a NaN or an infinite
+        # coordinate at each place in turn.  Both verdicts are those of the
+        # plain column.  The columns differ at most in the sign of a zero, or
+        # in an infinity where the plain form has NaN: beside an infinite
+        # imaginary part it put 0*inf into the real part
+        m = state_space_coordinates(stack_models([EffectiveModel(*x) for x in draws]))[0]
+        spoiled = np.repeat(m[:1], 3 * 18, axis=0)
+        spoiled[np.arange(54), np.tile(np.arange(18), 3)] = np.repeat([np.nan, np.inf, -np.inf], 18)
+        for m in (m, spoiled):
+            for shift in (dynamics.STABILITY_TOL + dynamics.ROUTH_MARGIN,
+                          dynamics.STABILITY_TOL - dynamics.ROUTH_MARGIN):
+                column, ref = dynamics._routh_column(m, shift), routh_column_1j(m, shift)
+                same = (column == ref) | (np.isnan(column) & np.isnan(ref))
+                assert (same | (np.isinf(column) & np.isnan(ref))).all()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "_routh_column", routh_column_1j)
+                plain = dynamics._routh_certificate(m), dynamics._routh_instability(m)
+            assert np.array_equal(dynamics._routh_certificate(m), plain[0])
+            assert np.array_equal(dynamics._routh_instability(m), plain[1])

@@ -288,15 +288,35 @@ class TestResolveChunk:
 
     @pytest.mark.parametrize("lock", [True, False])
     def test_drive_block_temperature_and_lock_over_delta_and_theta(self, lock):
+        # the lock sets Delta, so it takes a theta axis alone
+        axes = (SweepAxis("Delta", -2e4, 2e4, 7),) * (not lock) + (
+            SweepAxis("theta", -math.pi, math.pi, 9),)
         cfg = base_config(nbar1=None, nbar2=None, temperatureK=0.01, rB=0.7,
-                          detuningLock=lock, **_DRIVE,
-                          axes=(SweepAxis("Delta", -2e4, 2e4, 7),
-                                SweepAxis("theta", -math.pi, math.pi, 9)))
+                          detuningLock=lock, **_DRIVE, axes=axes)
         names, points = _grid(cfg)
         self.assert_matches_scalar(cfg, names, points)
         # the couplings vary over the chunk, with the locked or the swept Delta
         model = resolve_chunk(cfg, names, point_columns(names, points))[0]
         assert len(set(model.G1.tolist())) > 1
+
+    @pytest.mark.parametrize("kw, axes, message", [
+        ({"detuningLock": True, "rB": 0.5, "theta": 0.3}, [("Delta", -1e4, 1e4, 3)],
+         "a Delta axis conflicts with detuningLock, which sets Delta"),
+        ({"detuningLock": True, "rB": 0.5}, [("theta", 0.0, 1.0, 3), ("Delta", 0.0, 1.0, 2)],
+         "a Delta axis conflicts with detuningLock, which sets Delta"),
+        ({}, [("ratio", 0.5, 0.9, 3), ("G1", 1e4, 9e4, 2)],
+         "a G1 axis conflicts with a ratio axis, which sets G1"),
+        ({}, [("G1", 1e4, 9e4, 2), ("ratio", 0.5, 0.9, 3)],
+         "a G1 axis conflicts with a ratio axis, which sets G1"),
+    ], ids=["delta_under_lock", "theta_and_delta_under_lock", "ratio_then_G1", "G1_then_ratio"])
+    def test_overridden_axis_is_config_error(self, kw, axes, message):
+        # such an axis would change no row; the scalar resolution agrees
+        cfg = base_config(**kw, axes=tuple(SweepAxis(*ax) for ax in axes))
+        for run in (run_sweep, lambda cfg: run_sweep(cfg.replace(mode="evolve", tPoints=3)),
+                    lambda cfg: scalar_resolve(cfg, _grid(cfg)[1][0])):
+            with pytest.raises(ConfigError) as got:
+                run(cfg)
+            assert str(got.value) == message
 
     @pytest.mark.parametrize("kw, points", [
         ({}, [{"rB": 0.5}, {"rB": 1.2}, {"rB": 0.7}]),

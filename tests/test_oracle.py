@@ -517,7 +517,7 @@ def test_interval_maps_match_van_loan(model, stable, dt, monkeypatch):
     # elementary step h = dt 2^-d is read off the A^T h block that expm gets
     blocks = []
     original = dynamics.expm
-    monkeypatch.setattr(dynamics, "expm", lambda X: blocks.append(X) or original(X))
+    monkeypatch.setattr(dynamics, "expm", lambda X, E=None: blocks.append(X) or original(X, E))
     A, D = state_space_batch(model)
     M, Q = dynamics.transition_and_noise(A, D, dt)
     n = A.shape[-1]
