@@ -86,13 +86,6 @@ def serialize(table: ResultTable, fmt: str) -> str:
     raise ConfigError(f"unknown format '{fmt}'")
 
 
-def _parse_set_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
 def _merge_sets(data: dict, set_items: list[str]) -> dict:
     for item in set_items:
         if "=" not in item:
@@ -104,7 +97,10 @@ def _merge_sets(data: dict, set_items: list[str]) -> dict:
             data.pop("thetaPi", None)
         elif key == "thetaPi":
             data.pop("theta", None)
-        data[key] = _parse_set_value(raw)
+        try:
+            data[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            data[key] = raw
     return data
 
 
@@ -143,8 +139,10 @@ def build_config(data: dict) -> RunConfig:
 
 
 def _load_config(args) -> RunConfig:
-    data: dict = {}
-    if getattr(args, "config", None):
+    """Every command's configuration: the preset's own, the config file or a
+    previous JSON output's meta.config, then the --set overrides."""
+    data = experiments.preset_config(args.name).as_dict() if args.command == "preset" else {}
+    if getattr(args, "config", None):  # preset takes no config file
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
@@ -156,26 +154,12 @@ def _load_config(args) -> RunConfig:
             if not isinstance(loaded, dict):
                 raise ConfigError(f"meta.config must be a JSON object, got {loaded!r}")
         data.update(loaded)
-    _merge_sets(data, args.set or [])
+    _merge_sets(data, args.set)
     # the steady and evolve commands run in their own mode, one RunConfig built
     # per call; an invalid mode in the input stays, for RunConfig to reject
     if args.command in ("steady", "evolve") and data.get("mode") in ("steady", "evolve", None):
         data["mode"] = args.command
     return build_config(data)
-
-
-def _point_table(cfg: RunConfig) -> ResultTable:
-    """The one operating point of cfg, its curve in evolve mode, through the
-    evaluation core.  A point the core reports as unstable (in steady mode)
-    or failed raises instead of giving a row."""
-    table = experiments.run_points(cfg, [], [], curves=True)
-    error = table.columns["error"][0]
-    if cfg.mode == "steady" and error == "unstable":
-        raise StabilityError("steady mode on an unstable operating point; "
-                             "use evolve mode or change parameters")
-    if error is not None:
-        raise NumericalError(error)
-    return table
 
 
 def _emit(table: ResultTable, args) -> None:
@@ -234,22 +218,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "preset":
-            base = experiments.preset_config(args.name).as_dict()
-            cfg = build_config(_merge_sets(base, args.set or []))
+        cfg = _load_config(args)
+        if args.command in ("steady", "evolve"):
+            table = experiments.point_table(cfg)
+        elif args.command == "sweep":
+            table = experiments.run_sweep(cfg, curves=args.curves)
+        elif args.command == "optimize":
+            table = experiments.find_optimum(cfg, refine_levels=args.refine)
+        elif args.command == "stability":
+            table = experiments.stability_table(cfg)
+        else:  # preset, the one command left
             table = experiments.run_preset(args.name, cfg, curves=args.curves)
-        else:
-            cfg = _load_config(args)
-            if args.command in ("steady", "evolve"):
-                table = _point_table(cfg)
-            elif args.command == "sweep":
-                table = experiments.run_sweep(cfg, curves=args.curves)
-            elif args.command == "optimize":
-                table = experiments.find_optimum(cfg, refine_levels=args.refine)
-            elif args.command == "stability":
-                table = experiments.stability_table(cfg)
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown command {args.command}")
         _emit(table, args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, entanglement, params
-from .errors import ConfigError, NoFeasiblePointError, NumericalError, UnsupportedRegimeError
+from .errors import (ConfigError, NoFeasiblePointError, NumericalError, StabilityError,
+                     UnsupportedRegimeError)
 
 #: Parameters that a sweep axis may address.
 AXIS_NAMES = (
@@ -146,6 +147,10 @@ class RunConfig:
                 object.__setattr__(self, name, _number(name, value, name == "tPoints"))
         if not isinstance(self.detuningLock, bool):
             raise ConfigError(f"detuningLock must be true or false, got {self.detuningLock!r}")
+        if not (isinstance(self.axes, (tuple, list))
+                and all(isinstance(ax, SweepAxis) for ax in self.axes)):
+            raise ConfigError(f"axes must be a tuple or list of SweepAxis, got {self.axes!r}")
+        object.__setattr__(self, "axes", tuple(self.axes))
         drive = [getattr(self, k) is not None for k in _DRIVE_KEYS]
         direct = self.G1 is not None or self.G2 is not None
         if any(drive) and direct:
@@ -445,7 +450,22 @@ def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]
         for name, values in (("rwaVerdict", verdicts), ("error", out.error)):
             columns[name] += np.asarray(values, dtype=object)[rows].tolist() if curves else values
     # with no axes every point is the base point, whose tags the meta reads
-    return ResultTable(columns, _table_meta(cfg, columns if columns["EN"] and not names else None))
+    return ResultTable(columns, _table_meta(cfg, None if names else columns))
+
+
+def point_table(cfg: RunConfig) -> ResultTable:
+    """The one operating point of cfg, its curve in evolve mode, through the
+    evaluation core.  A point the core reports as unstable (in steady mode)
+    raises StabilityError, any other failed point NumericalError, instead of
+    giving a row."""
+    table = run_points(cfg, [], [], curves=True)
+    error = table.columns["error"][0]
+    if cfg.mode == "steady" and error == "unstable":
+        raise StabilityError("steady mode on an unstable operating point; "
+                             "use evolve mode or change parameters")
+    if error is not None:
+        raise NumericalError(error)
+    return table
 
 
 def stability_table(cfg: RunConfig) -> ResultTable:
@@ -548,8 +568,11 @@ def preset_config(name: str) -> RunConfig:
 def run_preset(name: str, cfg: RunConfig | None = None, curves: bool = False) -> ResultTable:
     """Run a named preset; cfg may carry overrides applied on top of the preset
     defaults.  Transient presets run one point per reflectivity of
-    FIG3_RB_VALUES, which sets rB, and emit full curves in evolve mode."""
+    FIG3_RB_VALUES, which sets rB, and emit full curves in evolve mode; they
+    take no sweep axes, which they would otherwise ignore."""
     cfg = cfg if cfg is not None else preset_config(name)
     if name in ("fig3a", "fig3b"):
+        if cfg.axes:
+            raise ConfigError(f"preset '{name}' runs one curve per rB and takes no axes")
         return run_points(cfg, ["rB"], [FIG3_RB_VALUES], curves=True)
     return run_sweep(cfg, curves=curves)

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from cfomech.cli import build_config, main, serialize
 from cfomech.errors import ConfigError, UnsupportedRegimeError
 from cfomech.experiments import ResultTable, RunConfig, resolve_point
 from reference import state_space_batch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, capsys):
@@ -412,9 +415,13 @@ class TestExitCodes:
           'axes=[{"name":"ratio","min":0.5,"max":0.9,"count":2},'
           '{"name":"G1","min":1e4,"max":9e4,"count":2}]'],
          "a G1 axis conflicts with a ratio axis, which sets G1"),
+        # each curve sets rB, and the rows would ignore the axis
+        (["preset", "fig3a", "--set", 'axes=[{"name":"ratio","min":0.9,"max":1,"count":3}]',
+          "tPoints=2", "--format", "json"],
+         "preset 'fig3a' runs one curve per rB and takes no axes"),
     ], ids=["bare_set", "axis_without_max", "repeated_axis", "evolve_optimize",
             "optimize_without_axes", "negative_refine", "delta_axis_under_lock",
-            "g1_axis_beside_ratio"])
+            "g1_axis_beside_ratio", "fig3_preset_with_axes"])
     def test_config_errors_exit_two(self, argv, message, capsys):
         assert run_cli(argv, capsys) == (2, "", f"config error: {message}\n")
 
@@ -798,6 +805,66 @@ class TestPresetCommand:
                     assert cell == ""
                 else:
                     assert cell == str(value)
+
+
+class TestOneConfigPath:
+    """Every command's configuration comes from one mapping: the preset's own
+    or the config file, then the --set overrides and, for steady and evolve,
+    the command's mode."""
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig2a", {"G1": 9.5e4, "axes": [{"name": "theta", "min": -3, "max": 3, "count": 3},
+                                         {"name": "rB", "min": 0, "max": 0.9, "count": 4}]}),
+        ("fig2c", {"kappa1": 4e4}),
+        ("fig2d", {"nbar2": 50}),
+        ("fig3a", {"tPoints": 3, "G1": 2e4}),
+        ("fig3b", {"tPoints": 3, "theta": 0.5}),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_preset_is_run_preset_of_the_overridden_preset(self, name, overrides, fmt, capsys):
+        sets = [f"{key}={json.dumps(value)}" for key, value in overrides.items()]
+        code, out, err = run_cli(["preset", name, "--set", *sets, "--format", fmt], capsys)
+        cfg = build_config({**experiments.preset_config(name).as_dict(), **overrides})
+        assert (code, err) == (0, "")
+        assert out == serialize(experiments.run_preset(name, cfg), fmt)
+
+    @pytest.mark.parametrize("command, other", [("steady", "evolve"), ("evolve", "steady")])
+    def test_file_in_the_other_mode_runs_in_the_command_mode(self, command, other, tmp_path,
+                                                             capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**BASE, "tPoints": 3, "mode": other}))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        cfg = build_config({**BASE, "tPoints": 3, "mode": command})
+        assert (code, err) == (0, "")
+        assert out == serialize(experiments.point_table(cfg), "csv")
+
+    def test_previous_json_output_is_a_config_file(self, tmp_path, capsys):
+        # meta.config of an evolve run, read by steady in its own mode, and a
+        # sweep's output fed back to the sweep
+        evolved, swept = tmp_path / "evolve.json", tmp_path / "sweep.json"
+        sets = ["--set", *(f"{key}={value}" for key, value in BASE.items()), "tPoints=3"]
+        assert run_cli(["evolve", *sets, "--format", "json", "--out", str(evolved),
+                        "--quiet"], capsys) == (0, "", "")
+        code, out, _ = run_cli(["steady", "--config", str(evolved)], capsys)
+        cfg = build_config({**BASE, "tPoints": 3, "mode": "steady"})
+        assert (code, out) == (0, serialize(experiments.point_table(cfg), "csv"))
+        sweep = ["sweep", *sets, 'axes=[{"name":"rB","min":0,"max":0.9,"count":3}]',
+                 "--format", "json"]
+        code, first, _ = run_cli(sweep, capsys)
+        swept.write_text(first)
+        assert run_cli(["sweep", "--config", str(swept), "--format", "json"], capsys) == \
+            (0, first, "")
+
+
+def test_readme_example_runs(capsys):
+    # the fenced command after "Example:" in README.md, read as a shell reads it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nExample:\n", 1)[1].split("```")[1]
+    argv = shlex.split(block.replace("\\\n", " "))
+    assert argv[:2] == ["cfomech", "sweep"]
+    code, out, err = run_cli(argv[1:], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rows"]) == 61
 
 
 class TestRoundTrip:

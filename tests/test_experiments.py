@@ -21,6 +21,8 @@ from cfomech.errors import (
     SingularityError,
     DivergenceError,
     NoFeasiblePointError,
+    NumericalError,
+    StabilityError,
 )
 from cfomech.experiments import (
     EVOLVE_SAMPLES,
@@ -30,6 +32,7 @@ from cfomech.experiments import (
     evaluate_evolve_batch,
     evaluate_steady_batch,
     find_optimum,
+    point_table,
     preset_config,
     resolve_chunk,
     resolve_point,
@@ -162,6 +165,21 @@ class TestConfigValidation:
         grid = SweepAxis("Delta", -1.7e308, 1.7e308, 61).grid()
         assert (grid[0], grid[30], grid[-1]) == (-1.7e308, 0.0, 1.7e308)
         assert (np.diff(grid) > 0).all()
+
+    @pytest.mark.parametrize("axes", [
+        ({"name": "rB", "min": 0, "max": 1},), "rB", None, (SweepAxis("rB", 0.0, 1.0), "theta"),
+    ], ids=["axis_dict", "text", "none", "text_beside_an_axis"])
+    def test_axes_must_be_sweep_axes(self, axes):
+        # each ended in an AttributeError or a TypeError inside run_sweep
+        message = f"axes must be a tuple or list of SweepAxis, got {axes!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(G1=9e4, G2=1e5, axes=axes)
+
+    def test_axes_list_is_taken_as_a_tuple(self):
+        axes = [SweepAxis("rB", 0.0, 0.5, 2)]
+        cfg = RunConfig(G1=9e4, G2=1e5, axes=axes)
+        assert cfg.axes == tuple(axes) and hash(cfg) == hash(cfg.replace(axes=tuple(axes)))
+        assert run_sweep(cfg).rows == run_sweep(cfg.replace(axes=tuple(axes))).rows
 
     def test_zero_dissipation_rejected(self):
         with pytest.raises(ConfigError):
@@ -791,6 +809,36 @@ class TestRunPoints:
         assert cli.serialize(table, "csv").count("\n") == len(table) + 1
 
 
+class TestPointTable:
+    """point_table maps the core's error texts to exceptions: a steady
+    'unstable' row raises StabilityError, any other failed row NumericalError."""
+
+    @pytest.mark.parametrize("mode", ["steady", "evolve"])
+    def test_a_scored_point_is_the_core_table(self, mode):
+        cfg = base_config(rB=0.5, mode=mode, tPoints=3)
+        table, core = point_table(cfg), experiments.run_points(cfg, [], [], curves=True)
+        assert (table.columns, table.meta) == (core.columns, core.meta)
+        assert len(table) == (3 if mode == "evolve" else 1)
+
+    def test_unstable_steady_point_raises(self):
+        cfg = base_config(G1=2e5, kappa1=1e3, kappa2=1e3)
+        assert experiments.run_points(cfg, [], []).columns["error"] == ["unstable"]
+        with pytest.raises(StabilityError, match="^steady mode on an unstable operating point; "
+                                                 "use evolve mode or change parameters$"):
+            point_table(cfg)
+
+    def test_unstable_evolve_point_gives_its_curve(self):
+        # kappa_tilde = 0: not asymptotically stable, and every sample scored
+        table = point_table(preset_config("fig3a").replace(rB=1.0, tPoints=3))
+        assert table.columns["stable"] == [False] * 3 and table.columns["error"] == [None] * 3
+
+    @pytest.mark.parametrize("mode", ["steady", "evolve"])
+    def test_failed_point_raises_its_error(self, mode):
+        cfg = base_config(kappa1=1e308, kappa2=1e308, mode=mode, tPoints=3)
+        with pytest.raises(NumericalError, match=f"^{experiments.NONFINITE_DRIFT}$"):
+            point_table(cfg)
+
+
 class TestFindOptimum:
     def test_single_point_grid_returns_it(self):
         cfg = base_config(axes=(SweepAxis("rB", 0.5, 0.5, 1),))
@@ -990,6 +1038,19 @@ class TestPresets:
         cfg = preset_config("fig2d")
         assert cfg.nbar1 == 200.0 and cfg.nbar2 == 100.0
         assert cfg.axes[1].grid().tolist() == [0.0, 0.7]
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b"])
+    def test_fig3_presets_take_no_axes(self, name):
+        # each curve sets rB, so the rows would ignore a configured axis
+        cfg = preset_config(name).replace(tPoints=2, axes=(SweepAxis("ratio", 0.9, 1.0, 3),))
+        with pytest.raises(ConfigError,
+                           match=f"^preset '{name}' runs one curve per rB and takes no axes$"):
+            run_preset(name, cfg)
+
+    def test_fig2_presets_take_configured_axes(self):
+        axis = SweepAxis("ratio", 0.9, 1.0, 3)
+        table = run_preset("fig2c", preset_config("fig2c").replace(axes=(axis,)))
+        assert table.columns["ratio"] == axis.grid().tolist() and "rB" not in table.columns
 
     def test_fig3_presets_emit_five_curves(self):
         cfg = preset_config("fig3a").replace(tMax=2e-4, tPoints=5)
