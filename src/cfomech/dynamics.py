@@ -123,13 +123,12 @@ ROUTH_MARGIN = 2.0 ** -20
 #: Stacks of at least this many drifts take the Routh-Hurwitz verdicts
 #: first.  On a 2-vCPU x86-64 VM the certificate costs 55-90 us at N = 1
 #: against 20-25 us for eigvals, breaks even between N = 8 and 16, and takes
-#: 130-230 us against 1400-1800 us at N = 256.  On the evolve_sweep grid's
-#: chunks of 80 models at 51 samples it takes 80 us against 388 us for
-#: eigvals on one that it certifies whole, and its mirror settles the
-#: unstable ones: the last chunk, 65 unstable models, takes 157 us against
-#: 312 us for eigvals alone (one process, min of 15 x 300 calls), and only
-#: the band edge (1 drift in 225) reaches eigvals.  The fig3 presets' chunk
-#: of 5 models stays below it.
+#: 130-230 us against 1400-1800 us at N = 256.  The evolve_sweep grid's one
+#: point chunk, 225 models at 51 samples, takes 208-216 us against 991-1034
+#: us for eigvals: the certificate settles the stable models, its mirror the
+#: unstable ones (65 unstable models alone take 139-153 us against 292-346
+#: us; min of 9 x 500 calls in 3 processes), and only the band edge (1 drift
+#: in 225) reaches eigvals.  The fig3 presets' chunk of 5 models stays below it.
 CERTIFICATE_MIN_STACK = 64
 
 def _routh_column(m: np.ndarray, shift: float) -> np.ndarray:
@@ -499,52 +498,66 @@ def _square(M: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M @ M, _apply(M, Q, Q)
 
 
-def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
-                    t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """(N, T, n, n) stack of the covariance matrices of the N systems of the
-    drift and diffusion stacks A and D at the T requested times, starting
-    from V0[k] at t = 0, and for each system the first grid index whose
-    covariance is non-finite, or -1.
+def interval_maps(A: np.ndarray, D: np.ndarray, t_grid) -> list[tuple]:
+    """The runs of a time grid, each as (start, length, P, S): its first
+    grid index, its number of intervals and the (N, n, n) maps (P, S) =
+    transition_and_noise(A, D, dt) over its interval dt, for the N systems
+    of the drift and diffusion stacks A and D.
 
     The grid must be finite, strictly increasing and start at or after 0.
-    Its intervals, the first from t = 0, fall into runs: maximal stretches of
-    intervals within GRID_STEP_ULPS ulps of t of their run's first, as the
-    steps of a linspace grid are.  A run takes one transition_and_noise call
-    (P, S) for the whole stack, so a uniform grid costs one expm call, and
-    fills its samples by doubling, as transition_and_noise squares: its
-    first is P V P^T + S of the sample before it, then while samples remain,
-    (P, S) over n intervals carry its first n samples n intervals on in one
-    batched step and are squared.  A run of L intervals takes 1 + ceil(log2
-    L) steps; each sample is exact up to rounding and exactly symmetric.
-    A sample counts as non-finite where one weighted sum of its entries is:
-    one product with the whole stack.  Entries from a system's first
-    non-finite index on are not meaningful.
+    Its intervals, the first from t = 0, fall into runs: maximal stretches
+    of intervals within GRID_STEP_ULPS ulps of t of their run's first, as
+    the steps of a linspace grid are.  A run takes one transition_and_noise
+    call for the whole stack, so a uniform grid costs one expm call; a grid
+    of the one time t = 0 has no run.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
     if not np.isfinite(t_grid).all() or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be finite, strictly increasing and start at >= 0")
-    V0 = np.asarray(V0, dtype=float)
-    if V0.shape != A.shape:
-        raise ValueError("V0 shape does not match the drift matrix")
-
-    T = t_grid.size
-    out = np.empty((len(V0), T) + V0.shape[1:])
+    T, runs = t_grid.size, []
     intervals = np.diff(t_grid, prepend=0.0)
     tolerance = GRID_STEP_ULPS * np.spacing(t_grid)
+    start = int(t_grid[0] == 0.0)
+    # a map too hot for double precision overflows: propagate_runs reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < T:
+            dt = intervals[start]
+            off = np.abs(intervals[start:] - dt) > tolerance[start:]
+            run = int(off.argmax()) if off.any() else T - start
+            runs.append((start, run, *transition_and_noise(A, D, dt)))
+            start += run
+    return runs
+
+
+def propagate_runs(V0: np.ndarray, runs: list[tuple], T: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T, n, n) stack of the covariance matrices of N systems at the T
+    times of a grid, starting from V0[k] at t = 0, filled from the grid's
+    runs as interval_maps gives them (or the rows of their maps for a slice
+    of its systems), and for each system the first grid index whose
+    covariance is non-finite, or -1.
+
+    Each run fills its samples by doubling, as transition_and_noise
+    squares: its first is P V P^T + S of the sample before it, then while
+    samples remain, (P, S) over n intervals carry its first n samples n
+    intervals on in one batched step and are squared.  A run of L intervals
+    takes 1 + ceil(log2 L) steps; each sample is exact up to rounding and
+    exactly symmetric, and a system's samples depend on its own maps and
+    start alone.  A sample counts as non-finite where one weighted sum of
+    its entries is: one product with the whole stack.  Entries from a
+    system's first non-finite index on are not meaningful.
+    """
+    out = np.empty((len(V0), T) + V0.shape[1:])
     # a start or a map too hot for double precision overflows: the non-finite
     # entries are reported below
     with np.errstate(over="ignore", invalid="ignore"):
         V = 0.5 * V0[:, None]
         V = V + _transpose(V)  # the start, at t = 0, halved first as _apply does
         out[:, :1] = V  # the t = 0 sample, if sampled
-        start = int(t_grid[0] == 0.0)
-        while start < T:
-            dt = intervals[start]
-            off = np.abs(intervals[start:] - dt) > tolerance[start:]
-            run = int(off.argmax()) if off.any() else T - start
-            P, S = (X[:, None] for X in transition_and_noise(A, D, dt))
+        for start, run, P, S in runs:
+            P, S = P[:, None], S[:, None]
             _apply(P, S, out[:, start - 1:start] if start else V, out[:, start:start + 1])
             n = 1  # (P, S) map n intervals on, and the run's first n samples are filled
             while n < run:
@@ -553,13 +566,25 @@ def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
                 m = min(n, run - n)
                 _apply(P, S, out[:, start:start + m], out[:, start + n:start + n + m])
                 n += m
-            start += run
         # one sum per sample, each entry weighted by a power of 2 of at most
         # 1/size: finite entries cannot overflow it, an inf or NaN spreads to it
         size = math.prod(V0.shape[1:])
         weight = np.full(size, 2.0 ** -(size - 1).bit_length())
         finite = np.isfinite(out.reshape(len(out), T, size) @ weight)
     return out, np.where(finite.all(axis=1), -1, finite.argmin(axis=1))
+
+
+def propagate_batch(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
+                    t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T, n, n) stack of the covariance matrices of the N systems of the
+    drift and diffusion stacks A and D at the T requested times, starting
+    from V0[k] at t = 0, and for each system the first grid index whose
+    covariance is non-finite, or -1: propagate_runs of the grid's
+    interval_maps."""
+    V0 = np.asarray(V0, dtype=float)
+    if V0.shape != A.shape:
+        raise ValueError("V0 shape does not match the drift matrix")
+    return propagate_runs(V0, interval_maps(A, D, t_grid), np.size(t_grid))
 
 
 def propagation_failure(t_grid, step: int) -> DivergenceError:

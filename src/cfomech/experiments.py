@@ -45,12 +45,16 @@ FIG3_RB_VALUES = (0.0, 0.9, 0.99, 0.999, 1.0)
 #: Lyapunov operator and outcome at once.
 STEADY_CHUNK = 1024
 
-#: Evolve sweeps propagate and score at most this many covariance samples
-#: (points times tPoints, at least one point) at a time: 80 points at 51
-#: samples.  On the same VM the 15 x 15 evolve_sweep grid took 13.1, 9.5,
-#: 7.6 and 6.3 ms at 1024, 2048, 4096 and 16384 samples, peaking at 37.4,
-#: 37.8, 38.7 and 41.7 MB: a chunk holds its covariance samples and one
-#: fill step's product of them at once.
+#: Evolve sweeps fill covariance samples in slices of at most this many
+#: (points times tPoints, at least one point): 80 points at 51 samples.  A
+#: slice holds its (n, T, 6, 6) samples and one fill step's product of them
+#: at once.  The per-point stages (stability, interval maps, scoring) run
+#: once per point chunk of 3 times as many samples, where scoring's peak
+#: (about 232 bytes a sample) stays within 3.5 slice stacks (288 bytes a
+#: sample each): the 15 x 15 evolve_sweep grid is one chunk.  On the same
+#: VM that grid took 11.4, 10.2, 8.4 and 7.3 ms at 1024, 2048, 4096 and
+#: 16384 samples (min of 3 x 30 in-process runs), and a fresh process that
+#: loads no scipy peaked at 37.7, 38.3, 39.7 and 42.1 MB.
 EVOLVE_SAMPLES = 4096
 
 
@@ -339,7 +343,9 @@ def _score(coords: np.ndarray, errors: list[str | None]) -> np.ndarray:
     error in errors; errors already given stay."""
     N, T = coords.shape[:2]
     ok = np.array([error is None for error in errors]).nonzero()[0]
-    physical, nus = entanglement.pt_spectrum(coords.take(ok, axis=0).reshape(-1, 4))
+    if len(ok) < N:  # a copy of the models to score, where not all are
+        coords = coords.take(ok, axis=0)
+    physical, nus = entanglement.pt_spectrum(coords.reshape(-1, 4))
     physical, nus = physical.reshape(-1, T).all(axis=1), nus.reshape(-1, T)
     nu_minus = np.full((N, T), np.nan)
     nu_minus[ok] = nus
@@ -373,20 +379,31 @@ def evaluate_evolve_batch(model: params.EffectiveModel, t_grid) -> ChunkResult:
     """Time-resolved nu_minus of the N models of a column model, each
     starting from the separable thermal-vacuum state at its bath occupancies
     (entanglement.initial_covariance): one batched stability test and one
-    batched propagation, then scored.  A model that diverges, or that has a
-    sample failing the physicality gate or with an unresolved spectrum,
-    carries its error instead of raising, and reads stable = False."""
+    set of interval maps for all N, a propagation filled in slices of
+    EVOLVE_SAMPLES // T models, each reduced to its mechanical coordinates
+    before the next, then one scoring step.  A model that diverges, or that
+    has a sample failing the physicality gate or with an unresolved
+    spectrum, carries its error instead of raising, and reads stable =
+    False."""
     m, d = dynamics.state_space_coordinates(model)
     stable = dynamics.stability_batch(m)
     V0 = entanglement.initial_covariance(*model.columns()[6:])
-    covs, first_bad = dynamics.propagate_batch(*map(dynamics.state_space_realified, (m, d)),
-                                               V0, t_grid)
+    runs = dynamics.interval_maps(*map(dynamics.state_space_realified, (m, d)), t_grid)
+    N, T = len(m), np.size(t_grid)
+    coords, first_bad = np.empty((N, T, 4)), np.empty(N, dtype=int)
+    size = max(1, EVOLVE_SAMPLES // T)
+    for start in range(0, N, size):
+        rows = slice(start, start + size)
+        # the slice's (n, T, 6, 6) stack, the largest array, is dropped before the next
+        covs, first_bad[rows] = dynamics.propagate_runs(
+            V0[rows], [(s, L, P[rows], S[rows]) for s, L, P, S in runs], T)
+        coords[rows] = entanglement.two_mode_coordinates(covs)
+        del covs
+    del runs
     # a model whose covariance turned non-finite is not scored
     errors = [NONFINITE_DRIFT if not finite else None if step < 0
               else str(dynamics.propagation_failure(t_grid, step))
               for finite, step in zip(np.isfinite(m).all(axis=1).tolist(), first_bad.tolist())]
-    coords = entanglement.two_mode_coordinates(covs)
-    del covs  # the (N, T, 6, 6) stack, the chunk's largest array, is not held while scoring
     nu_minus = _score(coords, errors)  # after which errors holds every model's error
     return ChunkResult(nu_minus, stable & np.array([e is None for e in errors]), errors)
 
@@ -416,7 +433,8 @@ def run_points(cfg: RunConfig, names: list[str], grids: Sequence[Sequence[float]
     evolve = cfg.mode == "evolve"
     curves = curves and evolve
     t_grid = cfg.time_grid() if evolve else None
-    size = max(1, EVOLVE_SAMPLES // cfg.tPoints) if evolve else STEADY_CHUNK
+    # an evolve point chunk is three fill slices (EVOLVE_SAMPLES)
+    size = max(1, 3 * EVOLVE_SAMPLES // cfg.tPoints) if evolve else STEADY_CHUNK
     # with no names, the array has no rows and holds the one point
     all_points = np.array(np.meshgrid(*grids, indexing="ij"), float).reshape(
         len(names), math.prod(map(len, grids))) if names else np.empty((0, 1))
@@ -569,10 +587,13 @@ def run_preset(name: str, cfg: RunConfig | None = None, curves: bool = False) ->
     """Run a named preset; cfg may carry overrides applied on top of the preset
     defaults.  Transient presets run one point per reflectivity of
     FIG3_RB_VALUES, which sets rB, and emit full curves in evolve mode; they
-    take no sweep axes, which they would otherwise ignore."""
+    take no sweep axes and no rB of their own, which they would otherwise
+    ignore."""
     cfg = cfg if cfg is not None else preset_config(name)
     if name in ("fig3a", "fig3b"):
         if cfg.axes:
             raise ConfigError(f"preset '{name}' runs one curve per rB and takes no axes")
+        if cfg.rB != preset_config(name).rB:
+            raise ConfigError(f"preset '{name}' runs one curve per rB and takes no rB")
         return run_points(cfg, ["rB"], [FIG3_RB_VALUES], curves=True)
     return run_sweep(cfg, curves=curves)

@@ -419,9 +419,11 @@ class TestExitCodes:
         (["preset", "fig3a", "--set", 'axes=[{"name":"ratio","min":0.9,"max":1,"count":3}]',
           "tPoints=2", "--format", "json"],
          "preset 'fig3a' runs one curve per rB and takes no axes"),
+        (["preset", "fig3b", "--set", "rB=0.5", "tPoints=2", "--format", "json"],
+         "preset 'fig3b' runs one curve per rB and takes no rB"),
     ], ids=["bare_set", "axis_without_max", "repeated_axis", "evolve_optimize",
             "optimize_without_axes", "negative_refine", "delta_axis_under_lock",
-            "g1_axis_beside_ratio", "fig3_preset_with_axes"])
+            "g1_axis_beside_ratio", "fig3_preset_with_axes", "fig3_preset_with_rB"])
     def test_config_errors_exit_two(self, argv, message, capsys):
         assert run_cli(argv, capsys) == (2, "", f"config error: {message}\n")
 

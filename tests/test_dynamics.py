@@ -1361,9 +1361,10 @@ class TestLeanKernels:
                         axes=(SweepAxis("ratio", 0.9, 1.1, 15), SweepAxis("rB", 0.0, 1.0, 15)))
         with _pinned_kernels() as calls:
             run_sweep(cfg)
-        # 3 chunks: one expm each, both Routh verdicts on the 65-model chunk
-        assert calls["expm"] == 3 and calls["routh"] >= 4
-        assert calls["apply"] > 3 * 6 and calls["two_product"] == 3
+        # one point chunk: one expm and one scoring step, both Routh verdicts,
+        # and the fill in three slices of at most 80 models
+        assert calls["expm"] == 1 and calls["routh"] == 2
+        assert calls["apply"] > 3 * 6 and calls["two_product"] == 1
 
     @pytest.mark.parametrize("name", list(_PINNED_MODELS))
     def test_pinned_models(self, name):

@@ -625,9 +625,9 @@ class TestEvolveBatch:
         assert any(r["kappaTilde"] == 0.0 for r in rows)
 
     def test_certified_chunks_match_points_evaluated_alone(self, monkeypatch):
-        # the 15 x 15 grid at 51 samples: chunks of 80, 80 and 65 points, each
-        # of at least CERTIFICATE_MIN_STACK, so the sweep's verdicts come from
-        # the Routh-Hurwitz certificate and a point's alone from eigenvalues
+        # the 15 x 15 grid at 51 samples: one point chunk of 225 points, at
+        # least CERTIFICATE_MIN_STACK, so the sweep's verdicts come from the
+        # Routh-Hurwitz certificate and a point's alone from eigenvalues
         monkeypatch.setattr(experiments, "EVOLVE_SAMPLES", 4096)
         certified = []
         certificate = dynamics._routh_certificate
@@ -638,7 +638,7 @@ class TestEvolveBatch:
                           axes=(SweepAxis("ratio", 0.9, 1.1, 15),
                                 SweepAxis("rB", 0.0, 1.0, 15)))
         rows = evolve_rows_checked_alone(cfg)
-        assert certified == [80, 80, 65]
+        assert certified == [225]
         assert {r["stable"] for r in rows} == {True, False}
         assert any(r["kappaTilde"] == 0.0 for r in rows)
 
@@ -691,6 +691,57 @@ class TestEvolveBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * (80 * 51 * 36 * 8)
+
+    @pytest.mark.parametrize("ratios, rBs, samples", [(15, 15, 51), (64, 16, 51), (64, 16, 201)])
+    def test_sweep_memory_stays_within_a_few_fill_slices(self, ratios, rBs, samples):
+        # the traced peak of an evolve sweep, in units of the bytes of one
+        # fill slice's (EVOLVE_SAMPLES // T, T, 6, 6) covariance stack,
+        # whatever the sweep's size: 2.42, 2.81 and 2.76 on x86-64 with numpy
+        # 2.4.  Point chunks of 4 times EVOLVE_SAMPLES read 3.70 and 3.60 at
+        # 1024 models, point chunks of STEADY_CHUNK models 11.0 and 41.7, and
+        # scoring a copy of every model's coordinates added 0.3 to 0.4
+        cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, nbar1=5.0, nbar2=2.0,
+                          mode="evolve", tPoints=samples,
+                          axes=(SweepAxis("ratio", 0.9, 1.1, ratios),
+                                SweepAxis("rB", 0.0, 1.0, rBs)))
+        run_sweep(cfg)  # nothing set up on first use is counted
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (EVOLVE_SAMPLES * 36 * 8)
+
+    @pytest.mark.parametrize("curves", [False, True])
+    def test_fill_slices_give_the_rows_of_one_slice(self, curves, monkeypatch):
+        # 40 models at 51 samples, one point chunk either way: with a budget
+        # of 1000 samples its fill runs in slices of 19, 19 and 2 models,
+        # with 4096 in one.  The grid has stable and unstable models scored,
+        # kappa_tilde = 0, unresolved spectra, and models that turn
+        # non-finite at grid indices 6 to 43 inside the middle slice
+        cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, nbar1=5.0, nbar2=2.0,
+                          mode="evolve", tPoints=51, tMax=0.5,
+                          axes=(SweepAxis("ratio", 0.9, 1.2, 10), SweepAxis("rB", 0.0, 1.0, 4)))
+        fill, maps = dynamics.propagate_runs, dynamics.interval_maps
+        slices, map_calls = [], []
+        monkeypatch.setattr(dynamics, "propagate_runs",
+                            lambda V0, runs, T: slices.append(len(V0)) or fill(V0, runs, T))
+        monkeypatch.setattr(dynamics, "interval_maps",
+                            lambda A, D, t: map_calls.append(len(A)) or maps(A, D, t))
+        tables = {}
+        for budget in (1000, 4096):
+            monkeypatch.setattr(experiments, "EVOLVE_SAMPLES", budget)
+            tables[budget] = [
+                tuple(cell.hex() if isinstance(cell, float) else cell for cell in row)
+                for row in zip(*run_sweep(cfg, curves).columns.values())]
+        assert slices == [19, 19, 2, 40] and map_calls == [40, 40]
+        assert tables[1000] == tables[4096]
+        rows = run_sweep(cfg).rows
+        middle = [r["error"] for r in rows[19:38]]
+        assert sum(e is not None and e.startswith("non-finite covariance") for e in middle) >= 5
+        assert {r["stable"] for r in rows if r["error"] is None} == {True, False}
+        assert any(r["kappaTilde"] == 0.0 and r["error"] is None for r in rows)
 
     def test_mixed_chunk_gives_per_point_outcomes(self):
         def m(**kw):
@@ -757,7 +808,7 @@ class TestRunPoints:
     @pytest.mark.parametrize("mode", ["steady", "evolve"])
     def test_points_are_drawn_one_chunk_at_a_time(self, mode, monkeypatch):
         cfg = base_config(G1=1e4, G2=1e4, Delta=1e3, mode=mode, tPoints=51)
-        size = max(1, EVOLVE_SAMPLES // cfg.tPoints) if mode == "evolve" else STEADY_CHUNK
+        size = max(1, 3 * EVOLVE_SAMPLES // cfg.tPoints) if mode == "evolve" else STEADY_CHUNK
         grid = np.linspace(0.8, 1.1, 2 * size + 5)
         drawn = 0
         resolve = experiments.resolve_chunk
@@ -1046,6 +1097,17 @@ class TestPresets:
         with pytest.raises(ConfigError,
                            match=f"^preset '{name}' runs one curve per rB and takes no axes$"):
             run_preset(name, cfg)
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b"])
+    def test_fig3_presets_take_no_rB(self, name):
+        # each curve sets rB, so the rows would ignore it, and the table's
+        # meta would describe the overridden point, which no row ran
+        cfg = preset_config(name).replace(tPoints=2, rB=0.5)
+        with pytest.raises(ConfigError,
+                           match=f"^preset '{name}' runs one curve per rB and takes no rB$"):
+            run_preset(name, cfg)
+        table = run_preset(name, cfg.replace(rB=0.0))  # the preset's own rB stays allowed
+        assert table.columns["rB"][::2] == list(experiments.FIG3_RB_VALUES)
 
     def test_fig2_presets_take_configured_axes(self):
         axis = SweepAxis("ratio", 0.9, 1.0, 3)
